@@ -102,7 +102,6 @@ from .gap_ledger import (
     GapMap,
     StageEntry,
     StagePredicate,
-    evaluate,
     push_stage,
     report,
 )

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,37 +21,8 @@ from .dispersers import (
     verify_disperser,
 )
 from .errors import BudgetExceededError, GapredError, ParseError
-from .graph_reductions import (
-    DksParams,
-    biclique_gadget,
-    clique_to_inducedpath,
-    fglss,
-    im_gadget,
-    is_to_im_gadget,
-    minlab_to_setcov,
-    sat_to_dks,
-    setcov_to_domset,
-)
-from .instances import (
-    emit_cnf,
-    emit_graph,
-    emit_labelcover,
-    emit_setsystem,
-    parse_cnf,
-    parse_graph,
-    parse_labelcover,
-    parse_setsystem,
-    random_cnf,
-)
-from .lc_transforms import (
-    DEFAULT_SIZE_CAP,
-    CompressLeftParams,
-    CompressRightParams,
-    cnf_to_labelcover,
-    compress_left,
-    compress_right,
-    minlab_instance,
-)
+from .instances import emit_cnf, parse_graph, random_cnf
+from .lc_transforms import DEFAULT_SIZE_CAP
 from .oracles import (
     SolveBudget,
     biclique,
@@ -68,6 +40,9 @@ from .oracles import (
     set_cover,
 )
 from .pipelines import (
+    _EMITTERS,
+    _PARSERS,
+    STAGES,
     PipelineSpec,
     gen_cnf_gap,
     gen_gap_cnf,
@@ -88,13 +63,6 @@ _SOLVERS = {
     "dom-set": ("graph", dom_set),
     "induced-matching": ("graph", induced_matching),
     "induced-path": ("graph", induced_path),
-}
-
-_PARSE = {
-    "cnf": parse_cnf,
-    "lc": parse_labelcover,
-    "graph": parse_graph,
-    "setsystem": parse_setsystem,
 }
 
 
@@ -122,20 +90,20 @@ def _budget(args) -> SolveBudget:
     )
 
 
-def _spec_with_cli_overrides(args) -> "PipelineSpec":
-    """Load a pipeline spec; explicit CLI budget flags override the file's."""
-    import dataclasses
-
+def _spec_with_cli_overrides(args) -> PipelineSpec:
+    """Load a pipeline spec; explicit CLI seed, size-cap and budget flags override the file's."""
     spec = PipelineSpec.from_file(args.spec)
+    changes = {}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    if args.size_cap is not None:
+        changes["size_cap"] = args.size_cap
     if args.budget_nodes or args.budget_millis:
-        spec = dataclasses.replace(
-            spec,
-            budget=SolveBudget(
-                max_nodes=args.budget_nodes or spec.budget.max_nodes,
-                max_millis=args.budget_millis or spec.budget.max_millis,
-            ),
+        changes["budget"] = SolveBudget(
+            max_nodes=args.budget_nodes or spec.budget.max_nodes,
+            max_millis=args.budget_millis or spec.budget.max_millis,
         )
-    return spec
+    return dataclasses.replace(spec, **changes)
 
 
 def _add_common(parser):
@@ -144,6 +112,18 @@ def _add_common(parser):
     parser.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     parser.add_argument("--budget-nodes", type=int, default=None)
     parser.add_argument("--budget-millis", type=int, default=None)
+
+
+def _add_param(parser, param):
+    """The CLI flag of one stage parameter (see Param)."""
+    if param.choices:
+        default, switch = param.choices
+        parser.add_argument(f"--{switch}-{param.name}", dest=param.name, action="store_const",
+                            const=switch, default=default)
+    else:
+        parser.add_argument(f"--{param.name}", dest=param.name, type=param.type,
+                            metavar=param.metavar, required=param.required,
+                            default=None if param.required else param.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,69 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.2)
     _add_common(p)
 
-    p = sub.add_parser("cnf2lc", help="clause-variable game: CNF to label cover")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("lc-compress-left", help="disperser-based left compression")
-    p.add_argument("input")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--deterministic-disperser", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("lc-compress-right", help="block-merge right compression")
-    p.add_argument("input")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("lc-minlab", help="right compression at gamma = (r/q)^-q")
-    p.add_argument("input")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("lc2clique", help="FGLSS graph of a projection label cover")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("minlab2setcov", help="hypercube set system of a MinLab instance")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("setcov2domset", help="set cover to dominating set")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("g2biclique-gadget", help="doubling gadget B_e[G]")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("g2im-gadget", help="doubling gadget B_e[complement(G)]")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("g2is2im", help="pendant gadget: independent set to induced matching")
-    p.add_argument("input")
-    _add_common(p)
-
-    p = sub.add_parser("clique2ipath", help="block-chained clique to induced path gadget")
-    p.add_argument("input")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("sat2dks", help="partial-assignment graph with optional subsampling")
-    p.add_argument("input")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--r", type=int, default=None)
-    _add_common(p)
+    for op, stage in STAGES.items():
+        p = sub.add_parser(stage.command, help=stage.help)
+        p.add_argument("input")
+        for param in stage.params:
+            _add_param(p, param)
+        _add_common(p)
+        p.set_defaults(op=op)
 
     p = sub.add_parser("disperser", help="generate, check, or search dispersers")
     p.add_argument("action", choices=("gen", "check", "det"))
@@ -239,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", default="forest", help="property for max-induced")
     _add_common(p)
 
-    p = sub.add_parser("pipeline", help="run a pipeline spec and write artifacts")
-    p.add_argument("spec")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run a pipeline spec and oracle-verify each stage")
-    p.add_argument("spec")
-    _add_common(p)
+    for name, text in (("pipeline", "run a pipeline spec and write artifacts"),
+                       ("verify", "run a pipeline spec and oracle-verify each stage")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("spec")
+        _add_common(p)
+        # Unset seed and size cap mean "as the spec says".
+        p.set_defaults(seed=None, size_cap=None)
 
     return top
 
@@ -274,54 +198,17 @@ def _cmd_gen_cnf(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    text = Path(args.input).read_text()
-    params: dict = {"seed": args.seed, "size_cap": args.size_cap}
-    if args.command == "cnf2lc":
-        out = emit_labelcover(cnf_to_labelcover(parse_cnf(text)))
-    elif args.command == "lc-compress-left":
-        mode = "deterministic" if args.deterministic_disperser else "random"
-        cl = CompressLeftParams(
-            k=args.k, r=args.r, eps=args.epsilon, disperser_mode=mode,
-            seed=args.seed, size_cap=args.size_cap,
-        )
-        lc_out, disperser = compress_left(parse_labelcover(text), cl)
-        out = emit_labelcover(lc_out)
-        if args.out not in (None, "-"):
-            Path(args.out).with_suffix(".disp").write_text(emit_disperser(disperser))
-        params.update({"k": args.k, "r": args.r, "epsilon": args.epsilon, "disperser": mode})
-    elif args.command == "lc-compress-right":
-        cr = CompressRightParams(q=args.q, gamma=args.gamma, eps=args.epsilon, size_cap=args.size_cap)
-        out = emit_labelcover(compress_right(parse_labelcover(text), cr))
-        params.update({"q": args.q, "gamma": args.gamma, "epsilon": args.epsilon})
-    elif args.command == "lc-minlab":
-        out = emit_labelcover(
-            minlab_instance(parse_labelcover(text), args.q, args.r, args.epsilon, args.size_cap)
-        )
-        params.update({"q": args.q, "r": args.r, "epsilon": args.epsilon})
-    elif args.command == "lc2clique":
-        out = emit_graph(fglss(parse_labelcover(text)))
-    elif args.command == "minlab2setcov":
-        out = emit_setsystem(minlab_to_setcov(parse_labelcover(text), args.size_cap))
-    elif args.command == "setcov2domset":
-        out = emit_graph(setcov_to_domset(parse_setsystem(text)))
-    elif args.command == "g2biclique-gadget":
-        out = emit_graph(biclique_gadget(parse_graph(text)))
-    elif args.command == "g2im-gadget":
-        out = emit_graph(im_gadget(parse_graph(text)))
-    elif args.command == "g2is2im":
-        out = emit_graph(is_to_im_gadget(parse_graph(text)))
-    elif args.command == "clique2ipath":
-        out = emit_graph(clique_to_inducedpath(parse_graph(text), args.k, args.q))
-        params.update({"k": args.k, "q": args.q})
-    elif args.command == "sat2dks":
-        dp = DksParams(ell=args.ell, p=args.p, lam=args.lam, r=args.r,
-                       seed=args.seed, size_cap=args.size_cap)
-        out = emit_graph(sat_to_dks(parse_cnf(text), dp))
-        params.update({"ell": args.ell, "p": args.p, "lambda": args.lam})
-    else:
-        raise ParseError(f"unknown transform {args.command!r}")
-    _write(args.out, out)
-    _manifest(args.out, {"command": args.command, "input": args.input, "params": params})
+    stage = STAGES[args.op]
+    given = {p.name: getattr(args, p.name) for p in stage.params}
+    params = stage.resolve(given, args.seed, args.size_cap)
+    source = _PARSERS[stage.source_kind](Path(args.input).read_text())
+    out, _, extras = stage.build(source, params)
+    if "disperser" in extras and args.out not in (None, "-"):
+        Path(args.out).with_suffix(".disp").write_text(emit_disperser(extras["disperser"]))
+    _write(args.out, _EMITTERS[stage.output_kind](out))
+    recorded = ["seed", "size_cap"] + [p.name for p in stage.params if p.record]
+    _manifest(args.out, {"command": args.command, "input": args.input,
+                         "params": {name: params[name] for name in recorded}})
     return 0
 
 
@@ -359,7 +246,7 @@ def _cmd_solve(args) -> int:
         print(max_induced_with_property(parse_graph(text), args.property, budget))
         return 0
     kind, solver = _SOLVERS[args.problem]
-    value = solver(_PARSE[kind](text), budget)
+    value = solver(_PARSERS[kind](text), budget)
     print("infeasible" if value is None else value)
     return 0
 
@@ -375,9 +262,9 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_with_cli_overrides(args)
-    report = verify_pipeline(spec)
+    run = run_pipeline(spec)
+    report = verify_pipeline(spec, run)
     if args.out not in (None, "-"):
-        run = run_pipeline(spec)
         write_artifacts(run, args.out, "verify", spec, report=report, version=__version__)
     sys.stdout.write(report.render())
     if report.overall == "fail":

@@ -30,4 +30,4 @@ class GenerationError(GapredError):
 
 
 class LedgerError(GapredError):
-    """A ledger entry is malformed or a gap map is undefined at the given value."""
+    """A ledger entry or gap map is malformed."""

@@ -21,7 +21,6 @@ __all__ = [
     "StageEntry",
     "GapLedger",
     "push_stage",
-    "evaluate",
     "report",
     "ledger_to_json",
     "ledger_from_json",
@@ -45,12 +44,12 @@ KNOWN_ORACLES = frozenset(
     }
 )
 
-_MAP_KINDS = ("identity", "constant", "scale", "power_fraction")
+_MAP_KINDS = ("identity", "constant", "scale")
 
 
 @dataclass(frozen=True)
 class GapMap:
-    """A named numeric map: identity, constant-c, scale-by-gamma, or (r/q)^-q scale.
+    """A named numeric map: identity, constant-c, or scale-by-gamma.
 
     `requires` pins the only input value the map is defined at (used by
     completeness maps that assume a fully coverable source).
@@ -58,8 +57,6 @@ class GapMap:
 
     kind: str
     value: float | None = None
-    numer: int | None = None
-    denom: int | None = None
     requires: float | None = None
 
     def __post_init__(self):
@@ -67,33 +64,13 @@ class GapMap:
             raise LedgerError(f"unknown map kind {self.kind!r}")
         if self.kind in ("constant", "scale") and self.value is None:
             raise LedgerError(f"map kind {self.kind!r} needs a value")
-        if self.kind == "power_fraction" and (self.numer is None or self.denom is None):
-            raise LedgerError("power_fraction needs numer (r) and denom (q)")
-
-    def factor(self) -> float:
-        if self.kind == "scale":
-            return self.value
-        if self.kind == "power_fraction":
-            return (self.denom / self.numer) ** self.denom
-        raise LedgerError(f"map kind {self.kind!r} has no scale factor")
-
-    def apply(self, x: float) -> float:
-        if self.requires is not None and x != self.requires:
-            raise LedgerError(f"map defined only at {self.requires}, evaluated at {x}")
-        if self.kind == "identity":
-            return x
-        if self.kind == "constant":
-            return self.value
-        return self.factor() * x
 
     def describe(self) -> str:
         if self.kind == "identity":
             return "x -> x"
         if self.kind == "constant":
             return f"x -> {self.value}"
-        if self.kind == "scale":
-            return f"x -> {self.value} * x"
-        return f"x -> (({self.denom}/{self.numer})^{self.denom}) * x"
+        return f"x -> {self.value} * x"
 
 
 @dataclass(frozen=True)
@@ -141,17 +118,6 @@ def push_stage(ledger: GapLedger, entry: StageEntry) -> GapLedger:
     return GapLedger(ledger.stages + (entry,))
 
 
-def evaluate(ledger: GapLedger, q_in: float, r_in: float) -> tuple[float, float]:
-    """Fold the completeness and soundness maps forward through every stage."""
-    if q_in < r_in:
-        raise LedgerError(f"expected q_in >= r_in, got {q_in} < {r_in}")
-    q, r = q_in, r_in
-    for entry in ledger.stages:
-        q = entry.completeness.apply(q)
-        r = entry.soundness.apply(r)
-    return q, r
-
-
 def report(ledger: GapLedger, results: dict[int, tuple[str, str]] | None = None) -> str:
     """Human-readable per-stage table plus the end-to-end claim.
 
@@ -186,7 +152,7 @@ def report(ledger: GapLedger, results: dict[int, tuple[str, str]] | None = None)
 
 def _map_to_json(m: GapMap) -> dict:
     out = {"kind": m.kind}
-    for key in ("value", "numer", "denom", "requires"):
+    for key in ("value", "requires"):
         val = getattr(m, key)
         if val is not None:
             out[key] = val

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import ReductionError, SizeCapError, ValidationError
 from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of
-from .lc_transforms import projection_check
+from .lc_transforms import DEFAULT_SIZE_CAP, projection_check
 
 __all__ = [
     "fglss",
@@ -40,8 +40,6 @@ __all__ = [
     "hereditary_bridge",
     "PROPERTY_CLIQUE_EXCLUSION",
 ]
-
-DEFAULT_SIZE_CAP = 500_000
 
 
 # ---------------------------------------------------------------------------

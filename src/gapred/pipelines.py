@@ -1,11 +1,14 @@
 """Pipeline assembly, gap-instance generation, and the verification harness.
 
 A pipeline is an input instance plus an ordered stage list whose input/output
-kinds chain (cnf -> lc -> ... -> graph). Running one produces every
-intermediate instance and a gap ledger; verifying one additionally computes
-source and target optima with the exact oracles and grades each stage's
-completeness/soundness predicate PASS, FAIL, NOT-APPLICABLE (premise unmet),
-or INCONCLUSIVE (budget exhausted or uncertified disperser).
+kinds chain (cnf -> lc -> ... -> graph). Each stage op is defined once, in the
+`STAGES` registry: its CLI subcommand, its kinds, its parameter schema, how it
+builds its output and ledger entry, and how verify grades it. Running a
+pipeline produces every intermediate instance and a gap ledger; verifying one
+additionally computes source and target optima with the exact oracles and
+grades each stage's completeness/soundness predicate PASS, FAIL,
+NOT-APPLICABLE (premise unmet), or INCONCLUSIVE (budget exhausted or
+uncertified disperser).
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import gap_ledger as gl
+from . import oracles
 from .dispersers import Disperser, emit_disperser, verify_disperser
 from .errors import (
     BudgetExceededError,
@@ -58,24 +63,15 @@ from .lc_transforms import (
     compress_right,
     minlab_instance,
 )
-from .oracles import (
-    SolveBudget,
-    clique,
-    dom_set,
-    independent_set,
-    induced_matching,
-    induced_path_at_least,
-    biclique,
-    max_cov,
-    min_lab,
-    sat_max,
-    set_cover,
-)
+from .oracles import SolveBudget, sat_max
 
 __all__ = [
     "gen_planted_cnf",
     "gen_gap_cnf",
     "gen_cnf_gap",
+    "Param",
+    "Stage",
+    "STAGES",
     "PipelineSpec",
     "PipelineRun",
     "run_pipeline",
@@ -83,7 +79,6 @@ __all__ = [
     "VerifyReport",
     "verify_pipeline",
     "write_artifacts",
-    "STAGE_IO",
 ]
 
 
@@ -155,23 +150,8 @@ def gen_cnf_gap(
 
 
 # ---------------------------------------------------------------------------
-# Pipeline specification
+# Instance kinds
 
-
-STAGE_IO = {
-    "cnf2lc": ("cnf", "lc"),
-    "compress-left": ("lc", "lc"),
-    "compress-right": ("lc", "lc"),
-    "minlab": ("lc", "lc"),
-    "fglss": ("lc", "graph"),
-    "minlab2setcov": ("lc", "setsystem"),
-    "setcov2domset": ("setsystem", "graph"),
-    "biclique-gadget": ("graph", "graph"),
-    "im-gadget": ("graph", "graph"),
-    "is2im": ("graph", "graph"),
-    "clique2ipath": ("graph", "graph"),
-    "sat2dks": ("cnf", "graph"),
-}
 
 _INPUT_KINDS = {
     "cnf-file": "cnf",
@@ -199,6 +179,472 @@ _EMITTERS = {
 _EXTENSIONS = {"cnf": "cnf", "lc": "lc", "graph": "graph", "setsystem": "ss"}
 
 
+# ---------------------------------------------------------------------------
+# The stage registry: parameters and stage definitions
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One stage parameter: its spec key, its type, and its default.
+
+    A parameter without a default is required. A string parameter lists its
+    `choices`, default first; the CLI takes it as the switch
+    `--<choices[1]>-<name>`. `metavar` overrides the CLI's placeholder, and
+    `record` says whether a transform's manifest lists the value.
+    """
+
+    name: str
+    type: type = int
+    default: object = _REQUIRED
+    choices: tuple[str, ...] = ()
+    metavar: str | None = None
+    record: bool = True
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
+    def validate(self, op: str, value) -> None:
+        if value is None and self.default is None:
+            return
+        if self.type is str:
+            ok, want = value in self.choices, f"one of {self.choices}"
+        else:
+            allowed = (int, float) if self.type is float else int
+            ok = isinstance(value, allowed) and not isinstance(value, bool)
+            want = "a number" if self.type is float else "an integer"
+        if not ok:
+            raise ValidationError(
+                f"stage {op!r}: parameter {self.name!r} must be {want}, got {value!r}"
+            )
+
+
+# Checked on every stage: each may set its own size cap. (A stage's `seed` may
+# be any value random.Random accepts.)
+_SHARED_PARAMS = (Param("size_cap", default=None),)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One reduction, as run_pipeline, verify_pipeline and the CLI use it.
+
+    `build(instance, params)` returns (output, ledger entry, extras), where
+    `params` holds every declared parameter plus `seed` and `size_cap`.
+    `verify(view)` grades the stage from a `_StageView` and returns
+    (status, detail, values).
+    """
+
+    command: str
+    help: str
+    source_kind: str
+    output_kind: str
+    params: tuple[Param, ...]
+    build: Callable
+    verify: Callable
+
+    def validate(self, op: str, given: dict) -> None:
+        """Raise ValidationError unless `given` fits this stage's parameter schema."""
+        for param in self.params + _SHARED_PARAMS:
+            if param.name in given:
+                param.validate(op, given[param.name])
+            elif param.required:
+                raise ValidationError(f"stage {op!r} needs parameter {param.name!r}")
+
+    def resolve(self, given: dict, seed, size_cap) -> dict:
+        """The full parameter dict `build` and `verify` read: defaults, then `given`."""
+        params = {"seed": seed, "size_cap": size_cap}
+        params.update((p.name, p.default) for p in self.params if not p.required)
+        params.update(given)
+        return params
+
+
+# ---------------------------------------------------------------------------
+# Stage builds: output instance, ledger entry, extras
+
+
+_IDENTITY = gl.GapMap(kind="identity")
+
+
+def _entry(name, oracle, comparison, target, params=(), completeness=_IDENTITY,
+           soundness=_IDENTITY, notes=()) -> gl.StageEntry:
+    return gl.StageEntry(
+        name=name,
+        params=params,
+        completeness=completeness,
+        soundness=soundness,
+        predicate=gl.StagePredicate(oracle, comparison, target),
+        notes=notes,
+    )
+
+
+def _build_cnf2lc(formula, p):
+    return cnf_to_labelcover(formula), _entry("cnf2lc", "max_cov", "==", "sat_max(source)"), {}
+
+
+def _build_compress_left(lc, p):
+    cl = CompressLeftParams(
+        k=p["k"],
+        r=p["r"],
+        eps=p["epsilon"],
+        disperser_mode=p["disperser"],
+        seed=p["seed"],
+        size_cap=p["size_cap"],
+    )
+    out, disperser = compress_left(lc, cl)
+    entry = _entry(
+        "compress-left", "max_cov", "==", "k (full source) / < r (gap source)",
+        params=(("k", cl.k), ("r", cl.r), ("epsilon", cl.eps)),
+        completeness=gl.GapMap(kind="constant", value=cl.k, requires=float(lc.left_size)),
+        soundness=gl.GapMap(
+            kind="constant",
+            value=cl.r,
+            requires=float((1 - Fraction(cl.eps)) * lc.left_size),
+        ),
+        notes=("running-time constants of the underlying hardness statement are out of scope",),
+    )
+    return out, entry, {"disperser": disperser}
+
+
+def _build_compress_right(lc, p):
+    cr = CompressRightParams(q=p["q"], gamma=p["gamma"], eps=p["epsilon"], size_cap=p["size_cap"])
+    out = compress_right(lc, cr)
+    entry = _entry(
+        "compress-right", "max_cov", "==", "|U'| (full) / < gamma*|U'| (gap)",
+        params=(("q", cr.q), ("gamma", cr.gamma), ("epsilon", cr.eps)),
+        completeness=gl.GapMap(
+            kind="constant", value=float(out.left_size), requires=float(lc.left_size)
+        ),
+        soundness=gl.GapMap(
+            kind="constant",
+            value=cr.gamma * out.left_size,
+            requires=float((1 - Fraction(cr.eps)) * lc.left_size),
+        ),
+    )
+    return out, entry, {}
+
+
+def _build_minlab(lc, p):
+    q, r, eps = p["q"], p["r"], p["epsilon"]
+    out = minlab_instance(lc, q, r, eps, size_cap=p["size_cap"])
+    entry = _entry(
+        "minlab", "min_lab", "==", "q (full) / > r (gap)",
+        params=(("q", q), ("r", r), ("epsilon", eps)),
+        completeness=gl.GapMap(kind="constant", value=float(q), requires=float(lc.left_size)),
+        soundness=gl.GapMap(
+            kind="constant", value=float(r), requires=float((1 - Fraction(eps)) * lc.left_size)
+        ),
+        notes=("gamma follows the power form (r/q)^-q",),
+    )
+    return out, entry, {}
+
+
+def _build_fglss(lc, p):
+    return fglss(lc), _entry("fglss", "clique", "==", "max_cov(source)"), {}
+
+
+def _build_minlab2setcov(lc, p):
+    out = minlab_to_setcov(lc, size_cap=p["size_cap"])
+    return out, _entry("minlab2setcov", "set_cover", "==", "min_lab(source)"), {}
+
+
+def _build_setcov2domset(system, p):
+    entry = _entry("setcov2domset", "dom_set", "==", "set_cover(source)")
+    return setcov_to_domset(system), entry, {}
+
+
+_HALF = gl.GapMap(kind="scale", value=0.5)
+_SANDWICH = "clique(source), and <= 2*biclique(source)+1"
+
+
+def _build_biclique_gadget(graph, p):
+    entry = _entry("biclique-gadget", "biclique", ">=", _SANDWICH, soundness=_HALF)
+    return biclique_gadget(graph), entry, {}
+
+
+def _build_im_gadget(graph, p):
+    entry = _entry("im-gadget", "induced_matching", ">=", _SANDWICH, soundness=_HALF)
+    return im_gadget(graph), entry, {}
+
+
+def _build_is2im(graph, p):
+    entry = _entry("is2im", "induced_matching", ">=", "independent_set(source)")
+    return is_to_im_gadget(graph), entry, {}
+
+
+def _build_clique2ipath(graph, p):
+    k, q = p["k"], p["q"]
+    entry = _entry(
+        "clique2ipath", "induced_path", ">=", "2qk if clique >= k, else <= 4(k-1)",
+        params=(("k", k), ("q", q)),
+        completeness=gl.GapMap(kind="constant", value=float(2 * q * k), requires=float(k)),
+        soundness=gl.GapMap(kind="constant", value=float(4 * (k - 1)), requires=float(k)),
+    )
+    return clique_to_inducedpath(graph, k, q), entry, {}
+
+
+def _build_sat2dks(formula, p):
+    dp = DksParams(
+        ell=p["ell"],
+        p=p["p"],
+        lam=p["lambda"],
+        r=p["r"],
+        seed=p["seed"],
+        size_cap=p["size_cap"],
+    )
+    out = sat_to_dks(formula, dp)
+    entry = _entry(
+        "sat2dks", "densest_k", "==", "1 on the planted clique (witness check)",
+        params=(("ell", dp.ell), ("p", dp.p), ("lambda", dp.lam)),
+        notes=(
+            "occurrence bound 2^(4n) * (2^(-lam*ell^2/n) * C(n,ell))^(2t) is documentation only",
+        ),
+    )
+    return out, entry, {"dks_params": dp}
+
+
+# ---------------------------------------------------------------------------
+# Stage verify rules
+
+
+def _oracle_value(memo: dict, instances: list, index: int, oracle: str, *args, budget):
+    """oracles.<oracle>(instances[index], *args), computed once per memo.
+
+    The oracle is looked up by name on each call, so a wrapped or replaced
+    oracle is seen. A call that raises stores nothing.
+    """
+    key = (oracle, index, args)
+    if key not in memo:
+        memo[key] = getattr(oracles, oracle)(instances[index], *args, budget)
+    return memo[key]
+
+
+class _StageView:
+    """What a verify rule sees of one stage: its resolved params, its source,
+    output and extras, and the oracle values of its source (`src`) and output
+    (`out`), memoized across one verify call."""
+
+    def __init__(self, run: "PipelineRun", index: int, params: dict, budget, memo: dict):
+        self.params = params
+        self.budget = budget
+        self.source = run.instances[index]
+        self.output = run.instances[index + 1]
+        self.extra = run.extras[index]
+        self._instances, self._index, self._memo = run.instances, index, memo
+
+    def src(self, oracle: str, *args):
+        return _oracle_value(self._memo, self._instances, self._index, oracle, *args,
+                             budget=self.budget)
+
+    def out(self, oracle: str, *args):
+        return _oracle_value(self._memo, self._instances, self._index + 1, oracle, *args,
+                             budget=self.budget)
+
+
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _equal(source_oracle: str, output_oracle: str):
+    """Rule of an exact reduction: the source and output optima are equal."""
+
+    def rule(s):
+        a, b = s.src(source_oracle), s.out(output_oracle)
+        detail = f"{source_oracle}={a}, {output_oracle}={b}"
+        return _status(a == b), detail, {source_oracle: a, output_oracle: b}
+
+    return rule
+
+
+def _sandwich(output_oracle: str, label: str, key: str):
+    """Rule of a doubling gadget: clique(source) <= value(output) <= 2*biclique(source)+1."""
+
+    def rule(s):
+        c, bi, got = s.src("clique"), s.src("biclique"), s.out(output_oracle)
+        detail = f"clique={c} <= {label}={got} <= 2*{bi}+1"
+        return _status(c <= got <= 2 * bi + 1), detail, {"clique": c, "biclique_in": bi, key: got}
+
+    return rule
+
+
+def _graded(ok: bool, detail: str, values: dict, got):
+    values["value_out"] = got
+    return _status(ok), detail, values
+
+
+def _compression(oracle: str, target, sound):
+    """Rule of a label-cover compression, graded by its source's max_cov.
+
+    A fully coverable source must give oracle(output) == target(view); a
+    source below (1-epsilon)|U| is graded by sound(view, values).
+    """
+
+    def rule(s):
+        m = s.source.left_size
+        mc_in = s.src("max_cov")
+        gap_bound = (1 - Fraction(s.params["epsilon"])) * m
+        values = {"max_cov_in": mc_in, "left_size_in": m}
+        if mc_in == m:
+            want, got = target(s), s.out(oracle)
+            return _graded(got == want, f"completeness: {oracle}={got}, want {want}", values, got)
+        if Fraction(mc_in) < gap_bound:
+            return sound(s, values)
+        return (
+            "NOT-APPLICABLE",
+            f"source max_cov={mc_in} is neither full ({m}) nor below {float(gap_bound):.3f}",
+            values,
+        )
+
+    return rule
+
+
+def _compress_left_sound(s, values):
+    witness = verify_disperser(s.extra["disperser"], s.budget)
+    if witness is not None:
+        return (
+            "INCONCLUSIVE",
+            f"disperser unverified (witness {witness}); soundness claim not certified",
+            values,
+        )
+    got, r = s.out("max_cov"), s.params["r"]
+    return _graded(got < r, f"soundness: max_cov={got}, want < {r}", values, got)
+
+
+def _compress_right_sound(s, values):
+    got = s.out("max_cov")
+    bound = Fraction(s.params["gamma"]) * s.output.left_size
+    detail = f"soundness: max_cov={got}, want < gamma*|U'|={float(bound):.3f}"
+    return _graded(Fraction(got) < bound, detail, values, got)
+
+
+def _minlab_sound(s, values):
+    got, r = s.out("min_lab"), s.params["r"]
+    return _graded(got is None or got > r, f"soundness: min_lab={got}, want > {r}", values, got)
+
+
+def _verify_is2im(s):
+    a, b = s.src("independent_set"), s.out("induced_matching")
+    return _status(b >= a), f"IM={b} >= MIS={a}", {"mis": a, "im": b}
+
+
+def _verify_clique2ipath(s):
+    k, q = s.params["k"], s.params["q"]
+    c = s.src("clique")
+    if c >= k:
+        ok = s.out("induced_path_at_least", 2 * q * k)
+        found = "found" if ok else "missing"
+        detail = f"clique={c} >= {k}: induced path of size {2 * q * k} {found}"
+    else:
+        ok = not s.out("induced_path_at_least", 4 * (k - 1) + 1)
+        detail = f"clique={c} < {k}: no induced path above {4 * (k - 1)}"
+    return _status(ok), detail, {"clique": c}
+
+
+def _find_satisfying(formula: CnfFormula) -> int | None:
+    for assign in range(1 << formula.num_vars):
+        if all(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses)):
+            return assign
+    return None
+
+
+def _verify_sat2dks(s):
+    dp, source, output = s.extra["dks_params"], s.source, s.output
+    n = source.num_vars
+    full = math.comb(n, dp.ell) << dp.ell
+    values = {"num_vertices": output.num_vertices}
+    if dp.p < 1.0:
+        ok = output.num_vertices <= full
+        return _status(ok), f"subsampled: {output.num_vertices} of {full} vertices kept", values
+    if output.num_vertices != full:
+        return "FAIL", f"|V|={output.num_vertices}, want {full}", values
+    witness = _find_satisfying(source)
+    if witness is None:
+        return "PASS", f"|V|={full}; source unsatisfiable, no witness clique checked", values
+    restrictions = [
+        (window, sum(((witness >> var) & 1) << t for t, var in enumerate(window)))
+        for window in itertools.combinations(range(n), dp.ell)
+    ]
+    pairs_ok = all(
+        dks_edge(source, w1, b1, w2, b2)
+        for (w1, b1), (w2, b2) in itertools.combinations(restrictions, 2)
+    )
+    detail = f"|V|={full}; witness restrictions pairwise adjacent: {pairs_ok}"
+    return _status(pairs_ok), detail, values
+
+
+# ---------------------------------------------------------------------------
+# The registry. Its order is the order of the CLI's transform subcommands.
+# Builds and rules call transforms and oracles through module globals (or by
+# oracle name), never through function objects stored here.
+
+
+STAGES: dict[str, Stage] = {
+    "cnf2lc": Stage(
+        "cnf2lc", "clause-variable game: CNF to label cover", "cnf", "lc", (),
+        _build_cnf2lc, _equal("sat_max", "max_cov"),
+    ),
+    "compress-left": Stage(
+        "lc-compress-left", "disperser-based left compression", "lc", "lc",
+        (Param("k"), Param("r"), Param("epsilon", float),
+         Param("disperser", str, "random", choices=("random", "deterministic"))),
+        _build_compress_left,
+        _compression("max_cov", lambda s: s.params["k"], _compress_left_sound),
+    ),
+    "compress-right": Stage(
+        "lc-compress-right", "block-merge right compression", "lc", "lc",
+        (Param("q"), Param("gamma", float), Param("epsilon", float)),
+        _build_compress_right,
+        _compression("max_cov", lambda s: s.output.left_size, _compress_right_sound),
+    ),
+    "minlab": Stage(
+        "lc-minlab", "right compression at gamma = (r/q)^-q", "lc", "lc",
+        (Param("q"), Param("r"), Param("epsilon", float)),
+        _build_minlab,
+        _compression("min_lab", lambda s: s.params["q"], _minlab_sound),
+    ),
+    "fglss": Stage(
+        "lc2clique", "FGLSS graph of a projection label cover", "lc", "graph", (),
+        _build_fglss, _equal("max_cov", "clique"),
+    ),
+    "minlab2setcov": Stage(
+        "minlab2setcov", "hypercube set system of a MinLab instance", "lc", "setsystem", (),
+        _build_minlab2setcov, _equal("min_lab", "set_cover"),
+    ),
+    "setcov2domset": Stage(
+        "setcov2domset", "set cover to dominating set", "setsystem", "graph", (),
+        _build_setcov2domset, _equal("set_cover", "dom_set"),
+    ),
+    "biclique-gadget": Stage(
+        "g2biclique-gadget", "doubling gadget B_e[G]", "graph", "graph", (),
+        _build_biclique_gadget, _sandwich("biclique", "biclique(B_e)", "biclique_out"),
+    ),
+    "im-gadget": Stage(
+        "g2im-gadget", "doubling gadget B_e[complement(G)]", "graph", "graph", (),
+        _build_im_gadget, _sandwich("induced_matching", "IM", "im_out"),
+    ),
+    "is2im": Stage(
+        "g2is2im", "pendant gadget: independent set to induced matching", "graph", "graph", (),
+        _build_is2im, _verify_is2im,
+    ),
+    "clique2ipath": Stage(
+        "clique2ipath", "block-chained clique to induced path gadget", "graph", "graph",
+        (Param("k"), Param("q")),
+        _build_clique2ipath, _verify_clique2ipath,
+    ),
+    "sat2dks": Stage(
+        "sat2dks", "partial-assignment graph with optional subsampling", "cnf", "graph",
+        (Param("ell"), Param("p", float, 1.0), Param("lambda", float, 0.1, metavar="LAM"),
+         Param("r", int, None, record=False)),
+        _build_sat2dks, _verify_sat2dks,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Pipeline specification
+
+
 @dataclass(frozen=True)
 class PipelineSpec:
     input: dict
@@ -215,21 +661,27 @@ class PipelineSpec:
         current = _INPUT_KINDS[kind]
         for stage in self.stages:
             op = stage.get("op")
-            if op not in STAGE_IO:
+            if op not in STAGES:
                 raise ValidationError(f"unknown stage op {op!r}")
-            expected, produced = STAGE_IO[op]
-            if expected != current:
+            definition = STAGES[op]
+            if definition.source_kind != current:
                 raise ValidationError(
-                    f"stage {op!r} expects a {expected} input but gets {current}"
+                    f"stage {op!r} expects a {definition.source_kind} input but gets {current}"
                 )
-            current = produced
+            definition.validate(op, stage)
+            current = definition.output_kind
 
     @property
     def output_kind(self) -> str:
         kind = _INPUT_KINDS[self.input["kind"]]
         for stage in self.stages:
-            kind = STAGE_IO[stage["op"]][1]
+            kind = STAGES[stage["op"]].output_kind
         return kind
+
+    def stage_params(self, index: int) -> dict:
+        """Stage `index`'s resolved parameters, with this spec's seed and size cap as defaults."""
+        stage = self.stages[index]
+        return STAGES[stage["op"]].resolve(stage, self.seed, self.size_cap)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineSpec":
@@ -269,194 +721,6 @@ def _load_input(spec: PipelineSpec):
     raise ValidationError(f"unknown input kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Stage execution and ledger entries
-
-
-def _identity_map() -> gl.GapMap:
-    return gl.GapMap(kind="identity")
-
-
-def _run_stage(op: str, params: dict, instance, spec: PipelineSpec):
-    """Returns (output instance, ledger entry, extras dict)."""
-    size_cap = params.get("size_cap", spec.size_cap)
-    if op == "cnf2lc":
-        out = cnf_to_labelcover(instance)
-        entry = gl.StageEntry(
-            name="cnf2lc",
-            params=(),
-            completeness=_identity_map(),
-            soundness=_identity_map(),
-            predicate=gl.StagePredicate("max_cov", "==", "sat_max(source)"),
-        )
-        return out, entry, {}
-    if op == "compress-left":
-        cl = CompressLeftParams(
-            k=params["k"],
-            r=params["r"],
-            eps=params["epsilon"],
-            disperser_mode=params.get("disperser", "random"),
-            seed=params.get("seed", spec.seed),
-            size_cap=size_cap,
-        )
-        out, disperser = compress_left(instance, cl)
-        entry = gl.StageEntry(
-            name="compress-left",
-            params=(("k", cl.k), ("r", cl.r), ("epsilon", cl.eps)),
-            completeness=gl.GapMap(
-                kind="constant", value=cl.k, requires=float(instance.left_size)
-            ),
-            soundness=gl.GapMap(
-                kind="constant",
-                value=cl.r,
-                requires=float((1 - Fraction(cl.eps)) * instance.left_size),
-            ),
-            predicate=gl.StagePredicate("max_cov", "==", "k (full source) / < r (gap source)"),
-            notes=(
-                "running-time constants of the underlying hardness statement are out of scope",
-            ),
-        )
-        return out, entry, {"disperser": disperser}
-    if op == "compress-right":
-        cr = CompressRightParams(
-            q=params["q"], gamma=params["gamma"], eps=params["epsilon"], size_cap=size_cap
-        )
-        out = compress_right(instance, cr)
-        entry = gl.StageEntry(
-            name="compress-right",
-            params=(("q", cr.q), ("gamma", cr.gamma), ("epsilon", cr.eps)),
-            completeness=gl.GapMap(
-                kind="constant", value=float(out.left_size), requires=float(instance.left_size)
-            ),
-            soundness=gl.GapMap(
-                kind="constant",
-                value=cr.gamma * out.left_size,
-                requires=float((1 - Fraction(cr.eps)) * instance.left_size),
-            ),
-            predicate=gl.StagePredicate("max_cov", "==", "|U'| (full) / < gamma*|U'| (gap)"),
-        )
-        return out, entry, {}
-    if op == "minlab":
-        q, r, eps = params["q"], params["r"], params["epsilon"]
-        out = minlab_instance(instance, q, r, eps, size_cap=size_cap)
-        entry = gl.StageEntry(
-            name="minlab",
-            params=(("q", q), ("r", r), ("epsilon", eps)),
-            completeness=gl.GapMap(
-                kind="constant", value=float(q), requires=float(instance.left_size)
-            ),
-            soundness=gl.GapMap(
-                kind="constant",
-                value=float(r),
-                requires=float((1 - Fraction(eps)) * instance.left_size),
-            ),
-            predicate=gl.StagePredicate("min_lab", "==", "q (full) / > r (gap)"),
-            notes=("gamma follows the power form (r/q)^-q",),
-        )
-        return out, entry, {}
-    if op == "fglss":
-        out = fglss(instance)
-        entry = gl.StageEntry(
-            name="fglss",
-            params=(),
-            completeness=_identity_map(),
-            soundness=_identity_map(),
-            predicate=gl.StagePredicate("clique", "==", "max_cov(source)"),
-        )
-        return out, entry, {}
-    if op == "minlab2setcov":
-        out = minlab_to_setcov(instance, size_cap=size_cap)
-        entry = gl.StageEntry(
-            name="minlab2setcov",
-            params=(),
-            completeness=_identity_map(),
-            soundness=_identity_map(),
-            predicate=gl.StagePredicate("set_cover", "==", "min_lab(source)"),
-        )
-        return out, entry, {}
-    if op == "setcov2domset":
-        out = setcov_to_domset(instance)
-        entry = gl.StageEntry(
-            name="setcov2domset",
-            params=(),
-            completeness=_identity_map(),
-            soundness=_identity_map(),
-            predicate=gl.StagePredicate("dom_set", "==", "set_cover(source)"),
-        )
-        return out, entry, {}
-    if op == "biclique-gadget":
-        out = biclique_gadget(instance)
-        entry = gl.StageEntry(
-            name="biclique-gadget",
-            params=(),
-            completeness=_identity_map(),
-            soundness=gl.GapMap(kind="scale", value=0.5),
-            predicate=gl.StagePredicate(
-                "biclique", ">=", "clique(source), and <= 2*biclique(source)+1"
-            ),
-        )
-        return out, entry, {}
-    if op == "im-gadget":
-        out = im_gadget(instance)
-        entry = gl.StageEntry(
-            name="im-gadget",
-            params=(),
-            completeness=_identity_map(),
-            soundness=gl.GapMap(kind="scale", value=0.5),
-            predicate=gl.StagePredicate(
-                "induced_matching", ">=", "clique(source), and <= 2*biclique(source)+1"
-            ),
-        )
-        return out, entry, {}
-    if op == "is2im":
-        out = is_to_im_gadget(instance)
-        entry = gl.StageEntry(
-            name="is2im",
-            params=(),
-            completeness=_identity_map(),
-            soundness=_identity_map(),
-            predicate=gl.StagePredicate("induced_matching", ">=", "independent_set(source)"),
-        )
-        return out, entry, {}
-    if op == "clique2ipath":
-        k, q = params["k"], params["q"]
-        out = clique_to_inducedpath(instance, k, q)
-        entry = gl.StageEntry(
-            name="clique2ipath",
-            params=(("k", k), ("q", q)),
-            completeness=gl.GapMap(kind="constant", value=float(2 * q * k), requires=float(k)),
-            soundness=gl.GapMap(kind="constant", value=float(4 * (k - 1)), requires=float(k)),
-            predicate=gl.StagePredicate(
-                "induced_path", ">=", "2qk if clique >= k, else <= 4(k-1)"
-            ),
-        )
-        return out, entry, {}
-    if op == "sat2dks":
-        dp = DksParams(
-            ell=params["ell"],
-            p=params.get("p", 1.0),
-            lam=params.get("lambda", 0.1),
-            r=params.get("r"),
-            seed=params.get("seed", spec.seed),
-            size_cap=size_cap,
-        )
-        out = sat_to_dks(instance, dp)
-        entry = gl.StageEntry(
-            name="sat2dks",
-            params=(("ell", dp.ell), ("p", dp.p), ("lambda", dp.lam)),
-            completeness=_identity_map(),
-            soundness=_identity_map(),
-            predicate=gl.StagePredicate(
-                "densest_k", "==", "1 on the planted clique (witness check)"
-            ),
-            notes=(
-                "occurrence bound 2^(4n) * (2^(-lam*ell^2/n) * C(n,ell))^(2t) is documentation only",
-            ),
-        )
-        return out, entry, {"dks_params": dp}
-    raise ValidationError(f"unknown stage op {op!r}")
-
-
 @dataclass
 class PipelineRun:
     kinds: list[str]
@@ -471,11 +735,11 @@ def run_pipeline(spec: PipelineSpec) -> PipelineRun:
     instances = [instance]
     ledger = gl.GapLedger()
     extras = []
-    for stage in spec.stages:
-        op = stage["op"]
-        out, entry, extra = _run_stage(op, stage, instances[-1], spec)
+    for idx, stage in enumerate(spec.stages):
+        definition = STAGES[stage["op"]]
+        out, entry, extra = definition.build(instances[-1], spec.stage_params(idx))
         instances.append(out)
-        kinds.append(STAGE_IO[op][1])
+        kinds.append(definition.output_kind)
         ledger = gl.push_stage(ledger, entry)
         extras.append(extra)
     return PipelineRun(kinds, instances, ledger, extras)
@@ -515,178 +779,29 @@ class VerifyReport:
         return header + gl.report(self.ledger, results)
 
 
-def _find_satisfying(formula: CnfFormula) -> int | None:
-    for assign in range(1 << formula.num_vars):
-        if all(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses)):
-            return assign
-    return None
+def verify_pipeline(spec: PipelineSpec, run: PipelineRun | None = None) -> VerifyReport:
+    """Grade every stage of `run` (built from `spec` when not given) by its verify rule.
 
-
-def _verify_stage(op, params, source, output, extra, budget) -> tuple[str, str, dict]:
-    if op == "cnf2lc":
-        a = sat_max(source, budget)
-        b = max_cov(output, budget)
-        values = {"sat_max": a, "max_cov": b}
-        return ("PASS" if a == b else "FAIL", f"sat_max={a}, max_cov={b}", values)
-    if op in ("compress-left", "compress-right", "minlab"):
-        eps = params["epsilon"]
-        m = source.left_size
-        mc_in = max_cov(source, budget)
-        gap_bound = (1 - Fraction(eps)) * m
-        values = {"max_cov_in": mc_in, "left_size_in": m}
-        if mc_in == m:
-            if op == "compress-left":
-                target, got = params["k"], max_cov(output, budget)
-                ok = got == target
-                detail = f"completeness: max_cov={got}, want {target}"
-            elif op == "compress-right":
-                target, got = output.left_size, max_cov(output, budget)
-                ok = got == target
-                detail = f"completeness: max_cov={got}, want {target}"
-            else:
-                target, got = params["q"], min_lab(output, budget)
-                ok = got == target
-                detail = f"completeness: min_lab={got}, want {target}"
-            values["value_out"] = got
-            return ("PASS" if ok else "FAIL", detail, values)
-        if Fraction(mc_in) < gap_bound:
-            if op == "compress-left":
-                disperser = extra["disperser"]
-                witness = verify_disperser(disperser, budget)
-                if witness is not None:
-                    return (
-                        "INCONCLUSIVE",
-                        f"disperser unverified (witness {witness}); soundness claim not certified",
-                        values,
-                    )
-                got = max_cov(output, budget)
-                ok = got < params["r"]
-                detail = f"soundness: max_cov={got}, want < {params['r']}"
-            elif op == "compress-right":
-                got = max_cov(output, budget)
-                bound = Fraction(params["gamma"]) * output.left_size
-                ok = Fraction(got) < bound
-                detail = f"soundness: max_cov={got}, want < gamma*|U'|={float(bound):.3f}"
-            else:
-                got = min_lab(output, budget)
-                ok = got is None or got > params["r"]
-                detail = f"soundness: min_lab={got}, want > {params['r']}"
-            values["value_out"] = got
-            return ("PASS" if ok else "FAIL", detail, values)
-        return (
-            "NOT-APPLICABLE",
-            f"source max_cov={mc_in} is neither full ({m}) nor below {float(gap_bound):.3f}",
-            values,
-        )
-    if op == "fglss":
-        a = max_cov(source, budget)
-        b = clique(output, budget)
-        return ("PASS" if a == b else "FAIL", f"max_cov={a}, clique={b}", {"max_cov": a, "clique": b})
-    if op == "minlab2setcov":
-        a = min_lab(source, budget)
-        b = set_cover(output, budget)
-        return (
-            "PASS" if a == b else "FAIL",
-            f"min_lab={a}, set_cover={b}",
-            {"min_lab": a, "set_cover": b},
-        )
-    if op == "setcov2domset":
-        a = set_cover(source, budget)
-        b = dom_set(output, budget)
-        return ("PASS" if a == b else "FAIL", f"set_cover={a}, dom_set={b}", {"set_cover": a, "dom_set": b})
-    if op == "biclique-gadget":
-        c = clique(source, budget)
-        bi = biclique(source, budget)
-        bo = biclique(output, budget)
-        ok = c <= bo <= 2 * bi + 1
-        return (
-            "PASS" if ok else "FAIL",
-            f"clique={c} <= biclique(B_e)={bo} <= 2*{bi}+1",
-            {"clique": c, "biclique_in": bi, "biclique_out": bo},
-        )
-    if op == "im-gadget":
-        c = clique(source, budget)
-        bi = biclique(source, budget)
-        im = induced_matching(output, budget)
-        ok = c <= im <= 2 * bi + 1
-        return (
-            "PASS" if ok else "FAIL",
-            f"clique={c} <= IM={im} <= 2*{bi}+1",
-            {"clique": c, "biclique_in": bi, "im_out": im},
-        )
-    if op == "is2im":
-        a = independent_set(source, budget)
-        b = induced_matching(output, budget)
-        return ("PASS" if b >= a else "FAIL", f"IM={b} >= MIS={a}", {"mis": a, "im": b})
-    if op == "clique2ipath":
-        k, q = params["k"], params["q"]
-        c = clique(source, budget)
-        if c >= k:
-            ok = induced_path_at_least(output, 2 * q * k, budget)
-            detail = f"clique={c} >= {k}: induced path of size {2 * q * k} {'found' if ok else 'missing'}"
-        else:
-            ok = not induced_path_at_least(output, 4 * (k - 1) + 1, budget)
-            detail = f"clique={c} < {k}: no induced path above {4 * (k - 1)}"
-        return ("PASS" if ok else "FAIL", detail, {"clique": c})
-    if op == "sat2dks":
-        dp = extra["dks_params"]
-        n = source.num_vars
-        values = {"num_vertices": output.num_vertices}
-        if dp.p < 1.0:
-            full = math.comb(n, dp.ell) << dp.ell
-            ok = output.num_vertices <= full
-            return (
-                "PASS" if ok else "FAIL",
-                f"subsampled: {output.num_vertices} of {full} vertices kept",
-                values,
-            )
-        expected = math.comb(n, dp.ell) << dp.ell
-        if output.num_vertices != expected:
-            return ("FAIL", f"|V|={output.num_vertices}, want {expected}", values)
-        witness = _find_satisfying(source)
-        if witness is None:
-            return ("PASS", f"|V|={expected}; source unsatisfiable, no witness clique checked", values)
-        pairs_ok = True
-        windows = list(itertools.combinations(range(n), dp.ell))
-        restrictions = []
-        for window in windows:
-            bits = 0
-            for t, var in enumerate(window):
-                bits |= ((witness >> var) & 1) << t
-            restrictions.append((window, bits))
-        for i in range(len(restrictions)):
-            for j in range(i + 1, len(restrictions)):
-                w1, b1 = restrictions[i]
-                w2, b2 = restrictions[j]
-                if not dks_edge(source, w1, b1, w2, b2):
-                    pairs_ok = False
-                    break
-            if not pairs_ok:
-                break
-        return (
-            "PASS" if pairs_ok else "FAIL",
-            f"|V|={expected}; witness restrictions pairwise adjacent: {pairs_ok}",
-            values,
-        )
-    raise ValidationError(f"no verifier for stage {op!r}")
-
-
-def verify_pipeline(spec: PipelineSpec) -> VerifyReport:
-    run = run_pipeline(spec)
+    Within one call each oracle value of each run instance is computed at most
+    once. The report keeps no reference to the run's instances.
+    """
+    if run is None:
+        run = run_pipeline(spec)
+    memo: dict = {}
     input_values = {}
     if run.kinds[0] == "cnf":
         try:
-            input_values["sat_max"] = sat_max(run.instances[0], spec.budget)
+            input_values["sat_max"] = _oracle_value(memo, run.instances, 0, "sat_max",
+                                                    budget=spec.budget)
             input_values["num_clauses"] = run.instances[0].num_clauses
         except BudgetExceededError:
             pass
     stages = []
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
+        view = _StageView(run, idx, spec.stage_params(idx), spec.budget, memo)
         try:
-            status, detail, values = _verify_stage(
-                op, stage, run.instances[idx], run.instances[idx + 1], run.extras[idx], spec.budget
-            )
+            status, detail, values = STAGES[op].verify(view)
         except BudgetExceededError as exc:
             status, detail, values = "INCONCLUSIVE", f"budget exceeded: {exc}", {}
         if status == "FAIL":

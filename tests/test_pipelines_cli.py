@@ -1,10 +1,13 @@
 """Pipeline assembly, the verify harness, and the CLI driver."""
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from gapred import GenerationError, ValidationError, parse_cnf, parse_graph, sat_max
+from gapred import GenerationError, ValidationError, max_cov, parse_cnf, parse_graph, sat_max
+from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
 from gapred.pipelines import (
     PipelineSpec,
@@ -53,7 +56,7 @@ def test_gen_gap_impossible_target():
 # Pipeline specs
 
 
-def test_spec_chain_validation():
+def test_spec_chain_validation(tmp_path):
     with pytest.raises(ValidationError):
         PipelineSpec(input={"kind": "gen-planted", "n": 5, "m": 4},
                      stages=({"op": "fglss"},))
@@ -62,6 +65,19 @@ def test_spec_chain_validation():
                      stages=({"op": "warp"},))
     with pytest.raises(ValidationError):
         PipelineSpec(input={"kind": "mystery"}, stages=())
+    # Stage parameters are checked against the registry's schema when the spec loads.
+    no_r = {"op": "compress-left", "k": 3, "epsilon": 0.2}
+    with pytest.raises(ValidationError, match="'r'"):
+        PipelineSpec(input={"kind": "gen-planted", "n": 5, "m": 4},
+                     stages=({"op": "cnf2lc"}, no_r))
+    with pytest.raises(ValidationError, match="'epsilon'"):
+        PipelineSpec(input={"kind": "gen-planted", "n": 5, "m": 4},
+                     stages=({"op": "cnf2lc"},
+                             {"op": "compress-left", "k": 3, "r": 2, "epsilon": "x"}))
+    spec_path = tmp_path / "pipe.json"
+    spec_path.write_text(json.dumps({"input": {"kind": "gen-planted", "n": 5, "m": 4},
+                                     "stages": [{"op": "cnf2lc"}, no_r]}))
+    assert run_command(["verify", str(spec_path)]) == 2
 
 
 def test_spec_output_kind():
@@ -113,22 +129,35 @@ def test_verify_minlab_pipeline():
 
 
 def test_verify_detects_corruption():
-    # A corrupted relation breaks the FGLSS equality and must surface as FAIL.
-    import dataclasses
-
-    from gapred import max_cov
-
+    # A relation emptied after FGLSS built its graph breaks max_cov == clique,
+    # and verifying that run must grade the FGLSS stage FAIL.
     spec = _clique_spec("gen-planted")
     run = run_pipeline(spec)
-    lc = run.instances[1]
-    (edge, pairs) = next(iter(sorted(lc.relations.items())))
-    corrupted_relations = dict(lc.relations)
-    corrupted_relations[edge] = frozenset()
-    corrupted = dataclasses.replace(lc, relations=corrupted_relations,
+    lc = run.instances[2]
+    edge = min(lc.relations)
+    corrupted = dataclasses.replace(lc, relations={**lc.relations, edge: frozenset()},
                                     admissible=dict(lc.admissible))
-    # The corrupted instance loses coverage; its FGLSS clique diverges from the
-    # original max_cov, which is exactly what the harness checks per stage.
     assert max_cov(corrupted) < max_cov(lc)
+    run.instances[2] = corrupted
+    report = verify_pipeline(spec, run)
+    stage = report.stages[2]
+    assert stage.status == "FAIL"
+    assert stage.values["max_cov"] < stage.values["clique"] == 3
+    assert "witness instance: stage03" in stage.detail
+    assert report.overall == "fail"
+
+
+def test_verify_computes_each_oracle_value_once(monkeypatch):
+    calls = Counter()
+    for name in ("sat_max", "max_cov", "clique"):
+        def counted(instance, *args, _name=name, _oracle=getattr(oracles, name)):
+            calls[_name, id(instance)] += 1
+            return _oracle(instance, *args)
+        monkeypatch.setattr(oracles, name, counted)
+    report = verify_pipeline(_clique_spec("gen-planted"))
+    assert report.overall == "pass"
+    assert max(calls.values()) == 1
+    assert Counter(name for name, _ in calls) == {"sat_max": 1, "max_cov": 2, "clique": 1}
 
 
 def test_verify_gadget_pipeline():
@@ -260,6 +289,26 @@ def test_cli_verify_pipeline(tmp_path):
     assert (out / "ledger.json").exists()
 
 
+def test_cli_verify_out_builds_once(tmp_path, monkeypatch):
+    spec_path = tmp_path / "pipe.json"
+    spec_path.write_text(json.dumps({
+        "seed": 3,
+        "input": {"kind": "gen-planted", "n": 6, "m": 5},
+        "stages": [{"op": "cnf2lc"}, {"op": "fglss"}],
+    }))
+    builds = []
+    original = pipelines.run_pipeline
+
+    def counted(spec):
+        builds.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(pipelines, "run_pipeline", counted)
+    monkeypatch.setattr(cli, "run_pipeline", counted)
+    assert run_command(["verify", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 1
+
+
 def test_cli_pipeline_runs(tmp_path, capsys):
     spec_path = tmp_path / "pipe.json"
     spec_path.write_text(json.dumps({
@@ -356,3 +405,30 @@ def test_cli_budget_flag_overrides_spec(tmp_path):
     }))
     assert run_command(["verify", str(spec_path), "--budget-nodes", "3"]) == 3
     assert run_command(["verify", str(spec_path)]) == 0
+
+    # --size-cap overrides the spec's size_cap: both refuse the compression (exit 2).
+    stages = [{"op": "cnf2lc"}, {"op": "compress-left", "k": 2, "r": 2, "epsilon": 0.2}]
+    compress = tmp_path / "compress.json"
+    compress.write_text(json.dumps({"seed": 2, "input": {"kind": "gen-planted", "n": 6, "m": 5},
+                                    "stages": stages}))
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps({"seed": 2, "size_cap": 1,
+                                  "input": {"kind": "gen-planted", "n": 6, "m": 5},
+                                  "stages": stages}))
+    assert run_command(["verify", str(compress)]) == 0
+    assert run_command(["verify", str(capped)]) == 2
+    assert run_command(["verify", str(compress), "--size-cap", "1"]) == 2
+
+    # --seed overrides the spec's seed: the artifacts equal those of a spec seeded so.
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({"seed": 7, "input": {"kind": "gen-planted", "n": 6, "m": 5},
+                                  "stages": stages}))
+    flag, spec7, plain = tmp_path / "flag", tmp_path / "spec7", tmp_path / "plain"
+    assert run_command(["pipeline", str(compress), "--seed", "7", "--out", str(flag)]) == 0
+    assert run_command(["pipeline", str(seeded), "--out", str(spec7)]) == 0
+    assert run_command(["pipeline", str(compress), "--out", str(plain)]) == 0
+    names = sorted(p.name for p in spec7.iterdir())
+    assert names == sorted(p.name for p in flag.iterdir())
+    for name in names:
+        assert (flag / name).read_bytes() == (spec7 / name).read_bytes()
+    assert (flag / "stage00.cnf").read_bytes() != (plain / "stage00.cnf").read_bytes()
