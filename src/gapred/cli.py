@@ -201,7 +201,7 @@ def _cmd_transform(args) -> int:
     stage = STAGES[args.op]
     given = {p.name: getattr(args, p.name) for p in stage.params}
     params = stage.resolve(given, args.seed, args.size_cap)
-    source = _PARSERS[stage.source_kind](Path(args.input).read_text())
+    source = _PARSERS[stage.source_kind](Path(args.input).read_bytes())
     out, _, extras = stage.build(source, params)
     if "disperser" in extras and args.out not in (None, "-"):
         Path(args.out).with_suffix(".disp").write_text(emit_disperser(extras["disperser"]))
@@ -216,7 +216,7 @@ def _cmd_disperser(args) -> int:
     if args.action == "check":
         if args.input is None:
             raise ParseError("disperser check needs an input file")
-        d = parse_disperser(Path(args.input).read_text())
+        d = parse_disperser(Path(args.input).read_bytes())
         witness = verify_disperser(d, _budget(args))
         if witness is None:
             print("pass")
@@ -235,18 +235,18 @@ def _cmd_disperser(args) -> int:
 
 def _cmd_solve(args) -> int:
     budget = _budget(args)
-    text = Path(args.input).read_text()
+    data = Path(args.input).read_bytes()
     if args.problem == "count-ktt":
-        print(count_ktt(parse_graph(text), args.t, budget))
+        print(count_ktt(parse_graph(data), args.t, budget))
         return 0
     if args.problem == "densest-k":
-        print(densest_k(parse_graph(text), args.k, budget))
+        print(densest_k(parse_graph(data), args.k, budget))
         return 0
     if args.problem == "max-induced":
-        print(max_induced_with_property(parse_graph(text), args.property, budget))
+        print(max_induced_with_property(parse_graph(data), args.property, budget))
         return 0
     kind, solver = _SOLVERS[args.problem]
-    value = solver(_PARSERS[kind](text), budget)
+    value = solver(_PARSERS[kind](data), budget)
     print("infeasible" if value is None else value)
     return 0
 
@@ -291,7 +291,7 @@ def run_command(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (GapredError, FileNotFoundError) as exc:
+    except (GapredError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

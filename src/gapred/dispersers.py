@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
+from .instances import _as_text
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -170,7 +171,7 @@ def emit_disperser(d: Disperser) -> str:
 
 
 def parse_disperser(data) -> Disperser:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _as_text(data)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
     if not lines or not lines[0].startswith("disp"):
         raise ParseError("missing 'disp' header")

@@ -57,14 +57,13 @@ def fglss(lc: LabelCover) -> Graph:
     report = projection_check(lc)
     if not report.ok:
         raise ReductionError(f"input lacks the projection property: violation {report.violation}")
-    vertices = [(u, a) for u in range(lc.left_size) for a in lc.admissible_list(u)]
+    vertices = []
     proj: list[dict[int, int]] = []
-    for u, a in vertices:
-        out = {}
-        for v in lc.left_neighbors[u]:
-            mask = lc.beta_masks(u, v)[a]
-            out[v] = mask.bit_length() - 1
-        proj.append(out)
+    for u in range(lc.left_size):
+        edge_masks = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        for a in lc.admissible_list(u):
+            vertices.append((u, a))
+            proj.append({v: masks[a].bit_length() - 1 for v, masks in edge_masks})
     edges = set()
     for i in range(len(vertices)):
         ui, _ = vertices[i]

@@ -18,6 +18,11 @@ other tuples changes no coverage count and keeps the projection property
 intact when the source has it. Super-vertices may end up with an empty
 admissible set (they can never be covered), which is how unsatisfiable
 sources surface after compression.
+
+Both compressions build a super-vertex's labels with one join
+(`_joint_labels`), which keeps the tuples in itertools.product order. Their
+size cap bounds the product size (the number of tuples before pruning), not
+the number kept.
 """
 
 from __future__ import annotations
@@ -121,6 +126,43 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
 
 
 # ---------------------------------------------------------------------------
+# Joint labels of a super-vertex
+
+
+def _joint_labels(
+    lc: LabelCover, members, size_cap: int, index: int
+) -> tuple[list[int], list[tuple[int, ...]], list[dict[int, int]]]:
+    """The labels of super-vertex `index`: joint labelings of its `members`.
+
+    Returns the right vertices the members touch (ascending), the kept tuples
+    of admissible member labels in itertools.product order, and for each kept
+    tuple the AND of its members' right-label masks per touched vertex. A
+    tuple is kept when every such mask is nonempty. The members are joined one
+    at a time: each surviving prefix is extended by the next member's
+    admissible labels in ascending order and dropped as soon as a mask
+    empties. The join is iterative, so long member lists do not recurse.
+    """
+    choice_lists = [lc.admissible_list(u) for u in members]
+    product_size = math.prod(len(c) for c in choice_lists)
+    if product_size > size_cap:
+        raise SizeCapError(
+            f"super-vertex {index} would enumerate {product_size} tuples (cap {size_cap})"
+        )
+    prefixes: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {})]
+    for u, choices in zip(members, choice_lists):
+        edges = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        extended = []
+        for tup, masks in prefixes:
+            for alpha in choices:
+                joined = {v: masks.get(v, -1) & beta[alpha] for v, beta in edges}
+                if all(joined.values()):
+                    extended.append((tup + (alpha,), {**masks, **joined}))
+        prefixes = extended
+    touched = sorted({v for u in members for v in lc.left_neighbors[u]})
+    return touched, [tup for tup, _ in prefixes], [masks for _, masks in prefixes]
+
+
+# ---------------------------------------------------------------------------
 # Left compression
 
 
@@ -149,11 +191,6 @@ def compress_left_with(
         raise ValidationError(
             f"disperser universe {disperser.m} disagrees with left size {lc.left_size}"
         )
-    src_masks = {
-        (u, v): lc.beta_masks(u, v)
-        for u in range(lc.left_size)
-        for v in lc.left_neighbors[u]
-    }
     relations = {}
     admissible = {}
     decoders = []
@@ -161,35 +198,7 @@ def compress_left_with(
     max_labels = 1
     for i, subset in enumerate(disperser.subsets):
         members = sorted(subset)
-        choice_lists = [lc.admissible_list(u) for u in members]
-        product_size = math.prod(len(c) for c in choice_lists)
-        if product_size > size_cap:
-            raise SizeCapError(
-                f"super-vertex {i} would enumerate {product_size} tuples (cap {size_cap})"
-            )
-        touched = sorted({v for u in members for v in lc.left_neighbors[u]})
-        members_at = {
-            v: [j for j, u in enumerate(members) if v in lc.left_neighbors[u]]
-            for v in touched
-        }
-        kept: list[tuple[int, ...]] = []
-        kept_masks: list[dict[int, int]] = []
-        for tup in itertools.product(*choice_lists):
-            vmask = {}
-            ok = True
-            for v in touched:
-                m = -1
-                for j in members_at[v]:
-                    m &= src_masks[(members[j], v)][tup[j]]
-                    if not m:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                vmask[v] = m
-            if ok:
-                kept.append(tup)
-                kept_masks.append(vmask)
+        touched, kept, kept_masks = _joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
         decoders.append(TupleDecoder(tuple(members), tuple(kept)))
@@ -252,18 +261,10 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     if ra**max_block > params.size_cap:
         raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
 
-    right_decoders = []
-    block_tuples = []
-    for members in blocks:
-        tuples = tuple(itertools.product(range(ra), repeat=len(members)))
-        right_decoders.append(TupleDecoder(members, tuples))
-        block_tuples.append(tuples)
-
-    src_masks = {
-        (u, v): lc.beta_masks(u, v)
-        for u in range(m)
-        for v in lc.left_neighbors[u]
-    }
+    right_decoders = [
+        TupleDecoder(members, tuple(itertools.product(range(ra), repeat=len(members))))
+        for members in blocks
+    ]
     full_mask = (1 << ra) - 1
     relations = {}
     admissible = {}
@@ -271,35 +272,7 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     total_pairs = 0
     max_labels = 1
     for i, members in enumerate(itertools.combinations(range(m), ell)):
-        choice_lists = [lc.admissible_list(u) for u in members]
-        product_size = math.prod(len(c) for c in choice_lists)
-        if product_size > params.size_cap:
-            raise SizeCapError(
-                f"super-vertex {i} would enumerate {product_size} tuples (cap {params.size_cap})"
-            )
-        touched = sorted({v for u in members for v in lc.left_neighbors[u]})
-        members_at = {
-            v: [j for j, u in enumerate(members) if v in lc.left_neighbors[u]]
-            for v in touched
-        }
-        kept: list[tuple[int, ...]] = []
-        kept_masks: list[dict[int, int]] = []
-        for tup in itertools.product(*choice_lists):
-            vmask = {}
-            ok = True
-            for v in touched:
-                mask = -1
-                for j in members_at[v]:
-                    mask &= src_masks[(members[j], v)][tup[j]]
-                    if not mask:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                vmask[v] = mask & full_mask
-            if ok:
-                kept.append(tup)
-                kept_masks.append(vmask)
+        _, kept, kept_masks = _joint_labels(lc, members, params.size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
         left_decoders.append(TupleDecoder(tuple(members), tuple(kept)))

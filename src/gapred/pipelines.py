@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -45,6 +46,7 @@ from .graph_reductions import (
 )
 from .instances import (
     CnfFormula,
+    _as_text,
     emit_cnf,
     emit_graph,
     emit_labelcover,
@@ -104,6 +106,11 @@ def gen_planted_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
+# sat_max of each formula gen_gap_cnf accepted, so that verifying a gen-gap
+# input does not compute it again. An entry lives as long as its formula.
+_CERTIFIED_SAT_MAX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def gen_gap_cnf(
     num_vars: int,
     num_clauses: int,
@@ -131,7 +138,9 @@ def gen_gap_cnf(
             variables = rng.sample(range(1, num_vars + 1), width)
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
         formula = CnfFormula(num_vars, tuple(clauses))
-        if Fraction(sat_max(formula, budget)) < threshold:
+        value = sat_max(formula, budget)
+        if Fraction(value) < threshold:
+            _CERTIFIED_SAT_MAX[formula] = value
             return formula
     raise GenerationError(
         f"no gap formula with sat_max < (1-{eps})*{num_clauses} in {max_attempts} attempts"
@@ -206,24 +215,54 @@ class Param:
     def required(self) -> bool:
         return self.default is _REQUIRED
 
-    def validate(self, op: str, value) -> None:
+    def validate(self, where: str, value) -> None:
         if value is None and self.default is None:
             return
-        if self.type is str:
+        if self.type is str and self.choices:
             ok, want = value in self.choices, f"one of {self.choices}"
+        elif self.type is str:
+            ok, want = isinstance(value, str), "a string"
         else:
             allowed = (int, float) if self.type is float else int
             ok = isinstance(value, allowed) and not isinstance(value, bool)
             want = "a number" if self.type is float else "an integer"
         if not ok:
             raise ValidationError(
-                f"stage {op!r}: parameter {self.name!r} must be {want}, got {value!r}"
+                f"{where}: parameter {self.name!r} must be {want}, got {value!r}"
             )
+
+
+def _validate_params(where: str, params, given: dict) -> None:
+    """Raise ValidationError unless `given` fits the parameter schema `params`."""
+    for param in params:
+        if param.name in given:
+            param.validate(where, given[param.name])
+        elif param.required:
+            raise ValidationError(f"{where} needs parameter {param.name!r}")
 
 
 # Checked on every stage: each may set its own size cap. (A stage's `seed` may
 # be any value random.Random accepts.)
 _SHARED_PARAMS = (Param("size_cap", default=None),)
+
+_FILE_PARAMS = (Param("path", str),)
+_GEN_PARAMS = (Param("n"), Param("m"))
+# The fields each input kind reads (besides `kind` and an optional `seed`).
+_INPUT_PARAMS = {
+    "cnf-file": _FILE_PARAMS,
+    "lc-file": _FILE_PARAMS,
+    "graph-file": _FILE_PARAMS,
+    "ss-file": _FILE_PARAMS,
+    "gen-planted": _GEN_PARAMS,
+    "gen-gap": _GEN_PARAMS + (Param("epsilon", float),),
+}
+
+# The top-level fields of a spec file other than `input` and `stages`.
+_SPEC_PARAMS = (Param("size_cap", default=DEFAULT_SIZE_CAP),)
+_BUDGET_PARAMS = (
+    Param("max_nodes", float, SolveBudget().max_nodes),
+    Param("max_millis", float, SolveBudget().max_millis),
+)
 
 
 @dataclass(frozen=True)
@@ -246,11 +285,7 @@ class Stage:
 
     def validate(self, op: str, given: dict) -> None:
         """Raise ValidationError unless `given` fits this stage's parameter schema."""
-        for param in self.params + _SHARED_PARAMS:
-            if param.name in given:
-                param.validate(op, given[param.name])
-            elif param.required:
-                raise ValidationError(f"stage {op!r} needs parameter {param.name!r}")
+        _validate_params(f"stage {op!r}", self.params + _SHARED_PARAMS, given)
 
     def resolve(self, given: dict, seed, size_cap) -> dict:
         """The full parameter dict `build` and `verify` read: defaults, then `given`."""
@@ -654,10 +689,13 @@ class PipelineSpec:
     budget: SolveBudget = SolveBudget()
 
     def __post_init__(self):
+        if not isinstance(self.input, dict) or not all(isinstance(s, dict) for s in self.stages):
+            raise ValidationError("a spec needs an input object, and each stage must be an object")
         object.__setattr__(self, "stages", tuple(dict(s) for s in self.stages))
         kind = self.input.get("kind")
         if kind not in _INPUT_KINDS:
             raise ValidationError(f"unknown input kind {kind!r}")
+        _validate_params(f"input {kind!r}", _INPUT_PARAMS[kind], self.input)
         current = _INPUT_KINDS[kind]
         for stage in self.stages:
             op = stage.get("op")
@@ -689,30 +727,34 @@ class PipelineSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid pipeline spec JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParseError("a pipeline spec must be a JSON object")
+        if not isinstance(data.get("stages", []), list):
+            raise ValidationError("a spec's 'stages' must be a list")
         budget_data = data.get("budget", {})
-        budget = SolveBudget(
-            max_nodes=budget_data.get("max_nodes", SolveBudget().max_nodes),
-            max_millis=budget_data.get("max_millis", SolveBudget().max_millis),
-        )
+        if not isinstance(budget_data, dict):
+            raise ValidationError("a spec's 'budget' must be an object")
+        _validate_params("spec", _SPEC_PARAMS, data)
+        _validate_params("spec budget", _BUDGET_PARAMS, budget_data)
+        limits = {p.name: budget_data.get(p.name, p.default) for p in _BUDGET_PARAMS}
         return cls(
-            input=data["input"],
+            input=data.get("input"),
             stages=tuple(data.get("stages", ())),
             seed=data.get("seed"),
             size_cap=data.get("size_cap", DEFAULT_SIZE_CAP),
-            budget=budget,
+            budget=SolveBudget(**limits),
         )
 
     @classmethod
     def from_file(cls, path) -> "PipelineSpec":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(_as_text(Path(path).read_bytes()))
 
 
 def _load_input(spec: PipelineSpec):
     info = spec.input
     kind = info["kind"]
     if kind.endswith("-file"):
-        text = Path(info["path"]).read_text()
-        return _PARSERS[_INPUT_KINDS[kind]](text)
+        return _PARSERS[_INPUT_KINDS[kind]](Path(info["path"]).read_bytes())
     seed = info.get("seed", spec.seed)
     if kind == "gen-planted":
         return gen_planted_cnf(info["n"], info["m"], seed)
@@ -783,13 +825,16 @@ def verify_pipeline(spec: PipelineSpec, run: PipelineRun | None = None) -> Verif
     """Grade every stage of `run` (built from `spec` when not given) by its verify rule.
 
     Within one call each oracle value of each run instance is computed at most
-    once. The report keeps no reference to the run's instances.
+    once, and the sat_max gen_gap_cnf certified for a gen-gap input is not
+    computed again. The report keeps no reference to the run's instances.
     """
     if run is None:
         run = run_pipeline(spec)
     memo: dict = {}
     input_values = {}
     if run.kinds[0] == "cnf":
+        if run.instances[0] in _CERTIFIED_SAT_MAX:
+            memo["sat_max", 0, ()] = _CERTIFIED_SAT_MAX[run.instances[0]]
         try:
             input_values["sat_max"] = _oracle_value(memo, run.instances, 0, "sat_max",
                                                     budget=spec.budget)

@@ -1,5 +1,8 @@
 """Label-cover transformations: CNF lowering, compressions, projection."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,8 @@ from gapred import (
     CnfFormula,
     CompressLeftParams,
     CompressRightParams,
+    Disperser,
+    LabelCover,
     SizeCapError,
     ValidationError,
     cnf_to_labelcover,
@@ -15,6 +20,7 @@ from gapred import (
     compress_left_with,
     compress_right,
     drop_isolated_right,
+    emit_labelcover,
     max_cov,
     min_lab,
     minlab_instance,
@@ -25,6 +31,7 @@ from gapred import (
     sat_max,
     verify_disperser,
 )
+from gapred import lc_transforms
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
 
@@ -217,6 +224,77 @@ def test_compress_right_gamma_one_clamps_ell():
     # ell clamps to 1: left vertices are singletons.
     assert out.left_size == 4
     assert max_cov(out) == 4
+
+
+# ---------------------------------------------------------------------------
+# The joint labels of a super-vertex
+
+
+def _product_joint_labels(lc, members, size_cap, index):
+    """Reference for lc_transforms._joint_labels: enumerate the product, then filter."""
+    choice_lists = [lc.admissible_list(u) for u in members]
+    product_size = math.prod(len(c) for c in choice_lists)
+    if product_size > size_cap:
+        raise SizeCapError(
+            f"super-vertex {index} would enumerate {product_size} tuples (cap {size_cap})"
+        )
+    touched = sorted({v for u in members for v in lc.left_neighbors[u]})
+    kept, kept_masks = [], []
+    for tup in itertools.product(*choice_lists):
+        vmask = {v: -1 for v in touched}
+        for u, alpha in zip(members, tup):
+            for v in lc.left_neighbors[u]:
+                vmask[v] &= lc.beta_masks(u, v)[alpha]
+        if all(vmask.values()):
+            kept.append(tup)
+            kept_masks.append(vmask)
+    return touched, kept, kept_masks
+
+
+def _compressions(lc, disperser, params):
+    """Both compressions of `lc`, as emitted text plus decoders (or the error raised)."""
+    outputs = []
+    for compress in (lambda: compress_left_with(lc, disperser, size_cap=params.size_cap),
+                     lambda: compress_right(lc, params)):
+        try:
+            out = compress()
+        except (SizeCapError, ValidationError) as exc:
+            outputs.append((type(exc), str(exc)))
+        else:
+            outputs.append((emit_labelcover(out), out.left_decoders, out.right_decoders))
+    return outputs
+
+
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 3), st.sampled_from([12, 500_000]))
+@settings(max_examples=150, deadline=None)
+def test_joint_labels_match_product_then_filter(seed, left, right, la, ra, cap):
+    import random
+
+    rng = random.Random(seed)
+    lc = random_labelcover(left, right, la, ra, density=rng.random(), seed=seed,
+                           pair_density=rng.random(), admissible_density=0.6)
+    ell, k = rng.randint(1, left), rng.randint(1, 3)
+    disperser = Disperser(left, k, ell, 1, 0.5,
+                          tuple(frozenset(rng.sample(range(left), ell)) for _ in range(k)))
+    params = CompressRightParams(q=rng.randint(1, right), gamma=rng.choice([0.3, 0.5, 1.0]),
+                                 eps=rng.choice([0.3, 0.6, 0.9]), size_cap=cap)
+    got = _compressions(lc, disperser, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lc_transforms, "_joint_labels", _product_joint_labels)
+        want = _compressions(lc, disperser, params)
+    assert got == want
+
+
+def test_compress_left_joins_long_member_lists():
+    # One super-vertex over 3,000 single-label members (product size 1): the
+    # join must not recurse once per member.
+    n = 3000
+    lc = LabelCover(n, n, 1, 1, {(u, u): {(0, 0)} for u in range(n)})
+    out, disperser = compress_left(lc, CompressLeftParams(k=1, r=1, eps=0.5, seed=0))
+    assert disperser.ell == n
+    assert out.left_decoders[0].labels == ((0,) * n,)
+    assert max_cov(out) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from gapred import GenerationError, ValidationError, max_cov, parse_cnf, parse_graph, sat_max
+from gapred import (
+    GenerationError,
+    ParseError,
+    ValidationError,
+    max_cov,
+    parse_cnf,
+    parse_graph,
+    sat_max,
+)
 from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
 from gapred.pipelines import (
@@ -78,6 +86,17 @@ def test_spec_chain_validation(tmp_path):
     spec_path.write_text(json.dumps({"input": {"kind": "gen-planted", "n": 5, "m": 4},
                                      "stages": [{"op": "cnf2lc"}, no_r]}))
     assert run_command(["verify", str(spec_path)]) == 2
+    # A malformed spec file is refused when it loads, and the CLI exits 2.
+    planted = {"kind": "gen-planted", "n": 5, "m": 4}
+    for bad in ([],
+                {"stages": [{"op": "cnf2lc"}]},
+                {"input": planted, "budget": {"max_nodes": "x"}},
+                {"input": planted, "stages": "cnf2lc"},
+                {"input": {"kind": "gen-planted", "m": 4}}):
+        with pytest.raises((ParseError, ValidationError)):
+            PipelineSpec.from_json(json.dumps(bad))
+        spec_path.write_text(json.dumps(bad))
+        assert run_command(["verify", str(spec_path)]) == 2
 
 
 def test_spec_output_kind():
@@ -158,6 +177,22 @@ def test_verify_computes_each_oracle_value_once(monkeypatch):
     assert report.overall == "pass"
     assert max(calls.values()) == 1
     assert Counter(name for name, _ in calls) == {"sat_max": 1, "max_cov": 2, "clique": 1}
+    # A gen-gap input's sat_max is certified by its generation and not computed
+    # again. Every formula solved is kept alive, so no two share an id.
+    solved = []
+
+    def solve_once(instance, *args, _oracle=oracles.sat_max):
+        solved.append(instance)
+        return _oracle(instance, *args)
+
+    monkeypatch.setattr(oracles, "sat_max", solve_once)
+    monkeypatch.setattr(pipelines, "sat_max", solve_once)
+    spec = _clique_spec("gen-gap")
+    run = run_pipeline(spec)
+    report = verify_pipeline(spec, run)
+    assert report.overall == "pass"
+    assert sum(f is run.instances[0] for f in solved) == 1
+    assert report.input_values["sat_max"] < 0.7 * run.instances[0].num_clauses
 
 
 def test_verify_gadget_pipeline():
@@ -240,6 +275,11 @@ def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 2 3 0\n")
     assert run_command(["cnf2lc", str(bad)]) == 2
+    binary = tmp_path / "binary.cnf"
+    binary.write_bytes(b"p cnf 1 1\n\xff\xfe 0\n")
+    assert run_command(["cnf2lc", str(binary)]) == 2
+    assert run_command(["solve", "sat-max", str(binary)]) == 2
+    assert run_command(["disperser", "check", str(binary)]) == 2
 
 
 def test_cli_projection_violation_exit_code(tmp_path):
@@ -334,8 +374,9 @@ def test_cli_transform_commands(tmp_path):
     assert run_command(["solve", "induced-path", str(out)]) == 0
 
 
-def test_cli_missing_file_exit_code():
+def test_cli_missing_file_exit_code(tmp_path):
     assert run_command(["solve", "clique", "/nonexistent/g.graph"]) == 2
+    assert run_command(["solve", "clique", str(tmp_path)]) == 2
 
 
 def test_cli_verify_fail_exit_code(tmp_path):
