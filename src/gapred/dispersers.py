@@ -81,14 +81,19 @@ def random_disperser(m: int, k: int, r: int, eps: float, seed) -> Disperser:
 
 def verify_disperser(d: Disperser, budget: SolveBudget | None = None):
     """Exhaustively check all C(k, r) unions; None on pass, else a violating index tuple."""
-    meter = _Meter(budget)
-    threshold = (1 - Fraction(d.eps)) * d.m
+    return _verify_disperser(d, _Meter(budget))
+
+
+def _verify_disperser(d: Disperser, meter: _Meter):
+    # An integer union size is below (1 - eps) * m iff it is below its ceiling.
+    need = math.ceil((1 - Fraction(d.eps)) * d.m)
+    masks = [sum(1 << x for x in s) for s in d.subsets]
     for indices in itertools.combinations(range(d.k), d.r):
         meter.tick()
-        union: set[int] = set()
+        union = 0
         for i in indices:
-            union |= d.subsets[i]
-        if Fraction(len(union)) < threshold:
+            union |= masks[i]
+        if union.bit_count() < need:
             return indices
     return None
 
@@ -114,7 +119,8 @@ def deterministic_disperser(
     When m' does not divide m the search runs over the padded universe and the
     padding elements are dropped after lifting; subsets are then topped up with
     unused elements to a uniform size (which can only grow unions). The result
-    is re-verified before it is returned.
+    is re-verified before it is returned. One budget bounds the whole search:
+    every candidate's verification and the final one tick the same meter.
     """
     if min(m, k, r) < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need m, k, r >= 1 and eps in (0,1)")
@@ -132,7 +138,7 @@ def deterministic_disperser(
         candidate = Disperser(
             m_small, k, ell_small, r, eps, tuple(frozenset(s) for s in collection)
         )
-        if verify_disperser(candidate, budget) is None:
+        if _verify_disperser(candidate, meter) is None:
             found = candidate
             break
     if found is None:
@@ -154,7 +160,7 @@ def deterministic_disperser(
                 s = s | frozenset(spare)
             final.append(s)
         result = Disperser(m, k, ell_final, r, eps, tuple(final))
-    witness = verify_disperser(result, budget)
+    witness = _verify_disperser(result, meter)
     if witness is not None:
         raise GenerationError(
             f"lifted disperser fails verification at indices {witness} "

@@ -1,9 +1,13 @@
 """Exact brute-force and branch-and-bound solvers.
 
 These are the ground-truth verifiers for every reduction in the package, so
-they are deliberately simple and exhaustive. Each solver accepts a SolveBudget
-and raises BudgetExceededError rather than returning a truncated answer.
-Minimization problems return None when infeasible.
+they are exhaustive and their results exact. sat_max and max_cov score every
+labeling at once as bit-sliced truth tables; the graph solvers search over
+bitmasks with bounds that only cut branches that cannot beat the best value
+found. Each solver accepts a SolveBudget and raises BudgetExceededError rather
+than returning a truncated answer. A budget node is one labeling (sat_max and
+max_cov charge a whole chunk of labelings before scoring it) or one search
+node. Minimization problems return None when infeasible.
 """
 
 from __future__ import annotations
@@ -77,35 +81,103 @@ class _Meter:
 
 
 # ---------------------------------------------------------------------------
+# Bit-sliced labeling spaces
+#
+# sat_max and max_cov enumerate every labeling of a space of `digits` digits in
+# base `radix`; labeling x has digit d equal to (x // radix**d) % radix. Each
+# labeling is one bit of a big int, so a clause or a left vertex becomes one
+# truth table, and counting over all labelings takes a few big-int operations
+# per table (bitslicing, Biham, "A fast new DES implementation in software",
+# FSE 1997).
+
+# Widest chunk of a labeling space held in one int, as a power of two.
+_CHUNK_BITS = 20
+
+
+def _chunks(radix: int, digits: int, meter: _Meter):
+    """Cover the labeling space chunk by chunk, in increasing labeling order.
+
+    Yields (offset, ones, ind): the chunk holds labelings offset + i for the
+    set bits i of `ones`, and ind[d][a] is the bitset of those whose digit d
+    equals a. The low digits vary inside a chunk and their indicators are
+    built once, by doubling; the high digits are fixed per chunk, so their
+    indicators are `ones` or 0. Each chunk ticks the meter by its size first.
+    """
+    low = digits
+    while low and radix**low > 1 << _CHUNK_BITS:
+        low -= 1
+    width = radix**low
+    ones = (1 << width) - 1
+    ind = []
+    for d in range(low):
+        stride = radix**d
+        row = []
+        for a in range(radix):
+            pattern, period = ((1 << stride) - 1) << (a * stride), radix * stride
+            while period < width:
+                pattern |= pattern << period
+                period *= 2
+            row.append(pattern & ones)
+        ind.append(row)
+    for chunk in range(radix ** (digits - low)):
+        meter.tick(width)
+        rows, rest = list(ind), chunk
+        for _ in range(low, digits):
+            rest, a = divmod(rest, radix)
+            rows.append([0] * radix)
+            rows[-1][a] = ones
+        yield chunk * width, ones, rows
+
+
+def _max_count(tables, ones: int) -> int:
+    """Largest number of `tables` sharing one set bit of `ones`.
+
+    The tables are summed into vertical bit-sliced counters (planes[i] holds
+    bit i of every position's count); the maximum is then read plane by plane
+    from the top, keeping the positions that can still attain it.
+    """
+    planes: list[int] = []
+    for carry in tables:
+        for i, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    best, alive = 0, ones
+    for i in range(len(planes) - 1, -1, -1):
+        hit = alive & planes[i]
+        if hit:
+            alive = hit
+            best |= 1 << i
+    return best
+
+
+# ---------------------------------------------------------------------------
 # 3-SAT
 
 
-def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
-    """Maximum number of clauses satisfied by any assignment (full enumeration)."""
-    meter = _Meter(budget)
-    pos, neg = [], []
+def _clause_tables(formula: CnfFormula, ind):
+    """Per clause, the bitset of the chunk's assignments that satisfy it."""
     for clause in formula.clauses:
-        pm = nm = 0
+        table = 0
         for lit in clause:
-            bit = 1 << (abs(lit) - 1)
-            if lit > 0:
-                pm |= bit
-            else:
-                nm |= bit
-        pos.append(pm)
-        neg.append(nm)
-    m = formula.num_clauses
+            table |= ind[abs(lit) - 1][lit > 0]
+        yield table
+
+
+def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
+    """Maximum number of clauses satisfied by any assignment (full enumeration).
+
+    Variable i + 1 is bit i of an assignment; the meter is charged per chunk
+    of assignments.
+    """
+    meter = _Meter(budget)
     best = 0
-    for assign in range(1 << formula.num_vars):
-        meter.tick()
-        count = 0
-        for pm, nm in zip(pos, neg):
-            if (assign & pm) or (nm & ~assign):
-                count += 1
-        if count > best:
-            best = count
-            if best == m:
-                break
+    for _, ones, ind in _chunks(2, formula.num_vars, meter):
+        best = max(best, _max_count(_clause_tables(formula, ind), ones))
+        if best == formula.num_clauses:
+            break
     return best
 
 
@@ -121,46 +193,47 @@ def _edge_beta_masks(lc: LabelCover):
     return per_u
 
 
+def _cover_tables(lc: LabelCover, masks_by_u, ones: int, ind):
+    """Per left vertex, the bitset of the chunk's right labelings that cover it.
+
+    That is the OR over its admissible labels of the AND over its edges of the
+    labelings giving v a label in the edge's beta mask. Those last bitsets are
+    memoized per (v, beta mask): compressed instances repeat masks heavily.
+    """
+    allowed: dict[tuple[int, int], int] = {}
+    for u, edges in enumerate(masks_by_u):
+        table = 0
+        for a in lc.admissible[u]:
+            t = ones
+            for v, bmask in edges:
+                beta = bmask[a]
+                hit = allowed.get((v, beta))
+                if hit is None:
+                    hit = 0
+                    for b in bits_of(beta):
+                        hit |= ind[v][b]
+                    allowed[(v, beta)] = hit
+                t &= hit
+                if not t:
+                    break
+            table |= t
+        yield table
+
+
 def max_cov(lc: LabelCover, budget: SolveBudget | None = None) -> int:
     """Maximum number of covered left vertices, by enumerating right labelings.
 
     A left vertex with no incident edges counts as covered as long as it has
-    an admissible label.
+    an admissible label. Right vertex v is digit v of a right labeling; the
+    meter is charged per chunk of labelings.
     """
     meter = _Meter(budget)
     masks_by_u = _edge_beta_masks(lc)
-    # Pack each vertex's admissible labels into bit positions so a labeling
-    # check is a chain of ANDs over its edges.
-    pos = [{a: i for i, a in enumerate(lc.admissible_list(u))} for u in range(lc.left_size)]
-    full = [(1 << len(p)) - 1 for p in pos]
-    edge_tables = []
-    for u in range(lc.left_size):
-        tables = []
-        for v, bmask in masks_by_u[u]:
-            table = [0] * lc.right_alphabet
-            for a, mask in bmask.items():
-                bit = 1 << pos[u][a]
-                for b in bits_of(mask):
-                    table[b] |= bit
-            tables.append((v, table))
-        edge_tables.append(tables)
-
     best = 0
-    for sigma in itertools.product(range(lc.right_alphabet), repeat=lc.right_size):
-        meter.tick()
-        covered = 0
-        for u in range(lc.left_size):
-            m = full[u]
-            for v, table in edge_tables[u]:
-                m &= table[sigma[v]]
-                if not m:
-                    break
-            if m:
-                covered += 1
-        if covered > best:
-            best = covered
-            if best == lc.left_size:
-                break
+    for _, ones, ind in _chunks(lc.right_alphabet, lc.right_size, meter):
+        best = max(best, _max_count(_cover_tables(lc, masks_by_u, ones, ind), ones))
+        if best == lc.left_size:
+            break
     return best
 
 
@@ -337,13 +410,11 @@ def _min_hitting_set(target_masks: list[int], meter: _Meter) -> int:
 # Graph problems
 
 
-def clique(graph: Graph, budget: SolveBudget | None = None) -> int:
-    """Exact clique number via branch and bound with greedy coloring bounds."""
-    n = graph.num_vertices
+def _clique_number(adj, n: int, meter: _Meter) -> int:
+    """Clique number of the graph on range(n) with neighbour bitmasks `adj`,
+    by branch and bound with greedy coloring bounds."""
     if n == 0:
         return 0
-    meter = _Meter(budget)
-    adj = graph.adjacency
     best = 0
 
     def expand(candidates: int, size: int):
@@ -380,51 +451,56 @@ def clique(graph: Graph, budget: SolveBudget | None = None) -> int:
     return best
 
 
+def clique(graph: Graph, budget: SolveBudget | None = None) -> int:
+    """Exact clique number via branch and bound with greedy coloring bounds."""
+    return _clique_number(graph.adjacency, graph.num_vertices, _Meter(budget))
+
+
 def independent_set(graph: Graph, budget: SolveBudget | None = None) -> int:
-    return clique(graph.complement(), budget)
+    """Exact independence number: the clique number of the complement."""
+    n = graph.num_vertices
+    full = (1 << n) - 1
+    comp = [full & ~(mask | 1 << v) for v, mask in enumerate(graph.adjacency)]
+    return _clique_number(comp, n, _Meter(budget))
 
 
 def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
     """Largest k with disjoint S, T, |S| = |T| = k, complete between them.
 
     K_{k,k} as a (not necessarily induced) subgraph; the graph need not be
-    bipartite. Returns 0 for edgeless graphs.
+    bipartite. Returns 0 for edgeless graphs. A depth-first search grows S in
+    increasing vertex order and keeps the vertices F outside S adjacent to all
+    of S; S then pairs with any min(|S|, |F|) vertices of F. F only shrinks as
+    S grows, so a branch is cut once |F| or |S| plus the vertices left to add
+    cannot beat the best k. With a bipartition, S ranges over the smaller side
+    only: any biclique with k >= 1 has one side there.
     """
     meter = _Meter(budget)
-    n = graph.num_vertices
-    if n == 0 or not graph.edges:
+    if not graph.edges:
         return 0
     adj = graph.adjacency
-    if graph.bipartition is not None:
-        # Any biclique with k >= 1 lives across the two sides, so one side of
-        # the pair is a subset of the smaller part.
-        side = min(graph.bipartition, key=len)
-        members = sorted(side)
-        best = 0
-        for size in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, size):
-                meter.tick()
-                common = -1
-                for v in combo:
-                    common &= adj[v]
-                k = min(size, common.bit_count())
-                if k > best:
-                    best = k
-        return best
-    # General graphs: common-neighborhood DP over all vertex subsets.
-    if n > 24 or (1 << n) > meter.max_nodes:
-        raise BudgetExceededError(f"2^{n} subsets exceed the biclique budget")
-    total = 1 << n
-    common = [0] * total
-    common[0] = (1 << n) - 1
+    if graph.bipartition is None:
+        pool = list(range(graph.num_vertices))
+    else:
+        pool = sorted(min(graph.bipartition, key=len))
     best = 0
-    for mask in range(1, total):
-        meter.tick()
-        low = mask & -mask
-        common[mask] = common[mask ^ low] & adj[low.bit_length() - 1]
-        k = min(mask.bit_count(), (common[mask] & ~mask).bit_count())
-        if k > best:
-            best = k
+
+    def grow(start: int, chosen: int, size: int, common: int):
+        nonlocal best
+        for j in range(start, len(pool)):
+            if size + len(pool) - j <= best:
+                return
+            v = pool[j]
+            meter.tick()
+            s = chosen | 1 << v
+            c = common & adj[v]
+            free = (c & ~s).bit_count()
+            if free <= best:
+                continue
+            best = max(best, min(size + 1, free))
+            grow(j + 1, s, size + 1, c)
+
+    grow(0, 0, 0, -1)
     return best
 
 
@@ -515,20 +591,21 @@ def induced_matching(graph: Graph, budget: SolveBudget | None = None) -> int:
         return 0
     adj = graph.adjacency
     # Two edges are compatible iff vertex-disjoint and with no edge between
-    # their endpoints; an induced matching is a clique of the compatibility graph.
-    k = len(edges)
-    compat_edges = set()
-    for i in range(k):
-        a, b = edges[i]
-        mask_i = (1 << a) | (1 << b)
-        closed_i = mask_i | adj[a] | adj[b]
-        for j in range(i + 1, k):
-            c, d = edges[j]
-            if closed_i & ((1 << c) | (1 << d)):
-                continue
-            compat_edges.add((i, j))
-    compat = Graph(k, frozenset(compat_edges))
-    return clique(compat, budget)
+    # their endpoints; an induced matching is a clique of the compatibility
+    # graph. Edge i's compatible edges are those touching no vertex of the
+    # closed neighbourhood of its endpoints.
+    incident = [0] * graph.num_vertices
+    for i, (a, b) in enumerate(edges):
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    full = (1 << len(edges)) - 1
+    compat = []
+    for a, b in edges:
+        touched = 0
+        for w in bits_of(adj[a] | adj[b] | 1 << a | 1 << b):
+            touched |= incident[w]
+        compat.append(full & ~touched)
+    return _clique_number(compat, len(edges), _Meter(budget))
 
 
 def _longest_induced_path(graph: Graph, meter: _Meter, stop_at: int | None) -> int:
@@ -536,6 +613,7 @@ def _longest_induced_path(graph: Graph, meter: _Meter, stop_at: int | None) -> i
     if n == 0:
         return 0
     adj = graph.adjacency
+    full = (1 << n) - 1
     best = 1
 
     def grow(last: int, path: int, blocked: int, length: int) -> bool:
@@ -545,8 +623,14 @@ def _longest_induced_path(graph: Graph, meter: _Meter, stop_at: int | None) -> i
             best = length
         if stop_at is not None and best >= stop_at:
             return True
-        cands = adj[last] & ~path & ~blocked
         new_blocked = blocked | adj[last]
+        # The next vertex is a neighbour of `last`; every later one avoids the
+        # path and every neighbour of the path so far. A branch that cannot
+        # beat `best` (or reach `stop_at`) is cut.
+        reach = length + 1 + (full & ~path & ~new_blocked).bit_count()
+        if reach <= (best if stop_at is None else stop_at - 1):
+            return False
+        cands = adj[last] & ~path & ~blocked
         while cands:
             low = cands & -cands
             cands ^= low

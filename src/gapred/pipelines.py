@@ -241,9 +241,16 @@ def _validate_params(where: str, params, given: dict) -> None:
             raise ValidationError(f"{where} needs parameter {param.name!r}")
 
 
-# Checked on every stage: each may set its own size cap. (A stage's `seed` may
-# be any value random.Random accepts.)
+# Checked on every stage: each may set its own size cap. (A `seed`, on a stage,
+# the input or the spec, goes to random.Random, which takes every JSON value
+# but a list or an object; _check_seed refuses those two.)
 _SHARED_PARAMS = (Param("size_cap", default=None),)
+
+
+def _check_seed(where: str, seed) -> None:
+    if isinstance(seed, (list, dict)):
+        raise ValidationError(f"{where}: 'seed' must be a number, a string or null, got {seed!r}")
+
 
 _FILE_PARAMS = (Param("path", str),)
 _GEN_PARAMS = (Param("n"), Param("m"))
@@ -576,10 +583,17 @@ def _verify_clique2ipath(s):
     return _status(ok), detail, {"clique": c}
 
 
-def _find_satisfying(formula: CnfFormula) -> int | None:
-    for assign in range(1 << formula.num_vars):
-        if all(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses)):
-            return assign
+def _find_satisfying(formula: CnfFormula, budget: SolveBudget) -> int | None:
+    """The lowest satisfying assignment (variable i + 1 is bit i), or None.
+
+    It is the lowest set bit of the AND of sat_max's clause truth tables.
+    """
+    for offset, ones, ind in oracles._chunks(2, formula.num_vars, oracles._Meter(budget)):
+        common = ones
+        for table in oracles._clause_tables(formula, ind):
+            common &= table
+        if common:
+            return offset + (common & -common).bit_length() - 1
     return None
 
 
@@ -593,7 +607,7 @@ def _verify_sat2dks(s):
         return _status(ok), f"subsampled: {output.num_vertices} of {full} vertices kept", values
     if output.num_vertices != full:
         return "FAIL", f"|V|={output.num_vertices}, want {full}", values
-    witness = _find_satisfying(source)
+    witness = _find_satisfying(source, s.budget)
     if witness is None:
         return "PASS", f"|V|={full}; source unsatisfiable, no witness clique checked", values
     restrictions = [
@@ -695,6 +709,8 @@ class PipelineSpec:
         kind = self.input.get("kind")
         if kind not in _INPUT_KINDS:
             raise ValidationError(f"unknown input kind {kind!r}")
+        _check_seed("spec", self.seed)
+        _check_seed(f"input {kind!r}", self.input.get("seed"))
         _validate_params(f"input {kind!r}", _INPUT_PARAMS[kind], self.input)
         current = _INPUT_KINDS[kind]
         for stage in self.stages:
@@ -706,6 +722,7 @@ class PipelineSpec:
                 raise ValidationError(
                     f"stage {op!r} expects a {definition.source_kind} input but gets {current}"
                 )
+            _check_seed(f"stage {op!r}", stage.get("seed"))
             definition.validate(op, stage)
             current = definition.output_kind
 

@@ -1,12 +1,16 @@
 """Disperser construction, verification, lifting, and serialization."""
 
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapred import (
+    BudgetExceededError,
     Disperser,
     ParseError,
     ValidationError,
@@ -15,6 +19,7 @@ from gapred import (
     emit_disperser,
     lift_disperser,
     parse_disperser,
+    SolveBudget,
     random_disperser,
     verify_disperser,
 )
@@ -104,6 +109,37 @@ def test_deterministic_disperser_verified():
 def test_deterministic_disperser_k1():
     d = deterministic_disperser(7, 1, 2, 0.5)
     assert verify_disperser(d) is None
+
+
+def test_deterministic_disperser_search_has_one_budget():
+    # m' = ceil(2 ln 6) = 4 and the first candidate passes, so the search is one
+    # candidate node plus two verifications of C(6, 2) = 15 unions each. A budget
+    # of 15 fits each verification but not the search.
+    with pytest.raises(BudgetExceededError):
+        deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=15))
+    assert deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=31)).verified
+
+
+def _first_violation_by_set_unions(d):
+    threshold = (1 - Fraction(d.eps)) * d.m
+    for indices in itertools.combinations(range(d.k), d.r):
+        union = set()
+        for i in indices:
+            union |= d.subsets[i]
+        if Fraction(len(union)) < threshold:
+            return indices
+    return None
+
+
+@given(st.integers(0, 10**9), st.integers(3, 12), st.integers(1, 6), st.integers(1, 3),
+       st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+@settings(max_examples=60, deadline=None)
+def test_verify_disperser_matches_set_unions(seed, m, k, r, eps):
+    rng = random.Random(seed)
+    ell = rng.randint(1, m)
+    d = Disperser(m, k, ell, r, eps,
+                  tuple(frozenset(rng.sample(range(m), ell)) for _ in range(k)))
+    assert verify_disperser(d) == _first_violation_by_set_unions(d)
 
 
 def test_deterministic_disperser_reproducible():

@@ -1,32 +1,42 @@
 """Differential tests: each solver against an independent brute-force referee.
 
-The package's solvers use branch and bound, conflict-graph encodings, and
-pruned DFS; the referees here are the dumbest possible subset enumerations.
-Agreement on random small instances certifies both routes.
+The package's solvers use bit-sliced truth tables, branch and bound,
+conflict-graph encodings, and pruned DFS; the referees here are the dumbest
+possible subset enumerations. Agreement on random small instances certifies
+both routes. The scalar loops that the bitset kernels replaced are kept below
+as referees too, for instances large enough that the pruning and the chunking
+of labeling spaces take effect.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapred import (
+    CnfFormula,
     Graph,
     biclique,
+    biclique_gadget,
     clique,
     count_ktt,
     densest_k,
     dom_set,
     induced_matching,
     induced_path,
+    induced_path_at_least,
     max_cov,
     min_lab,
     random_graph,
     random_labelcover,
+    sat_max,
     set_cover,
 )
+from gapred import oracles, pipelines
 from gapred.instances import SetSystem, bits_of
 
 
@@ -277,3 +287,172 @@ def test_max_cov_matches_brute(seed):
 def test_min_lab_matches_brute(seed):
     lc = random_labelcover(2, 2, 2, 2, density=0.9, seed=seed, pair_density=0.5)
     assert min_lab(lc) == brute_min_lab(lc)
+
+
+# ---------------------------------------------------------------------------
+# Referees: the scalar loops the bitset oracles replaced
+
+
+def scalar_sat_max(formula):
+    """Every assignment in turn, every clause in turn."""
+    best = 0
+    for assign in range(1 << formula.num_vars):
+        count = sum(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses))
+        best = max(best, count)
+    return best
+
+
+def scalar_first_satisfying(formula):
+    for assign in range(1 << formula.num_vars):
+        if all(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses)):
+            return assign
+    return None
+
+
+def product_max_cov(lc):
+    """Every right labeling in turn, each left vertex's labels as a bitmask."""
+    pos = [{a: i for i, a in enumerate(lc.admissible_list(u))} for u in range(lc.left_size)]
+    edge_tables = []
+    for u in range(lc.left_size):
+        tables = []
+        for v in lc.left_neighbors[u]:
+            table = [0] * lc.right_alphabet
+            for a, mask in lc.beta_masks(u, v).items():
+                for b in bits_of(mask):
+                    table[b] |= 1 << pos[u][a]
+            tables.append((v, table))
+        edge_tables.append(tables)
+    best = 0
+    for sigma in itertools.product(range(lc.right_alphabet), repeat=lc.right_size):
+        covered = 0
+        for u in range(lc.left_size):
+            m = (1 << len(pos[u])) - 1
+            for v, table in edge_tables[u]:
+                m &= table[sigma[v]]
+            covered += m != 0
+        best = max(best, covered)
+    return best
+
+
+def subset_dp_biclique(g):
+    """Common neighbourhood of every vertex subset, each from the subset minus its lowest vertex."""
+    n = g.num_vertices
+    adj = g.adjacency
+    common = [0] * (1 << n)
+    common[0] = (1 << n) - 1
+    best = 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        common[mask] = common[mask ^ low] & adj[low.bit_length() - 1]
+        best = max(best, min(mask.bit_count(), (common[mask] & ~mask).bit_count()))
+    return best
+
+
+def pairwise_induced_matching(g):
+    """Clique number of the compatibility graph, built one edge pair at a time."""
+    edges = sorted(g.edges)
+    adj = g.adjacency
+    compat = set()
+    for i, (a, b) in enumerate(edges):
+        closed = adj[a] | adj[b] | 1 << a | 1 << b
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if not closed & (1 << c | 1 << d):
+                compat.add((i, j))
+    return clique(Graph(len(edges), frozenset(compat)))
+
+
+def unpruned_induced_path(g):
+    """Every induced path grown from every start vertex, with no bound."""
+    adj = g.adjacency
+    best = 0
+
+    def grow(last, path, blocked, length):
+        nonlocal best
+        best = max(best, length)
+        cands = adj[last] & ~path & ~blocked
+        for v in bits_of(cands):
+            grow(v, path | 1 << v, blocked | adj[last], length + 1)
+
+    for start in range(g.num_vertices):
+        grow(start, 1 << start, 0, 1)
+    return best
+
+
+def _mixed_cnf(rng, n, m):
+    clauses = []
+    for _ in range(m):
+        width = rng.randint(1, min(3, n))
+        clauses.append(tuple(v * rng.choice((-1, 1)) for v in rng.sample(range(1, n + 1), width)))
+    return CnfFormula(n, tuple(clauses))
+
+
+@given(st.integers(0, 10**9), st.integers(10, 14))
+@settings(max_examples=25, deadline=None)
+def test_biclique_matches_subset_dp(seed, n):
+    g = random_graph(n, random.Random(seed).uniform(0.2, 0.8), seed)
+    assert biclique(g) == subset_dp_biclique(g)
+
+
+@given(st.integers(0, 10**9), st.integers(5, 7))
+@settings(max_examples=20, deadline=None)
+def test_biclique_on_gadgets_matches_subset_dp(seed, n):
+    gadget = biclique_gadget(random_graph(n, 0.5, seed))
+    assert gadget.bipartition is not None
+    assert biclique(gadget) == subset_dp_biclique(gadget)
+
+
+def test_biclique_reaches_past_thirty_vertices():
+    # K_{5,5} plus 20 isolated vertices: the subset DP needs 2^30 nodes.
+    g = Graph(30, frozenset((u, v) for u in range(5) for v in range(5, 10)))
+    assert biclique(g) == 5
+
+
+@given(st.integers(0, 10**9), st.integers(8, 12))
+@settings(max_examples=30, deadline=None)
+def test_induced_path_at_least_matches_exact_at_every_k(seed, n):
+    g = random_graph(n, random.Random(seed).uniform(0.15, 0.6), seed)
+    longest = induced_path(g)
+    assert longest == unpruned_induced_path(g)
+    for k in range(n + 2):
+        assert induced_path_at_least(g, k) == (longest >= k)
+
+
+@given(st.integers(0, 10**9), st.integers(12, 22))
+@settings(max_examples=30, deadline=None)
+def test_induced_matching_matches_pairwise_build(seed, n):
+    # Sparse enough that the matching has several edges, with at least 30 edges.
+    g = random_graph(n, random.Random(seed).uniform(0.15, 0.5), seed)
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges)
+    g = Graph(n, g.edges | frozenset(itertools.islice(pairs, max(0, 30 - g.num_edges))))
+    assert g.num_edges >= 30
+    assert induced_matching(g) == pairwise_induced_matching(g)
+
+
+@pytest.mark.parametrize("chunk_bits", [4, oracles._CHUNK_BITS])
+@given(seed=st.integers(0, 10**9), n=st.integers(1, 12))
+@settings(max_examples=30, deadline=None)
+def test_sat_max_matches_scalar_loop(chunk_bits, seed, n):
+    rng = random.Random(seed)
+    formula = _mixed_cnf(rng, n, rng.randint(0, 4 * n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CHUNK_BITS", chunk_bits)
+        assert sat_max(formula) == scalar_sat_max(formula)
+        # sat2dks verification takes the lowest satisfying assignment.
+        got = pipelines._find_satisfying(formula, oracles.DEFAULT_BUDGET)
+        assert got == scalar_first_satisfying(formula)
+
+
+@pytest.mark.parametrize("chunk_bits", [4, oracles._CHUNK_BITS])
+@given(seed=st.integers(0, 10**9), right_alphabet=st.integers(2, 4))
+@settings(max_examples=30, deadline=None)
+def test_max_cov_matches_product_loop(chunk_bits, seed, right_alphabet):
+    rng = random.Random(seed)
+    right_size = rng.randint(1, {2: 10, 3: 7, 4: 5}[right_alphabet])
+    lc = random_labelcover(rng.randint(1, 6), right_size, rng.randint(1, 4), right_alphabet,
+                           density=rng.uniform(0.3, 1.0), seed=seed,
+                           pair_density=rng.uniform(0.3, 0.9),
+                           admissible_density=rng.uniform(0.5, 1.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CHUNK_BITS", chunk_bits)
+        assert max_cov(lc) == product_max_cov(lc)

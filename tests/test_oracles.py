@@ -298,6 +298,15 @@ def test_budget_exceeded_is_reported():
         clique(petersen_graph(), tiny)
 
 
+def test_sat_max_charges_whole_chunks():
+    # The all-false assignment satisfies both clauses, yet every one of the
+    # 2^6 assignments is charged before any is scored.
+    formula = CnfFormula(6, ((-1,), (-2, 3)))
+    with pytest.raises(BudgetExceededError):
+        sat_max(formula, SolveBudget(max_nodes=63))
+    assert sat_max(formula, SolveBudget(max_nodes=64)) == 2
+
+
 def test_cross_oracle_exhaustive_six_vertices():
     # Exhaustive over isomorphism classes up to n = 6 (the checked identities
     # are isomorphism-invariant).

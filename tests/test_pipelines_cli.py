@@ -92,7 +92,12 @@ def test_spec_chain_validation(tmp_path):
                 {"stages": [{"op": "cnf2lc"}]},
                 {"input": planted, "budget": {"max_nodes": "x"}},
                 {"input": planted, "stages": "cnf2lc"},
-                {"input": {"kind": "gen-planted", "m": 4}}):
+                {"input": {"kind": "gen-planted", "m": 4}},
+                # A seed reaches random.Random, which takes no list or object.
+                {"seed": [1], "input": planted, "stages": [{"op": "cnf2lc"}]},
+                {"input": {**planted, "seed": {"a": 1}}, "stages": [{"op": "cnf2lc"}]},
+                {"input": planted, "stages": [{"op": "cnf2lc"},
+                                              {**no_r, "r": 2, "seed": [2]}]}):
         with pytest.raises((ParseError, ValidationError)):
             PipelineSpec.from_json(json.dumps(bad))
         spec_path.write_text(json.dumps(bad))
