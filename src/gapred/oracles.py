@@ -92,41 +92,75 @@ class _Meter:
 
 # Widest chunk of a labeling space held in one int, as a power of two.
 _CHUNK_BITS = 20
+# Most bits of digit tables one chunk may hold, as a power of two (8 MiB).
+_TABLE_BITS = 26
 
 
-def _chunks(radix: int, digits: int, meter: _Meter):
+def _digit_table(window: int, count: int, stride: int, width: int) -> int:
+    """Bitset over `width` labelings of those whose digit is allowed.
+
+    The digit has place value `stride` and runs through `count` consecutive
+    values, bit j of `window` allowing the j-th of them; the pattern repeats
+    every count * stride labelings.
+    """
+    if stride > 1:
+        spread = {48: "0" * stride, 49: "1" * stride}
+        window = int(format(window, f"0{count}b").translate(spread), 2)
+    period = count * stride
+    while period < width:
+        window |= window << period
+        period *= 2
+    return window & ((1 << width) - 1)
+
+
+def _chunks(radix: int, digits: int, tables: int, meter: _Meter):
     """Cover the labeling space chunk by chunk, in increasing labeling order.
 
-    Yields (offset, ones, ind): the chunk holds labelings offset + i for the
-    set bits i of `ones`, and ind[d][a] is the bitset of those whose digit d
-    equals a. The low digits vary inside a chunk and their indicators are
-    built once, by doubling; the high digits are fixed per chunk, so their
-    indicators are `ones` or 0. Each chunk ticks the meter by its size first.
+    Yields (offset, ones, table): the chunk holds labelings offset + i for the
+    set bits i of `ones`, and table(d, values) is the bitset of those whose
+    digit d lies in the bitmask `values`. The low digits take every value in a
+    chunk, the next digit a run of consecutive values and the high digits one
+    value each. A chunk is at most 2^_CHUNK_BITS wide, and narrower when the
+    caller's `tables` distinct tables would pass 2^_TABLE_BITS bits; so memory
+    is bounded and no table is ever built per label. Each chunk ticks the meter
+    by its size first.
     """
-    low = digits
-    while low and radix**low > 1 << _CHUNK_BITS:
-        low -= 1
-    width = radix**low
-    ones = (1 << width) - 1
-    ind = []
-    for d in range(low):
-        stride = radix**d
-        row = []
-        for a in range(radix):
-            pattern, period = ((1 << stride) - 1) << (a * stride), radix * stride
-            while period < width:
-                pattern |= pattern << period
-                period *= 2
-            row.append(pattern & ones)
-        ind.append(row)
-    for chunk in range(radix ** (digits - low)):
-        meter.tick(width)
-        rows, rest = list(ind), chunk
-        for _ in range(low, digits):
-            rest, a = divmod(rest, radix)
-            rows.append([0] * radix)
-            rows[-1][a] = ones
-        yield chunk * width, ones, rows
+    cap = max(1, min(1 << _CHUNK_BITS, (1 << _TABLE_BITS) // max(1, tables)))
+    low, place = 0, 1
+    while low < digits and place * radix <= cap:
+        low, place = low + 1, place * radix
+    part = min(radix, cap // place) if low < digits else 1
+    # Tables of the low digits are periodic from bit 0, so they are built once
+    # at full chunk width and cut down for a narrower last run.
+    full = place * part
+    periodic: dict[tuple[int, int], int] = {}
+    for high in range(radix ** max(0, digits - low - 1)):
+        for first in range(0, radix if low < digits else 1, part):
+            count = min(part, radix - first)
+            width, offset = place * count, (high * radix + first) * place
+            ones = (1 << width) - 1
+            meter.tick(width)
+            memo: dict[tuple[int, int], int] = {}
+
+            def table(d: int, values: int) -> int:
+                key = (d, values)
+                hit = memo.get(key)
+                if hit is None:
+                    if d < low:
+                        hit = periodic.get(key)
+                        if hit is None:
+                            hit = periodic[key] = _digit_table(values, radix, radix**d, full)
+                        if width < full:
+                            hit &= ones
+                    elif d == low:
+                        mask = values >> first & ((1 << count) - 1)
+                        hit = _digit_table(mask, count, place, width)
+                    else:
+                        hit = ones if values >> (offset // radix**d % radix) & 1 else 0
+                    memo[key] = hit
+                return hit
+
+            yield offset, ones, table
 
 
 def _max_count(tables, ones: int) -> int:
@@ -157,13 +191,18 @@ def _max_count(tables, ones: int) -> int:
 # 3-SAT
 
 
-def _clause_tables(formula: CnfFormula, ind):
+def _clause_tables(formula: CnfFormula, table):
     """Per clause, the bitset of the chunk's assignments that satisfy it."""
     for clause in formula.clauses:
-        table = 0
+        hit = 0
         for lit in clause:
-            table |= ind[abs(lit) - 1][lit > 0]
-        yield table
+            hit |= table(abs(lit) - 1, 2 if lit > 0 else 1)
+        yield hit
+
+
+def _assignment_chunks(formula: CnfFormula, budget: SolveBudget | None):
+    literals = {lit for clause in formula.clauses for lit in clause}
+    return _chunks(2, formula.num_vars, len(literals), _Meter(budget))
 
 
 def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
@@ -172,13 +211,26 @@ def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
     Variable i + 1 is bit i of an assignment; the meter is charged per chunk
     of assignments.
     """
-    meter = _Meter(budget)
     best = 0
-    for _, ones, ind in _chunks(2, formula.num_vars, meter):
-        best = max(best, _max_count(_clause_tables(formula, ind), ones))
+    for _, ones, table in _assignment_chunks(formula, budget):
+        best = max(best, _max_count(_clause_tables(formula, table), ones))
         if best == formula.num_clauses:
             break
     return best
+
+
+def _first_satisfying(formula: CnfFormula, budget: SolveBudget | None = None) -> int | None:
+    """The lowest satisfying assignment (variable i + 1 is bit i), or None.
+
+    It is the lowest set bit of the AND of sat_max's clause truth tables.
+    """
+    for offset, ones, table in _assignment_chunks(formula, budget):
+        common = ones
+        for hit in _clause_tables(formula, table):
+            common &= hit
+        if common:
+            return offset + (common & -common).bit_length() - 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +245,24 @@ def _edge_beta_masks(lc: LabelCover):
     return per_u
 
 
-def _cover_tables(lc: LabelCover, masks_by_u, ones: int, ind):
+def _cover_tables(lc: LabelCover, masks_by_u, ones: int, table):
     """Per left vertex, the bitset of the chunk's right labelings that cover it.
 
     That is the OR over its admissible labels of the AND over its edges of the
-    labelings giving v a label in the edge's beta mask. Those last bitsets are
-    memoized per (v, beta mask): compressed instances repeat masks heavily.
+    labelings giving v a label in the edge's beta mask. The chunk's `table`
+    memoizes those last bitsets per (v, beta mask): compressed instances repeat
+    masks heavily.
     """
-    allowed: dict[tuple[int, int], int] = {}
     for u, edges in enumerate(masks_by_u):
-        table = 0
+        covered = 0
         for a in lc.admissible[u]:
             t = ones
             for v, bmask in edges:
-                beta = bmask[a]
-                hit = allowed.get((v, beta))
-                if hit is None:
-                    hit = 0
-                    for b in bits_of(beta):
-                        hit |= ind[v][b]
-                    allowed[(v, beta)] = hit
-                t &= hit
+                t &= table(v, bmask[a])
                 if not t:
                     break
-            table |= t
-        yield table
+            covered |= t
+        yield covered
 
 
 def max_cov(lc: LabelCover, budget: SolveBudget | None = None) -> int:
@@ -229,9 +274,15 @@ def max_cov(lc: LabelCover, budget: SolveBudget | None = None) -> int:
     """
     meter = _Meter(budget)
     masks_by_u = _edge_beta_masks(lc)
+    keys = {
+        (v, bmask[a])
+        for u, edges in enumerate(masks_by_u)
+        for a in lc.admissible[u]
+        for v, bmask in edges
+    }
     best = 0
-    for _, ones, ind in _chunks(lc.right_alphabet, lc.right_size, meter):
-        best = max(best, _max_count(_cover_tables(lc, masks_by_u, ones, ind), ones))
+    for _, ones, table in _chunks(lc.right_alphabet, lc.right_size, len(keys), meter):
+        best = max(best, _max_count(_cover_tables(lc, masks_by_u, ones, table), ones))
         if best == lc.left_size:
             break
     return best

@@ -65,7 +65,7 @@ from .lc_transforms import (
     compress_right,
     minlab_instance,
 )
-from .oracles import SolveBudget, sat_max
+from .oracles import SolveBudget, _first_satisfying, sat_max
 
 __all__ = [
     "gen_planted_cnf",
@@ -583,20 +583,6 @@ def _verify_clique2ipath(s):
     return _status(ok), detail, {"clique": c}
 
 
-def _find_satisfying(formula: CnfFormula, budget: SolveBudget) -> int | None:
-    """The lowest satisfying assignment (variable i + 1 is bit i), or None.
-
-    It is the lowest set bit of the AND of sat_max's clause truth tables.
-    """
-    for offset, ones, ind in oracles._chunks(2, formula.num_vars, oracles._Meter(budget)):
-        common = ones
-        for table in oracles._clause_tables(formula, ind):
-            common &= table
-        if common:
-            return offset + (common & -common).bit_length() - 1
-    return None
-
-
 def _verify_sat2dks(s):
     dp, source, output = s.extra["dks_params"], s.source, s.output
     n = source.num_vars
@@ -607,7 +593,7 @@ def _verify_sat2dks(s):
         return _status(ok), f"subsampled: {output.num_vertices} of {full} vertices kept", values
     if output.num_vertices != full:
         return "FAIL", f"|V|={output.num_vertices}, want {full}", values
-    witness = _find_satisfying(source, s.budget)
+    witness = _first_satisfying(source, s.budget)
     if witness is None:
         return "PASS", f"|V|={full}; source unsatisfiable, no witness clique checked", values
     restrictions = [

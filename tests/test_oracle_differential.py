@@ -11,6 +11,7 @@ of labeling spaces take effect.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from gapred import (
     CnfFormula,
     Graph,
+    LabelCover,
     biclique,
     biclique_gadget,
     clique,
@@ -36,7 +38,7 @@ from gapred import (
     sat_max,
     set_cover,
 )
-from gapred import oracles, pipelines
+from gapred import oracles
 from gapred.instances import SetSystem, bits_of
 
 
@@ -429,30 +431,77 @@ def test_induced_matching_matches_pairwise_build(seed, n):
     assert induced_matching(g) == pairwise_induced_matching(g)
 
 
-@pytest.mark.parametrize("chunk_bits", [4, oracles._CHUNK_BITS])
+# (chunk bits, table bits): chunks cut by width, by the table bound, and neither.
+CHUNK_LIMITS = pytest.mark.parametrize(
+    "limits",
+    [(4, oracles._TABLE_BITS), (oracles._CHUNK_BITS, 6), (oracles._CHUNK_BITS, oracles._TABLE_BITS)],
+    ids=["narrow", "table-bound", "default"],
+)
+
+
+def _chunk_limits(mp, limits):
+    mp.setattr(oracles, "_CHUNK_BITS", limits[0])
+    mp.setattr(oracles, "_TABLE_BITS", limits[1])
+
+
+@CHUNK_LIMITS
 @given(seed=st.integers(0, 10**9), n=st.integers(1, 12))
 @settings(max_examples=30, deadline=None)
-def test_sat_max_matches_scalar_loop(chunk_bits, seed, n):
+def test_sat_max_matches_scalar_loop(limits, seed, n):
     rng = random.Random(seed)
     formula = _mixed_cnf(rng, n, rng.randint(0, 4 * n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_CHUNK_BITS", chunk_bits)
+        _chunk_limits(mp, limits)
         assert sat_max(formula) == scalar_sat_max(formula)
         # sat2dks verification takes the lowest satisfying assignment.
-        got = pipelines._find_satisfying(formula, oracles.DEFAULT_BUDGET)
-        assert got == scalar_first_satisfying(formula)
+        assert oracles._first_satisfying(formula) == scalar_first_satisfying(formula)
 
 
-@pytest.mark.parametrize("chunk_bits", [4, oracles._CHUNK_BITS])
-@given(seed=st.integers(0, 10**9), right_alphabet=st.integers(2, 4))
-@settings(max_examples=30, deadline=None)
-def test_max_cov_matches_product_loop(chunk_bits, seed, right_alphabet):
+@CHUNK_LIMITS
+@given(seed=st.integers(0, 10**9), right_alphabet=st.integers(2, 40))
+@settings(max_examples=40, deadline=None)
+def test_max_cov_matches_product_loop(limits, seed, right_alphabet):
+    # Alphabets past 4 often leave a chunk holding a run of one digit's
+    # values, the last run of each digit narrower than the others.
     rng = random.Random(seed)
-    right_size = rng.randint(1, {2: 10, 3: 7, 4: 5}[right_alphabet])
+    right_size = rng.randint(1, int(math.log(2000) / math.log(right_alphabet)))
     lc = random_labelcover(rng.randint(1, 6), right_size, rng.randint(1, 4), right_alphabet,
                            density=rng.uniform(0.3, 1.0), seed=seed,
-                           pair_density=rng.uniform(0.3, 0.9),
+                           pair_density=rng.uniform(0.05, 0.9),
                            admissible_density=rng.uniform(0.5, 1.0))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_CHUNK_BITS", chunk_bits)
+        _chunk_limits(mp, limits)
         assert max_cov(lc) == product_max_cov(lc)
+
+
+def _last_labeling_cover(alphabet, right_size):
+    """Three left vertices; two are covered at once only by the last right labeling."""
+    top = alphabet - 1
+    relations = {(0, v): frozenset({(0, top)}) for v in range(right_size)}
+    relations[(1, 0)] = frozenset({(0, top), (0, 3)})
+    relations[(2, 0)] = frozenset({(0, 0)})
+    return LabelCover(3, right_size, 1, alphabet, relations, {u: frozenset({0}) for u in range(3)})
+
+
+@pytest.mark.parametrize("chunk_bits, alphabet, right_size", [
+    (oracles._CHUNK_BITS, 1 << 16, 1),
+    (oracles._CHUNK_BITS, 5000, 2),
+    (8, 3000, 1),  # the alphabet is wider than a chunk
+    (8, 1000, 2),  # ... and the high digit is fixed per chunk
+])
+def test_max_cov_large_alphabet_in_bounded_memory(chunk_bits, alphabet, right_size):
+    # Compress-right outputs have right alphabets of 2^12 and more. A table
+    # per (digit, label) at full chunk width would take gigabytes here, and
+    # one built per chunk for a fixed digit would take alphabet^2 steps. The
+    # chunks charge the meter exactly one node per labeling.
+    lc = _last_labeling_cover(alphabet, right_size)
+    budget = oracles.SolveBudget(max_nodes=alphabet**right_size, max_millis=20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_CHUNK_BITS", chunk_bits)
+        tracemalloc.start()
+        try:
+            assert max_cov(lc, budget) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 << 20
