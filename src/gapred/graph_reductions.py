@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ReductionError, SizeCapError, ValidationError
-from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of
-from .lc_transforms import DEFAULT_SIZE_CAP, projection_check
+from .instances import DEFAULT_SIZE_CAP, CnfFormula, Graph, LabelCover, SetSystem, bits_of
+from .lc_transforms import projection_check
 
 __all__ = [
     "fglss",
@@ -57,25 +57,32 @@ def fglss(lc: LabelCover) -> Graph:
     report = projection_check(lc)
     if not report.ok:
         raise ReductionError(f"input lacks the projection property: violation {report.violation}")
-    vertices = []
-    proj: list[dict[int, int]] = []
+    # Each vertex keeps the mask of its own left vertex's labels and its
+    # projections. touch[v] holds the vertices whose left vertex sees v, and
+    # agree[v, beta] those among them that project to beta; a vertex's
+    # neighbours are the others that agree on every v it sees or do not see v.
+    rows: list[tuple[int, dict[int, int]]] = []
+    touch: dict[int, int] = {}
+    agree: dict[tuple[int, int], int] = {}
     for u in range(lc.left_size):
         edge_masks = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
-        for a in lc.admissible_list(u):
-            vertices.append((u, a))
-            proj.append({v: masks[a].bit_length() - 1 for v, masks in edge_masks})
-    edges = set()
-    for i in range(len(vertices)):
-        ui, _ = vertices[i]
-        pi = proj[i]
-        for j in range(i + 1, len(vertices)):
-            uj, _ = vertices[j]
-            if ui == uj:
-                continue
-            pj = proj[j]
-            if all(pj.get(v, beta) == beta for v, beta in pi.items()):
-                edges.add((i, j))
-    return Graph(len(vertices), frozenset(edges))
+        labels = lc.admissible_list(u)
+        own = ((1 << len(labels)) - 1) << len(rows)
+        for a in labels:
+            bit = 1 << len(rows)
+            proj = {v: masks[a].bit_length() - 1 for v, masks in edge_masks}
+            for v, beta in proj.items():
+                touch[v] = touch.get(v, 0) | bit
+                agree[v, beta] = agree.get((v, beta), 0) | bit
+            rows.append((own, proj))
+    full = (1 << len(rows)) - 1
+    adjacency = []
+    for own, proj in rows:
+        mask = full & ~own
+        for v, beta in proj.items():
+            mask &= ~touch[v] | agree[v, beta]
+        adjacency.append(mask)
+    return Graph._from_masks(adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +198,29 @@ def setcov_to_domset(system: SetSystem) -> Graph:
     if covered != (1 << system.universe_size) - 1:
         raise ReductionError("an element belongs to no set; transform undefined")
     k = system.num_sets
-    edges = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            edges.add((i, j))
-    for i, (_, elems) in enumerate(system.sets):
-        for e in elems:
-            edges.add((i, k + e))
-    return Graph(k + system.universe_size, frozenset(edges))
+    sets = (1 << k) - 1
+    elements = [0] * system.universe_size
+    for i, mask in enumerate(system.masks):
+        for e in bits_of(mask):
+            elements[e] |= 1 << i
+    return Graph._from_masks(
+        [(sets ^ 1 << i) | mask << k for i, mask in enumerate(system.masks)] + elements
+    )
 
 
 # ---------------------------------------------------------------------------
 # Doubling gadgets
 
 
-def _doubling(graph: Graph, cross_rule) -> Graph:
-    n = graph.num_vertices
-    edges = set()
-    for u in range(n):
-        for v in range(n):
-            if u == v or cross_rule(u, v):
-                edges.add((u, n + v))
+def _doubling(rows: list[int]) -> Graph:
+    """Bipartite double: (u, 1) ~ (v, 2) iff bit v of rows[u] is set.
+
+    `rows` must be symmetric, so right vertex n + v sees the left vertices in
+    rows[v].
+    """
+    n = len(rows)
     sides = (frozenset(range(n)), frozenset(range(n, 2 * n)))
-    return Graph(2 * n, frozenset(edges), bipartition=sides)
+    return Graph._from_masks([row << n for row in rows] + rows, sides)
 
 
 def biclique_gadget(graph: Graph) -> Graph:
@@ -221,7 +228,7 @@ def biclique_gadget(graph: Graph) -> Graph:
 
     Sandwich: Clique(G) <= Biclique(B_e[G]) <= 2*Biclique(G) + 1.
     """
-    return _doubling(graph, graph.has_edge)
+    return _doubling([mask | 1 << u for u, mask in enumerate(graph.adjacency)])
 
 
 def im_gadget(graph: Graph) -> Graph:
@@ -229,16 +236,15 @@ def im_gadget(graph: Graph) -> Graph:
 
     Sandwich: Clique(G) <= IM(B_e[comp G]) <= 2*Biclique(G) + 1.
     """
-    return _doubling(graph, lambda u, v: not graph.has_edge(u, v))
+    full = (1 << graph.num_vertices) - 1
+    return _doubling([full & ~mask for mask in graph.adjacency])
 
 
 def is_to_im_gadget(graph: Graph) -> Graph:
     """Pendant construction: a leaf per vertex, so IM(output) >= MIS(input)."""
     n = graph.num_vertices
-    edges = set(graph.edges)
-    for v in range(n):
-        edges.add((v, n + v))
-    return Graph(2 * n, frozenset(edges))
+    stems = [mask | 1 << n + v for v, mask in enumerate(graph.adjacency)]
+    return Graph._from_masks(stems + [1 << v for v in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -258,44 +264,25 @@ def clique_to_inducedpath(h: Graph, k: int, q: int) -> Graph:
         raise ValidationError("need k >= 2 and q >= 1")
     nh = h.num_vertices
     stride = nh + 1
-
-    def copy_of(i: int, j: int, v: int) -> int:
-        return (i * k + j) * stride + v
-
-    def dummy(i: int, j: int) -> int:
-        return (i * k + j) * stride + nh
-
-    edges = set()
-    for i in range(q):
-        for j in range(k):
-            # Column clique on the copies of V(H).
-            for u in range(nh):
-                for v in range(u + 1, nh):
-                    edges.add((copy_of(i, j, u), copy_of(i, j, v)))
-            # Dummy attaches to its column and the previous one.
-            for v in range(nh):
-                edges.add((dummy(i, j), copy_of(i, j, v)))
-                if j >= 1:
-                    edges.add((dummy(i, j), copy_of(i, j - 1, v)))
-        # Row cliques: the copies of one vertex across the block's columns.
+    columns = q * k
+    # Column c = i * k + j holds copy v at c * stride + v and its dummy at
+    # c * stride + nh. Copy v sees, in the other columns of its block, the
+    # copies of v itself (row clique) and of its non-neighbours in H.
+    copies = (1 << nh) - 1
+    apart = [copies & ~mask for mask in h.adjacency]
+    adjacency = []
+    for c in range(columns):
+        base = c * stride
+        column = copies << base
+        block = sum(1 << (c - c % k + j) * stride for j in range(k))
+        # The dummies of this column and of the next one, which for a block's
+        # last column is the next block's first dummy.
+        dummies = 1 << base + nh | (1 << base + stride + nh if c + 1 < columns else 0)
         for v in range(nh):
-            for j in range(k):
-                for jj in range(j + 1, k):
-                    edges.add((copy_of(i, j, v), copy_of(i, jj, v)))
-        # Cross edges for non-edges of H, between distinct columns.
-        for u in range(nh):
-            for v in range(nh):
-                if u != v and not h.has_edge(u, v):
-                    for j in range(k):
-                        for jj in range(k):
-                            if j != jj:
-                                edges.add((copy_of(i, j, u), copy_of(i, jj, v)))
-        # Chain to the previous block: this block's first dummy sees every
-        # vertex of the previous block's last column.
-        if i >= 1:
-            for v in range(nh):
-                edges.add((dummy(i, 0), copy_of(i - 1, k - 1, v)))
-    return Graph(q * k * stride, frozenset(edges))
+            adjacency.append((column ^ 1 << base + v) | dummies | (apart[v] * block & ~column))
+        # A dummy sees its own column and the previous one.
+        adjacency.append(column | column >> stride)
+    return Graph._from_masks(adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +375,15 @@ def sat_to_dks(formula: CnfFormula, params: DksParams) -> Graph:
     if params.p < 1.0:
         rng = random.Random(params.seed)
         vertices = [vx for vx in vertices if rng.random() < params.p]
-    edges = set()
+    adjacency = [0] * len(vertices)
     for a in range(len(vertices)):
         w1, b1 = vertices[a]
         for b in range(a + 1, len(vertices)):
             w2, b2 = vertices[b]
             if dks_edge(formula, w1, b1, w2, b2):
-                edges.add((a, b))
-    return Graph(len(vertices), frozenset(edges))
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+    return Graph._from_masks(adjacency)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ from typing import Mapping
 
 from .errors import ParseError, ValidationError
 
+# Default bound on enumerated sizes (label tuples, ground sets, graph vertices).
+DEFAULT_SIZE_CAP = 500_000
+
 __all__ = [
     "CnfFormula",
     "Graph",
@@ -52,6 +55,13 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def pairs_of(adjacency):
+    """Iterate the edges (u, v), u < v, of symmetric neighbour masks, ascending."""
+    for u, mask in enumerate(adjacency):
+        for v in bits_of(mask >> u + 1 << u + 1):
+            yield u, v
 
 
 # ---------------------------------------------------------------------------
@@ -159,57 +169,68 @@ def emit_cnf(formula: CnfFormula) -> str:
 # Graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """An undirected simple graph on vertices 0..num_vertices-1.
 
+    It is stored as neighbour masks: bit v of `adjacency[u]` is set when uv is
+    an edge. `edges` and `num_edges` are derived from the masks on each call.
     `bipartition`, when present, records two sides with no intra-side edges.
     It is derived metadata: it does not survive file round trips and does not
     participate in equality.
     """
 
     num_vertices: int
-    edges: frozenset[tuple[int, int]] = frozenset()
+    adjacency: tuple[int, ...]
     bipartition: tuple[frozenset[int], frozenset[int]] | None = field(
         default=None, compare=False
     )
 
-    def __post_init__(self):
-        if self.num_vertices < 0:
+    def __init__(self, num_vertices: int, edges=(), bipartition=None):
+        if num_vertices < 0:
             raise ValidationError("num_vertices must be >= 0")
-        norm = set()
-        for u, v in self.edges:
+        masks = [0] * num_vertices
+        for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge ({u},{v}) out of range")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
-        if self.bipartition is not None:
-            left, right = (frozenset(side) for side in self.bipartition)
-            object.__setattr__(self, "bipartition", (left, right))
-            if left & right or left | right != frozenset(range(self.num_vertices)):
-                raise ValidationError("bipartition must partition the vertex set")
-            for u, v in self.edges:
-                if (u in left) == (v in left):
-                    raise ValidationError(f"intra-side edge ({u},{v}) contradicts bipartition")
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Neighbor bitmask per vertex."""
-        masks = [0] * self.num_vertices
-        for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return tuple(masks)
+        if bipartition is not None:
+            bipartition = tuple(frozenset(side) for side in bipartition)
+            left, right = bipartition
+            if left & right or left | right != frozenset(range(num_vertices)):
+                raise ValidationError("bipartition must partition the vertex set")
+            for u, v in pairs_of(masks):
+                if (u in left) == (v in left):
+                    raise ValidationError(f"intra-side edge ({u},{v}) contradicts bipartition")
+        self._store(masks, bipartition)
+
+    @classmethod
+    def _from_masks(cls, adjacency, bipartition=None) -> Graph:
+        """Unchecked constructor for builders whose masks are symmetric and loop-free."""
+        graph = object.__new__(cls)
+        graph._store(adjacency, bipartition)
+        return graph
+
+    def _store(self, adjacency, bipartition) -> None:
+        object.__setattr__(self, "num_vertices", len(adjacency))
+        object.__setattr__(self, "adjacency", tuple(adjacency))
+        object.__setattr__(self, "bipartition", bipartition)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(pairs_of(self.adjacency))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.adjacency) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        n = self.num_vertices
+        return 0 <= u < n and 0 <= v < n and bool(self.adjacency[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits_of(self.adjacency[v]))
@@ -218,18 +239,15 @@ class Graph:
         return self.adjacency[v].bit_count()
 
     def complement(self) -> Graph:
-        n = self.num_vertices
-        comp = frozenset(
-            (u, v) for u in range(n) for v in range(u + 1, n) if not self.has_edge(u, v)
-        )
-        return Graph(n, comp)
+        full = (1 << self.num_vertices) - 1
+        return Graph._from_masks([full & ~(m | 1 << v) for v, m in enumerate(self.adjacency)])
 
 
 def parse_graph(data) -> Graph:
     """Parse a DIMACS edge-format graph ('p edge n m', 1-indexed 'e u v' lines)."""
     text = _as_text(data)
     header = None
-    edges: set[tuple[int, int]] = set()
+    masks: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -244,6 +262,11 @@ def parse_graph(data) -> Graph:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer counts in header") from None
+            if not 0 <= header[0] <= DEFAULT_SIZE_CAP:
+                raise ParseError(
+                    f"line {lineno}: vertex count {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
+                )
+            masks = [0] * header[0]
         elif parts[0] == "e":
             if header is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -258,23 +281,23 @@ def parse_graph(data) -> Graph:
                 raise ParseError(f"line {lineno}: vertex out of range")
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop")
-            key = (min(u, v), max(u, v))
-            if key in edges:
+            if masks[u] >> v & 1:
                 raise ParseError(f"line {lineno}: duplicate edge")
-            edges.add(key)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         else:
             raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
     if header is None:
         raise ParseError("missing 'p edge' header")
-    if len(edges) != header[1]:
-        raise ParseError(f"header declares {header[1]} edges, found {len(edges)}")
-    return Graph(header[0], frozenset(edges))
+    graph = Graph._from_masks(masks)
+    if graph.num_edges != header[1]:
+        raise ParseError(f"header declares {header[1]} edges, found {graph.num_edges}")
+    return graph
 
 
 def emit_graph(graph: Graph) -> str:
     lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
-    for u, v in sorted(graph.edges):
-        lines.append(f"e {u + 1} {v + 1}")
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in pairs_of(graph.adjacency))
     return "\n".join(lines) + "\n"
 
 
@@ -665,12 +688,13 @@ def random_graph(num_vertices: int, edge_prob: float, seed) -> Graph:
     if num_vertices < 0 or not 0.0 <= edge_prob <= 1.0:
         raise ValidationError("need num_vertices >= 0 and edge_prob in [0,1]")
     rng = random.Random(seed)
-    edges = set()
+    masks = [0] * num_vertices
     for u in range(num_vertices):
         for v in range(u + 1, num_vertices):
             if rng.random() < edge_prob:
-                edges.add((u, v))
-    return Graph(num_vertices, frozenset(edges))
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Graph._from_masks(masks)
 
 
 def random_labelcover(

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .dispersers import Disperser, deterministic_disperser, random_disperser
 from .errors import SizeCapError, ValidationError
-from .instances import CnfFormula, LabelCover, TupleDecoder, bits_of
+from .instances import DEFAULT_SIZE_CAP, CnfFormula, LabelCover, TupleDecoder, bits_of
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -49,8 +49,6 @@ __all__ = [
     "ProjectionReport",
     "projection_check",
 ]
-
-DEFAULT_SIZE_CAP = 500_000
 
 
 @dataclass(frozen=True)

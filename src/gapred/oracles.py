@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ValidationError
-from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of
+from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of, pairs_of
 
 __all__ = [
     "SolveBudget",
@@ -321,26 +321,15 @@ def max_cov_at_least(lc: LabelCover, r: int, budget: SolveBudget | None = None) 
     return False
 
 
-def min_lab(
-    lc: LabelCover, budget: SolveBudget | None = None, strategy: str = "labelsets"
-) -> int | None:
+def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:
     """Minimum total right labels in a multi-labeling covering every left vertex.
 
-    `labelsets` enumerates right label-set assignments by increasing total
-    cost (each left vertex can then pick its label independently), which stays
-    feasible when left vertices are many. `assignments` follows the dual
-    decomposition: enumerate left labelings, then solve a minimum hitting set
-    per right vertex. Both are exact; returns None when no multi-labeling
-    covers every left vertex.
+    Enumerates right label-set assignments by increasing total cost (each left
+    vertex can then pick its label independently), which stays feasible when
+    left vertices are many. Returns None when no multi-labeling covers every
+    left vertex.
     """
-    if strategy == "labelsets":
-        return _min_lab_labelsets(lc, _Meter(budget))
-    if strategy == "assignments":
-        return _min_lab_assignments(lc, _Meter(budget))
-    raise ValidationError(f"unknown min_lab strategy {strategy!r}")
-
-
-def _min_lab_labelsets(lc: LabelCover, meter: _Meter) -> int | None:
+    meter = _Meter(budget)
     masks_by_u = _edge_beta_masks(lc)
     # Feasibility with every label allowed: each u needs an alpha whose beta
     # set is nonempty on all incident edges.
@@ -409,54 +398,6 @@ def _min_lab_labelsets(lc: LabelCover, meter: _Meter) -> int | None:
     raise AssertionError("full label sets were feasible but enumeration missed them")
 
 
-def _min_lab_assignments(lc: LabelCover, meter: _Meter) -> int | None:
-    adm = [lc.admissible_list(u) for u in range(lc.left_size)]
-    if any(not labels for labels in adm):
-        return None
-    bmask = {
-        (u, v): lc.beta_masks(u, v)
-        for u in range(lc.left_size)
-        for v in lc.left_neighbors[u]
-    }
-    best: int | None = None
-    for labels in itertools.product(*adm):
-        meter.tick()
-        total = 0
-        ok = True
-        for v in range(lc.right_size):
-            targets = [bmask[(u, v)][labels[u]] for u in lc.right_neighbors[v]]
-            if not targets:
-                continue
-            if any(t == 0 for t in targets):
-                ok = False
-                break
-            need = _min_hitting_set(targets, meter)
-            if best is not None and total + need >= best:
-                ok = False
-                break
-            total += need
-        if ok and (best is None or total < best):
-            best = total
-    return best
-
-
-def _min_hitting_set(target_masks: list[int], meter: _Meter) -> int:
-    """Smallest set of bits touching every mask; masks are nonempty."""
-    union = 0
-    for m in target_masks:
-        union |= m
-    candidates = list(bits_of(union))
-    for size in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            meter.tick()
-            chosen = 0
-            for b in combo:
-                chosen |= 1 << b
-            if all(chosen & m for m in target_masks):
-                return size
-    raise AssertionError("unreachable: union hits every mask")
-
-
 # ---------------------------------------------------------------------------
 # Graph problems
 
@@ -509,10 +450,7 @@ def clique(graph: Graph, budget: SolveBudget | None = None) -> int:
 
 def independent_set(graph: Graph, budget: SolveBudget | None = None) -> int:
     """Exact independence number: the clique number of the complement."""
-    n = graph.num_vertices
-    full = (1 << n) - 1
-    comp = [full & ~(mask | 1 << v) for v, mask in enumerate(graph.adjacency)]
-    return _clique_number(comp, n, _Meter(budget))
+    return _clique_number(graph.complement().adjacency, graph.num_vertices, _Meter(budget))
 
 
 def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
@@ -527,9 +465,9 @@ def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
     only: any biclique with k >= 1 has one side there.
     """
     meter = _Meter(budget)
-    if not graph.edges:
-        return 0
     adj = graph.adjacency
+    if not any(adj):
+        return 0
     if graph.bipartition is None:
         pool = list(range(graph.num_vertices))
     else:
@@ -583,12 +521,15 @@ def count_ktt(graph: Graph, t: int, budget: SolveBudget | None = None) -> int:
 
 def set_cover(system: SetSystem, budget: SolveBudget | None = None) -> int | None:
     """Exact minimum set cover; None when some element is uncovered by all sets."""
-    meter = _Meter(budget)
-    n = system.universe_size
+    return _min_cover(system.masks, system.universe_size, _Meter(budget))
+
+
+def _min_cover(masks, n: int, meter: _Meter) -> int | None:
+    """Fewest of the element bitmasks `masks` whose union is range(n), by
+    branch and bound; None when their union falls short."""
     if n == 0:
         return 0
     full = (1 << n) - 1
-    masks = list(system.masks)
     union = 0
     for m in masks:
         union |= m
@@ -625,22 +566,16 @@ def set_cover(system: SetSystem, budget: SolveBudget | None = None) -> int | Non
 
 def dom_set(graph: Graph, budget: SolveBudget | None = None) -> int:
     """Exact domination number (always feasible: every vertex dominates itself)."""
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    closed = [(graph.adjacency[v] | (1 << v)) for v in range(n)]
-    system = SetSystem(n, tuple((v + 1, frozenset(bits_of(closed[v]))) for v in range(n)))
-    result = set_cover(system, budget)
-    assert result is not None
-    return result
+    closed = [mask | 1 << v for v, mask in enumerate(graph.adjacency)]
+    return _min_cover(closed, graph.num_vertices, _Meter(budget))
 
 
 def induced_matching(graph: Graph, budget: SolveBudget | None = None) -> int:
     """Maximum induced matching: edges pairwise disjoint with no cross edges."""
-    edges = sorted(graph.edges)
+    adj = graph.adjacency
+    edges = list(pairs_of(adj))
     if not edges:
         return 0
-    adj = graph.adjacency
     # Two edges are compatible iff vertex-disjoint and with no edge between
     # their endpoints; an induced matching is a clique of the compatibility
     # graph. Edge i's compatible edges are those touching no vertex of the

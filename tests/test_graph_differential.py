@@ -1,0 +1,234 @@
+"""Differential tests: each mask-built graph reduction against its edge-set referee.
+
+The reductions build neighbour masks and hand them to `Graph` unchecked. The
+referees below are the edge-set builders they replaced: they collect edge
+tuples pair by pair and go through the validating public constructor. On
+seeded random inputs both must emit the same bytes and bipartition, and every
+output must survive the edge-list and file round trips.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from gapred import (
+    CnfFormula,
+    DksParams,
+    Graph,
+    SetSystem,
+    biclique_gadget,
+    clique_to_inducedpath,
+    cnf_to_labelcover,
+    dks_edge,
+    dks_vertices,
+    emit_graph,
+    fglss,
+    im_gadget,
+    is_to_im_gadget,
+    minlab_instance,
+    minlab_to_setcov,
+    parse_graph,
+    random_cnf,
+    random_graph,
+    random_labelcover,
+    sat_to_dks,
+    setcov_to_domset,
+)
+
+SEEDS = range(12)
+
+
+# ---------------------------------------------------------------------------
+# Edge-set referees
+
+
+def ref_fglss(lc):
+    vertices = []
+    proj = []
+    for u in range(lc.left_size):
+        edge_masks = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        for a in lc.admissible_list(u):
+            vertices.append((u, a))
+            proj.append({v: masks[a].bit_length() - 1 for v, masks in edge_masks})
+    edges = set()
+    for i in range(len(vertices)):
+        ui, _ = vertices[i]
+        pi = proj[i]
+        for j in range(i + 1, len(vertices)):
+            uj, _ = vertices[j]
+            if ui == uj:
+                continue
+            pj = proj[j]
+            if all(pj.get(v, beta) == beta for v, beta in pi.items()):
+                edges.add((i, j))
+    return Graph(len(vertices), frozenset(edges))
+
+
+def ref_setcov_to_domset(system):
+    k = system.num_sets
+    edges = set()
+    for i in range(k):
+        for j in range(i + 1, k):
+            edges.add((i, j))
+    for i, (_, elems) in enumerate(system.sets):
+        for e in elems:
+            edges.add((i, k + e))
+    return Graph(k + system.universe_size, frozenset(edges))
+
+
+def _ref_doubling(graph, cross_rule):
+    n = graph.num_vertices
+    edges = set()
+    for u in range(n):
+        for v in range(n):
+            if u == v or cross_rule(u, v):
+                edges.add((u, n + v))
+    sides = (frozenset(range(n)), frozenset(range(n, 2 * n)))
+    return Graph(2 * n, frozenset(edges), bipartition=sides)
+
+
+def ref_biclique_gadget(graph):
+    return _ref_doubling(graph, graph.has_edge)
+
+
+def ref_im_gadget(graph):
+    return _ref_doubling(graph, lambda u, v: not graph.has_edge(u, v))
+
+
+def ref_is_to_im_gadget(graph):
+    n = graph.num_vertices
+    edges = set(graph.edges)
+    for v in range(n):
+        edges.add((v, n + v))
+    return Graph(2 * n, frozenset(edges))
+
+
+def ref_clique_to_inducedpath(h, k, q):
+    nh = h.num_vertices
+    stride = nh + 1
+
+    def copy_of(i, j, v):
+        return (i * k + j) * stride + v
+
+    def dummy(i, j):
+        return (i * k + j) * stride + nh
+
+    edges = set()
+    for i in range(q):
+        for j in range(k):
+            for u in range(nh):
+                for v in range(u + 1, nh):
+                    edges.add((copy_of(i, j, u), copy_of(i, j, v)))
+            for v in range(nh):
+                edges.add((dummy(i, j), copy_of(i, j, v)))
+                if j >= 1:
+                    edges.add((dummy(i, j), copy_of(i, j - 1, v)))
+        for v in range(nh):
+            for j in range(k):
+                for jj in range(j + 1, k):
+                    edges.add((copy_of(i, j, v), copy_of(i, jj, v)))
+        for u in range(nh):
+            for v in range(nh):
+                if u != v and not h.has_edge(u, v):
+                    for j in range(k):
+                        for jj in range(k):
+                            if j != jj:
+                                edges.add((copy_of(i, j, u), copy_of(i, jj, v)))
+        if i >= 1:
+            for v in range(nh):
+                edges.add((dummy(i, 0), copy_of(i - 1, k - 1, v)))
+    return Graph(q * k * stride, frozenset(edges))
+
+
+def ref_sat_to_dks(formula, params):
+    vertices = dks_vertices(formula.num_vars, params.ell)
+    if params.p < 1.0:
+        rng = random.Random(params.seed)
+        vertices = [vx for vx in vertices if rng.random() < params.p]
+    edges = set()
+    for a in range(len(vertices)):
+        w1, b1 = vertices[a]
+        for b in range(a + 1, len(vertices)):
+            w2, b2 = vertices[b]
+            if dks_edge(formula, w1, b1, w2, b2):
+                edges.add((a, b))
+    return Graph(len(vertices), frozenset(edges))
+
+
+def assert_same_graph(out, ref):
+    assert emit_graph(out) == emit_graph(ref)
+    assert out.bipartition == ref.bipartition
+    assert out == ref
+    assert Graph(out.num_vertices, out.edges) == out
+    assert parse_graph(emit_graph(out)) == out
+
+
+def _graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    return random_graph(n, rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)), seed)
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fglss_matches_edge_set_builder(seed):
+    rng = random.Random(seed)
+    lc = random_labelcover(
+        rng.randint(0, 5), rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 3),
+        density=rng.random(), seed=seed, projection=True,
+        admissible_density=rng.choice((None, 0.6)),
+    )
+    assert_same_graph(fglss(lc), ref_fglss(lc))
+    lc = cnf_to_labelcover(random_cnf(rng.randint(3, 6), rng.randint(0, 5), seed))
+    assert_same_graph(fglss(lc), ref_fglss(lc))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_setcov_to_domset_matches_edge_set_builder(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 10)
+    sets = [(sid + 1, frozenset(e for e in range(size) if rng.random() < 0.4))
+            for sid in range(rng.randint(1, 6))]
+    sets.append((len(sets) + 1, frozenset(range(size))))
+    rng.shuffle(sets)
+    system = SetSystem(size, tuple(sets))
+    assert_same_graph(setcov_to_domset(system), ref_setcov_to_domset(system))
+
+
+def test_setcov_to_domset_matches_on_minlab_output():
+    lc = minlab_instance(cnf_to_labelcover(CnfFormula(3, ((1, 2, 3), (-1, 2, -3)))), 2, 2, 0.5)
+    system = minlab_to_setcov(lc)
+    assert_same_graph(setcov_to_domset(system), ref_setcov_to_domset(system))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_doubling_gadgets_match_edge_set_builders(seed):
+    graph = _graphs(seed)
+    assert_same_graph(biclique_gadget(graph), ref_biclique_gadget(graph))
+    assert_same_graph(im_gadget(graph), ref_im_gadget(graph))
+    assert_same_graph(is_to_im_gadget(graph), ref_is_to_im_gadget(graph))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clique_to_inducedpath_matches_edge_set_builder(seed):
+    h = random_graph(seed % 7, 0.5, seed)
+    for k, q in itertools.product((2, 3, 4), (1, 2, 3)):
+        assert_same_graph(clique_to_inducedpath(h, k, q), ref_clique_to_inducedpath(h, k, q))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sat_to_dks_matches_edge_set_builder(seed):
+    rng = random.Random(seed)
+    formula = random_cnf(rng.randint(3, 6), rng.randint(0, 8), seed)
+    ell = rng.randint(1, min(3, formula.num_vars))
+    for p in (1.0, 0.6):
+        params = DksParams(ell=ell, p=p, seed=seed)
+        out = sat_to_dks(formula, params)
+        if p == 1.0:
+            assert out.num_vertices == math.comb(formula.num_vars, ell) << ell
+        assert_same_graph(out, ref_sat_to_dks(formula, params))

@@ -98,6 +98,15 @@ def test_graph_invariants():
         Graph(2, {(0, 2)})
     with pytest.raises(ValidationError):
         Graph(2, {(0, 1)}, bipartition=(frozenset({0, 1}), frozenset()))
+    with pytest.raises(ValidationError):
+        Graph(3, {(1, 2)}, bipartition=(frozenset({0}), frozenset({1, 2})))
+
+
+def test_graph_has_edge_outside_vertex_range():
+    g = complete_graph(3)
+    assert g.has_edge(0, 2) and g.has_edge(2, 0)
+    for u, v in ((0, 3), (3, 0), (-1, 0), (0, -1), (-1, -2), (5, 7)):
+        assert not g.has_edge(u, v)
 
 
 def test_graph_bipartition_not_compared():
@@ -120,6 +129,10 @@ def test_parse_graph_errors():
         parse_graph("p edge 2 0\ne 1 2\n")  # count mismatch is 0 vs 1
     with pytest.raises(ParseError):
         parse_graph("p edge 2 1\ne 1 1\n")
+    # Vertex counts are checked before any per-vertex state is allocated.
+    for count in (-1, 10**12):
+        with pytest.raises(ParseError, match="vertex count"):
+            parse_graph(f"p edge {count} 0\n")
 
 
 # ---------------------------------------------------------------------------

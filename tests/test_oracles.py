@@ -1,5 +1,6 @@
 """Exact oracle solvers: spec examples, cross-oracle consistency, budgets."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from gapred import (
     sat_max,
     set_cover,
 )
+from gapred.instances import bits_of
 
 from corpus import (
     all_labeled_graphs,
@@ -91,6 +93,54 @@ def test_max_cov_empty_admissible_never_covered():
     assert max_cov(lc) == 0
 
 
+def min_lab_assignments(lc):
+    """Referee for min_lab by the dual decomposition: enumerate left
+    labelings, then solve a minimum hitting set per right vertex."""
+    adm = [lc.admissible_list(u) for u in range(lc.left_size)]
+    if any(not labels for labels in adm):
+        return None
+    bmask = {
+        (u, v): lc.beta_masks(u, v)
+        for u in range(lc.left_size)
+        for v in lc.left_neighbors[u]
+    }
+    best = None
+    for labels in itertools.product(*adm):
+        total = 0
+        ok = True
+        for v in range(lc.right_size):
+            targets = [bmask[(u, v)][labels[u]] for u in lc.right_neighbors[v]]
+            if not targets:
+                continue
+            if any(t == 0 for t in targets):
+                ok = False
+                break
+            need = _min_hitting_set(targets)
+            if best is not None and total + need >= best:
+                ok = False
+                break
+            total += need
+        if ok and (best is None or total < best):
+            best = total
+    return best
+
+
+def _min_hitting_set(target_masks):
+    """Smallest set of bits touching every mask; masks are nonempty."""
+    union = 0
+    for m in target_masks:
+        union |= m
+    candidates = list(bits_of(union))
+    for size in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            chosen = 0
+            for b in combo:
+                chosen |= 1 << b
+            if all(chosen & m for m in target_masks):
+                return size
+    raise AssertionError("unreachable: union hits every mask")
+
+
 def test_min_lab_single_pair():
     lc = LabelCover(1, 1, 1, 2, {(0, 0): {(0, 0)}})
     assert min_lab(lc) == 1
@@ -100,13 +150,13 @@ def test_min_lab_two_labels_needed():
     # Two left vertices demand different right labels on the same right vertex.
     lc = LabelCover(2, 1, 1, 2, {(0, 0): {(0, 0)}, (1, 0): {(0, 1)}})
     assert min_lab(lc) == 2
-    assert min_lab(lc, strategy="assignments") == 2
+    assert min_lab_assignments(lc) == 2
 
 
 def test_min_lab_infeasible():
     lc = LabelCover(1, 1, 1, 2, {(0, 0): set()})
     assert min_lab(lc) is None
-    assert min_lab(lc, strategy="assignments") is None
+    assert min_lab_assignments(lc) is None
 
 
 def test_min_lab_isolated_right_vertices_cost_nothing():
@@ -127,7 +177,7 @@ def test_max_cov_strategies_agree(seed):
 @settings(max_examples=40, deadline=None)
 def test_min_lab_strategies_agree(seed):
     lc = random_labelcover(2, 2, 2, 3, density=0.9, seed=seed, pair_density=0.5)
-    assert min_lab(lc, strategy="labelsets") == min_lab(lc, strategy="assignments")
+    assert min_lab(lc) == min_lab_assignments(lc)
 
 
 @given(st.integers(0, 10**9))

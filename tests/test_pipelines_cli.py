@@ -285,6 +285,10 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert run_command(["cnf2lc", str(binary)]) == 2
     assert run_command(["solve", "sat-max", str(binary)]) == 2
     assert run_command(["disperser", "check", str(binary)]) == 2
+    for count in (-1, 10**12):
+        graph = tmp_path / f"count{count}.graph"
+        graph.write_text(f"p edge {count} 0\n")
+        assert run_command(["solve", "clique", str(graph)]) == 2
 
 
 def test_cli_projection_violation_exit_code(tmp_path):
