@@ -2,8 +2,8 @@
 
 Conventions: vertices and universe elements are 0-indexed in memory and
 1-indexed in files; labels are opaque dense integers 0..|alphabet|-1 in both.
-All types are immutable after construction and validate their invariants on
-construction. Generators are pure functions of their seed.
+All types are immutable; public constructors validate invariants, reductions
+use private unchecked ones. Generators are pure functions of their seed.
 """
 
 from __future__ import annotations
@@ -231,12 +231,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         n = self.num_vertices
         return 0 <= u < n and 0 <= v < n and bool(self.adjacency[u] >> v & 1)
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self.adjacency[v]))
-
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
 
     def complement(self) -> Graph:
         full = (1 << self.num_vertices) - 1
@@ -492,6 +486,13 @@ class LabelCover:
             if len(self.admissible) != self.left_size:
                 raise ValidationError("admissible map has spurious keys")
         object.__setattr__(self, "admissible", adm)
+
+    @classmethod
+    def _unchecked(cls, **values) -> LabelCover:
+        """Unchecked constructor for transforms whose fields are normalised; copies no pair."""
+        lc = object.__new__(cls)
+        lc.__dict__.update(values)
+        return lc
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -208,7 +208,7 @@ def compress_left_with(
             if total_pairs > size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             relations[(i, v)] = pairs
-    return LabelCover(
+    return LabelCover._unchecked(
         left_size=disperser.k,
         right_size=lc.right_size,
         left_alphabet=max_labels,
@@ -269,6 +269,7 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     left_decoders = []
     total_pairs = 0
     max_labels = 1
+    shared = {}  # one tuple per distinct (alpha, beta): the relations repeat them
     for i, members in enumerate(itertools.combinations(range(m), ell)):
         _, kept, kept_masks = _joint_labels(lc, members, params.size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
@@ -286,8 +287,8 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
             total_pairs += len(pairs)
             if total_pairs > params.size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
-            relations[(i, j)] = frozenset(pairs)
-    return LabelCover(
+            relations[(i, j)] = frozenset(shared.setdefault(p, p) for p in pairs)
+    return LabelCover._unchecked(
         left_size=num_left,
         right_size=params.q,
         left_alphabet=max_labels,
@@ -326,7 +327,7 @@ def drop_isolated_right(lc: LabelCover) -> LabelCover:
     right_decoders = None
     if lc.right_decoders is not None:
         right_decoders = tuple(lc.right_decoders[v] for v in keep)
-    return LabelCover(
+    return LabelCover._unchecked(
         left_size=lc.left_size,
         right_size=len(keep),
         left_alphabet=lc.left_alphabet,

@@ -329,3 +329,37 @@ def test_drop_isolated_right():
     assert out.right_size == 1
     assert out.edges == ((0, 0),)
     assert min_lab(out) == min_lab(lc) == 1
+
+
+# ---------------------------------------------------------------------------
+# Outputs built through the unchecked LabelCover constructor
+
+
+def _rebuilt(lc):
+    """The same fields passed through the public, validating constructor."""
+    return LabelCover(lc.left_size, lc.right_size, lc.left_alphabet, lc.right_alphabet,
+                      lc.relations, lc.admissible, lc.left_decoders, lc.right_decoders)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unchecked_outputs_pass_the_public_checks(seed):
+    lc = cnf_to_labelcover(gen_planted_cnf(6, 5, seed=seed))
+    outputs = [
+        compress_left(lc, CompressLeftParams(k=3, r=2, eps=0.5, seed=seed))[0],
+        compress_right(lc, CompressRightParams(q=2, gamma=0.5, eps=0.3)),
+        minlab_instance(lc, q=2, r=3, eps=0.3),
+        drop_isolated_right(LabelCover(1, 3, 1, 2, {(0, 1): {(0, 0)}})),
+    ]
+    for out in outputs:
+        checked = _rebuilt(out)
+        assert checked == out
+        assert emit_labelcover(checked) == emit_labelcover(out)
+        assert all(type(pairs) is frozenset for pairs in out.relations.values())
+        assert set(out.admissible) == set(range(out.left_size))
+
+
+def test_compress_right_shares_pair_tuples_across_relations():
+    lc = cnf_to_labelcover(gen_planted_cnf(6, 5, seed=6))
+    out = compress_right(lc, CompressRightParams(q=2, gamma=0.5, eps=0.3))
+    pairs = [pair for rel in out.relations.values() for pair in rel]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
