@@ -361,28 +361,62 @@ def dks_edge(
 def sat_to_dks(formula: CnfFormula, params: DksParams) -> Graph:
     """Vertices are all ell-variable partial assignments (each kept with prob p).
 
-    For a satisfiable formula the C(n, ell) restrictions of any satisfying
-    assignment are pairwise adjacent, i.e. the full graph contains a
-    C(n, ell)-clique.
+    Two vertices are adjacent exactly when `dks_edge` says so; the graph is
+    built from one mask per (variable, bit) of the kept vertices whose window
+    gives that variable that value. A vertex's non-neighbours are itself, the
+    opposite-bit masks of its window, and, for each clause it does not
+    satisfy, the AND of the falsifying-bit masks of the clause's variables
+    outside its window (all vertices when there are none: the vertex
+    falsifies a clause inside its own window).
+
+    A clique holds at most one vertex per window, so clique <= C(n, ell).
+    Satisfiable formulas reach it: the restrictions of a satisfying
+    assignment are pairwise adjacent. When ell < n and every clause has at
+    most 2*ell literals the converse holds too: a C(n, ell)-clique is one
+    consistent assignment, and each clause lies inside some pair of distinct
+    windows, whose edge certifies it. So clique == C(n, ell) exactly when the
+    formula is satisfiable.
     """
-    n = formula.num_vars
-    if params.ell > n:
-        raise ValidationError(f"ell={params.ell} exceeds num_vars={n}")
-    count = math.comb(n, params.ell) << params.ell
+    n, ell = formula.num_vars, params.ell
+    if ell > n:
+        raise ValidationError(f"ell={ell} exceeds num_vars={n}")
+    count = math.comb(n, ell) << ell
     if count > params.size_cap:
         raise SizeCapError(f"{count} vertices exceed cap {params.size_cap}")
-    vertices = dks_vertices(n, params.ell)
+    vertices = dks_vertices(n, ell)
     if params.p < 1.0:
         rng = random.Random(params.seed)
         vertices = [vx for vx in vertices if rng.random() < params.p]
-    adjacency = [0] * len(vertices)
-    for a in range(len(vertices)):
-        w1, b1 = vertices[a]
-        for b in range(a + 1, len(vertices)):
-            w2, b2 = vertices[b]
-            if dks_edge(formula, w1, b1, w2, b2):
-                adjacency[a] |= 1 << b
-                adjacency[b] |= 1 << a
+    # value[var][bit]: the kept vertices whose window gives var that bit.
+    value = [[0, 0] for _ in range(n)]
+    for i, (window, bits) in enumerate(vertices):
+        for t, var in enumerate(window):
+            value[var][bits >> t & 1] |= 1 << i
+    everyone = (1 << len(vertices)) - 1
+    clause_vars = [[(abs(lit) - 1, lit > 0) for lit in clause] for clause in formula.clauses]
+    adjacency = []
+    # dks_vertices lists each window's kept vertices together, so each
+    # clause's split into (inside literals, AND of outside falsifiers) is
+    # made once a window.
+    window = None
+    for i, (w, bits) in enumerate(vertices):
+        if w != window:
+            window, position = w, {var: t for t, var in enumerate(w)}
+            split = []
+            for lits in clause_vars:
+                inside = [(position[var], want) for var, want in lits if var in position]
+                outside = everyone
+                for var, want in lits:
+                    if var not in position:
+                        outside &= value[var][not want]
+                split.append((inside, outside))
+        non = 1 << i
+        for t, var in enumerate(window):
+            non |= value[var][not bits >> t & 1]
+        for inside, outside in split:
+            if not any((bits >> t & 1) == want for t, want in inside):
+                non |= outside
+        adjacency.append(everyone & ~non)
     return Graph._from_masks(adjacency)
 
 

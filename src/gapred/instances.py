@@ -18,6 +18,12 @@ from .errors import ParseError, ValidationError
 # Default bound on enumerated sizes (label tuples, ground sets, graph vertices).
 DEFAULT_SIZE_CAP = 500_000
 
+# A Graph holds one int mask per vertex, as wide as its highest neighbour
+# index, so a short file naming high vertices can need far more memory than
+# its size. parse_graph refuses a file whose masks would pass 2^_MASK_BITS
+# bits (16 MB) in all; oracles._TABLE_BITS bounds the oracles' tables alike.
+_MASK_BITS = 27
+
 __all__ = [
     "CnfFormula",
     "Graph",
@@ -240,7 +246,7 @@ class Graph:
 def parse_graph(data) -> Graph:
     """Parse a DIMACS edge-format graph ('p edge n m', 1-indexed 'e u v' lines)."""
     text = _as_text(data)
-    header = None
+    header = mask_bits = None
     masks: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -261,6 +267,8 @@ def parse_graph(data) -> Graph:
                     f"line {lineno}: vertex count {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
                 )
             masks = [0] * header[0]
+            # n masks of at most n bits each cannot pass the bound.
+            mask_bits = 0 if header[0] * header[0] > 1 << _MASK_BITS else None
         elif parts[0] == "e":
             if header is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -277,6 +285,14 @@ def parse_graph(data) -> Graph:
                 raise ParseError(f"line {lineno}: self-loop")
             if masks[u] >> v & 1:
                 raise ParseError(f"line {lineno}: duplicate edge")
+            if mask_bits is not None:
+                mask_bits += max(0, v + 1 - masks[u].bit_length())
+                mask_bits += max(0, u + 1 - masks[v].bit_length())
+                if mask_bits >> _MASK_BITS:
+                    raise ParseError(
+                        f"line {lineno}: neighbour masks pass 2^{_MASK_BITS} bits "
+                        "(each is as wide as its vertex's highest neighbour index)"
+                    )
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         else:

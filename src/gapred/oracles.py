@@ -200,11 +200,6 @@ def _clause_tables(formula: CnfFormula, table):
         yield hit
 
 
-def _assignment_chunks(formula: CnfFormula, budget: SolveBudget | None):
-    literals = {lit for clause in formula.clauses for lit in clause}
-    return _chunks(2, formula.num_vars, len(literals), _Meter(budget))
-
-
 def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
     """Maximum number of clauses satisfied by any assignment (full enumeration).
 
@@ -212,25 +207,12 @@ def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
     of assignments.
     """
     best = 0
-    for _, ones, table in _assignment_chunks(formula, budget):
+    literals = {lit for clause in formula.clauses for lit in clause}
+    for _, ones, table in _chunks(2, formula.num_vars, len(literals), _Meter(budget)):
         best = max(best, _max_count(_clause_tables(formula, table), ones))
         if best == formula.num_clauses:
             break
     return best
-
-
-def _first_satisfying(formula: CnfFormula, budget: SolveBudget | None = None) -> int | None:
-    """The lowest satisfying assignment (variable i + 1 is bit i), or None.
-
-    It is the lowest set bit of the AND of sat_max's clause truth tables.
-    """
-    for offset, ones, table in _assignment_chunks(formula, budget):
-        common = ones
-        for hit in _clause_tables(formula, table):
-            common &= hit
-        if common:
-            return offset + (common & -common).bit_length() - 1
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,18 @@
-"""Shared test corpus helpers: small named graphs and isomorphism-free sweeps."""
+"""Shared test corpus helpers: small named graphs, isomorphism-free sweeps and
+mixed-width CNF formulas."""
 
 import itertools
 
-from gapred import Graph
+from gapred import CnfFormula, Graph
+
+
+def mixed_cnf(rng, n, m):
+    """m clauses of 1 to min(3, n) distinct variables with random signs, drawn from rng."""
+    clauses = []
+    for _ in range(m):
+        width = rng.randint(1, min(3, n))
+        clauses.append(tuple(v * rng.choice((-1, 1)) for v in rng.sample(range(1, n + 1), width)))
+    return CnfFormula(n, tuple(clauses))
 
 
 def complete_graph(n):

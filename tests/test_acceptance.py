@@ -236,6 +236,40 @@ def test_criterion_09_dks_construction():
         assert g.dks_edge(f, (0, 1), 0b01, (1, 2), 0b10)
 
 
+def test_criterion_09_dks_clique_identity():
+    # For ell < n and clauses of at most 2*ell literals, clique(sat2dks(phi))
+    # is C(n, ell) exactly when phi is satisfiable.
+    with _Timer("criterion 9 (identity): clique == C(n, ell) iff satisfiable", 60):
+        for n, ell in ((5, 2), (6, 2), (6, 3), (7, 3)):
+            windows = math.comb(n, ell)
+            planted = gen_planted_cnf(n, 2 * n, seed=f"c9i-{n}-{ell}")
+            assert g.clique(g.sat_to_dks(planted, g.DksParams(ell=ell))) == windows
+            for seed in range(3):
+                gap = gen_gap_cnf(n, 8, 0.2, seed=f"c9i-{n}-{ell}-{seed}")
+                assert g.sat_max(gap) < gap.num_clauses
+                assert g.clique(g.sat_to_dks(gap, g.DksParams(ell=ell))) < windows
+        # verify grades both directions by the identity...
+        for source, direction in (
+            ({"kind": "gen-planted", "n": 5, "m": 8}, "completeness"),
+            ({"kind": "gen-gap", "n": 5, "m": 8, "epsilon": 0.2}, "soundness"),
+        ):
+            spec = g.PipelineSpec(input=source, stages=({"op": "sat2dks", "ell": 2},), seed=9)
+            stage = g.verify_pipeline(spec).stages[0]
+            assert stage.status == "PASS" and stage.detail.startswith(direction), stage.detail
+        # ...and only completeness at ell == n: one window, so every formula
+        # has clique 1 = C(n, n).
+        spec = g.PipelineSpec(
+            input={"kind": "gen-gap", "n": 3, "m": 4, "epsilon": 0.2},
+            stages=({"op": "sat2dks", "ell": 3},),
+            seed=9,
+        )
+        report = g.verify_pipeline(spec)
+        assert report.input_values["sat_max"] < 4
+        assert report.stages[0].status == "NOT-APPLICABLE"
+        assert report.stages[0].values["clique"] == 1
+        assert report.overall == "pass"
+
+
 def test_criterion_10_clause_variable_game():
     with _Timer("criterion 10: MaxCov(cnf2lc(phi)) = sat_max(phi) on 100 formulas", 60):
         for seed in range(100):

@@ -37,6 +37,8 @@ from gapred import (
     setcov_to_domset,
 )
 
+from corpus import mixed_cnf
+
 SEEDS = range(12)
 
 
@@ -223,12 +225,29 @@ def test_clique_to_inducedpath_matches_edge_set_builder(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sat_to_dks_matches_edge_set_builder(seed):
+    # ell runs 1..4 and n runs ell..ell+2, so ell == n on seeds 0-3; seeds 0
+    # and 9 take the empty formula, the rest 1-, 2- and 3-literal clauses.
     rng = random.Random(seed)
-    formula = random_cnf(rng.randint(3, 6), rng.randint(0, 8), seed)
-    ell = rng.randint(1, min(3, formula.num_vars))
+    ell = seed % 4 + 1
+    n = ell + seed // 4
+    formula = mixed_cnf(rng, n, 0 if seed % 9 == 0 else rng.randint(1, 8))
     for p in (1.0, 0.6):
         params = DksParams(ell=ell, p=p, seed=seed)
         out = sat_to_dks(formula, params)
         if p == 1.0:
-            assert out.num_vertices == math.comb(formula.num_vars, ell) << ell
+            assert out.num_vertices == math.comb(n, ell) << ell
         assert_same_graph(out, ref_sat_to_dks(formula, params))
+
+
+def test_sat_to_dks_isolates_vertices_falsifying_a_clause_in_their_window():
+    # x1 or not x2 lies inside window (0, 1); its falsifier x1=0, x2=1 (bits
+    # 0b10) has no edge, while every other vertex keeps some.
+    formula = CnfFormula(3, ((1, -2),))
+    vertices = dks_vertices(3, 2)
+    for p in (1.0, 0.6):
+        params = DksParams(ell=2, p=p, seed=1)
+        out = sat_to_dks(formula, params)
+        assert_same_graph(out, ref_sat_to_dks(formula, params))
+    out = sat_to_dks(formula, DksParams(ell=2))
+    isolated = [vertices[i] for i, mask in enumerate(out.adjacency) if not mask]
+    assert isolated == [((0, 1), 0b10)]

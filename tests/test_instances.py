@@ -133,6 +133,14 @@ def test_parse_graph_errors():
     for count in (-1, 10**12):
         with pytest.raises(ParseError, match="vertex count"):
             parse_graph(f"p edge {count} 0\n")
+    # A 69 KB file whose 5,000 edges all end at vertex 100,000 would need
+    # 5,000 masks of 100,000 bits; the total mask width is bounded instead.
+    star = "p edge 100000 5000\n" + "".join(f"e {u} 100000\n" for u in range(1, 5001))
+    with pytest.raises(ParseError, match="neighbour masks"):
+        parse_graph(star)
+    # Below the bound the same shape parses.
+    small = parse_graph("p edge 10000 50\n" + "".join(f"e {u} 10000\n" for u in range(1, 51)))
+    assert small.num_edges == 50
 
 
 # ---------------------------------------------------------------------------

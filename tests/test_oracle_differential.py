@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapred import (
-    CnfFormula,
     Graph,
     LabelCover,
     biclique,
@@ -40,6 +39,8 @@ from gapred import (
 )
 from gapred import oracles
 from gapred.instances import SetSystem, bits_of
+
+from corpus import mixed_cnf
 
 
 def _subsets(vertices):
@@ -304,13 +305,6 @@ def scalar_sat_max(formula):
     return best
 
 
-def scalar_first_satisfying(formula):
-    for assign in range(1 << formula.num_vars):
-        if all(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses)):
-            return assign
-    return None
-
-
 def product_max_cov(lc):
     """Every right labeling in turn, each left vertex's labels as a bitmask."""
     pos = [{a: i for i, a in enumerate(lc.admissible_list(u))} for u in range(lc.left_size)]
@@ -381,14 +375,6 @@ def unpruned_induced_path(g):
     return best
 
 
-def _mixed_cnf(rng, n, m):
-    clauses = []
-    for _ in range(m):
-        width = rng.randint(1, min(3, n))
-        clauses.append(tuple(v * rng.choice((-1, 1)) for v in rng.sample(range(1, n + 1), width)))
-    return CnfFormula(n, tuple(clauses))
-
-
 @given(st.integers(0, 10**9), st.integers(10, 14))
 @settings(max_examples=25, deadline=None)
 def test_biclique_matches_subset_dp(seed, n):
@@ -449,12 +435,10 @@ def _chunk_limits(mp, limits):
 @settings(max_examples=30, deadline=None)
 def test_sat_max_matches_scalar_loop(limits, seed, n):
     rng = random.Random(seed)
-    formula = _mixed_cnf(rng, n, rng.randint(0, 4 * n))
+    formula = mixed_cnf(rng, n, rng.randint(0, 4 * n))
     with pytest.MonkeyPatch.context() as mp:
         _chunk_limits(mp, limits)
         assert sat_max(formula) == scalar_sat_max(formula)
-        # sat2dks verification takes the lowest satisfying assignment.
-        assert oracles._first_satisfying(formula) == scalar_first_satisfying(formula)
 
 
 @CHUNK_LIMITS

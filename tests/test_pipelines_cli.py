@@ -8,6 +8,7 @@ import pytest
 
 from gapred import (
     GenerationError,
+    Graph,
     ParseError,
     ValidationError,
     max_cov,
@@ -17,6 +18,7 @@ from gapred import (
 )
 from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
+from gapred.instances import pairs_of
 from gapred.pipelines import (
     PipelineSpec,
     gen_cnf_gap,
@@ -223,7 +225,31 @@ def test_verify_dks_pipeline():
     )
     report = verify_pipeline(spec)
     assert report.overall == "pass"
-    assert "pairwise adjacent: True" in report.stages[0].detail
+    assert report.stages[0].status == "PASS"
+    assert report.stages[0].values["clique"] == 10  # C(5, 2)
+
+
+def test_verify_dks_fails_output_missing_a_window_pair():
+    # Cutting every edge between two windows' vertices leaves no clique with
+    # one vertex per window: clique drops from C(5, 2) = 10 to 9.
+    spec = PipelineSpec(
+        input={"kind": "gen-planted", "n": 5, "m": 4},
+        stages=({"op": "sat2dks", "ell": 2},),
+        seed=8,
+    )
+    run = run_pipeline(spec)
+    out = run.instances[1]
+    window = [i // 4 for i in range(out.num_vertices)]  # 2^ell vertices per window
+    cut = {0, 1}
+    adjacency = [
+        mask & ~sum(1 << j for j in range(out.num_vertices) if {window[i], window[j]} == cut)
+        for i, mask in enumerate(out.adjacency)
+    ]
+    run.instances[1] = Graph(out.num_vertices, pairs_of(adjacency))
+    assert out.num_edges > run.instances[1].num_edges
+    report = verify_pipeline(spec, run)
+    assert report.stages[0].status == "FAIL"
+    assert report.stages[0].values["clique"] == 9
 
 
 def test_write_artifacts_roundtrip_and_determinism(tmp_path):
