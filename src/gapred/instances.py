@@ -8,6 +8,7 @@ use private unchecked ones. Generators are pure functions of their seed.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -241,6 +242,25 @@ class Graph:
     def complement(self) -> Graph:
         full = (1 << self.num_vertices) - 1
         return Graph._from_masks([full & ~(m | 1 << v) for v, m in enumerate(self.adjacency)])
+
+    def induced(self, vertices) -> Graph:
+        """The subgraph induced on the distinct `vertices`, vertex j being vertices[j].
+
+        Each kept mask is gathered as a binary string, so a relabelling (a
+        permutation of every vertex) costs one string pass per vertex.
+        """
+        vertices = list(vertices)
+        if not vertices:
+            return Graph._from_masks([])
+        # String position n - 1 - v holds bit v; the new bits are listed
+        # from the highest down.
+        n = self.num_vertices
+        gather = operator.itemgetter(*(n - 1 - v for v in reversed(vertices)))
+        width = f"0{n}b"
+        adjacency = self.adjacency
+        return Graph._from_masks(
+            [int("".join(gather(format(adjacency[v], width))), 2) for v in vertices]
+        )
 
 
 def parse_graph(data) -> Graph:

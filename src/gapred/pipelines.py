@@ -13,6 +13,7 @@ uncertified disperser).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -230,8 +231,16 @@ class Param:
             )
 
 
-def _validate_params(where: str, params, given: dict) -> None:
-    """Raise ValidationError unless `given` fits the parameter schema `params`."""
+def _validate_params(where: str, params, given: dict, known=()) -> None:
+    """Raise ValidationError unless `given` fits the parameter schema `params`.
+
+    `known` names the other keys `given` may hold; any key outside both is
+    refused, so a misspelt parameter cannot silently take its default.
+    """
+    unknown = set(given).difference(param.name for param in params).difference(known)
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise ValidationError(f"{where}: unknown parameter {names}")
     for param in params:
         if param.name in given:
             param.validate(where, given[param.name])
@@ -262,7 +271,8 @@ _INPUT_PARAMS = {
     "gen-gap": _GEN_PARAMS + (Param("epsilon", float),),
 }
 
-# The top-level fields of a spec file other than `input` and `stages`.
+# The top-level fields of a spec file other than `seed`, `input`, `stages`
+# and `budget`.
 _SPEC_PARAMS = (Param("size_cap", default=DEFAULT_SIZE_CAP),)
 _BUDGET_PARAMS = (
     Param("max_nodes", float, SolveBudget().max_nodes),
@@ -290,7 +300,7 @@ class Stage:
 
     def validate(self, op: str, given: dict) -> None:
         """Raise ValidationError unless `given` fits this stage's parameter schema."""
-        _validate_params(f"stage {op!r}", self.params + _SHARED_PARAMS, given)
+        _validate_params(f"stage {op!r}", self.params + _SHARED_PARAMS, given, ("op", "seed"))
 
     def resolve(self, given: dict, seed, size_cap) -> dict:
         """The full parameter dict `build` and `verify` read: defaults, then `given`."""
@@ -589,8 +599,19 @@ def _verify_sat2dks(s):
     full = math.comb(n, ell) << ell
     values = {"num_vertices": output.num_vertices}
     if dp.p < 1.0:
-        ok = output.num_vertices <= full
-        return _status(ok), f"subsampled: {output.num_vertices} of {full} vertices kept", values
+        # A subsample is the p = 1 graph induced on the vertices sat_to_dks
+        # keeps: random.Random(seed) draws once per dks_vertices entry, in order.
+        if dp.seed is None:
+            detail = f"unseeded subsample ({output.num_vertices} of {full} vertices) is not replayable"
+            return "NOT-APPLICABLE", detail, values
+        rng = random.Random(dp.seed)
+        kept = [i for i in range(full) if rng.random() < dp.p]
+        want = sat_to_dks(source, dataclasses.replace(dp, p=1.0)).induced(kept)
+        detail = (
+            f"subsampled: {output.num_vertices} of {full} vertices, want the p=1 graph "
+            f"induced on the {len(kept)} the seeded draw keeps"
+        )
+        return _status(output == want), detail, values
     if output.num_vertices != full:
         return "FAIL", f"|V|={output.num_vertices}, want {full}", values
     # One vertex per window at most, so clique <= C(n, ell), with equality
@@ -700,7 +721,7 @@ class PipelineSpec:
             raise ValidationError(f"unknown input kind {kind!r}")
         _check_seed("spec", self.seed)
         _check_seed(f"input {kind!r}", self.input.get("seed"))
-        _validate_params(f"input {kind!r}", _INPUT_PARAMS[kind], self.input)
+        _validate_params(f"input {kind!r}", _INPUT_PARAMS[kind], self.input, ("kind", "seed"))
         current = _INPUT_KINDS[kind]
         for stage in self.stages:
             op = stage.get("op")
@@ -740,7 +761,7 @@ class PipelineSpec:
         budget_data = data.get("budget", {})
         if not isinstance(budget_data, dict):
             raise ValidationError("a spec's 'budget' must be an object")
-        _validate_params("spec", _SPEC_PARAMS, data)
+        _validate_params("spec", _SPEC_PARAMS, data, ("seed", "input", "stages", "budget"))
         _validate_params("spec budget", _BUDGET_PARAMS, budget_data)
         limits = {p.name: budget_data.get(p.name, p.default) for p in _BUDGET_PARAMS}
         return cls(

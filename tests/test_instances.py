@@ -1,5 +1,7 @@
 """Instance types, file formats, and generators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,20 @@ def test_graph_bipartition_not_compared():
 def test_graph_complement():
     g = Graph(3, {(0, 1)})
     assert g.complement().edges == frozenset({(0, 2), (1, 2)})
+
+
+@given(st.integers(0, 10**9), st.integers(0, 30), st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_graph_induced_relabels_kept_vertices(seed, n, size):
+    # A sample in random order: a subgraph and a relabelling at once.
+    g = random_graph(n, 0.4, seed)
+    vertices = random.Random(seed).sample(range(n), min(size, n))
+    sub = g.induced(vertices)
+    assert sub.num_vertices == len(vertices)
+    assert sub.edges == frozenset(
+        (j, k) for j in range(len(vertices)) for k in range(j + 1, len(vertices))
+        if g.has_edge(vertices[j], vertices[k])
+    )
 
 
 def test_parse_graph_errors():

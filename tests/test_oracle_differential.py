@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapred import (
+    DksParams,
     Graph,
     LabelCover,
     biclique,
@@ -27,7 +28,11 @@ from gapred import (
     count_ktt,
     densest_k,
     dom_set,
+    gen_planted_cnf,
+    im_gadget,
+    independent_set,
     induced_matching,
+    is_to_im_gadget,
     induced_path,
     induced_path_at_least,
     max_cov,
@@ -35,6 +40,7 @@ from gapred import (
     random_graph,
     random_labelcover,
     sat_max,
+    sat_to_dks,
     set_cover,
 )
 from gapred import oracles
@@ -344,8 +350,54 @@ def subset_dp_biclique(g):
     return best
 
 
+def index_order_clique_number(adj, n, meter):
+    """The coloring branch and bound with every vertex colored and recorded,
+    searched in the order given."""
+    if n == 0:
+        return 0
+    best = 0
+
+    def expand(candidates, size):
+        nonlocal best
+        meter.tick()
+        if candidates == 0:
+            best = max(best, size)
+            return
+        order, bounds = [], []
+        uncolored, color = candidates, 0
+        while uncolored:
+            color += 1
+            cls = uncolored
+            while cls:
+                v = (cls & -cls).bit_length() - 1
+                cls &= ~(1 << v | adj[v])
+                uncolored &= ~(1 << v)
+                order.append(v)
+                bounds.append(color)
+        rest = candidates
+        for i in range(len(order) - 1, -1, -1):
+            if size + bounds[i] <= best:
+                return
+            expand(rest & adj[order[i]], size + 1)
+            rest &= ~(1 << order[i])
+
+    expand((1 << n) - 1, 0)
+    return best
+
+
+def index_order_clique(g):
+    """Clique number searched in vertex-index order."""
+    return index_order_clique_number(g.adjacency, g.num_vertices, oracles._Meter(None))
+
+
+def index_order_independent_set(g):
+    """Clique number of the complement, searched in vertex-index order."""
+    return index_order_clique(g.complement())
+
+
 def pairwise_induced_matching(g):
-    """Clique number of the compatibility graph, built one edge pair at a time."""
+    """Clique number of the compatibility graph, built one edge pair at a time
+    and searched in edge order."""
     edges = sorted(g.edges)
     adj = g.adjacency
     compat = set()
@@ -355,7 +407,7 @@ def pairwise_induced_matching(g):
             c, d = edges[j]
             if not closed & (1 << c | 1 << d):
                 compat.add((i, j))
-    return clique(Graph(len(edges), frozenset(compat)))
+    return index_order_clique(Graph(len(edges), frozenset(compat)))
 
 
 def unpruned_induced_path(g):
@@ -415,6 +467,67 @@ def test_induced_matching_matches_pairwise_build(seed, n):
     g = Graph(n, g.edges | frozenset(itertools.islice(pairs, max(0, 30 - g.num_edges))))
     assert g.num_edges >= 30
     assert induced_matching(g) == pairwise_induced_matching(g)
+
+
+def _assert_graph_oracles_match_referees(g):
+    assert clique(g) == index_order_clique(g)
+    assert independent_set(g) == index_order_independent_set(g)
+    assert induced_matching(g) == pairwise_induced_matching(g)
+
+
+@given(st.integers(0, 10**9), st.integers(12, 60), st.floats(0.1, 0.7))
+@settings(max_examples=25, deadline=None)
+def test_graph_oracles_match_index_order_referees(seed, n, p):
+    _assert_graph_oracles_match_referees(random_graph(n, p, seed))
+
+
+@given(st.integers(0, 10**9), st.integers(6, 16), st.floats(0.2, 0.6))
+@settings(max_examples=20, deadline=None)
+def test_graph_oracles_on_gadgets_match_index_order_referees(seed, n, p):
+    g = random_graph(n, p, seed)
+    _assert_graph_oracles_match_referees(is_to_im_gadget(g))
+    _assert_graph_oracles_match_referees(im_gadget(g))
+
+
+@given(st.integers(0, 10**9), st.sampled_from([(4, 2, 1.0), (5, 2, 0.5), (5, 2, 1.0), (6, 1, 1.0)]))
+@settings(max_examples=12, deadline=None)
+def test_graph_oracles_on_sat2dks_match_index_order_referees(seed, shape):
+    n, ell, p = shape
+    formula = gen_planted_cnf(n, 2 * n, seed)
+    _assert_graph_oracles_match_referees(sat_to_dks(formula, DksParams(ell=ell, p=p, seed=seed)))
+
+
+def _searched_masks(g):
+    """The masks clique, independent_set and induced_matching hand to the search."""
+    seen, search = [], oracles._clique_number
+
+    def record(adj, n, meter):
+        seen.append(adj)
+        return search(adj, n, meter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_clique_number", record)
+        clique(g), independent_set(g), induced_matching(g)
+    assert len(seen) == 3
+    return seen
+
+
+@given(st.integers(0, 10**9), st.integers(12, 40), st.floats(0.1, 0.7))
+@settings(max_examples=25, deadline=None)
+def test_clique_color_filter_keeps_node_counts(seed, n, p):
+    # Leaving out the vertices the branch loop would cut changes no search node.
+    for masks in _searched_masks(is_to_im_gadget(random_graph(n, p, seed))):
+        filtered, recorded = oracles._Meter(None), oracles._Meter(None)
+        got = oracles._clique_number(masks, len(masks), filtered)
+        assert got == index_order_clique_number(masks, len(masks), recorded)
+        assert filtered.nodes == recorded.nodes
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_independent_set_of_is2im_gadget_is_quick(seed):
+    # Searched in index order, seed 0 passes 10^6 nodes.
+    gadget = is_to_im_gadget(random_graph(50, 0.3, seed))
+    assert independent_set(gadget, oracles.SolveBudget(max_nodes=1000)) == 50
 
 
 # (chunk bits, table bits): chunks cut by width, by the table bound, and neither.

@@ -99,7 +99,12 @@ def test_spec_chain_validation(tmp_path):
                 {"seed": [1], "input": planted, "stages": [{"op": "cnf2lc"}]},
                 {"input": {**planted, "seed": {"a": 1}}, "stages": [{"op": "cnf2lc"}]},
                 {"input": planted, "stages": [{"op": "cnf2lc"},
-                                              {**no_r, "r": 2, "seed": [2]}]}):
+                                              {**no_r, "r": 2, "seed": [2]}]},
+                # A key no schema declares is refused, not ignored.
+                {"input": planted, "stages": [{"op": "sat2dks", "ell": 2, "prob": 0.5}]},
+                {"input": {**planted, "bogus": 1}, "stages": [{"op": "cnf2lc"}]},
+                {"input": planted, "budget": {"max_node": 10}},
+                {"input": planted, "sead": 1}):
         with pytest.raises((ParseError, ValidationError)):
             PipelineSpec.from_json(json.dumps(bad))
         spec_path.write_text(json.dumps(bad))
@@ -116,8 +121,11 @@ def test_spec_output_kind():
 
 
 def _clique_spec(kind, seed=3):
+    source = {"kind": kind, "n": 6, "m": 5}
+    if kind == "gen-gap":
+        source["epsilon"] = 0.3
     return PipelineSpec(
-        input={"kind": kind, "n": 6, "m": 5, "epsilon": 0.3},
+        input=source,
         stages=(
             {"op": "cnf2lc"},
             {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.2},
@@ -250,6 +258,25 @@ def test_verify_dks_fails_output_missing_a_window_pair():
     report = verify_pipeline(spec, run)
     assert report.stages[0].status == "FAIL"
     assert report.stages[0].values["clique"] == 9
+
+
+def test_verify_dks_subsample_against_the_seeded_draw():
+    # A subsample is graded as the p = 1 graph induced on the vertices the
+    # seeded draw keeps, so an output stripped of its edges fails.
+    spec = PipelineSpec(
+        input={"kind": "gen-planted", "n": 5, "m": 4},
+        stages=({"op": "sat2dks", "ell": 2, "p": 0.5},),
+        seed=8,
+    )
+    run = run_pipeline(spec)
+    out = run.instances[1]
+    assert 0 < out.num_vertices < 40 and out.num_edges > 0
+    assert verify_pipeline(spec, run).stages[0].status == "PASS"
+    run.instances[1] = Graph(out.num_vertices)
+    assert verify_pipeline(spec, run).stages[0].status == "FAIL"
+    # Without a seed the draw cannot be replayed, so nothing is certified.
+    unseeded = PipelineSpec(input=spec.input, stages=spec.stages)
+    assert verify_pipeline(unseeded).stages[0].status == "NOT-APPLICABLE"
 
 
 def test_write_artifacts_roundtrip_and_determinism(tmp_path):
