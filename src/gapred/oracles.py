@@ -415,13 +415,6 @@ def _clique_number(adj, n: int, meter: _Meter) -> int:
         floor = best - size
         uncolored = candidates
         color = 0
-        while uncolored and color < floor:
-            color += 1
-            cls = uncolored
-            while cls:
-                low = cls & -cls
-                uncolored ^= low
-                cls = cls & non_adj[low.bit_length() - 1] ^ low
         while uncolored:
             color += 1
             cls = uncolored
@@ -430,8 +423,9 @@ def _clique_number(adj, n: int, meter: _Meter) -> int:
                 v = low.bit_length() - 1
                 uncolored ^= low
                 cls = cls & non_adj[v] ^ low
-                order.append(v)
-                bounds.append(color)
+                if color > floor:
+                    order.append(v)
+                    bounds.append(color)
         rest = candidates
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= best:

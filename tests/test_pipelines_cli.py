@@ -279,6 +279,21 @@ def test_verify_dks_subsample_against_the_seeded_draw():
     assert verify_pipeline(unseeded).stages[0].status == "NOT-APPLICABLE"
 
 
+def test_verify_dks_subsample_costs_the_kept_pairs():
+    # n=14, ell=6 has 192,192 vertices at p = 1; grading a small subsample
+    # checks only the kept pairs, one budget node each, so a budget of
+    # exactly C(kept, 2) nodes suffices and one fewer is INCONCLUSIVE.
+    stages = ({"op": "sat2dks", "ell": 6, "p": 0.001},)
+    spec = PipelineSpec(input={"kind": "gen-planted", "n": 14, "m": 20}, stages=stages, seed=3)
+    run = run_pipeline(spec)
+    kept = run.instances[1].num_vertices
+    assert 50 < kept < 500
+    pairs = kept * (kept - 1) // 2
+    for max_nodes, status in ((pairs, "PASS"), (pairs - 1, "INCONCLUSIVE")):
+        budgeted = dataclasses.replace(spec, budget=oracles.SolveBudget(max_nodes=max_nodes))
+        assert verify_pipeline(budgeted, run).stages[0].status == status
+
+
 def test_write_artifacts_roundtrip_and_determinism(tmp_path):
     spec = _clique_spec("gen-planted")
     out1, out2 = tmp_path / "a", tmp_path / "b"
