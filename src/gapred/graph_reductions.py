@@ -164,10 +164,10 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
         nbrs = list(lc.left_neighbors[u])
         coords = lc.admissible_list(u)
         # For coordinate a, the labels b that purchase X(v, a) on edge (u, v).
-        buys = {
-            v: {a: [b for aa, b in lc.relations[(u, v)] if aa == a] for a in coords}
-            for v in nbrs
-        }
+        buys = {}
+        for v in nbrs:
+            masks = lc.beta_masks(u, v)
+            buys[v] = {a: list(bits_of(masks[a])) for a in coords}
         for rank, vec in enumerate(itertools.product(range(len(nbrs)), repeat=len(coords))):
             elem = offsets[u] + rank
             for pos, a in enumerate(coords):

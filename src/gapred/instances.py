@@ -455,6 +455,13 @@ class TupleDecoder:
             if len(tup) != len(self.members):
                 raise ValidationError("decoder tuple arity disagrees with member count")
 
+    @classmethod
+    def _unchecked(cls, members: tuple[int, ...], labels: tuple[tuple[int, ...], ...]):
+        """Unchecked constructor for transforms whose tuples are normalised; copies none."""
+        decoder = object.__new__(cls)
+        decoder.__dict__.update(members=members, labels=labels)
+        return decoder
+
     @property
     def arity(self) -> int:
         return len(self.members)
@@ -512,12 +519,21 @@ class LabelCover:
             adm = {u: full for u in range(self.left_size)}
         else:
             adm = {}
+            # A frozenset of ints is kept, not copied, and checked once however
+            # many vertices share it (the memo holds it, so its id stays unique).
+            kept = {}
             for u in range(self.left_size):
                 if u not in self.admissible:
                     raise ValidationError(f"admissible set missing for left vertex {u}")
-                labels = frozenset(int(a) for a in self.admissible[u])
-                if any(not 0 <= a < self.left_alphabet for a in labels):
-                    raise ValidationError(f"admissible label out of range at vertex {u}")
+                given = self.admissible[u]
+                labels = kept.get(id(given))
+                if labels is None:
+                    if type(given) is frozenset and all(type(a) is int for a in given):
+                        labels = kept[id(given)] = given
+                    else:
+                        labels = frozenset(int(a) for a in given)
+                    if any(not 0 <= a < self.left_alphabet for a in labels):
+                        raise ValidationError(f"admissible label out of range at vertex {u}")
                 adm[u] = labels
             if len(self.admissible) != self.left_size:
                 raise ValidationError("admissible map has spurious keys")
@@ -646,6 +662,13 @@ def parse_labelcover(data) -> LabelCover:
                 header = tuple(int(x) for x in parts[1:])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer counts") from None
+            # A label cover holds state per left vertex, right vertex and left
+            # label, so a short header must not ask for more than the cap.
+            for name, count in zip(("|U|", "|V|", "|SigmaU|"), header):
+                if count > DEFAULT_SIZE_CAP:
+                    raise ParseError(
+                        f"line {lineno}: {name} = {count} exceeds {DEFAULT_SIZE_CAP}"
+                    )
         elif parts[0] == "a":
             if header is None:
                 raise ParseError(f"line {lineno}: admissible line before header")
@@ -680,8 +703,9 @@ def parse_labelcover(data) -> LabelCover:
     if header is None:
         raise ParseError("missing 'lc' header")
     left, right, la, ra = header
+    full = frozenset(range(la))
     for u in range(left):
-        admissible.setdefault(u, frozenset(range(la)))
+        admissible.setdefault(u, full)
     try:
         return LabelCover(left, right, la, ra, relations, admissible)
     except ValidationError as exc:

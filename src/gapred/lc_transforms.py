@@ -23,6 +23,15 @@ Both compressions build a super-vertex's labels with one join
 (`_joint_labels`), which keeps the tuples in itertools.product order. Their
 size cap bounds the product size (the number of tuples before pruning), not
 the number kept.
+
+The join works on packed ints: a kept tuple's right-label masks are one int
+with an (ra+1)-bit lane per touched right vertex, the right alphabet's bits
+under a zero guard bit. Extending a tuple is one AND, and one add-and-mask
+tests every lane for emptiness at once (a nonempty lane carries into its
+guard bit). The emissions read lanes straight from that int: a right
+compression block's touched vertices are contiguous lanes, so each block is
+one bit slice, and `_BlockLabels` memoizes, per block layout, the block
+labels each slice allows.
 """
 
 from __future__ import annotations
@@ -129,16 +138,25 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
 
 def _joint_labels(
     lc: LabelCover, members, size_cap: int, index: int
-) -> tuple[list[int], list[tuple[int, ...]], list[dict[int, int]]]:
+) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
     """The labels of super-vertex `index`: joint labelings of its `members`.
 
     Returns the right vertices the members touch (ascending), the kept tuples
     of admissible member labels in itertools.product order, and for each kept
-    tuple the AND of its members' right-label masks per touched vertex. A
-    tuple is kept when every such mask is nonempty. The members are joined one
-    at a time: each surviving prefix is extended by the next member's
-    admissible labels in ascending order and dropped as soon as a mask
-    empties. The join is iterative, so long member lists do not recurse.
+    tuple one packed int of right-label masks. With ra the right alphabet, the
+    int holds one lane of ra + 1 bits per touched vertex, in touched order:
+    lane p is bits p*(ra+1) .. p*(ra+1) + ra - 1, the AND of the members'
+    right-label masks on that vertex, and a zero guard bit above them. A tuple
+    is kept when every lane is nonempty.
+
+    The members are joined one at a time: each surviving prefix is extended by
+    the next member's admissible labels in ascending order and dropped as soon
+    as a lane empties. A member's label is one precomputed int, all ones except
+    on its edges' lanes, which hold its right-label masks, so extending a
+    prefix is one AND. Adding 2^ra - 1 to a lane carries into its guard bit
+    exactly when the lane is nonempty, so `(word + full) & guard == guard` tests
+    every lane at once. The join is iterative, so long member lists do not
+    recurse.
     """
     choice_lists = [lc.admissible_list(u) for u in members]
     product_size = math.prod(len(c) for c in choice_lists)
@@ -146,18 +164,63 @@ def _joint_labels(
         raise SizeCapError(
             f"super-vertex {index} would enumerate {product_size} tuples (cap {size_cap})"
         )
-    prefixes: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {})]
-    for u, choices in zip(members, choice_lists):
-        edges = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
-        extended = []
-        for tup, masks in prefixes:
-            for alpha in choices:
-                joined = {v: masks.get(v, -1) & beta[alpha] for v, beta in edges}
-                if all(joined.values()):
-                    extended.append((tup + (alpha,), {**masks, **joined}))
-        prefixes = extended
     touched = sorted({v for u in members for v in lc.left_neighbors[u]})
-    return touched, [tup for tup, _ in prefixes], [masks for _, masks in prefixes]
+    ra = lc.right_alphabet
+    lane = (1 << ra) - 1
+    shift = {v: p * (ra + 1) for p, v in enumerate(touched)}
+    ones = sum(1 << s for s in shift.values())
+    full, guard = lane * ones, (lane + 1) * ones
+    tuples: list[tuple[int, ...]] = [()]
+    packed = [full]
+    for u, choices in zip(members, choice_lists):
+        edges = [(shift[v], lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        others = full
+        for s, _ in edges:
+            others ^= lane << s
+        extensions = []
+        for alpha in choices:
+            mask = others
+            for s, beta in edges:
+                mask |= (beta[alpha] & lane) << s
+            extensions.append(((alpha,), mask))
+        next_tuples, next_packed = [], []
+        for tup, word in zip(tuples, packed):
+            for suffix, mask in extensions:
+                joined = word & mask
+                if (joined + full) & guard == guard:
+                    next_tuples.append(tup + suffix)
+                    next_packed.append(joined)
+        tuples, packed = next_tuples, next_packed
+    return touched, tuples, packed
+
+
+class _BlockLabels(dict):
+    """Block labels allowed by a lane slice, memoized per slice.
+
+    For a block of `size` right vertices whose touched ones sit at `offsets`
+    (ascending), maps the packed lanes of those vertices (lane t at bit
+    t*(ra+1), as _joint_labels packs them) to the list of block labels, in
+    base ra with the first vertex most significant, whose digits each lane
+    allows; an untouched vertex allows every digit. The list ascends.
+    """
+
+    def __init__(self, ra: int, size: int, offsets: tuple[int, ...]):
+        super().__init__()
+        self.ra, self.size, self.offsets = ra, size, offsets
+
+    def __missing__(self, lanes: int) -> list[int]:
+        ra, lane = self.ra, (1 << self.ra) - 1
+        allowed = [range(ra)] * self.size
+        for t, offset in enumerate(self.offsets):
+            allowed[offset] = list(bits_of(lanes >> t * (ra + 1) & lane))
+        labels = []
+        for combo in itertools.product(*allowed):
+            beta = 0
+            for digit in combo:
+                beta = beta * ra + digit
+            labels.append(beta)
+        self[lanes] = labels
+        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +252,23 @@ def compress_left_with(
         raise ValidationError(
             f"disperser universe {disperser.m} disagrees with left size {lc.left_size}"
         )
+    width, lane = lc.right_alphabet + 1, (1 << lc.right_alphabet) - 1
+    lane_bits = _BlockLabels(lc.right_alphabet, 1, (0,))
     relations = {}
     admissible = {}
     decoders = []
     total_pairs = 0
     max_labels = 1
     for i, subset in enumerate(disperser.subsets):
-        members = sorted(subset)
-        touched, kept, kept_masks = _joint_labels(lc, members, size_cap, i)
+        members = tuple(sorted(subset))
+        touched, kept, packed = _joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
-        decoders.append(TupleDecoder(tuple(members), tuple(kept)))
-        for v in touched:
+        decoders.append(TupleDecoder._unchecked(members, tuple(kept)))
+        for p, v in enumerate(touched):
+            s = p * width
             pairs = frozenset(
-                (ai, b) for ai, vm in enumerate(kept_masks) for b in bits_of(vm[v])
+                (ai, b) for ai, word in enumerate(packed) for b in lane_bits[word >> s & lane]
             )
             total_pairs += len(pairs)
             if total_pairs > size_cap:
@@ -260,10 +326,13 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
         raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
 
     right_decoders = [
-        TupleDecoder(members, tuple(itertools.product(range(ra), repeat=len(members))))
+        TupleDecoder._unchecked(
+            members, tuple(itertools.product(range(ra), repeat=len(members)))
+        )
         for members in blocks
     ]
-    full_mask = (1 << ra) - 1
+    width = ra + 1
+    block_labels: dict[tuple[int, tuple[int, ...]], _BlockLabels] = {}
     relations = {}
     admissible = {}
     left_decoders = []
@@ -271,23 +340,30 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     max_labels = 1
     shared = {}  # one tuple per distinct (alpha, beta): the relations repeat them
     for i, members in enumerate(itertools.combinations(range(m), ell)):
-        _, kept, kept_masks = _joint_labels(lc, members, params.size_cap, i)
+        touched, kept, packed = _joint_labels(lc, members, params.size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
-        left_decoders.append(TupleDecoder(tuple(members), tuple(kept)))
+        left_decoders.append(TupleDecoder._unchecked(members, tuple(kept)))
+        hi = 0
         for j, block in enumerate(blocks):
-            pairs = set()
-            for ai, vmask in enumerate(kept_masks):
-                allowed = [list(bits_of(vmask.get(v, full_mask))) for v in block]
-                for combo in itertools.product(*allowed):
-                    beta = 0
-                    for digit in combo:
-                        beta = beta * ra + digit
-                    pairs.add((ai, beta))
-            total_pairs += len(pairs)
+            # Touched vertices ascend and blocks are contiguous, so the block's
+            # lanes are one bit slice of each packed int.
+            lo = hi
+            while hi < len(touched) and touched[hi] <= block[-1]:
+                hi += 1
+            layout = (len(block), tuple(v - block[0] for v in touched[lo:hi]))
+            labels = block_labels.get(layout)
+            if labels is None:
+                labels = block_labels[layout] = _BlockLabels(ra, *layout)
+            s, mask = lo * width, (1 << (hi - lo) * width) - 1
+            betas = [labels[word >> s & mask] for word in packed]
+            total_pairs += sum(map(len, betas))
             if total_pairs > params.size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
-            relations[(i, j)] = frozenset(shared.setdefault(p, p) for p in pairs)
+            pairs = list(itertools.chain.from_iterable(
+                zip(itertools.repeat(ai), bs) for ai, bs in enumerate(betas)
+            ))
+            relations[(i, j)] = frozenset(map(shared.setdefault, pairs, pairs))
     return LabelCover._unchecked(
         left_size=num_left,
         right_size=params.q,

@@ -17,13 +17,16 @@ from gapred import (
     CnfFormula,
     DksParams,
     Graph,
+    ReductionError,
     SetSystem,
+    SizeCapError,
     biclique_gadget,
     clique_to_inducedpath,
     cnf_to_labelcover,
     dks_edge,
     dks_vertices,
     emit_graph,
+    emit_setsystem,
     fglss,
     im_gadget,
     is_to_im_gadget,
@@ -78,6 +81,37 @@ def ref_setcov_to_domset(system):
         for e in elems:
             edges.add((i, k + e))
     return Graph(k + system.universe_size, frozenset(edges))
+
+
+def ref_minlab_to_setcov(lc, size_cap=500_000):
+    """minlab_to_setcov reading each coordinate's labels by scanning the edge's pairs."""
+    for u in range(lc.left_size):
+        if not lc.left_neighbors[u]:
+            raise ReductionError(f"left vertex {u} is isolated (degenerate hypercube)")
+    total = 0
+    offsets = []
+    for u in range(lc.left_size):
+        offsets.append(total)
+        total += len(lc.left_neighbors[u]) ** len(lc.admissible[u])
+        if total > size_cap:
+            raise SizeCapError(f"universe of {total}+ elements exceeds cap {size_cap}")
+    elements = {(v, b): set() for v in range(lc.right_size) for b in range(lc.right_alphabet)}
+    for u in range(lc.left_size):
+        nbrs = list(lc.left_neighbors[u])
+        coords = lc.admissible_list(u)
+        buys = {
+            v: {a: [b for aa, b in lc.relations[(u, v)] if aa == a] for a in coords}
+            for v in nbrs
+        }
+        for rank, vec in enumerate(itertools.product(range(len(nbrs)), repeat=len(coords))):
+            for pos, a in enumerate(coords):
+                v = nbrs[vec[pos]]
+                for b in buys[v][a]:
+                    elements[(v, b)].add(offsets[u] + rank)
+    return SetSystem(total, tuple(
+        (v * lc.right_alphabet + b + 1, frozenset(elements[(v, b)]))
+        for v in range(lc.right_size) for b in range(lc.right_alphabet)
+    ))
 
 
 def _ref_doubling(graph, cross_rule):
@@ -206,6 +240,30 @@ def test_setcov_to_domset_matches_on_minlab_output():
     lc = minlab_instance(cnf_to_labelcover(CnfFormula(3, ((1, 2, 3), (-1, 2, -3)))), 2, 2, 0.5)
     system = minlab_to_setcov(lc)
     assert_same_graph(setcov_to_domset(system), ref_setcov_to_domset(system))
+
+
+def _setcov_outcome(build, lc, size_cap):
+    try:
+        system = build(lc, size_cap=size_cap)
+    except (ReductionError, SizeCapError) as exc:
+        return type(exc), str(exc)
+    return system, emit_setsystem(system)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_minlab_to_setcov_matches_pair_scanning_builder(seed):
+    rng = random.Random(seed)
+    lc = random_labelcover(
+        rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4),
+        density=rng.uniform(0.5, 1.0), seed=seed, pair_density=rng.random(),
+        admissible_density=rng.choice((None, 0.6)),
+    )
+    formula = random_cnf(rng.randint(3, 5), rng.randint(2, 4), seed)
+    minlab = minlab_instance(cnf_to_labelcover(formula), 1, 2, 0.5)
+    for source in (lc, minlab):
+        for size_cap in (40, 500_000):
+            assert (_setcov_outcome(minlab_to_setcov, source, size_cap)
+                    == _setcov_outcome(ref_minlab_to_setcov, source, size_cap))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,6 +1,7 @@
 """Instance types, file formats, and generators."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gapred import (
     CnfFormula,
+    GapredError,
     Graph,
     LabelCover,
     ParseError,
@@ -202,6 +204,15 @@ def test_labelcover_default_admissible_is_full():
     assert lc.is_full_admissible(0)
 
 
+def test_labelcover_keeps_int_frozensets_and_normalises_the_rest():
+    shared = frozenset({0, 2})
+    lc = LabelCover(3, 1, 3, 2, {}, admissible={0: shared, 1: shared, 2: {True}})
+    assert lc.admissible[0] is shared is lc.admissible[1]
+    assert lc.admissible[2] == {1} and [type(a) for a in lc.admissible[2]] == [int]
+    with pytest.raises(ValidationError, match="out of range at vertex 0"):
+        LabelCover(2, 1, 2, 2, {}, admissible={0: shared, 1: shared})
+
+
 def test_labelcover_empty_admissible_allowed():
     lc = LabelCover(1, 1, 2, 2, {(0, 0): set()}, admissible={0: frozenset()})
     assert lc.admissible[0] == frozenset()
@@ -219,6 +230,22 @@ def test_parse_labelcover_errors():
         parse_labelcover("lc 1 1 2 2\ne 1 1 2 0 0\n")  # npairs mismatch
     with pytest.raises(ParseError):
         parse_labelcover("lc 1 1 2\n")
+
+
+@pytest.mark.parametrize("header, name", [("lc 3000000 1 1 1", "|U|"),
+                                          ("lc 1 30000000 1 1", "|V|"),
+                                          ("lc 1 1 200000000 1", "|SigmaU|")])
+def test_parse_labelcover_refuses_oversized_headers(header, name):
+    # Counts are refused at the header, before anything is allocated per
+    # vertex or label: each of these 17-19 byte files once took all memory.
+    with pytest.raises(ParseError, match=re.escape(f"{name} = ") + r"\d+ exceeds 500000"):
+        parse_labelcover(header + "\n")
+
+
+def test_parse_labelcover_shares_the_full_alphabet():
+    lc = parse_labelcover("lc 4 1 3 2\na 2 1 0\ne 1 1 1 0 1\n")
+    assert lc.admissible[0] == frozenset(range(3)) and lc.admissible[1] == {0}
+    assert lc.admissible[0] is lc.admissible[2] is lc.admissible[3]
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +396,77 @@ def test_tuple_decoder():
     assert dec.sub_label(2, 7) == 5
     with pytest.raises(ValidationError):
         TupleDecoder((4,), ((0, 1),))
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzzing: mutated files raise only the package's own errors
+
+
+def _valid_text(kind, seed):
+    if kind == "cnf":
+        return emit_cnf(random_cnf(5, 4, seed))
+    if kind == "graph":
+        return emit_graph(random_graph(6, 0.5, seed))
+    if kind == "ss":
+        rng = random.Random(seed)
+        return emit_setsystem(SetSystem(5, tuple(
+            (sid, frozenset(e for e in range(5) if rng.random() < 0.5)) for sid in (1, 2, 4)
+        )))
+    return emit_labelcover(random_labelcover(3, 3, 3, 2, density=0.7, seed=seed,
+                                             admissible_density=0.6))
+
+
+# Tokens that reach the parsers' edge cases: counts at and past the size cap,
+# counts that would not fit in memory, ints past str->int's digit limit, then
+# non-decimal spellings, other line tags and non-ASCII digits.
+_COUNTS = ["0", "-1", "1", "3", "500000", "500001", "10000000000", str(2**64), "1" * 5000]
+_WORDS = ["x", "", "p", "e", "a", "s", "c", "%", "lc", "ss", "edge", "cnf", "1.5", "0x10",
+          "1_0", "\uff11", "\u0663", "\x00", "\ufeff", "\n", "\r"]
+
+_MUTATION = st.tuples(
+    st.sampled_from(["replace", "delete", "insert", "dup_line", "drop_line", "swap_lines"]),
+    st.integers(0, 10**6), st.integers(0, 10**6),
+    st.one_of(st.sampled_from(_COUNTS), st.sampled_from(_WORDS), st.text(max_size=6)),
+)
+# (position, count) replacements in the header line, which holds the counts.
+_HEADER_COUNTS = st.lists(st.tuples(st.integers(1, 4), st.sampled_from(_COUNTS)), max_size=2)
+
+
+def _mutate(text, counts, mutations):
+    """Set header counts, then apply token and line mutations; positions wrap around."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    for pos, count in counts:
+        lines[0][pos % len(lines[0])] = count
+    for op, i, j, token in mutations:
+        row = lines[i % len(lines)]
+        if op == "replace":
+            row[j % len(row)] = token
+        elif op == "delete" and len(row) > 1:
+            del row[j % len(row)]
+        elif op == "insert":
+            row.insert(j % (len(row) + 1), token)
+        elif op == "dup_line":
+            lines.insert(j % (len(lines) + 1), list(row))
+        elif op == "drop_line" and len(lines) > 1:
+            lines.remove(row)
+        elif op == "swap_lines":
+            k = j % len(lines)
+            lines[i % len(lines)], lines[k] = lines[k], row
+    return "\n".join(" ".join(row) for row in lines) + "\n"
+
+
+@pytest.mark.parametrize("kind, parse", [("cnf", parse_cnf), ("graph", parse_graph),
+                                         ("ss", parse_setsystem), ("lc", parse_labelcover)])
+@given(seed=st.integers(0, 10**6), counts=_HEADER_COUNTS,
+       mutations=st.lists(_MUTATION, max_size=4), as_bytes=st.booleans(),
+       raw=st.binary(max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_parsers_raise_only_package_errors_on_mutated_files(kind, parse, seed, counts,
+                                                            mutations, as_bytes, raw):
+    text = _mutate(_valid_text(kind, seed), counts, mutations)
+    # As bytes, a few raw bytes, possibly not UTF-8, are appended.
+    data = text.encode() + raw if as_bytes else text
+    try:
+        parse(data)
+    except GapredError:
+        pass

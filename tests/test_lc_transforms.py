@@ -14,6 +14,7 @@ from gapred import (
     Disperser,
     LabelCover,
     SizeCapError,
+    TupleDecoder,
     ValidationError,
     cnf_to_labelcover,
     compress_left,
@@ -32,6 +33,7 @@ from gapred import (
     verify_disperser,
 )
 from gapred import lc_transforms
+from gapred.instances import bits_of
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
 
@@ -251,11 +253,83 @@ def _product_joint_labels(lc, members, size_cap, index):
     return touched, kept, kept_masks
 
 
-def _compressions(lc, disperser, params):
-    """Both compressions of `lc`, as emitted text plus decoders (or the error raised)."""
+def ref_compress_left_with(lc, disperser, size_cap=lc_transforms.DEFAULT_SIZE_CAP):
+    """Reference for compress_left_with: per-vertex mask dicts from the product join."""
+    if disperser.m != lc.left_size:
+        raise ValidationError(
+            f"disperser universe {disperser.m} disagrees with left size {lc.left_size}"
+        )
+    relations, admissible, decoders = {}, {}, []
+    total_pairs, max_labels = 0, 1
+    for i, subset in enumerate(disperser.subsets):
+        members = sorted(subset)
+        touched, kept, kept_masks = _product_joint_labels(lc, members, size_cap, i)
+        admissible[i] = frozenset(range(len(kept)))
+        max_labels = max(max_labels, len(kept))
+        decoders.append(TupleDecoder(tuple(members), tuple(kept)))
+        for v in touched:
+            pairs = frozenset(
+                (ai, b) for ai, vm in enumerate(kept_masks) for b in bits_of(vm[v])
+            )
+            total_pairs += len(pairs)
+            if total_pairs > size_cap:
+                raise SizeCapError(f"relation pairs exceed cap {size_cap}")
+            relations[(i, v)] = pairs
+    return LabelCover(disperser.k, lc.right_size, max_labels, lc.right_alphabet, relations,
+                      admissible, tuple(decoders), lc.right_decoders)
+
+
+def ref_compress_right(lc, params):
+    """Reference for compress_right: every kept tuple's block product, deduplicated."""
+    m, n = lc.left_size, lc.right_size
+    if m < 1 or n < 1:
+        raise ValidationError("right compression needs nonempty sides")
+    if params.q > n:
+        raise ValidationError(f"q={params.q} exceeds right size {n}")
+    ell = max(1, math.ceil(math.log(1.0 / params.gamma) / params.eps))
+    if ell > m:
+        raise ValidationError(f"derived ell={ell} exceeds left size {m}")
+    num_left = math.comb(m, ell)
+    if num_left > params.size_cap:
+        raise SizeCapError(f"{num_left} left subsets exceed cap {params.size_cap}")
+    blocks = lc_transforms._block_partition(n, params.q)
+    ra = lc.right_alphabet
+    max_block = max(len(b) for b in blocks)
+    if ra**max_block > params.size_cap:
+        raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
+    right_decoders = [
+        TupleDecoder(members, tuple(itertools.product(range(ra), repeat=len(members))))
+        for members in blocks
+    ]
+    full_mask = (1 << ra) - 1
+    relations, admissible, left_decoders = {}, {}, []
+    total_pairs, max_labels = 0, 1
+    for i, members in enumerate(itertools.combinations(range(m), ell)):
+        _, kept, kept_masks = _product_joint_labels(lc, members, params.size_cap, i)
+        admissible[i] = frozenset(range(len(kept)))
+        max_labels = max(max_labels, len(kept))
+        left_decoders.append(TupleDecoder(tuple(members), tuple(kept)))
+        for j, block in enumerate(blocks):
+            pairs = set()
+            for ai, vmask in enumerate(kept_masks):
+                allowed = [list(bits_of(vmask.get(v, full_mask))) for v in block]
+                for combo in itertools.product(*allowed):
+                    beta = 0
+                    for digit in combo:
+                        beta = beta * ra + digit
+                    pairs.add((ai, beta))
+            total_pairs += len(pairs)
+            if total_pairs > params.size_cap:
+                raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
+            relations[(i, j)] = frozenset(pairs)
+    return LabelCover(num_left, params.q, max_labels, ra**max_block, relations, admissible,
+                      tuple(left_decoders), tuple(right_decoders))
+
+
+def _outcomes(pairs):
+    """Each compression's emitted text plus decoders, or the error it raised."""
     outputs = []
-    for compress in (lambda: compress_left_with(lc, disperser, size_cap=params.size_cap),
-                     lambda: compress_right(lc, params)):
+    for compress in pairs:
         try:
             out = compress()
         except (SizeCapError, ValidationError) as exc:
@@ -265,8 +339,16 @@ def _compressions(lc, disperser, params):
     return outputs
 
 
+def _assert_compressions_match_referees(lc, disperser, params):
+    got = _outcomes([lambda: compress_left_with(lc, disperser, size_cap=params.size_cap),
+                     lambda: compress_right(lc, params)])
+    want = _outcomes([lambda: ref_compress_left_with(lc, disperser, size_cap=params.size_cap),
+                      lambda: ref_compress_right(lc, params)])
+    assert got == want
+
+
 @given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 5), st.integers(1, 4),
-       st.integers(1, 3), st.sampled_from([12, 500_000]))
+       st.integers(1, 5), st.sampled_from([12, 500_000]))
 @settings(max_examples=150, deadline=None)
 def test_joint_labels_match_product_then_filter(seed, left, right, la, ra, cap):
     import random
@@ -279,11 +361,29 @@ def test_joint_labels_match_product_then_filter(seed, left, right, la, ra, cap):
                           tuple(frozenset(rng.sample(range(left), ell)) for _ in range(k)))
     params = CompressRightParams(q=rng.randint(1, right), gamma=rng.choice([0.3, 0.5, 1.0]),
                                  eps=rng.choice([0.3, 0.6, 0.9]), size_cap=cap)
-    got = _compressions(lc, disperser, params)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lc_transforms, "_joint_labels", _product_joint_labels)
-        want = _compressions(lc, disperser, params)
-    assert got == want
+    _assert_compressions_match_referees(lc, disperser, params)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])
+def test_packed_emission_matches_referees_on_edge_layouts(q):
+    # Left vertex 1 has no edges; right vertices 1 and 3 touch nothing, so
+    # every q leaves a block with an untouched vertex; q = 5 is the right size.
+    lc = LabelCover(3, 5, 3, 5, {(0, 0): {(0, 1), (0, 4), (1, 2), (2, 0), (2, 3)},
+                                 (0, 4): {(0, 0), (1, 2), (1, 4), (2, 1)},
+                                 (2, 2): {(0, 0), (0, 3), (1, 1)},
+                                 (2, 4): {(0, 4), (1, 4)}},
+                    {0: {0, 1, 2}, 1: {0, 2}, 2: {0, 1}})
+    disperser = Disperser(3, 3, 2, 1, 0.5,
+                          (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})))
+    for gamma in (1.0, 0.5, 0.3):
+        params = CompressRightParams(q=q, gamma=gamma, eps=0.6)
+        _assert_compressions_match_referees(lc, disperser, params)
+    # At gamma = 1 the left subsets are singletons: the edgeless left vertex 1
+    # keeps both its labels, and each allows every label of every block.
+    out = compress_right(lc, CompressRightParams(q=q, gamma=1.0, eps=0.6))
+    assert out.admissible[1] == {0, 1}
+    blocks = lc_transforms._block_partition(5, q)
+    assert [len(out.relations[(1, j)]) for j in range(q)] == [2 * 5 ** len(b) for b in blocks]
 
 
 def test_compress_left_joins_long_member_lists():

@@ -357,6 +357,11 @@ def test_cli_parse_error_exit_code(tmp_path):
         graph = tmp_path / f"count{count}.graph"
         graph.write_text(f"p edge {count} 0\n")
         assert run_command(["solve", "clique", str(graph)]) == 2
+    for header in ("lc 3000000 1 1 1", "lc 1 30000000 1 1", "lc 1 1 200000000 1"):
+        lc = tmp_path / "huge.lc"
+        lc.write_text(header + "\n")
+        assert run_command(["solve", "max-cov", str(lc)]) == 2
+        assert run_command(["solve", "min-lab", str(lc)]) == 2
 
 
 def test_cli_projection_violation_exit_code(tmp_path):
