@@ -58,29 +58,32 @@ def fglss(lc: LabelCover) -> Graph:
     if not report.ok:
         raise ReductionError(f"input lacks the projection property: violation {report.violation}")
     # Each vertex keeps the mask of its own left vertex's labels and its
-    # projections. touch[v] holds the vertices whose left vertex sees v, and
-    # agree[v, beta] those among them that project to beta; a vertex's
-    # neighbours are the others that agree on every v it sees or do not see v.
-    rows: list[tuple[int, dict[int, int]]] = []
+    # projections, as (v, beta) keys. touch[v] holds the vertices whose left
+    # vertex sees v, and agree[v, beta] those among them that project to beta;
+    # a vertex's neighbours are the others that agree on every v it sees or do
+    # not see v, which allowed[v, beta] holds for one v.
+    rows: list[tuple[int, list[tuple[int, int]]]] = []
     touch: dict[int, int] = {}
     agree: dict[tuple[int, int], int] = {}
     for u in range(lc.left_size):
-        edge_masks = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        edge_masks = [(v, lc.betas[u, v]) for v in lc.left_neighbors[u]]
         labels = lc.admissible_list(u)
         own = ((1 << len(labels)) - 1) << len(rows)
+        for v, _ in edge_masks:
+            touch[v] = touch.get(v, 0) | own
         for a in labels:
             bit = 1 << len(rows)
-            proj = {v: masks[a].bit_length() - 1 for v, masks in edge_masks}
-            for v, beta in proj.items():
-                touch[v] = touch.get(v, 0) | bit
-                agree[v, beta] = agree.get((v, beta), 0) | bit
+            proj = [(v, masks[a].bit_length() - 1) for v, masks in edge_masks]
+            for key in proj:
+                agree[key] = agree.get(key, 0) | bit
             rows.append((own, proj))
+    allowed = {key: ~touch[key[0]] | mask for key, mask in agree.items()}
     full = (1 << len(rows)) - 1
     adjacency = []
     for own, proj in rows:
         mask = full & ~own
-        for v, beta in proj.items():
-            mask &= ~touch[v] | agree[v, beta]
+        for key in proj:
+            mask &= allowed[key]
         adjacency.append(mask)
     return Graph._from_masks(adjacency)
 
@@ -161,18 +164,18 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
         (v, b): set() for v in range(lc.right_size) for b in range(lc.right_alphabet)
     }
     for u in range(lc.left_size):
-        nbrs = list(lc.left_neighbors[u])
+        nbrs = lc.left_neighbors[u]
         coords = lc.admissible_list(u)
-        # For coordinate a, the labels b that purchase X(v, a) on edge (u, v).
-        buys = {}
-        for v in nbrs:
-            masks = lc.beta_masks(u, v)
-            buys[v] = {a: list(bits_of(masks[a])) for a in coords}
+        # buys[j][pos]: the labels b that purchase X(nbrs[j], coords[pos]).
+        buys = [[lc.betas[u, v].get(a, 0) for a in coords] for v in nbrs]
         for rank, vec in enumerate(itertools.product(range(len(nbrs)), repeat=len(coords))):
             elem = offsets[u] + rank
-            for pos, a in enumerate(coords):
-                v = nbrs[vec[pos]]
-                for b in buys[v][a]:
+            # The element lies in X(nbrs[j], a) for each coordinate a it maps to j.
+            bought = [0] * len(nbrs)
+            for pos, j in enumerate(vec):
+                bought[j] |= buys[j][pos]
+            for v, mask in zip(nbrs, bought):
+                for b in bits_of(mask):
                     elements[(v, b)].add(elem)
     sets = tuple(
         (v * lc.right_alphabet + b + 1, frozenset(elements[(v, b)]))

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 from .errors import ParseError, ValidationError
 
@@ -20,9 +20,11 @@ from .errors import ParseError, ValidationError
 DEFAULT_SIZE_CAP = 500_000
 
 # A Graph holds one int mask per vertex, as wide as its highest neighbour
-# index, so a short file naming high vertices can need far more memory than
-# its size. parse_graph refuses a file whose masks would pass 2^_MASK_BITS
-# bits (16 MB) in all; oracles._TABLE_BITS bounds the oracles' tables alike.
+# index, and a LabelCover one per edge and left label, as wide as its highest
+# right label, so a short file naming high vertices or labels can need far
+# more memory than its size. parse_graph and parse_labelcover refuse a file
+# whose masks would pass 2^_MASK_BITS bits (16 MB) in all;
+# oracles._TABLE_BITS bounds the oracles' tables alike.
 _MASK_BITS = 27
 
 __all__ = [
@@ -62,6 +64,23 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def digit_table(window: int, count: int, stride: int, width: int) -> int:
+    """Bitset over labelings 0..width-1 of those whose digit is allowed.
+
+    The digit has place value `stride` and runs through `count` consecutive
+    values, bit j of `window` allowing the j-th of them; the pattern repeats
+    every count * stride labelings.
+    """
+    if stride > 1:
+        spread = {48: "0" * stride, 49: "1" * stride}
+        window = int(format(window, f"0{count}b").translate(spread), 2)
+    period = count * stride
+    while period < width:
+        window |= window << period
+        period *= 2
+    return window & ((1 << width) - 1)
 
 
 def pairs_of(adjacency):
@@ -473,15 +492,74 @@ class TupleDecoder:
         return self.labels[label][self.members.index(member)]
 
 
-@dataclass(frozen=True)
+class _Pairs(Set):
+    """The (alpha, beta) pairs of one edge, read from its {alpha: beta mask} store.
+
+    Iteration ascends; `len` is a popcount and membership one bit test, so no
+    pair is built unless iterated.
+    """
+
+    __slots__ = ("_masks",)
+
+    def __init__(self, masks: Mapping[int, int]):
+        self._masks = masks
+
+    @classmethod
+    def _from_iterable(cls, pairs):
+        return frozenset(pairs)
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self._masks.values())
+
+    def __iter__(self):
+        masks = self._masks
+        for a in sorted(masks):
+            for b in bits_of(masks[a]):
+                yield a, b
+
+    def __contains__(self, pair) -> bool:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            return False
+        return type(b) is int and b >= 0 and bool(self._masks.get(a, 0) >> b & 1)
+
+    def __repr__(self) -> str:
+        return f"_Pairs({sorted(self)!r})"
+
+
+class _Relations(Mapping):
+    """Read-only view of a label cover's relations: edge -> its pairs, derived on access."""
+
+    __slots__ = ("_betas",)
+
+    def __init__(self, betas: Mapping[tuple[int, int], Mapping[int, int]]):
+        self._betas = betas
+
+    def __getitem__(self, edge) -> _Pairs:
+        return _Pairs(self._betas[edge])
+
+    def __iter__(self):
+        return iter(self._betas)
+
+    def __len__(self) -> int:
+        return len(self._betas)
+
+
+@dataclass(frozen=True, init=False)
 class LabelCover:
     """Bipartite label cover instance: relations per edge, admissible left labels.
 
-    `relations` maps each edge (u, v) to its allowed (alpha, beta) pairs; its
-    key set *is* the edge set. `admissible` maps each left vertex to the label
-    subset it may be assigned; `None` means every vertex gets the full left
-    alphabet. An empty admissible set marks a left vertex that no labeling can
-    cover (compression produces these for unsatisfiable-style sources).
+    It is stored as beta masks: `betas[u, v]` maps each left label alpha that
+    has at least one pair on edge (u, v) to the bitmask of its allowed right
+    labels, and its key set *is* the edge set. Labels outside the admissible
+    set keep their pairs, so files round-trip. `relations` is a read-only view
+    of the same store that derives each edge's (alpha, beta) pairs on access;
+    the constructor takes relations as pairs. `admissible` maps each left
+    vertex to the label subset it may be assigned; `None` means every vertex
+    gets the full left alphabet. An empty admissible set marks a left vertex
+    that no labeling can cover (compression produces these for
+    unsatisfiable-style sources).
 
     Decoders are optional structured views of compressed labels; they are
     metadata and do not participate in equality or serialization.
@@ -491,64 +569,89 @@ class LabelCover:
     right_size: int
     left_alphabet: int
     right_alphabet: int
-    relations: Mapping[tuple[int, int], frozenset[tuple[int, int]]] = field(
-        default_factory=dict
+    relations: Mapping[tuple[int, int], Set[tuple[int, int]]] = field(
+        compare=False, repr=False
     )
-    admissible: Mapping[int, frozenset[int]] | None = None
-    left_decoders: tuple | None = field(default=None, compare=False, repr=False)
-    right_decoders: tuple | None = field(default=None, compare=False, repr=False)
+    admissible: Mapping[int, frozenset[int]] | None
+    left_decoders: tuple | None = field(compare=False, repr=False)
+    right_decoders: tuple | None = field(compare=False, repr=False)
+    betas: Mapping[tuple[int, int], Mapping[int, int]] = field(init=False)
 
-    def __post_init__(self):
-        if self.left_size < 0 or self.right_size < 0:
+    def __init__(
+        self,
+        left_size: int,
+        right_size: int,
+        left_alphabet: int,
+        right_alphabet: int,
+        relations=None,
+        admissible=None,
+        left_decoders=None,
+        right_decoders=None,
+    ):
+        if left_size < 0 or right_size < 0:
             raise ValidationError("vertex counts must be >= 0")
-        if self.left_alphabet < 1 or self.right_alphabet < 1:
+        if left_alphabet < 1 or right_alphabet < 1:
             raise ValidationError("alphabet sizes must be >= 1")
-        rels = {}
-        for (u, v), pairs in self.relations.items():
+        betas = {}
+        for (u, v), pairs in (relations or {}).items():
             u, v = int(u), int(v)
-            if not (0 <= u < self.left_size and 0 <= v < self.right_size):
+            if not (0 <= u < left_size and 0 <= v < right_size):
                 raise ValidationError(f"edge ({u},{v}) out of range")
-            pairs = frozenset((int(a), int(b)) for a, b in pairs)
+            masks: dict[int, int] = {}
             for a, b in pairs:
-                if not (0 <= a < self.left_alphabet and 0 <= b < self.right_alphabet):
+                a, b = int(a), int(b)
+                if not (0 <= a < left_alphabet and 0 <= b < right_alphabet):
                     raise ValidationError(f"relation pair ({a},{b}) on edge ({u},{v}) out of range")
-            rels[(u, v)] = pairs
-        object.__setattr__(self, "relations", rels)
-        if self.admissible is None:
-            full = frozenset(range(self.left_alphabet))
-            adm = {u: full for u in range(self.left_size)}
+                masks[a] = masks.get(a, 0) | 1 << b
+            betas[u, v] = masks
+        if admissible is None:
+            full = frozenset(range(left_alphabet))
+            adm = {u: full for u in range(left_size)}
         else:
             adm = {}
             # A frozenset of ints is kept, not copied, and checked once however
             # many vertices share it (the memo holds it, so its id stays unique).
             kept = {}
-            for u in range(self.left_size):
-                if u not in self.admissible:
+            for u in range(left_size):
+                if u not in admissible:
                     raise ValidationError(f"admissible set missing for left vertex {u}")
-                given = self.admissible[u]
+                given = admissible[u]
                 labels = kept.get(id(given))
                 if labels is None:
                     if type(given) is frozenset and all(type(a) is int for a in given):
                         labels = kept[id(given)] = given
                     else:
                         labels = frozenset(int(a) for a in given)
-                    if any(not 0 <= a < self.left_alphabet for a in labels):
+                    if any(not 0 <= a < left_alphabet for a in labels):
                         raise ValidationError(f"admissible label out of range at vertex {u}")
                 adm[u] = labels
-            if len(self.admissible) != self.left_size:
+            if len(admissible) != left_size:
                 raise ValidationError("admissible map has spurious keys")
-        object.__setattr__(self, "admissible", adm)
+        self.__dict__.update(
+            left_size=left_size,
+            right_size=right_size,
+            left_alphabet=left_alphabet,
+            right_alphabet=right_alphabet,
+            admissible=adm,
+            left_decoders=left_decoders,
+            right_decoders=right_decoders,
+        )
+        self._store(betas)
 
     @classmethod
-    def _unchecked(cls, **values) -> LabelCover:
-        """Unchecked constructor for transforms whose fields are normalised; copies no pair."""
+    def _unchecked(cls, *, betas, **values) -> LabelCover:
+        """Unchecked constructor for transforms whose beta masks are nonzero and in range."""
         lc = object.__new__(cls)
         lc.__dict__.update(values)
+        lc._store(betas)
         return lc
+
+    def _store(self, betas) -> None:
+        self.__dict__.update(betas=betas, relations=_Relations(betas))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.relations.keys()))
+        return tuple(sorted(self.betas))
 
     @cached_property
     def left_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -566,15 +669,6 @@ class LabelCover:
 
     def admissible_list(self, u: int) -> list[int]:
         return sorted(self.admissible[u])
-
-    def beta_masks(self, u: int, v: int) -> dict[int, int]:
-        """Per admissible alpha, the bitmask of right labels allowed on edge (u, v)."""
-        allowed = self.admissible[u]
-        masks: dict[int, int] = {a: 0 for a in allowed}
-        for a, b in self.relations[(u, v)]:
-            if a in allowed:
-                masks[a] |= 1 << b
-        return masks
 
     def is_full_admissible(self, u: int) -> bool:
         return len(self.admissible[u]) == self.left_alphabet
@@ -648,6 +742,7 @@ def parse_labelcover(data) -> LabelCover:
     header = None
     admissible: dict[int, frozenset[int]] = {}
     relations: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
+    mask_bits = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -695,9 +790,20 @@ def parse_labelcover(data) -> LabelCover:
             if (u, v) in relations:
                 raise ParseError(f"line {lineno}: duplicate edge ({u + 1},{v + 1})")
             flat = nums[3:]
-            relations[(u, v)] = frozenset(
-                (flat[2 * i], flat[2 * i + 1]) for i in range(npairs)
-            )
+            pairs = frozenset((flat[2 * i], flat[2 * i + 1]) for i in range(npairs))
+            # The cover stores one int mask per edge and left label, as wide
+            # as its highest right label, so count those bits before any is set.
+            widths: dict[int, int] = {}
+            for a, b in pairs:
+                if b >= widths.get(a, 0):
+                    widths[a] = b + 1
+            mask_bits += sum(widths.values())
+            if mask_bits >> _MASK_BITS:
+                raise ParseError(
+                    f"line {lineno}: beta masks pass 2^{_MASK_BITS} bits "
+                    "(each is as wide as its highest right label)"
+                )
+            relations[(u, v)] = pairs
         else:
             raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
     if header is None:
@@ -720,7 +826,7 @@ def emit_labelcover(lc: LabelCover) -> str:
             body = " ".join(str(a) for a in labels)
             lines.append(f"a {u + 1} {len(labels)}" + (f" {body}" if body else ""))
     for u, v in lc.edges:
-        pairs = sorted(lc.relations[(u, v)])
+        pairs = lc.relations[(u, v)]
         flat = " ".join(f"{a} {b}" for a, b in pairs)
         lines.append(f"e {u + 1} {v + 1} {len(pairs)}" + (f" {flat}" if flat else ""))
     return "\n".join(lines) + "\n"

@@ -24,14 +24,19 @@ Both compressions build a super-vertex's labels with one join
 size cap bounds the product size (the number of tuples before pruning), not
 the number kept.
 
+Every transform reads and builds the LabelCover's stored form, one
+{alpha: beta mask} dict per edge (`LabelCover.betas`), and builds no relation
+pair; the compressions' cap on relation pairs sums the masks' popcounts.
+
 The join works on packed ints: a kept tuple's right-label masks are one int
 with an (ra+1)-bit lane per touched right vertex, the right alphabet's bits
 under a zero guard bit. Extending a tuple is one AND, and one add-and-mask
 tests every lane for emptiness at once (a nonempty lane carries into its
-guard bit). The emissions read lanes straight from that int: a right
+guard bit). The compressions read their beta masks straight from that int:
+left compression's mask on a touched vertex is its lane, and a right
 compression block's touched vertices are contiguous lanes, so each block is
-one bit slice, and `_BlockLabels` memoizes, per block layout, the block
-labels each slice allows.
+one bit slice, which `_BlockLabels` maps, memoized per block layout, to the
+block's beta mask.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import NamedTuple
 
 from .dispersers import Disperser, deterministic_disperser, random_disperser
 from .errors import SizeCapError, ValidationError
-from .instances import DEFAULT_SIZE_CAP, CnfFormula, LabelCover, TupleDecoder, bits_of
+from .instances import DEFAULT_SIZE_CAP, CnfFormula, LabelCover, TupleDecoder, digit_table
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -110,7 +115,7 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
     satisfying partial assignments, which restores the exactly-one-beta
     projection property on every edge.
     """
-    relations = {}
+    betas = {}
     admissible = {}
     for i, clause in enumerate(formula.clauses):
         width = len(clause)
@@ -121,14 +126,16 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
         admissible[i] = frozenset(satisfying)
         for p, lit in enumerate(clause):
             v = abs(lit) - 1
-            relations[(i, v)] = frozenset((alpha, (alpha >> p) & 1) for alpha in satisfying)
-    return LabelCover(
+            betas[i, v] = {alpha: 1 << (alpha >> p & 1) for alpha in satisfying}
+    return LabelCover._unchecked(
         left_size=formula.num_clauses,
         right_size=formula.num_vars,
         left_alphabet=8,
         right_alphabet=2,
-        relations=relations,
+        betas=betas,
         admissible=admissible,
+        left_decoders=None,
+        right_decoders=None,
     )
 
 
@@ -155,8 +162,10 @@ def _joint_labels(
     on its edges' lanes, which hold its right-label masks, so extending a
     prefix is one AND. Adding 2^ra - 1 to a lane carries into its guard bit
     exactly when the lane is nonempty, so `(word + full) & guard == guard` tests
-    every lane at once. The join is iterative, so long member lists do not
-    recurse.
+    every lane at once. A kept prefix has no empty lane, so the labels that fit
+    it depend only on its lanes on the member's edges; they are tested once per
+    distinct value of those lanes. The join is iterative, so long member lists
+    do not recurse.
     """
     choice_lists = [lc.admissible_list(u) for u in members]
     product_size = math.prod(len(c) for c in choice_lists)
@@ -173,54 +182,65 @@ def _joint_labels(
     tuples: list[tuple[int, ...]] = [()]
     packed = [full]
     for u, choices in zip(members, choice_lists):
-        edges = [(shift[v], lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        edges = [(shift[v], lc.betas[u, v]) for v in lc.left_neighbors[u]]
         others = full
         for s, _ in edges:
             others ^= lane << s
         extensions = []
         for alpha in choices:
             mask = others
-            for s, beta in edges:
-                mask |= (beta[alpha] & lane) << s
+            for s, masks in edges:
+                mask |= masks.get(alpha, 0) << s
             extensions.append(((alpha,), mask))
+        # The labels that fit a prefix, per its lanes on the member's edges.
+        fits: dict[int, list[tuple[tuple[int], int]]] = {}
         next_tuples, next_packed = [], []
         for tup, word in zip(tuples, packed):
-            for suffix, mask in extensions:
-                joined = word & mask
-                if (joined + full) & guard == guard:
-                    next_tuples.append(tup + suffix)
-                    next_packed.append(joined)
+            key = word & ~others
+            fit = fits.get(key)
+            if fit is None:
+                fit = fits[key] = [
+                    (suffix, mask) for suffix, mask in extensions
+                    if (((key | others) & mask) + full) & guard == guard
+                ]
+            for suffix, mask in fit:
+                next_tuples.append(tup + suffix)
+                next_packed.append(word & mask)
         tuples, packed = next_tuples, next_packed
     return touched, tuples, packed
 
 
 class _BlockLabels(dict):
-    """Block labels allowed by a lane slice, memoized per slice.
+    """Block beta mask allowed by a lane slice, memoized per slice.
 
     For a block of `size` right vertices whose touched ones sit at `offsets`
     (ascending), maps the packed lanes of those vertices (lane t at bit
-    t*(ra+1), as _joint_labels packs them) to the list of block labels, in
+    t*(ra+1), as _joint_labels packs them) to the bitmask of block labels, in
     base ra with the first vertex most significant, whose digits each lane
-    allows; an untouched vertex allows every digit. The list ascends.
+    allows; an untouched vertex allows every digit. That mask is the periodic
+    digit table of the first lane ANDed with the mask of the other lanes,
+    which `rest`, the memo of the layout without the first offset, holds.
     """
 
     def __init__(self, ra: int, size: int, offsets: tuple[int, ...]):
         super().__init__()
         self.ra, self.size, self.offsets = ra, size, offsets
+        self.rest = _BlockLabels(ra, size, offsets[1:]) if offsets else None
+        self.tables: dict[int, int] = {}
 
-    def __missing__(self, lanes: int) -> list[int]:
-        ra, lane = self.ra, (1 << self.ra) - 1
-        allowed = [range(ra)] * self.size
-        for t, offset in enumerate(self.offsets):
-            allowed[offset] = list(bits_of(lanes >> t * (ra + 1) & lane))
-        labels = []
-        for combo in itertools.product(*allowed):
-            beta = 0
-            for digit in combo:
-                beta = beta * ra + digit
-            labels.append(beta)
-        self[lanes] = labels
-        return labels
+    def __missing__(self, lanes: int) -> int:
+        ra, width = self.ra, self.ra**self.size
+        if self.rest is None:
+            mask = (1 << width) - 1
+        else:
+            digits = lanes & (1 << ra) - 1
+            table = self.tables.get(digits)
+            if table is None:
+                stride = ra ** (self.size - 1 - self.offsets[0])
+                table = self.tables[digits] = digit_table(digits, ra, stride, width)
+            mask = table & self.rest[lanes >> ra + 1]
+        self[lanes] = mask
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +273,7 @@ def compress_left_with(
             f"disperser universe {disperser.m} disagrees with left size {lc.left_size}"
         )
     width, lane = lc.right_alphabet + 1, (1 << lc.right_alphabet) - 1
-    lane_bits = _BlockLabels(lc.right_alphabet, 1, (0,))
-    relations = {}
+    betas = {}
     admissible = {}
     decoders = []
     total_pairs = 0
@@ -266,20 +285,19 @@ def compress_left_with(
         max_labels = max(max_labels, len(kept))
         decoders.append(TupleDecoder._unchecked(members, tuple(kept)))
         for p, v in enumerate(touched):
+            # Every kept tuple's lanes are nonempty, so each mask is too.
             s = p * width
-            pairs = frozenset(
-                (ai, b) for ai, word in enumerate(packed) for b in lane_bits[word >> s & lane]
-            )
-            total_pairs += len(pairs)
+            masks = [word >> s & lane for word in packed]
+            total_pairs += sum(map(int.bit_count, masks))
             if total_pairs > size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
-            relations[(i, v)] = pairs
+            betas[i, v] = dict(enumerate(masks))
     return LabelCover._unchecked(
         left_size=disperser.k,
         right_size=lc.right_size,
         left_alphabet=max_labels,
         right_alphabet=lc.right_alphabet,
-        relations=relations,
+        betas=betas,
         admissible=admissible,
         left_decoders=tuple(decoders),
         right_decoders=lc.right_decoders,
@@ -333,12 +351,11 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     ]
     width = ra + 1
     block_labels: dict[tuple[int, tuple[int, ...]], _BlockLabels] = {}
-    relations = {}
+    betas = {}
     admissible = {}
     left_decoders = []
     total_pairs = 0
     max_labels = 1
-    shared = {}  # one tuple per distinct (alpha, beta): the relations repeat them
     for i, members in enumerate(itertools.combinations(range(m), ell)):
         touched, kept, packed = _joint_labels(lc, members, params.size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
@@ -356,20 +373,17 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
             if labels is None:
                 labels = block_labels[layout] = _BlockLabels(ra, *layout)
             s, mask = lo * width, (1 << (hi - lo) * width) - 1
-            betas = [labels[word >> s & mask] for word in packed]
-            total_pairs += sum(map(len, betas))
+            masks = [labels[word >> s & mask] for word in packed]
+            total_pairs += sum(map(int.bit_count, masks))
             if total_pairs > params.size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
-            pairs = list(itertools.chain.from_iterable(
-                zip(itertools.repeat(ai), bs) for ai, bs in enumerate(betas)
-            ))
-            relations[(i, j)] = frozenset(map(shared.setdefault, pairs, pairs))
+            betas[i, j] = dict(enumerate(masks))
     return LabelCover._unchecked(
         left_size=num_left,
         right_size=params.q,
         left_alphabet=max_labels,
         right_alphabet=ra**max_block,
-        relations=relations,
+        betas=betas,
         admissible=admissible,
         left_decoders=tuple(left_decoders),
         right_decoders=tuple(right_decoders),
@@ -399,7 +413,7 @@ def drop_isolated_right(lc: LabelCover) -> LabelCover:
     if len(keep) == lc.right_size:
         return lc
     remap = {v: j for j, v in enumerate(keep)}
-    relations = {(u, remap[v]): pairs for (u, v), pairs in lc.relations.items()}
+    betas = {(u, remap[v]): masks for (u, v), masks in lc.betas.items()}
     right_decoders = None
     if lc.right_decoders is not None:
         right_decoders = tuple(lc.right_decoders[v] for v in keep)
@@ -408,7 +422,7 @@ def drop_isolated_right(lc: LabelCover) -> LabelCover:
         right_size=len(keep),
         left_alphabet=lc.left_alphabet,
         right_alphabet=lc.right_alphabet,
-        relations=relations,
+        betas=betas,
         admissible=dict(lc.admissible),
         left_decoders=lc.left_decoders,
         right_decoders=right_decoders,
@@ -426,10 +440,12 @@ class ProjectionReport(NamedTuple):
 
 def projection_check(lc: LabelCover) -> ProjectionReport:
     """True iff every (edge, admissible alpha) admits exactly one beta."""
-    for (u, v), _ in sorted(lc.relations.items()):
-        masks = lc.beta_masks(u, v)
-        for alpha in lc.admissible_list(u):
-            count = masks[alpha].bit_count()
-            if count != 1:
-                return ProjectionReport(False, (u, v, alpha, count))
+    for u, nbrs in enumerate(lc.left_neighbors):
+        labels = lc.admissible_list(u) if nbrs else ()
+        for v in nbrs:
+            masks = lc.betas[u, v]
+            for alpha in labels:
+                count = masks.get(alpha, 0).bit_count()
+                if count != 1:
+                    return ProjectionReport(False, (u, v, alpha, count))
     return ProjectionReport(True, None)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ValidationError
-from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of, pairs_of
+from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of, digit_table, pairs_of
 
 __all__ = [
     "SolveBudget",
@@ -96,23 +96,6 @@ _CHUNK_BITS = 20
 _TABLE_BITS = 26
 
 
-def _digit_table(window: int, count: int, stride: int, width: int) -> int:
-    """Bitset over `width` labelings of those whose digit is allowed.
-
-    The digit has place value `stride` and runs through `count` consecutive
-    values, bit j of `window` allowing the j-th of them; the pattern repeats
-    every count * stride labelings.
-    """
-    if stride > 1:
-        spread = {48: "0" * stride, 49: "1" * stride}
-        window = int(format(window, f"0{count}b").translate(spread), 2)
-    period = count * stride
-    while period < width:
-        window |= window << period
-        period *= 2
-    return window & ((1 << width) - 1)
-
-
 def _chunks(radix: int, digits: int, tables: int, meter: _Meter):
     """Cover the labeling space chunk by chunk, in increasing labeling order.
 
@@ -149,12 +132,12 @@ def _chunks(radix: int, digits: int, tables: int, meter: _Meter):
                     if d < low:
                         hit = periodic.get(key)
                         if hit is None:
-                            hit = periodic[key] = _digit_table(values, radix, radix**d, full)
+                            hit = periodic[key] = digit_table(values, radix, radix**d, full)
                         if width < full:
                             hit &= ones
                     elif d == low:
                         mask = values >> first & ((1 << count) - 1)
-                        hit = _digit_table(mask, count, place, width)
+                        hit = digit_table(mask, count, place, width)
                     else:
                         hit = ones if values >> (offset // radix**d % radix) & 1 else 0
                     memo[key] = hit
@@ -219,28 +202,51 @@ def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
 # Label cover problems
 
 
-def _edge_beta_masks(lc: LabelCover):
-    """Per left vertex, list of (v, {alpha: beta bitmask}) over its incident edges."""
-    per_u = []
-    for u in range(lc.left_size):
-        per_u.append([(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]])
-    return per_u
+def _label_rows(lc: LabelCover):
+    """Per left vertex with edges, its neighbours and the beta-mask rows of its labels.
+
+    A row holds one label's masks on the vertex's edges, in neighbour order,
+    for each admissible label whose masks are all nonzero. Rows that agree on
+    every edge but the last are merged into one that ORs their last masks: a
+    right labeling meets one of them exactly when it meets the merged row.
+    Only the labels stored on the first edge are scanned, so the cost follows
+    the relations, not the admissible sets. Left vertices without edges get
+    no entry: they are covered exactly when they have an admissible label.
+    """
+    entries = {}
+    for u, nbrs in enumerate(lc.left_neighbors):
+        if not nbrs:
+            continue
+        allowed = lc.admissible[u]
+        edges = [lc.betas[u, v] for v in nbrs]
+        first = edges[0].keys()
+        labels = list(first) if first <= allowed else [a for a in first if a in allowed]
+        for masks in edges[1:]:
+            if masks.keys() != first:
+                labels = [a for a in labels if a in masks]
+        *prefix, last = (list(map(masks.__getitem__, labels)) for masks in edges)
+        keys = zip(*prefix) if prefix else itertools.repeat(())
+        merged: dict[tuple[int, ...], int] = {}
+        for key, mask in zip(keys, last):
+            merged[key] = merged.get(key, 0) | mask
+        entries[u] = (nbrs, [(*key, mask) for key, mask in merged.items()])
+    return entries
 
 
-def _cover_tables(lc: LabelCover, masks_by_u, ones: int, table):
+def _cover_tables(entries, ones: int, table):
     """Per left vertex, the bitset of the chunk's right labelings that cover it.
 
-    That is the OR over its admissible labels of the AND over its edges of the
+    That is the OR over its label rows of the AND over the row's edges of the
     labelings giving v a label in the edge's beta mask. The chunk's `table`
     memoizes those last bitsets per (v, beta mask): compressed instances repeat
     masks heavily.
     """
-    for u, edges in enumerate(masks_by_u):
+    for nbrs, rows in entries:
         covered = 0
-        for a in lc.admissible[u]:
+        for row in rows:
             t = ones
-            for v, bmask in edges:
-                t &= table(v, bmask[a])
+            for v, mask in zip(nbrs, row):
+                t &= table(v, mask)
                 if not t:
                     break
             covered |= t
@@ -255,19 +261,17 @@ def max_cov(lc: LabelCover, budget: SolveBudget | None = None) -> int:
     meter is charged per chunk of labelings.
     """
     meter = _Meter(budget)
-    masks_by_u = _edge_beta_masks(lc)
-    keys = {
-        (v, bmask[a])
-        for u, edges in enumerate(masks_by_u)
-        for a in lc.admissible[u]
-        for v, bmask in edges
-    }
+    free = sum(
+        1 for u, nbrs in enumerate(lc.left_neighbors) if not nbrs and lc.admissible[u]
+    )
+    entries = [entry for entry in _label_rows(lc).values() if entry[1]]
+    keys = {key for nbrs, rows in entries for row in rows for key in zip(nbrs, row)}
     best = 0
     for _, ones, table in _chunks(lc.right_alphabet, lc.right_size, len(keys), meter):
-        best = max(best, _max_count(_cover_tables(lc, masks_by_u, ones, table), ones))
-        if best == lc.left_size:
+        best = max(best, _max_count(_cover_tables(entries, ones, table), ones))
+        if free + best == lc.left_size:
             break
-    return best
+    return free + best
 
 
 def max_cov_at_least(lc: LabelCover, r: int, budget: SolveBudget | None = None) -> bool:
@@ -277,11 +281,6 @@ def max_cov_at_least(lc: LabelCover, r: int, budget: SolveBudget | None = None) 
         return True
     if r > lc.left_size:
         return False
-    bmask = {
-        (u, v): lc.beta_masks(u, v)
-        for u in range(lc.left_size)
-        for v in lc.left_neighbors[u]
-    }
     full = (1 << lc.right_alphabet) - 1
     adm = [lc.admissible_list(u) for u in range(lc.left_size)]
     for subset in itertools.combinations(range(lc.left_size), r):
@@ -291,7 +290,7 @@ def max_cov_at_least(lc: LabelCover, r: int, budget: SolveBudget | None = None) 
             per_v: dict[int, int] = {}
             for u, a in zip(subset, labels):
                 for v in lc.left_neighbors[u]:
-                    m = per_v.get(v, full) & bmask[(u, v)][a]
+                    m = per_v.get(v, full) & lc.betas[u, v].get(a, 0)
                     if not m:
                         ok = False
                         break
@@ -312,36 +311,30 @@ def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:
     left vertex.
     """
     meter = _Meter(budget)
-    masks_by_u = _edge_beta_masks(lc)
-    # Feasibility with every label allowed: each u needs an alpha whose beta
-    # set is nonempty on all incident edges.
+    # Feasibility with every label allowed: each u needs an admissible label,
+    # one whose beta masks are nonzero on all its edges if it has edges.
+    entries = _label_rows(lc)
     for u in range(lc.left_size):
-        if not any(
-            all(bmask[a] for _, bmask in masks_by_u[u]) for a in lc.admissible[u]
-        ):
+        if not (entries[u][1] if u in entries else lc.admissible[u]):
             return None
 
     live = [v for v in range(lc.right_size) if lc.right_neighbors[v]]
     usable = {}
     for v in live:
-        labels = set()
+        labels = 0
         for u in lc.right_neighbors[v]:
-            for a, b in lc.relations[(u, v)]:
-                if a in lc.admissible[u]:
-                    labels.add(b)
-        usable[v] = sorted(labels)
+            allowed = lc.admissible[u]
+            for a, mask in lc.betas[u, v].items():
+                if a in allowed:
+                    labels |= mask
+        usable[v] = list(bits_of(labels))
 
     def feasible(choice: dict[int, int]) -> bool:
         # choice: right vertex -> chosen beta bitmask
-        for u in range(lc.left_size):
-            found = False
-            for a in lc.admissible[u]:
-                if all(bmask[a] & choice[v] for v, bmask in masks_by_u[u]):
-                    found = True
-                    break
-            if not found:
-                return False
-        return True
+        return all(
+            any(all(mask & choice[v] for v, mask in zip(nbrs, row)) for row in rows)
+            for nbrs, rows in entries.values()
+        )
 
     caps = [len(usable[v]) for v in live]
 

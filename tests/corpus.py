@@ -1,5 +1,5 @@
-"""Shared test corpus helpers: small named graphs, isomorphism-free sweeps and
-mixed-width CNF formulas."""
+"""Shared test corpus helpers: small named graphs, isomorphism-free sweeps,
+mixed-width CNF formulas and pair-derived label-cover masks."""
 
 import itertools
 
@@ -13,6 +13,40 @@ def mixed_cnf(rng, n, m):
         width = rng.randint(1, min(3, n))
         clauses.append(tuple(v * rng.choice((-1, 1)) for v in rng.sample(range(1, n + 1), width)))
     return CnfFormula(n, tuple(clauses))
+
+
+def pair_beta_masks(lc, u, v):
+    """Per admissible alpha, the bitmask of right labels allowed on edge (u, v).
+
+    Read from the edge's relation pairs, so referees built on it do not share
+    LabelCover's stored masks.
+    """
+    allowed = lc.admissible[u]
+    masks = {a: 0 for a in allowed}
+    for a, b in lc.relations[(u, v)]:
+        if a in allowed:
+            masks[a] |= 1 << b
+    return masks
+
+
+def pair_cover_fields(rng, left, right, la, ra):
+    """Relations, as pair sets, and admissible sets of a random label cover drawn from rng.
+
+    Edges come at a random density and some hold no pair; pairs fall on every
+    left label, admissible or not; admissible sets may be empty or full. So
+    some left vertices are isolated and some can never be covered.
+    """
+    admissible = {u: frozenset(a for a in range(la) if rng.random() < 0.6) for u in range(left)}
+    density = rng.random()
+    relations = {}
+    for u in range(left):
+        for v in range(right):
+            if rng.random() < density:
+                pair_density = rng.choice((0.0, rng.random()))
+                relations[(u, v)] = frozenset(
+                    (a, b) for a in range(la) for b in range(ra) if rng.random() < pair_density
+                )
+    return relations, admissible
 
 
 def complete_graph(n):

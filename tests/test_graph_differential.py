@@ -40,7 +40,7 @@ from gapred import (
     setcov_to_domset,
 )
 
-from corpus import mixed_cnf
+from corpus import mixed_cnf, pair_beta_masks
 
 SEEDS = range(12)
 
@@ -53,7 +53,7 @@ def ref_fglss(lc):
     vertices = []
     proj = []
     for u in range(lc.left_size):
-        edge_masks = [(v, lc.beta_masks(u, v)) for v in lc.left_neighbors[u]]
+        edge_masks = [(v, pair_beta_masks(lc, u, v)) for v in lc.left_neighbors[u]]
         for a in lc.admissible_list(u):
             vertices.append((u, a))
             proj.append({v: masks[a].bit_length() - 1 for v, masks in edge_masks})

@@ -1,5 +1,6 @@
 """Instance types, file formats, and generators."""
 
+import dataclasses
 import random
 import re
 
@@ -28,7 +29,7 @@ from gapred import (
     random_labelcover,
 )
 
-from corpus import complete_graph
+from corpus import complete_graph, pair_cover_fields
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,58 @@ def test_parse_labelcover_refuses_oversized_headers(header, name):
         parse_labelcover(header + "\n")
 
 
+@pytest.mark.parametrize("text", [
+    "lc 1 1 1 100000000000\ne 1 1 1 0 99999999999\n",
+    f"lc 1 1 1 {'9' * 100}\ne 1 1 1 0 {2**64}\n",
+    # Each line alone is well under the bound; the bound is on all lines.
+    "lc 1 200 1 10000000\n" + "".join(f"e 1 {v} 1 0 9999999\n" for v in range(1, 201)),
+], ids=["beta-1e11", "beta-2^64", "200-edges"])
+def test_parse_labelcover_refuses_wide_beta_masks(text):
+    # A beta mask is as wide as its highest right label, so these short files
+    # are refused before any mask is built: the first once asked for 12 GB.
+    with pytest.raises(ParseError, match=r"beta masks pass 2\^27 bits"):
+        parse_labelcover(text)
+
+
+def test_parse_labelcover_accepts_beta_masks_under_the_bound():
+    lc = parse_labelcover(f"lc 1 1 1 {1 << 27}\ne 1 1 1 0 {(1 << 27) - 2}\n")
+    assert lc.betas == {(0, 0): {0: 1 << (1 << 27) - 2}}
+
+
+def test_labelcover_stores_no_label_without_pairs():
+    relations = {(0, 0): {(2, 1), (2, 0)}, (0, 1): set(), (1, 1): {(0, 1)}}
+    admissible = {0: {0, 1}, 1: {0, 1, 2}}
+    lc = LabelCover(2, 2, 3, 2, relations, admissible)
+    # Label 2 is not admissible at vertex 0 but keeps its pairs; labels 0 and
+    # 1 there have none and get no entry; edge (0, 1) has no pair at all.
+    assert lc.betas == {(0, 0): {2: 0b11}, (0, 1): {}, (1, 1): {0: 0b10}}
+    # Equality compares the store, so both of those count.
+    without_edge = {k: p for k, p in relations.items() if k != (0, 1)}
+    assert lc != LabelCover(2, 2, 3, 2, without_edge, admissible)
+    assert lc != LabelCover(2, 2, 3, 2, {**relations, (0, 0): {(2, 1)}}, admissible)
+    assert lc == LabelCover(2, 2, 3, 2, {k: list(p) for k, p in relations.items()}, admissible)
+
+
+def test_relations_view_derives_pairs_from_the_store():
+    lc = LabelCover(1, 2, 3, 4, {(0, 0): {(2, 3), (0, 1), (2, 0)}, (0, 1): set()})
+    pairs = lc.relations[(0, 0)]
+    assert list(pairs) == [(0, 1), (2, 0), (2, 3)]
+    assert len(pairs) == 3 and len(lc.relations[(0, 1)]) == 0 and len(lc.relations) == 2
+    assert (2, 3) in pairs and (0, 1) in pairs
+    assert all(p not in pairs for p in [(1, 3), (2, 4), (0, -1), (5, 0), "ab", (0,), None])
+    assert pairs == {(0, 1), (2, 0), (2, 3)} and pairs <= {(0, 1), (1, 1), (2, 0), (2, 3)}
+    assert pairs & {(2, 0), (1, 1)} == {(2, 0)}
+    with pytest.raises(TypeError):
+        lc.relations[(0, 0)] = frozenset()
+    # The public constructor takes relations, so replace() goes through its checks.
+    assert dataclasses.replace(lc, relations={(0, 1): {(1, 1)}}).betas == {(0, 1): {1: 0b10}}
+    assert dataclasses.replace(lc, left_alphabet=4).betas == lc.betas
+    with pytest.raises(ValidationError):
+        dataclasses.replace(lc, relations={(0, 0): {(3, 0)}})
+    with pytest.raises(ValidationError):
+        dataclasses.replace(lc, right_alphabet=3)
+
+
 def test_parse_labelcover_shares_the_full_alphabet():
     lc = parse_labelcover("lc 4 1 3 2\na 2 1 0\ne 1 1 1 0 1\n")
     assert lc.admissible[0] == frozenset(range(3)) and lc.admissible[1] == {0}
@@ -278,6 +331,33 @@ def test_labelcover_roundtrip(seed):
 def test_projection_labelcover_roundtrip(seed):
     lc = random_labelcover(3, 2, 2, 3, density=0.8, seed=seed, projection=True)
     assert parse_labelcover(emit_labelcover(lc)) == lc
+
+
+@given(st.integers(0, 10**9), st.integers(0, 4), st.integers(0, 4), st.integers(1, 4),
+       st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_labelcover_text_roundtrip_keeps_every_pair(seed, left, right, la, ra):
+    # Covers with pairs on labels outside the admissible sets, edges without
+    # pairs, empty and full admissible sets.
+    relations, admissible = pair_cover_fields(random.Random(seed), left, right, la, ra)
+    lc = LabelCover(left, right, la, ra, relations, admissible)
+    assert lc.betas == {
+        edge: {a: sum(1 << b for aa, b in pairs if aa == a) for a, _ in pairs}
+        for edge, pairs in relations.items()
+    }
+    assert {edge: frozenset(pairs) for edge, pairs in lc.relations.items()} == relations
+    lines = [f"lc {left} {right} {la} {ra}"]
+    for u in range(left):
+        if len(admissible[u]) < la:
+            lines.append(f"a {u + 1} {len(admissible[u])}"
+                         + "".join(f" {a}" for a in sorted(admissible[u])))
+    for u, v in sorted(relations):
+        pairs = sorted(relations[(u, v)])
+        lines.append(f"e {u + 1} {v + 1} {len(pairs)}" + "".join(f" {a} {b}" for a, b in pairs))
+    text = "\n".join(lines) + "\n"
+    assert emit_labelcover(lc) == text
+    assert parse_labelcover(text) == lc
+    assert emit_labelcover(parse_labelcover(text)) == text
 
 
 # ---------------------------------------------------------------------------

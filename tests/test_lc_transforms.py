@@ -36,6 +36,8 @@ from gapred import lc_transforms
 from gapred.instances import bits_of
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
+from corpus import pair_beta_masks
+
 
 # ---------------------------------------------------------------------------
 # cnf_to_labelcover
@@ -241,12 +243,13 @@ def _product_joint_labels(lc, members, size_cap, index):
             f"super-vertex {index} would enumerate {product_size} tuples (cap {size_cap})"
         )
     touched = sorted({v for u in members for v in lc.left_neighbors[u]})
+    betas = {(u, v): pair_beta_masks(lc, u, v) for u in members for v in lc.left_neighbors[u]}
     kept, kept_masks = [], []
     for tup in itertools.product(*choice_lists):
         vmask = {v: -1 for v in touched}
         for u, alpha in zip(members, tup):
             for v in lc.left_neighbors[u]:
-                vmask[v] &= lc.beta_masks(u, v)[alpha]
+                vmask[v] &= betas[u, v][alpha]
         if all(vmask.values()):
             kept.append(tup)
             kept_masks.append(vmask)
@@ -454,12 +457,27 @@ def test_unchecked_outputs_pass_the_public_checks(seed):
         checked = _rebuilt(out)
         assert checked == out
         assert emit_labelcover(checked) == emit_labelcover(out)
-        assert all(type(pairs) is frozenset for pairs in out.relations.values())
+        # The store holds one nonzero int mask per label with pairs.
+        assert all(
+            type(a) is int and 0 <= a < out.left_alphabet
+            and type(mask) is int and 0 < mask < 1 << out.right_alphabet
+            for masks in out.betas.values() for a, mask in masks.items()
+        )
         assert set(out.admissible) == set(range(out.left_size))
 
 
-def test_compress_right_shares_pair_tuples_across_relations():
-    lc = cnf_to_labelcover(gen_planted_cnf(6, 5, seed=6))
-    out = compress_right(lc, CompressRightParams(q=2, gamma=0.5, eps=0.3))
-    pairs = [pair for rel in out.relations.values() for pair in rel]
-    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
+def test_compressions_store_int_masks_matching_the_referees():
+    params = CompressRightParams(q=2, gamma=0.5, eps=0.3)
+    for seed in range(4):
+        lc = cnf_to_labelcover(gen_planted_cnf(6, 5, seed=seed))
+        disperser = random_disperser(lc.left_size, 3, 2, 0.5, seed)
+        for out, ref in [
+            (compress_left_with(lc, disperser), ref_compress_left_with(lc, disperser)),
+            (compress_right(lc, params), ref_compress_right(lc, params)),
+        ]:
+            assert out.edges == ref.edges
+            for edge in out.edges:
+                masks = out.betas[edge]
+                assert all(type(mask) is int and mask for mask in masks.values())
+                pairs = {(a, b) for a, mask in masks.items() for b in bits_of(mask)}
+                assert pairs == set(ref.relations[edge]) == set(out.relations[edge])

@@ -37,6 +37,7 @@ from gapred import (
     induced_path_at_least,
     max_cov,
     min_lab,
+    parse_labelcover,
     random_graph,
     random_labelcover,
     sat_max,
@@ -46,7 +47,7 @@ from gapred import (
 from gapred import oracles
 from gapred.instances import SetSystem, bits_of
 
-from corpus import mixed_cnf
+from corpus import mixed_cnf, pair_beta_masks, pair_cover_fields
 
 
 def _subsets(vertices):
@@ -291,6 +292,59 @@ def test_max_cov_matches_brute(seed):
     assert max_cov(lc) == brute_max_cov(lc)
 
 
+def pair_scan_max_cov(right, ra, relations, admissible):
+    """Every right labeling in turn, each edge read from its pair set."""
+    best = 0
+    for sigma in itertools.product(range(ra), repeat=right):
+        covered = 0
+        for u, labels in admissible.items():
+            edges = [(v, pairs) for (w, v), pairs in relations.items() if w == u]
+            covered += any(all((a, sigma[v]) in pairs for v, pairs in edges) for a in labels)
+        best = max(best, covered)
+    return best
+
+
+@given(st.integers(0, 10**9), st.integers(0, 5), st.integers(0, 3), st.integers(1, 4),
+       st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_max_cov_matches_pair_scan(seed, left, right, la, ra):
+    # Isolated left vertices, edges without pairs, pairs on labels outside
+    # the admissible sets and empty admissible sets all occur.
+    relations, admissible = pair_cover_fields(random.Random(seed), left, right, la, ra)
+    lc = LabelCover(left, right, la, ra, relations, admissible)
+    assert max_cov(lc) == pair_scan_max_cov(right, ra, relations, admissible)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 3), st.integers(0, 2), st.integers(1, 3),
+       st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_min_lab_matches_brute_on_pair_covers(seed, left, right, la, ra):
+    relations, admissible = pair_cover_fields(random.Random(seed), left, right, la, ra)
+    lc = LabelCover(left, right, la, ra, relations, admissible)
+    assert min_lab(lc) == brute_min_lab(lc)
+
+
+class _Unlisted(frozenset):
+    """An admissible set that may be tested but not listed."""
+
+    def __iter__(self):
+        raise AssertionError("an admissible set was listed")
+
+
+@pytest.mark.parametrize("edges", [False, True])
+def test_max_cov_scans_stored_labels_only(edges):
+    # 5,000 left vertices of 5,000 labels each: the scan must follow the
+    # stored pairs, not every (vertex, admissible label), so it may test
+    # the admissible sets but never list them.
+    text = "lc 5000 1 5000 1\n"
+    if edges:
+        text += "".join(f"e {u} 1 0\n" for u in range(1, 5001))
+    lc = parse_labelcover(text)
+    unlisted = _Unlisted(lc.admissible[0])
+    lc.admissible.update(dict.fromkeys(lc.admissible, unlisted))
+    assert max_cov(lc) == (0 if edges else 5000)
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=25, deadline=None)
 def test_min_lab_matches_brute(seed):
@@ -319,7 +373,7 @@ def product_max_cov(lc):
         tables = []
         for v in lc.left_neighbors[u]:
             table = [0] * lc.right_alphabet
-            for a, mask in lc.beta_masks(u, v).items():
+            for a, mask in pair_beta_masks(lc, u, v).items():
                 for b in bits_of(mask):
                     table[b] |= 1 << pos[u][a]
             tables.append((v, table))

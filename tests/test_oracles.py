@@ -41,6 +41,7 @@ from corpus import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    pair_beta_masks,
     path_graph,
     petersen_graph,
 )
@@ -100,7 +101,7 @@ def min_lab_assignments(lc):
     if any(not labels for labels in adm):
         return None
     bmask = {
-        (u, v): lc.beta_masks(u, v)
+        (u, v): pair_beta_masks(lc, u, v)
         for u in range(lc.left_size)
         for v in lc.left_neighbors[u]
     }

@@ -362,6 +362,12 @@ def test_cli_parse_error_exit_code(tmp_path):
         lc.write_text(header + "\n")
         assert run_command(["solve", "max-cov", str(lc)]) == 2
         assert run_command(["solve", "min-lab", str(lc)]) == 2
+    for text in ("lc 1 1 1 100000000000\ne 1 1 1 0 99999999999\n",
+                 f"lc 1 1 1 {'9' * 100}\ne 1 1 1 0 {2**64}\n"):
+        lc = tmp_path / "wide.lc"
+        lc.write_text(text)
+        assert run_command(["solve", "max-cov", str(lc)]) == 2
+        assert run_command(["lc2clique", str(lc)]) == 2
 
 
 def test_cli_projection_violation_exit_code(tmp_path):
