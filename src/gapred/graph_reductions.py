@@ -2,8 +2,9 @@
 
 Each construction is paired (in tests) with the exact oracles that certify
 its completeness/soundness identity at desk scale: FGLSS turns MaxCov into
-Clique exactly; the hypercube set system turns MinLab into SetCov exactly;
-the doubling gadgets sandwich Biclique and InducedMatching between Clique and
+Clique exactly; the hypercube set system, whose canonical sets are digit
+tables over the vectors' ranks, turns MinLab into SetCov exactly; the doubling
+gadgets sandwich Biclique and InducedMatching between Clique and
 2*Biclique+1; the block-chained clique gadget separates InducedPath at 2qk vs
 4(k-1); and the partial-assignment graph realizes the DkS subsampling route.
 """
@@ -17,7 +18,16 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ReductionError, SizeCapError, ValidationError
-from .instances import DEFAULT_SIZE_CAP, CnfFormula, Graph, LabelCover, SetSystem, bits_of
+from .instances import (
+    DEFAULT_SIZE_CAP,
+    CnfFormula,
+    Graph,
+    LabelCover,
+    SetSystem,
+    bit_set,
+    bits_of,
+    digit_table,
+)
 from .lc_transforms import projection_check
 
 __all__ = [
@@ -110,16 +120,29 @@ class HypercubeSystem:
         return len(self.vectors)
 
 
+def canonical_masks(z: int, k: int) -> list[list[int]]:
+    """X(i, a) of [z]^k, at [i][a], as a mask over the vectors' ranks.
+
+    Vectors are ranked in itertools.product order, so coordinate a is the
+    base-z digit of place value z^(k-1-a), and X(i, a) is the digit table of
+    that digit's value i. Both `hypercube` and `minlab_to_setcov` read the
+    canonical sets from here.
+    """
+    width = z**k
+    return [[digit_table(1 << i, z, z ** (k - 1 - a), width) for a in range(k)] for i in range(z)]
+
+
 def hypercube(z: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> HypercubeSystem:
+    """The hypercube partition system [z]^k; its sets are the digit tables of `canonical_masks`."""
     if z < 1 or k < 1:
         raise ValidationError("need z >= 1 and k >= 1")
     if z**k > size_cap:
         raise SizeCapError(f"{z}^{k} ground elements exceed cap {size_cap}")
     vectors = tuple(itertools.product(range(z), repeat=k))
     sets = {
-        (i, a): frozenset(idx for idx, vec in enumerate(vectors) if vec[a] == i)
-        for i in range(z)
-        for a in range(k)
+        (i, a): bit_set(mask)
+        for i, row in enumerate(canonical_masks(z, k))
+        for a, mask in enumerate(row)
     }
     return HypercubeSystem(z, k, vectors, sets)
 
@@ -145,10 +168,12 @@ def check_cover_iff_column(hs: HypercubeSystem, size_cap: int = DEFAULT_SIZE_CAP
 def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSystem:
     """Compose one hypercube per left vertex: SetCov of the output = MinLab(lc).
 
-    Left vertex u contributes the hypercube on values N(u) and coordinates
-    A(u); the purchasable set for (right vertex v, label b) is the union of
-    the virtual canonical sets X(v, a) over neighbors u and pairs (a, b) in
-    the edge relation. The output always has exactly |V| * |Sigma_V| sets.
+    Left vertex u contributes the hypercube [|N(u)|]^|A(u)| on values N(u)
+    and coordinates A(u), its elements placed after those of the vertices
+    before it. The purchasable set for (right vertex v, label b) is the union
+    of the canonical sets X(v, a), the digit tables of `canonical_masks`, over
+    neighbours u and pairs (a, b) in the edge relation. The output always has
+    exactly |V| * |Sigma_V| sets, with id v * |Sigma_V| + b + 1.
     """
     for u in range(lc.left_size):
         if not lc.left_neighbors[u]:
@@ -160,29 +185,32 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
         total += len(lc.left_neighbors[u]) ** len(lc.admissible[u])
         if total > size_cap:
             raise SizeCapError(f"universe of {total}+ elements exceeds cap {size_cap}")
-    elements: dict[tuple[int, int], set[int]] = {
-        (v, b): set() for v in range(lc.right_size) for b in range(lc.right_alphabet)
-    }
+    ra = lc.right_alphabet
+    masks = [0] * (lc.right_size * ra)
+    cubes: dict[tuple[int, int], list[list[int]]] = {}
     for u in range(lc.left_size):
         nbrs = lc.left_neighbors[u]
         coords = lc.admissible_list(u)
-        # buys[j][pos]: the labels b that purchase X(nbrs[j], coords[pos]).
-        buys = [[lc.betas[u, v].get(a, 0) for a in coords] for v in nbrs]
-        for rank, vec in enumerate(itertools.product(range(len(nbrs)), repeat=len(coords))):
-            elem = offsets[u] + rank
-            # The element lies in X(nbrs[j], a) for each coordinate a it maps to j.
-            bought = [0] * len(nbrs)
-            for pos, j in enumerate(vec):
-                bought[j] |= buys[j][pos]
-            for v, mask in zip(nbrs, bought):
-                for b in bits_of(mask):
-                    elements[(v, b)].add(elem)
-    sets = tuple(
-        (v * lc.right_alphabet + b + 1, frozenset(elements[(v, b)]))
-        for v in range(lc.right_size)
-        for b in range(lc.right_alphabet)
-    )
-    return SetSystem(total, sets)
+        shape = len(nbrs), len(coords)
+        if shape not in cubes:
+            cubes[shape] = canonical_masks(*shape)
+        for j, v in enumerate(nbrs):
+            betas, tables = lc.betas[u, v], cubes[shape][j]
+            # by_beta[beta]: the union of X(j, pos) over the coordinates
+            # whose label has that beta mask on this edge; each of its labels
+            # b buys the union.
+            by_beta: dict[int, int] = {}
+            for pos, a in enumerate(coords):
+                beta = betas.get(a)
+                if beta:
+                    by_beta[beta] = by_beta.get(beta, 0) | tables[pos]
+            bought: dict[int, int] = {}
+            for beta, mask in by_beta.items():
+                for b in bits_of(beta):
+                    bought[b] = bought.get(b, 0) | mask
+            for b, mask in bought.items():
+                masks[v * ra + b] |= mask << offsets[u]
+    return SetSystem._from_masks(total, range(1, len(masks) + 1), masks)
 
 
 def setcov_to_domset(system: SetSystem) -> Graph:

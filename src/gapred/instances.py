@@ -8,6 +8,7 @@ use private unchecked ones. Generators are pure functions of their seed.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from collections.abc import Mapping, Set
@@ -20,10 +21,12 @@ from .errors import ParseError, ValidationError
 DEFAULT_SIZE_CAP = 500_000
 
 # A Graph holds one int mask per vertex, as wide as its highest neighbour
-# index, and a LabelCover one per edge and left label, as wide as its highest
-# right label, so a short file naming high vertices or labels can need far
-# more memory than its size. parse_graph and parse_labelcover refuse a file
-# whose masks would pass 2^_MASK_BITS bits (16 MB) in all;
+# index, a SetSystem one per set, as wide as its highest element, and a
+# LabelCover one per edge and left label, as wide as its highest right label,
+# so a short file or call naming high vertices, elements or labels can need
+# far more memory than its size. parse_graph and the SetSystem and LabelCover
+# constructors, which parse_setsystem and parse_labelcover call, refuse masks
+# that would pass 2^_MASK_BITS bits (16 MB) in all;
 # oracles._TABLE_BITS bounds the oracles' tables alike.
 _MASK_BITS = 27
 
@@ -81,6 +84,31 @@ def digit_table(window: int, count: int, stride: int, width: int) -> int:
         window |= window << period
         period *= 2
     return window & ((1 << width) - 1)
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte e is 1 when bit e of the nonnegative `mask` is set, else 0."""
+    return format(mask, "b").encode()[::-1].translate(_TO_FLAGS)
+
+
+def bit_set(mask: int) -> frozenset[int]:
+    """The set bit indices of a nonnegative int, read in one pass over its digits."""
+    return frozenset(itertools.compress(itertools.count(), _flags(mask)))
+
+
+def _mask_of(elements: list[int]) -> int:
+    """The mask with bit e set for each of the nonnegative ints `elements`.
+
+    The bits are set in a little-endian byte string read as one number, so
+    the mask is built once, not widened once per element.
+    """
+    packed = bytearray((max(elements, default=-1) >> 3) + 1)
+    for e in elements:
+        packed[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(packed, "little")
 
 
 def pairs_of(adjacency):
@@ -354,56 +382,70 @@ def emit_graph(graph: Graph) -> str:
 # Set systems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetSystem:
     """A universe 0..universe_size-1 plus identified subsets.
 
-    Sets are kept sorted by id, so equality is insensitive to construction
-    order and matches the canonical file ordering.
+    It is stored as one element mask per set: bit e of `masks[t]` is set when
+    element e lies in the set with id `ids[t]`. Ids ascend, so equality is
+    insensitive to construction order and matches the canonical file
+    ordering. `sets`, the (id, element frozenset) pairs, is derived from the
+    masks on each access; the constructor takes sets in that form.
     """
 
     universe_size: int
-    sets: tuple[tuple[int, frozenset[int]], ...] = ()
+    ids: tuple[int, ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.universe_size < 0:
-            raise ValidationError("universe_size must be >= 0")
-        norm = []
-        ids = set()
-        for sid, elems in self.sets:
+    def __init__(self, universe_size: int, sets=()):
+        if not 0 <= universe_size <= 1 << _MASK_BITS:
+            raise ValidationError(f"universe_size must lie in 0..2^{_MASK_BITS}")
+        by_id: dict[int, int] = {}
+        mask_bits = 0
+        for sid, elems in sets:
             sid = int(sid)
-            if sid in ids:
+            if sid in by_id:
                 raise ValidationError(f"duplicate set id {sid}")
-            ids.add(sid)
-            elems = frozenset(int(e) for e in elems)
+            elems = [int(e) for e in elems]
             for e in elems:
-                if not 0 <= e < self.universe_size:
+                if not 0 <= e < universe_size:
                     raise ValidationError(f"element {e} of set {sid} out of range")
-            norm.append((sid, elems))
-        norm.sort(key=lambda item: item[0])
-        object.__setattr__(self, "sets", tuple(norm))
+            mask_bits += max(elems, default=-1) + 1
+            if mask_bits >> _MASK_BITS:
+                raise ValidationError(
+                    f"element masks pass 2^{_MASK_BITS} bits (each is as wide as its set's "
+                    "highest element)"
+                )
+            by_id[sid] = _mask_of(elems)
+        ids = sorted(by_id)
+        self._store(universe_size, ids, [by_id[sid] for sid in ids])
+
+    @classmethod
+    def _from_masks(cls, universe_size: int, ids, masks) -> SetSystem:
+        """Unchecked constructor for builders whose ids ascend and whose masks fit the universe."""
+        system = object.__new__(cls)
+        system._store(universe_size, ids, masks)
+        return system
+
+    def _store(self, universe_size, ids, masks) -> None:
+        object.__setattr__(self, "universe_size", universe_size)
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @property
+    def sets(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        return tuple((sid, bit_set(mask)) for sid, mask in zip(self.ids, self.masks))
 
     @property
     def num_sets(self) -> int:
-        return len(self.sets)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Element bitmask per set, aligned with `sets`."""
-        out = []
-        for _, elems in self.sets:
-            m = 0
-            for e in elems:
-                m |= 1 << e
-            out.append(m)
-        return tuple(out)
+        return len(self.ids)
 
 
 def parse_setsystem(data) -> SetSystem:
     """Parse the set-system format ('ss n k' header, 's id size e1 .. ek' lines)."""
     text = _as_text(data)
     header = None
-    sets: list[tuple[int, frozenset[int]]] = []
+    sets: list[tuple[int, list[int]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -418,6 +460,10 @@ def parse_setsystem(data) -> SetSystem:
                 header = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer counts") from None
+            if not 0 <= header[0] <= DEFAULT_SIZE_CAP:
+                raise ParseError(
+                    f"line {lineno}: universe size {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
+                )
         elif parts[0] == "s":
             if header is None:
                 raise ParseError(f"line {lineno}: set line before header")
@@ -430,24 +476,27 @@ def parse_setsystem(data) -> SetSystem:
             sid, _, *elems = nums
             if any(not 1 <= e <= header[0] for e in elems):
                 raise ParseError(f"line {lineno}: element out of range")
-            sets.append((sid, frozenset(e - 1 for e in elems)))
+            sets.append((sid, [e - 1 for e in elems]))
         else:
             raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
     if header is None:
         raise ParseError("missing 'ss' header")
     if len(sets) != header[1]:
         raise ParseError(f"header declares {header[1]} sets, found {len(sets)}")
+    # The constructor refuses repeated ids and masks past the width bound
+    # before it builds them.
     try:
-        return SetSystem(header[0], tuple(sets))
+        return SetSystem(header[0], sets)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
 
 
 def emit_setsystem(system: SetSystem) -> str:
     lines = [f"ss {system.universe_size} {system.num_sets}"]
-    for sid, elems in system.sets:
-        body = " ".join(str(e + 1) for e in sorted(elems))
-        lines.append(f"s {sid} {len(elems)}" + (f" {body}" if body else ""))
+    names = [str(e + 1) for e in range(system.universe_size)]
+    for sid, mask in zip(system.ids, system.masks):
+        body = " ".join(itertools.compress(names, _flags(mask)))
+        lines.append(f"s {sid} {mask.bit_count()}" + (f" {body}" if body else ""))
     return "\n".join(lines) + "\n"
 
 
@@ -593,6 +642,7 @@ class LabelCover:
         if left_alphabet < 1 or right_alphabet < 1:
             raise ValidationError("alphabet sizes must be >= 1")
         betas = {}
+        mask_bits = 0
         for (u, v), pairs in (relations or {}).items():
             u, v = int(u), int(v)
             if not (0 <= u < left_size and 0 <= v < right_size):
@@ -602,7 +652,17 @@ class LabelCover:
                 a, b = int(a), int(b)
                 if not (0 <= a < left_alphabet and 0 <= b < right_alphabet):
                     raise ValidationError(f"relation pair ({a},{b}) on edge ({u},{v}) out of range")
-                masks[a] = masks.get(a, 0) | 1 << b
+                mask = masks.get(a, 0)
+                # A mask is as wide as its highest beta, so count the bits
+                # before it widens.
+                if b >= mask.bit_length():
+                    mask_bits += b + 1 - mask.bit_length()
+                    if mask_bits >> _MASK_BITS:
+                        raise ValidationError(
+                            f"beta masks pass 2^{_MASK_BITS} bits "
+                            "(each is as wide as its highest right label)"
+                        )
+                masks[a] = mask | 1 << b
             betas[u, v] = masks
         if admissible is None:
             full = frozenset(range(left_alphabet))
@@ -742,7 +802,6 @@ def parse_labelcover(data) -> LabelCover:
     header = None
     admissible: dict[int, frozenset[int]] = {}
     relations: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    mask_bits = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -790,20 +849,7 @@ def parse_labelcover(data) -> LabelCover:
             if (u, v) in relations:
                 raise ParseError(f"line {lineno}: duplicate edge ({u + 1},{v + 1})")
             flat = nums[3:]
-            pairs = frozenset((flat[2 * i], flat[2 * i + 1]) for i in range(npairs))
-            # The cover stores one int mask per edge and left label, as wide
-            # as its highest right label, so count those bits before any is set.
-            widths: dict[int, int] = {}
-            for a, b in pairs:
-                if b >= widths.get(a, 0):
-                    widths[a] = b + 1
-            mask_bits += sum(widths.values())
-            if mask_bits >> _MASK_BITS:
-                raise ParseError(
-                    f"line {lineno}: beta masks pass 2^{_MASK_BITS} bits "
-                    "(each is as wide as its highest right label)"
-                )
-            relations[(u, v)] = pairs
+            relations[(u, v)] = frozenset((flat[2 * i], flat[2 * i + 1]) for i in range(npairs))
         else:
             raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
     if header is None:

@@ -51,7 +51,7 @@ class SolveBudget:
     max_millis: int = 120_000
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_millis <= 0:
+        if not (self.max_nodes > 0 and self.max_millis > 0):  # NaN fails too
             raise ValidationError("budget limits must be positive")
 
 

@@ -728,8 +728,9 @@ class PipelineSpec:
         if not isinstance(self.input, dict) or not all(isinstance(s, dict) for s in self.stages):
             raise ValidationError("a spec needs an input object, and each stage must be an object")
         object.__setattr__(self, "stages", tuple(dict(s) for s in self.stages))
+        # Names are looked up by hash, so a list or an object must not reach the lookup.
         kind = self.input.get("kind")
-        if kind not in _INPUT_KINDS:
+        if not isinstance(kind, str) or kind not in _INPUT_KINDS:
             raise ValidationError(f"unknown input kind {kind!r}")
         _check_seed("spec", self.seed)
         _check_seed(f"input {kind!r}", self.input.get("seed"))
@@ -737,7 +738,7 @@ class PipelineSpec:
         current = _INPUT_KINDS[kind]
         for stage in self.stages:
             op = stage.get("op")
-            if op not in STAGES:
+            if not isinstance(op, str) or op not in STAGES:
                 raise ValidationError(f"unknown stage op {op!r}")
             definition = STAGES[op]
             if definition.source_kind != current:

@@ -258,9 +258,15 @@ def test_minlab_to_setcov_matches_pair_scanning_builder(seed):
         density=rng.uniform(0.5, 1.0), seed=seed, pair_density=rng.random(),
         admissible_density=rng.choice((None, 0.6)),
     )
+    # Left degrees 2 and 3 give hypercubes with several values per coordinate.
+    wide = random_labelcover(
+        rng.randint(1, 3), rng.randint(3, 4), rng.randint(1, 3), rng.randint(1, 4),
+        seed=seed, pair_density=rng.random(), left_degrees=(2, 3),
+        admissible_density=rng.choice((None, 0.6)),
+    )
     formula = random_cnf(rng.randint(3, 5), rng.randint(2, 4), seed)
     minlab = minlab_instance(cnf_to_labelcover(formula), 1, 2, 0.5)
-    for source in (lc, minlab):
+    for source in (lc, wide, minlab):
         for size_cap in (40, 500_000):
             assert (_setcov_outcome(minlab_to_setcov, source, size_cap)
                     == _setcov_outcome(ref_minlab_to_setcov, source, size_cap))

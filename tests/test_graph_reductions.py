@@ -106,6 +106,20 @@ def test_hypercube_cover_iff_column_exhaustive():
             assert check_cover_iff_column(hypercube(z, k))
 
 
+def test_hypercube_sets_match_a_vector_scan():
+    # The referee: X(i, a) as the ranks of the product-order vectors whose
+    # coordinate a is i.
+    for z in range(1, 5):
+        for k in range(1, 5):
+            hs = hypercube(z, k)
+            vectors = list(itertools.product(range(z), repeat=k))
+            assert hs.vectors == tuple(vectors)
+            assert hs.sets == {
+                (i, a): frozenset(rank for rank, vec in enumerate(vectors) if vec[a] == i)
+                for i in range(z) for a in range(k)
+            }
+
+
 def test_hypercube_size_cap():
     with pytest.raises(SizeCapError):
         hypercube(10, 10, size_cap=100)
@@ -129,6 +143,22 @@ def test_minlab_to_setcov_set_count_formula():
     assert system.universe_size == sum(
         len(lc.left_neighbors[u]) ** len(lc.admissible[u]) for u in range(lc.left_size)
     )
+
+
+def test_minlab_to_setcov_emits_the_hypercube_sets():
+    # One left vertex with d neighbours and c labels, relation {(a, a)} on
+    # every edge: set (v, b) is the canonical set X(v, b) of [d]^c, the very
+    # sets criterion 3 certifies.
+    for d in range(1, 5):
+        for c in range(1, 5):
+            diagonal = frozenset((a, a) for a in range(c))
+            lc = LabelCover(1, d, c, c, {(0, v): diagonal for v in range(d)})
+            sets = dict(minlab_to_setcov(lc).sets)
+            hs = hypercube(d, c)
+            assert len(sets) == len(hs.sets) == d * c
+            for v in range(d):
+                for b in range(c):
+                    assert sets[v * c + b + 1] == hs.sets[(v, b)]
 
 
 def test_minlab_to_setcov_rejects_isolated_left():

@@ -17,14 +17,17 @@ from gapred import (
     SetSystem,
     ValidationError,
     emit_cnf,
+    emit_disperser,
     emit_graph,
     emit_labelcover,
     emit_setsystem,
     parse_cnf,
+    parse_disperser,
     parse_graph,
     parse_labelcover,
     parse_setsystem,
     random_cnf,
+    random_disperser,
     random_graph,
     random_labelcover,
 )
@@ -179,11 +182,87 @@ def test_setsystem_duplicate_ids():
 def test_parse_setsystem_size_field():
     with pytest.raises(ParseError):
         parse_setsystem("ss 2 1\ns 1 2 1\n")
+    # Elements are 1-indexed in files, and the error names the line.
+    for element in (0, 3):
+        with pytest.raises(ParseError, match="line 2: element out of range"):
+            parse_setsystem(f"ss 2 1\ns 1 1 {element}\n")
+
+
+def test_parse_setsystem_refuses_duplicate_ids():
+    # The header's count matches the lines; the error names the repeated id.
+    with pytest.raises(ParseError, match="duplicate set id 1"):
+        parse_setsystem("ss 2 2\ns 1 1 1\ns 1 1 2\n")
 
 
 def test_setsystem_empty_set_roundtrip():
     s = SetSystem(3, ((5, frozenset()),))
     assert parse_setsystem(emit_setsystem(s)) == s
+
+
+def test_setsystem_stores_one_mask_per_set():
+    s = SetSystem(5, ((3, [4, 1, 4]), (1, ()), (2, {True})))
+    # One stored form: ascending ids and aligned int masks, nothing cached.
+    assert vars(s) == {"universe_size": 5, "ids": (1, 2, 3), "masks": (0, 0b10, 0b10010)}
+    assert s.sets == ((1, frozenset()), (2, frozenset({1})), (3, frozenset({1, 4})))
+    assert [type(e) for _, elems in s.sets for e in elems] == [int, int, int]
+    # The view is derived on each access.
+    assert s.sets is not s.sets and vars(s).keys() == {"universe_size", "ids", "masks"}
+    with pytest.raises(ValidationError, match="element 5 of set 1 out of range"):
+        SetSystem(5, ((1, {5}),))
+    with pytest.raises(ValidationError, match="element -1 of set 1 out of range"):
+        SetSystem(5, ((1, {-1}),))
+
+
+def test_setsystem_constructor_refuses_wide_masks():
+    # Reading .masks of this system once raised a bare MemoryError.
+    with pytest.raises(ValidationError, match=r"2\^27"):
+        SetSystem(10**10, ((1, frozenset({10**10 - 1})),))
+    # Each mask is under the bound, the two together are over it.
+    top = (1 << 27) - 1
+    with pytest.raises(ValidationError, match=r"element masks pass 2\^27 bits"):
+        SetSystem(1 << 27, ((1, {top}), (2, {top})))
+
+
+@given(st.integers(0, 10**9), st.integers(0, 70), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_setsystem_text_roundtrip_keeps_every_element(seed, universe, count):
+    # Empty, full and shuffled sets under shuffled, gapped ids.
+    rng = random.Random(seed)
+    ids = rng.sample(range(1, 3 * count + 2), count)
+    given_sets = {sid: frozenset(e for e in range(universe) if rng.random() < rng.random())
+                  for sid in ids}
+    s = SetSystem(universe, tuple((sid, rng.sample(sorted(elems), len(elems)))
+                                  for sid, elems in given_sets.items()))
+    assert s.sets == tuple(sorted(given_sets.items()))
+    assert s.masks == tuple(sum(1 << e for e in given_sets[sid]) for sid in sorted(ids))
+    text = f"ss {universe} {count}\n" + "".join(
+        f"s {sid} {len(elems)}" + "".join(f" {e + 1}" for e in sorted(elems)) + "\n"
+        for sid, elems in sorted(given_sets.items())
+    )
+    assert emit_setsystem(s) == text
+    assert parse_setsystem(text) == s
+    assert emit_setsystem(parse_setsystem(text)) == text
+    # Set lines in any order parse to the same ascending store.
+    header, *lines = text.splitlines(keepends=True)
+    assert vars(parse_setsystem(header + "".join(rng.sample(lines, len(lines))))) == vars(s)
+
+
+@pytest.mark.parametrize("kind, parse, oversized, wide", [
+    ("graph", parse_graph, "p edge 10000000000 0\n",
+     "p edge 500000 300\n" + "".join(f"e {u} 500000\n" for u in range(1, 301))),
+    ("ss", parse_setsystem, "ss 10000000000 1\ns 1 1 10000000000\n",
+     "ss 500000 300\n" + "".join(f"s {sid} 1 500000\n" for sid in range(1, 301))),
+    ("lc", parse_labelcover, "lc 3000000 1 1 1\n",
+     "lc 1 200 1 10000000\n" + "".join(f"e 1 {v} 1 0 9999999\n" for v in range(1, 201))),
+], ids=["graph", "ss", "lc"])
+def test_parsers_bound_every_mask_format(kind, parse, oversized, wide):
+    # Every format stored as int masks refuses, before allocating, a header
+    # count above the size cap and masks that total more than 2^27 bits,
+    # although each line of `wide` alone stays under the bound.
+    with pytest.raises(ParseError, match="500000"):
+        parse(oversized)
+    with pytest.raises(ParseError, match=r"masks pass 2\^27 bits"):
+        parse(wide)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +378,19 @@ def test_parse_labelcover_shares_the_full_alphabet():
     lc = parse_labelcover("lc 4 1 3 2\na 2 1 0\ne 1 1 1 0 1\n")
     assert lc.admissible[0] == frozenset(range(3)) and lc.admissible[1] == {0}
     assert lc.admissible[0] is lc.admissible[2] is lc.admissible[3]
+
+
+def test_labelcover_constructor_refuses_wide_beta_masks():
+    # This call once raised a bare MemoryError.
+    with pytest.raises(ValidationError, match=r"beta masks pass 2\^27 bits"):
+        LabelCover(1, 1, 1, 10**100, {(0, 0): {(0, 2**64)}})
+
+
+def test_labelcover_replace_refuses_wide_beta_masks():
+    lc = LabelCover(1, 1, 1, 10**100, {(0, 0): {(0, 5)}})
+    assert lc.betas == {(0, 0): {0: 1 << 5}}
+    with pytest.raises(ValidationError, match=r"beta masks pass 2\^27 bits"):
+        dataclasses.replace(lc, relations={(0, 0): {(0, 2**64)}})
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +584,8 @@ def _valid_text(kind, seed):
         return emit_setsystem(SetSystem(5, tuple(
             (sid, frozenset(e for e in range(5) if rng.random() < 0.5)) for sid in (1, 2, 4)
         )))
+    if kind == "disp":
+        return emit_disperser(random_disperser(12, 6, 5, 0.8, seed))
     return emit_labelcover(random_labelcover(3, 3, 3, 2, density=0.7, seed=seed,
                                              admissible_density=0.6))
 
@@ -500,7 +594,7 @@ def _valid_text(kind, seed):
 # counts that would not fit in memory, ints past str->int's digit limit, then
 # non-decimal spellings, other line tags and non-ASCII digits.
 _COUNTS = ["0", "-1", "1", "3", "500000", "500001", "10000000000", str(2**64), "1" * 5000]
-_WORDS = ["x", "", "p", "e", "a", "s", "c", "%", "lc", "ss", "edge", "cnf", "1.5", "0x10",
+_WORDS = ["x", "", "p", "e", "a", "s", "c", "%", "lc", "ss", "disp", "edge", "cnf", "1.5", "0x10",
           "1_0", "\uff11", "\u0663", "\x00", "\ufeff", "\n", "\r"]
 
 _MUTATION = st.tuples(
@@ -536,7 +630,8 @@ def _mutate(text, counts, mutations):
 
 
 @pytest.mark.parametrize("kind, parse", [("cnf", parse_cnf), ("graph", parse_graph),
-                                         ("ss", parse_setsystem), ("lc", parse_labelcover)])
+                                         ("ss", parse_setsystem), ("lc", parse_labelcover),
+                                         ("disp", parse_disperser)])
 @given(seed=st.integers(0, 10**6), counts=_HEADER_COUNTS,
        mutations=st.lists(_MUTATION, max_size=4), as_bytes=st.booleans(),
        raw=st.binary(max_size=3))

@@ -1,12 +1,16 @@
 """Pipeline assembly, the verify harness, and the CLI driver."""
 
+import copy
 import dataclasses
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapred import (
+    GapredError,
     GenerationError,
     Graph,
     ParseError,
@@ -104,11 +108,76 @@ def test_spec_chain_validation(tmp_path):
                 {"input": planted, "stages": [{"op": "sat2dks", "ell": 2, "prob": 0.5}]},
                 {"input": {**planted, "bogus": 1}, "stages": [{"op": "cnf2lc"}]},
                 {"input": planted, "budget": {"max_node": 10}},
-                {"input": planted, "sead": 1}):
+                # NaN compares false, so it would lift the limit, not set one.
+                {"input": planted, "budget": {"max_nodes": float("nan")}},
+                {"input": planted, "budget": {"max_millis": float("nan")}},
+                {"input": planted, "sead": 1},
+                # A kind or op that is a list or an object is not a name.
+                {"input": {**planted, "kind": ["gen-planted"]}, "stages": []},
+                {"input": planted, "stages": [{"op": {"cnf2lc": 1}}]}):
         with pytest.raises((ParseError, ValidationError)):
             PipelineSpec.from_json(json.dumps(bad))
         spec_path.write_text(json.dumps(bad))
         assert run_command(["verify", str(spec_path)]) == 2
+
+
+_SMALL_SPEC = {
+    "seed": 1,
+    "size_cap": 1000,
+    "input": {"kind": "gen-gap", "n": 5, "m": 4, "epsilon": 0.3, "seed": 2},
+    "stages": [{"op": "cnf2lc"},
+               {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.2, "disperser": "random"},
+               {"op": "fglss", "size_cap": None}],
+    "budget": {"max_nodes": 1000, "max_millis": 500},
+}
+# JSON values that reach the spec's checks: names of kinds, ops and keys,
+# numbers of every type, and nested lists and objects.
+_NAMES = ["kind", "op", "seed", "input", "stages", "budget", "size_cap", "n", "m", "path",
+          "epsilon", "gen-planted", "gen-gap", "cnf-file", "cnf2lc", "fglss", "sat2dks",
+          "deterministic", "max_nodes", ""]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats()
+    | st.sampled_from(_NAMES) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_SPEC_EDIT = st.tuples(st.sampled_from(["set", "drop", "add"]),
+                       st.lists(st.integers(0, 10**6), max_size=4), st.sampled_from(_NAMES), _JSON)
+_TEXT_EDIT = st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                       st.sampled_from(["", "[", "{", "}", "]", ",", '"', ":", "0", "-", "e9"]))
+
+
+def _edit_spec(spec, edits):
+    """Set, drop or add a value at a path in the spec; steps wrap around."""
+    for op, steps, name, value in edits:
+        node, parent, key = spec, None, None
+        for step in steps:
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            parent, key = node, sorted(node)[step % len(node)] if isinstance(node, dict) \
+                else step % len(node)
+            node = parent[key]
+        if op == "add" and isinstance(node, dict):
+            node[name] = value
+        elif op == "set" and parent is not None:
+            parent[key] = value
+        elif op == "drop" and parent is not None:
+            del parent[key]
+    return spec
+
+
+@given(edits=st.lists(_SPEC_EDIT, max_size=3), text_edits=st.lists(_TEXT_EDIT, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_spec_from_json_raises_only_package_errors_on_mutated_specs(edits, text_edits):
+    text = json.dumps(_edit_spec(copy.deepcopy(_SMALL_SPEC), edits))
+    for pos, cut, insert in text_edits:
+        pos %= len(text) + 1
+        text = text[:pos] + insert + text[pos + cut:]
+    try:
+        PipelineSpec.from_json(text)
+    except GapredError:
+        pass
 
 
 def test_spec_output_kind():
@@ -368,6 +437,18 @@ def test_cli_parse_error_exit_code(tmp_path):
         lc.write_text(text)
         assert run_command(["solve", "max-cov", str(lc)]) == 2
         assert run_command(["lc2clique", str(lc)]) == 2
+
+
+@pytest.mark.parametrize("text", ["ss 10000000000 1\ns 1 1 10000000000\n",
+                                  "ss 10000000000 0\n"])
+def test_cli_refuses_a_huge_setsystem_universe(tmp_path, capsys, text):
+    # Both files once escaped `solve set-cover` as a MemoryError traceback, exit 1.
+    ss = tmp_path / "huge.ss"
+    ss.write_text(text)
+    assert run_command(["solve", "set-cover", str(ss)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "universe size 10000000000 outside" in err
+    assert "Traceback" not in err
 
 
 def test_cli_projection_violation_exit_code(tmp_path):
