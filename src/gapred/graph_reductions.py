@@ -232,8 +232,9 @@ def setcov_to_domset(system: SetSystem) -> Graph:
     sets = (1 << k) - 1
     elements = [0] * system.universe_size
     for i, mask in enumerate(system.masks):
-        for e in bits_of(mask):
-            elements[e] |= 1 << i
+        bit = 1 << i
+        for e in bit_set(mask):
+            elements[e] |= bit
     return Graph._from_masks(
         [(sets ^ 1 << i) | mask << k for i, mask in enumerate(system.masks)] + elements
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import re
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -241,8 +242,9 @@ class Graph:
     )
 
     def __init__(self, num_vertices: int, edges=(), bipartition=None):
-        if num_vertices < 0:
-            raise ValidationError("num_vertices must be >= 0")
+        # The vertex count sizes a mask list before any edge is read.
+        if not 0 <= num_vertices <= DEFAULT_SIZE_CAP:
+            raise ValidationError(f"num_vertices must lie in 0..{DEFAULT_SIZE_CAP}")
         masks = [0] * num_vertices
         for u, v in edges:
             u, v = int(u), int(v)
@@ -310,9 +312,60 @@ class Graph:
         )
 
 
+# A file that is one bare header line and bare edge lines only, each ended by
+# a newline, is read in bulk; any other file goes through the line loop.
+_GRAPH_HEADER = re.compile(r"p edge ([0-9]{1,9}) ([0-9]{1,9})\n")
+_EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
+# The bulk read takes its edge lines in pieces of about this many characters,
+# each cut after a newline, so that it never holds the whole body's tokens.
+_PARSE_CHUNK = 1 << 15
+
+
+def _parse_edge_lines(text: str) -> Graph | None:
+    """The graph of a bare header plus 'e u v' lines, or None for the line loop.
+
+    None means the file has another shape or is not a valid graph, so the
+    line loop parses it again and reports the error at its line.
+    """
+    header = _GRAPH_HEADER.match(text)
+    if header is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    # n masks of at most n bits each cannot pass the mask bound.
+    if n * n > 1 << _MASK_BITS:
+        return None
+    # Only canonical names are keys, so "03", "+3" and ids past n miss.
+    vertex = {str(v + 1): v for v in range(n)}.__getitem__
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    seen = 0
+    start, size = header.end(), len(text)
+    while start < size:
+        end = text.find("\n", start + _PARSE_CHUNK - 1) + 1 or size
+        if _EDGE_LINES.fullmatch(text, start, end) is None:
+            return None
+        tokens = text[start:end].split()
+        try:
+            for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+        except KeyError:
+            return None
+        seen += len(tokens) // 3
+        start = end
+    masks = list(map(_mask_of, neighbours))
+    # A repeated edge or a self-loop sets a bit already set, so the popcounts
+    # fall short of twice the edges read.
+    if seen != m or sum(map(int.bit_count, masks)) != 2 * m:
+        return None
+    return Graph._from_masks(masks)
+
+
 def parse_graph(data) -> Graph:
     """Parse a DIMACS edge-format graph ('p edge n m', 1-indexed 'e u v' lines)."""
     text = _as_text(data)
+    graph = _parse_edge_lines(text)
+    if graph is not None:
+        return graph
     header = mask_bits = None
     masks: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -373,8 +426,27 @@ def parse_graph(data) -> Graph:
 
 
 def emit_graph(graph: Graph) -> str:
-    lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in pairs_of(graph.adjacency))
+    num_edges = graph.num_edges
+    lines = [f"p edge {graph.num_vertices} {num_edges}"]
+    adjacency = graph.adjacency
+    # Vertex names, as wide as the widest mask but no wider than the masks'
+    # total popcount, so a few far neighbours cannot make the table larger
+    # than the text; a row reaching past it is read bit by bit.
+    width = min(max(map(int.bit_length, adjacency), default=0), 2 * num_edges)
+    names = [str(v + 1) for v in range(width)]
+    for u, mask in enumerate(adjacency):
+        higher = mask >> u + 1
+        if not higher:
+            continue
+        # Only the names up to the highest neighbour are sliced, so a sparse
+        # row costs no slice as wide as the table.
+        end = u + 1 + higher.bit_length()
+        if end <= width:
+            row = itertools.compress(names[u + 1 : end], _flags(higher))
+        else:
+            row = (str(u + 2 + j) for j in bits_of(higher))
+        prefix = f"e {u + 1} "
+        lines.append(prefix + ("\n" + prefix).join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -871,10 +943,30 @@ def emit_labelcover(lc: LabelCover) -> str:
             labels = lc.admissible_list(u)
             body = " ".join(str(a) for a in labels)
             lines.append(f"a {u + 1} {len(labels)}" + (f" {body}" if body else ""))
+    betas = lc.betas
+    stored = [mask for masks in betas.values() for mask in masks.values()]
+    # Right-label names, bounded as in emit_graph: as wide as the widest mask
+    # but no wider than the stored pairs.
+    width = min(max(map(int.bit_length, stored), default=0), sum(map(int.bit_count, stored)))
+    names = [str(b) for b in range(width)]
+    # Edges whose stores hold the same (alpha, beta mask) items in the same
+    # order share their text " count a b a b ...", which is built once per call.
+    pieces: dict[tuple[tuple[int, int], ...], str] = {}
     for u, v in lc.edges:
-        pairs = lc.relations[(u, v)]
-        flat = " ".join(f"{a} {b}" for a, b in pairs)
-        lines.append(f"e {u + 1} {v + 1} {len(pairs)}" + (f" {flat}" if flat else ""))
+        masks = betas[u, v]
+        key = tuple(masks.items())
+        piece = pieces.get(key)
+        if piece is None:
+            parts = [f" {sum(map(int.bit_count, masks.values()))}"]
+            for a, mask in sorted(key):
+                if mask.bit_length() <= width:
+                    labels = itertools.compress(names, _flags(mask))
+                else:
+                    labels = map(str, bits_of(mask))
+                tag = f" {a} "
+                parts.append(tag + tag.join(labels))
+            piece = pieces[key] = "".join(parts)
+        lines.append(f"e {u + 1} {v + 1}{piece}")
     return "\n".join(lines) + "\n"
 
 

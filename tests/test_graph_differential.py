@@ -236,6 +236,18 @@ def test_setcov_to_domset_matches_edge_set_builder(seed):
     assert_same_graph(setcov_to_domset(system), ref_setcov_to_domset(system))
 
 
+def test_setcov_to_domset_matches_on_a_wide_universe():
+    # One full set and four random halves of 40,000 elements: the transposition
+    # walks each set's elements, not each bit of every mask.
+    rng = random.Random(5)
+    size = 40_000
+    sets = [(1, frozenset(range(size)))] + [
+        (sid, frozenset(e for e in range(size) if rng.random() < 0.5)) for sid in range(2, 6)
+    ]
+    system = SetSystem(size, tuple(sets))
+    assert_same_graph(setcov_to_domset(system), ref_setcov_to_domset(system))
+
+
 def test_setcov_to_domset_matches_on_minlab_output():
     lc = minlab_instance(cnf_to_labelcover(CnfFormula(3, ((1, 2, 3), (-1, 2, -3)))), 2, 2, 0.5)
     system = minlab_to_setcov(lc)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 
 from gapred import (
     CnfFormula,
+    CompressLeftParams,
     GapredError,
     Graph,
     LabelCover,
     ParseError,
     SetSystem,
     ValidationError,
+    cnf_to_labelcover,
+    compress_left,
     emit_cnf,
     emit_disperser,
     emit_graph,
@@ -31,8 +35,18 @@ from gapred import (
     random_graph,
     random_labelcover,
 )
+from gapred import instances
+from gapred.instances import pairs_of
 
-from corpus import complete_graph, pair_cover_fields
+from corpus import (
+    complete_bipartite,
+    complete_graph,
+    mixed_cnf,
+    nonisomorphic_graphs_up_to,
+    pair_cover_fields,
+    path_graph,
+    petersen_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +122,15 @@ def test_graph_invariants():
         Graph(2, {(0, 1)}, bipartition=(frozenset({0, 1}), frozenset()))
     with pytest.raises(ValidationError):
         Graph(3, {(1, 2)}, bipartition=(frozenset({0}), frozenset({1, 2})))
+
+
+def test_graph_constructor_refuses_vertex_counts_past_the_cap():
+    # The vertex count sizes the mask list, so it is checked before any
+    # allocation, as the SetSystem and LabelCover constructors check theirs.
+    for count in (-1, instances.DEFAULT_SIZE_CAP + 1, 10**10):
+        with pytest.raises(ValidationError, match="num_vertices"):
+            Graph(count)
+    assert Graph(instances.DEFAULT_SIZE_CAP).num_edges == 0
 
 
 def test_graph_has_edge_outside_vertex_range():
@@ -579,6 +602,10 @@ def _valid_text(kind, seed):
         return emit_cnf(random_cnf(5, 4, seed))
     if kind == "graph":
         return emit_graph(random_graph(6, 0.5, seed))
+    if kind == "wide-graph":
+        # About 90 edge lines: with _PARSE_CHUNK at 64 characters the bulk
+        # read cuts them into many pieces.
+        return emit_graph(random_graph(20, 0.5, seed))
     if kind == "ss":
         rng = random.Random(seed)
         return emit_setsystem(SetSystem(5, tuple(
@@ -631,7 +658,8 @@ def _mutate(text, counts, mutations):
 
 @pytest.mark.parametrize("kind, parse", [("cnf", parse_cnf), ("graph", parse_graph),
                                          ("ss", parse_setsystem), ("lc", parse_labelcover),
-                                         ("disp", parse_disperser)])
+                                         ("disp", parse_disperser),
+                                         ("wide-graph", parse_graph)])
 @given(seed=st.integers(0, 10**6), counts=_HEADER_COUNTS,
        mutations=st.lists(_MUTATION, max_size=4), as_bytes=st.booleans(),
        raw=st.binary(max_size=3))
@@ -642,6 +670,229 @@ def test_parsers_raise_only_package_errors_on_mutated_files(kind, parse, seed, c
     # As bytes, a few raw bytes, possibly not UTF-8, are appended.
     data = text.encode() + raw if as_bytes else text
     try:
-        parse(data)
+        with mock.patch.object(instances, "_PARSE_CHUNK", 64):
+            parse(data)
     except GapredError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Bulk graph parse and emit, bulk label-cover emit, against the loops they replaced
+
+
+def ref_parse_graph(text):
+    """The line loop parse_graph runs on every file its bulk read declines."""
+    header = mask_bits = None
+    masks = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer counts in header") from None
+            if not 0 <= header[0] <= instances.DEFAULT_SIZE_CAP:
+                raise ParseError(
+                    f"line {lineno}: vertex count {header[0]} outside "
+                    f"0..{instances.DEFAULT_SIZE_CAP}"
+                )
+            masks = [0] * header[0]
+            mask_bits = 0 if header[0] * header[0] > 1 << instances._MASK_BITS else None
+        elif parts[0] == "e":
+            if header is None:
+                raise ParseError(f"line {lineno}: edge before header")
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: malformed edge line {line!r}")
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer endpoint") from None
+            n = header[0]
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"line {lineno}: vertex out of range")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop")
+            if masks[u] >> v & 1:
+                raise ParseError(f"line {lineno}: duplicate edge")
+            if mask_bits is not None:
+                mask_bits += max(0, v + 1 - masks[u].bit_length())
+                mask_bits += max(0, u + 1 - masks[v].bit_length())
+                if mask_bits >> instances._MASK_BITS:
+                    raise ParseError(
+                        f"line {lineno}: neighbour masks pass 2^{instances._MASK_BITS} bits "
+                        "(each is as wide as its vertex's highest neighbour index)"
+                    )
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        else:
+            raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
+    if header is None:
+        raise ParseError("missing 'p edge' header")
+    graph = Graph._from_masks(masks)
+    if graph.num_edges != header[1]:
+        raise ParseError(f"header declares {header[1]} edges, found {graph.num_edges}")
+    return graph
+
+
+def ref_emit_graph(graph):
+    lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in pairs_of(graph.adjacency))
+    return "\n".join(lines) + "\n"
+
+
+def ref_emit_labelcover(lc):
+    lines = [f"lc {lc.left_size} {lc.right_size} {lc.left_alphabet} {lc.right_alphabet}"]
+    for u in range(lc.left_size):
+        if not lc.is_full_admissible(u):
+            labels = lc.admissible_list(u)
+            body = " ".join(str(a) for a in labels)
+            lines.append(f"a {u + 1} {len(labels)}" + (f" {body}" if body else ""))
+    for u, v in lc.edges:
+        pairs = lc.relations[(u, v)]
+        flat = " ".join(f"{a} {b}" for a, b in pairs)
+        lines.append(f"e {u + 1} {v + 1} {len(pairs)}" + (f" {flat}" if flat else ""))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_parses_as_the_line_loop(text):
+    """parse_graph gives the referee's graph or error; its bulk read gives that graph or None."""
+    want = _outcome(ref_parse_graph, text)
+    assert _outcome(parse_graph, text) == want
+    bulk = instances._parse_edge_lines(text)
+    assert bulk is None or bulk == want
+    return bulk
+
+
+# Small files named by what they hold: each must give the line loop's graph,
+# or its error text with the line number.
+_GRAPH_FILES = {
+    "superscript-endpoint": ("p edge 3 1\ne 1 \u00b2\n", "line 2: non-integer endpoint"),
+    "superscript-header": ("p edge \u00b2 0\n", "line 1: non-integer counts in header"),
+    "5000-digit-n": ("p edge " + "1" * 5000 + " 0\n", "line 1: non-integer counts in header"),
+    "5000-digit-m": ("p edge 3 " + "1" * 5000 + "\n", "line 1: non-integer counts in header"),
+    "plus-sign": ("p edge 3 1\ne 1 +3\n", Graph(3, [(0, 2)])),
+    "plus-sign-header": ("p edge +3 1\ne 1 3\n", Graph(3, [(0, 2)])),
+    "leading-zero": ("p edge 3 1\ne 03 1\n", Graph(3, [(0, 2)])),
+    "crlf": ("p edge 3 1\r\ne 1 2\r\n", Graph(3, [(0, 1)])),
+    "tabs": ("p\tedge 3 1\ne\t1 2\n", Graph(3, [(0, 1)])),
+    "leading-comment": ("c drawn by hand\np edge 3 1\ne 1 2\n", Graph(3, [(0, 1)])),
+    "inline-comment": ("p edge 3 2\ne 1 2\nc x\ne 2 3\n", Graph(3, [(0, 1), (1, 2)])),
+    "blank-lines": ("p edge 3 2\n\ne 1 2\n\ne 2 3\n", Graph(3, [(0, 1), (1, 2)])),
+    "no-final-newline": ("p edge 3 2\ne 1 2\ne 2 3", Graph(3, [(0, 1), (1, 2)])),
+    "duplicate-edge": ("p edge 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge"),
+    # The header counts the distinct edges, so only the lines read disagree.
+    "duplicate-edge-counted-once": ("p edge 3 1\ne 1 2\ne 1 2\n", "line 3: duplicate edge"),
+    "self-loop-counted-once": ("p edge 3 1\ne 1 2\ne 3 3\n", "line 3: self-loop"),
+    "self-loop": ("p edge 3 2\ne 1 2\ne 3 3\n", "line 3: self-loop"),
+    "wrong-m": ("p edge 3 2\ne 1 2\n", "header declares 2 edges, found 1"),
+    "endpoint-n-plus-1": ("p edge 3 1\ne 1 4\n", "line 2: vertex out of range"),
+    "endpoint-0": ("p edge 3 1\ne 0 1\n", "line 2: vertex out of range"),
+    "second-header": ("p edge 3 1\ne 1 2\np edge 3 1\n", "line 3: duplicate header"),
+    "no-edges": ("p edge 0 0\n", Graph(0)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16, 1 << 15])
+@pytest.mark.parametrize("name", sorted(_GRAPH_FILES))
+def test_parse_graph_keeps_the_line_loops_result(monkeypatch, chunk, name):
+    # A chunk of 1 cuts after every line, 5 and 16 mid-line.
+    monkeypatch.setattr(instances, "_PARSE_CHUNK", chunk)
+    text, want = _GRAPH_FILES[name]
+    assert _outcome(parse_graph, text) == want
+    assert_parses_as_the_line_loop(text)
+
+
+def _edge_files(seed):
+    """A random graph's file, its edge lines shuffled, and its endpoints swapped."""
+    rng = random.Random(seed)
+    g = random_graph(rng.randint(0, 30), rng.random(), seed)
+    header, *lines = emit_graph(g).splitlines(keepends=True)
+    shuffled = rng.sample(lines, len(lines))
+    swapped = [f"e {line.split()[2]} {line.split()[1]}\n" for line in shuffled]
+    return g, [header + "".join(lines), header + "".join(shuffled), header + "".join(swapped)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 15])
+@pytest.mark.parametrize("seed", range(8))
+def test_bulk_graph_parse_reads_edge_files_in_any_order(monkeypatch, chunk, seed):
+    monkeypatch.setattr(instances, "_PARSE_CHUNK", chunk)
+    g, files = _edge_files(seed)
+    for text in files:
+        # These files are the bulk read's own shape, so it must not decline them.
+        assert assert_parses_as_the_line_loop(text) == g
+
+
+@given(seed=st.integers(0, 10**6), counts=_HEADER_COUNTS,
+       mutations=st.lists(_MUTATION, max_size=4), chunk=st.sampled_from([1, 9, 64]))
+@settings(max_examples=150, deadline=None)
+def test_bulk_graph_parse_matches_the_line_loop_on_mutated_files(seed, counts, mutations,
+                                                                chunk):
+    text = _mutate(_valid_text("wide-graph", seed), counts, mutations)
+    with mock.patch.object(instances, "_PARSE_CHUNK", chunk):
+        assert_parses_as_the_line_loop(text)
+
+
+def _wide_graphs():
+    yield from nonisomorphic_graphs_up_to(5)
+    yield petersen_graph()
+    yield complete_bipartite(3, 4)
+    yield Graph(7)
+    # Isolated vertices past every edge, and before it.
+    yield Graph(50, [(0, 1)])
+    yield Graph(50, [(48, 49)])
+    for seed in range(6):
+        yield random_graph(40, (0.0, 0.1, 0.5, 0.9, 1.0, 0.3)[seed], seed)
+    # Wide sparse graphs: a star on 10^5 vertices centred at the first vertex,
+    # one on 2,000 centred at the last, and a path on 10^4 vertices.
+    yield Graph(100_000, [(0, v) for v in range(1, 100_000)])
+    yield Graph(2_000, [(u, 1_999) for u in range(1_999)])
+    yield path_graph(10_000)
+
+
+def test_emit_graph_matches_the_pair_loop():
+    for g in _wide_graphs():
+        text = emit_graph(g)
+        assert text == ref_emit_graph(g)
+        assert parse_graph(text) == g
+
+
+def _labelcovers():
+    yield LabelCover(0, 0, 1, 1)
+    yield LabelCover(2, 3, 2, 2, {(0, 0): set(), (1, 2): set()})
+    # One store's items inserted in two orders, on two edges.
+    yield LabelCover(1, 2, 3, 4, {(0, 0): [(2, 1), (0, 3), (0, 1)],
+                                  (0, 1): [(0, 1), (0, 3), (2, 1)]})
+    # A mask 10^7 bits wide holding one pair: the name table stays as small
+    # as the stored pairs.
+    yield LabelCover(1, 2, 2, 10**7, {(0, 0): {(1, 3)}, (0, 1): {(0, 9_999_999)}})
+    rng = random.Random(7)
+    for ra in (2, 3, 5, 17, 64, 300):
+        for left, right, la in ((0, 2, 1), (3, 3, 2), (4, 4, 4)):
+            relations, admissible = pair_cover_fields(rng, left, right, la, ra)
+            yield LabelCover(left, right, la, ra, relations, admissible)
+    for seed in range(4):
+        lc = cnf_to_labelcover(mixed_cnf(random.Random(seed), 5, 4))
+        yield lc
+        yield compress_left(lc, CompressLeftParams(k=2, r=2, eps=0.3, seed=seed))[0]
+        yield random_labelcover(4, 5, 3, 4, density=0.8, seed=seed, projection=True)
+
+
+def test_emit_labelcover_matches_the_pair_loop():
+    for lc in _labelcovers():
+        text = emit_labelcover(lc)
+        assert text == ref_emit_labelcover(lc)
+        assert parse_labelcover(text) == lc

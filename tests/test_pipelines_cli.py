@@ -1,9 +1,13 @@
 """Pipeline assembly, the verify harness, and the CLI driver."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +182,20 @@ def test_spec_from_json_raises_only_package_errors_on_mutated_specs(edits, text_
         PipelineSpec.from_json(text)
     except GapredError:
         pass
+
+
+@given(edits=st.lists(_SPEC_EDIT, max_size=3), text_edits=st.lists(_TEXT_EDIT, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_verify_exits_with_a_documented_code_on_mutated_specs(edits, text_edits):
+    text = json.dumps(_edit_spec(copy.deepcopy(_SMALL_SPEC), edits))
+    for pos, cut, insert in text_edits:
+        pos %= len(text) + 1
+        text = text[:pos] + insert + text[pos + cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run_command(["verify", str(spec_path)]) in (0, 1, 2, 3)
 
 
 def test_spec_output_kind():
