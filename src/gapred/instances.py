@@ -246,12 +246,22 @@ class Graph:
         if not 0 <= num_vertices <= DEFAULT_SIZE_CAP:
             raise ValidationError(f"num_vertices must lie in 0..{DEFAULT_SIZE_CAP}")
         masks = [0] * num_vertices
+        # n masks of at most n bits each cannot pass the bound.
+        mask_bits = 0 if num_vertices * num_vertices > 1 << _MASK_BITS else None
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge ({u},{v}) out of range")
+            if mask_bits is not None:
+                mask_bits += max(0, v + 1 - masks[u].bit_length())
+                mask_bits += max(0, u + 1 - masks[v].bit_length())
+                if mask_bits >> _MASK_BITS:
+                    raise ValidationError(
+                        f"neighbour masks pass 2^{_MASK_BITS} bits "
+                        "(each is as wide as its vertex's highest neighbour index)"
+                    )
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         if bipartition is not None:
@@ -565,9 +575,16 @@ def parse_setsystem(data) -> SetSystem:
 
 def emit_setsystem(system: SetSystem) -> str:
     lines = [f"ss {system.universe_size} {system.num_sets}"]
-    names = [str(e + 1) for e in range(system.universe_size)]
-    for sid, mask in zip(system.ids, system.masks):
-        body = " ".join(itertools.compress(names, _flags(mask)))
+    masks = system.masks
+    # Element names, bounded as in emit_graph: as wide as the widest mask but
+    # no wider than the masks' total popcount.
+    width = min(max(map(int.bit_length, masks), default=0), sum(map(int.bit_count, masks)))
+    names = [str(e + 1) for e in range(width)]
+    for sid, mask in zip(system.ids, masks):
+        if mask.bit_length() <= width:
+            body = " ".join(itertools.compress(names, _flags(mask)))
+        else:
+            body = " ".join(str(e + 1) for e in bits_of(mask))
         lines.append(f"s {sid} {mask.bit_count()}" + (f" {body}" if body else ""))
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,10 @@
 """Instance types, file formats, and generators."""
 
 import dataclasses
+import itertools
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -25,6 +27,7 @@ from gapred import (
     emit_graph,
     emit_labelcover,
     emit_setsystem,
+    minlab_to_setcov,
     parse_cnf,
     parse_disperser,
     parse_graph,
@@ -131,6 +134,21 @@ def test_graph_constructor_refuses_vertex_counts_past_the_cap():
         with pytest.raises(ValidationError, match="num_vertices"):
             Graph(count)
     assert Graph(instances.DEFAULT_SIZE_CAP).num_edges == 0
+
+
+def test_graph_constructor_bounds_the_mask_width():
+    # 300 edges to the last of 500,000 vertices would take 150,000,300 mask
+    # bits; parse_graph refuses the same graph's file.
+    with pytest.raises(ValidationError, match="neighbour masks"):
+        Graph(500_000, [(u, 499_999) for u in range(300)])
+    # On both sides of the bound: u < count holds 2,000 bits each and vertex
+    # 1,999 holds count bits, so 524 edges stay below 2^20 and 525 reach it.
+    with mock.patch.object(instances, "_MASK_BITS", 20):
+        assert Graph(2_000, [(u, 1_999) for u in range(524)]).num_edges == 524
+        with pytest.raises(ValidationError, match="neighbour masks"):
+            Graph(2_000, [(u, 1_999) for u in range(525)])
+        # n^2 <= 2^20: no mask can pass the bound, and none is tracked.
+        assert complete_graph(1_024).num_edges == 1_024 * 1_023 // 2
 
 
 def test_graph_has_edge_outside_vertex_range():
@@ -761,6 +779,15 @@ def ref_emit_labelcover(lc):
     return "\n".join(lines) + "\n"
 
 
+def ref_emit_setsystem(system):
+    lines = [f"ss {system.universe_size} {system.num_sets}"]
+    names = [str(e + 1) for e in range(system.universe_size)]
+    for sid, mask in zip(system.ids, system.masks):
+        body = " ".join(itertools.compress(names, instances._flags(mask)))
+        lines.append(f"s {sid} {mask.bit_count()}" + (f" {body}" if body else ""))
+    return "\n".join(lines) + "\n"
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -868,6 +895,39 @@ def test_emit_graph_matches_the_pair_loop():
         text = emit_graph(g)
         assert text == ref_emit_graph(g)
         assert parse_graph(text) == g
+
+
+def _setsystems():
+    yield SetSystem(0)
+    yield SetSystem(3, ((2, ()), (5, (0,))))
+    # One far element in a huge universe, with and without a small set beside it.
+    yield SetSystem(500_000, ((1, (499_999,)),))
+    yield SetSystem(100_000, ((1, (0, 1, 2)), (2, (99_999,)), (3, ())))
+    rng = random.Random(11)
+    for n in (1, 5, 8, 40, 300):
+        yield SetSystem(n, [(sid, [e for e in range(n) if rng.random() < p])
+                            for sid, p in enumerate((0.0, 0.1, 0.5, 0.9, 1.0), start=1)])
+    yield minlab_to_setcov(random_labelcover(3, 3, 2, 2, density=0.8, seed=2, projection=True))
+
+
+def test_emit_setsystem_matches_the_full_name_table():
+    for system in _setsystems():
+        text = emit_setsystem(system)
+        assert text == ref_emit_setsystem(system)
+        assert parse_setsystem(text) == system
+
+
+def test_emit_setsystem_names_only_what_the_sets_hold():
+    # A 500,000-element universe with one element: the table follows the
+    # sets' one element, not the universe.
+    system = parse_setsystem("ss 500000 1\ns 1 1 500000\n")
+    tracemalloc.start()
+    try:
+        assert emit_setsystem(system) == "ss 500000 1\ns 1 1 500000\n"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _labelcovers():

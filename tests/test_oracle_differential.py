@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapred import (
+    BudgetExceededError,
     DksParams,
     Graph,
     LabelCover,
@@ -43,11 +44,12 @@ from gapred import (
     sat_max,
     sat_to_dks,
     set_cover,
+    setcov_to_domset,
 )
 from gapred import oracles
 from gapred.instances import SetSystem, bits_of
 
-from corpus import mixed_cnf, pair_beta_masks, pair_cover_fields
+from corpus import complete_graph, mixed_cnf, pair_beta_masks, pair_cover_fields
 
 
 def _subsets(vertices):
@@ -656,3 +658,142 @@ def test_max_cov_large_alphabet_in_bounded_memory(chunk_bits, alphabet, right_si
         finally:
             tracemalloc.stop()
     assert peak < 8 << 20
+
+
+# ---------------------------------------------------------------------------
+# Set cover and domination: the search before the root check and the subset rule
+
+
+def ref_min_cover(masks, n, meter):
+    """The search that built a candidate table over every mask before any
+    bound was tried and branched over every set containing an element."""
+    if n == 0:
+        return 0
+    full = (1 << n) - 1
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full:
+        return None
+    # Greedy upper bound.
+    uncovered = full
+    greedy = 0
+    while uncovered:
+        bestmask = max(masks, key=lambda m: (m & uncovered).bit_count())
+        uncovered &= ~bestmask
+        greedy += 1
+    best = greedy
+    covers_elem = [[m for m in masks if m >> e & 1] for e in range(n)]
+    max_size = max(m.bit_count() for m in masks)
+
+    def search(uncov, used):
+        nonlocal best
+        meter.tick()
+        if not uncov:
+            if used < best:
+                best = used
+            return
+        if used + -(-uncov.bit_count() // max_size) >= best:
+            return
+        elem = min(bits_of(uncov), key=lambda e: len(covers_elem[e]))
+        for m in sorted(covers_elem[elem], key=lambda m: -(m & uncov).bit_count()):
+            search(uncov & ~m, used + 1)
+
+    search(full, 0)
+    return best
+
+
+def _nested_masks(rng, n):
+    """Random element masks over range(n) with empty sets, repeated sets and
+    sets nested inside others; about one draw in four leaves an element uncovered."""
+    masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, 9))]
+    if rng.random() < 0.75:
+        union = 0
+        for m in masks:
+            union |= m
+        for e in bits_of((1 << n) - 1 & ~union):
+            masks[rng.randrange(len(masks))] |= 1 << e
+    for m in list(masks):
+        pick = rng.random()
+        if pick < 0.3:
+            masks.append(m)
+        elif pick < 0.7:
+            masks.append(m & rng.getrandbits(n))
+    masks += [0] * rng.randint(0, 1)
+    rng.shuffle(masks)
+    return masks
+
+
+def _cover_meter_and_answer(masks, n):
+    meter = oracles._Meter(None)
+    return oracles._min_cover(masks, n, meter), meter.nodes
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_set_cover_matches_referee_on_nested_systems(n):
+    rng = random.Random(n)
+    infeasible = branched = 0
+    for _ in range(100):
+        masks = _nested_masks(rng, n)
+        want = ref_min_cover(masks, n, oracles._Meter(None))
+        system = SetSystem(n, [(i + 1, bits_of(m)) for i, m in enumerate(masks)])
+        assert set_cover(system) == want
+        got, nodes = _cover_meter_and_answer(masks, n)
+        assert got == want
+        infeasible += want is None
+        branched += nodes > 1
+    assert n == 0 or infeasible
+    assert n < 4 or branched
+
+
+def _cover_at_least_three(rng):
+    """A set system with every element covered and set cover at least 3."""
+    while True:
+        n = rng.randint(4, 12)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(3, 8))]
+        masks += [m & rng.getrandbits(n) for m in masks[:2]]
+        union = 0
+        for m in masks:
+            union |= m
+        if union != (1 << n) - 1:
+            continue
+        system = SetSystem(n, [(i + 1, bits_of(m)) for i, m in enumerate(masks)])
+        if set_cover(system) >= 3:
+            return system
+
+
+def test_dom_set_on_setcov_graphs_matches_referee():
+    # Each element vertex's closed neighbourhood lies inside that of any set
+    # vertex holding it, so only set vertices are left to branch over.
+    rng = random.Random(13)
+    branched = nodes = ref_nodes = 0
+    for _ in range(40):
+        system = _cover_at_least_three(rng)
+        g = setcov_to_domset(system)
+        closed = [mask | 1 << v for v, mask in enumerate(g.adjacency)]
+        referee = oracles._Meter(None)
+        want = ref_min_cover(closed, g.num_vertices, referee)
+        assert dom_set(g) == want == set_cover(system)
+        got, searched = _cover_meter_and_answer(closed, g.num_vertices)
+        assert got == want
+        branched += searched > 1
+        nodes += searched
+        ref_nodes += referee.nodes
+    assert branched
+    # Branching over set vertices alone takes under a third of the nodes
+    # (149 against 531); dropping only repeated sets would take 528.
+    assert 3 * nodes < ref_nodes
+
+
+def test_cover_settled_at_root_charges_one_node():
+    # Greedy finds 2 sets and no cover of 4 elements by sets of 2 is smaller.
+    settled = SetSystem(4, ((1, {0, 1}), (2, {2, 3}), (3, {0, 2})))
+    one = oracles.SolveBudget(max_nodes=1)
+    assert set_cover(settled, one) == 2
+    assert dom_set(complete_graph(5), one) == 1
+    assert _cover_meter_and_answer(settled.masks, 4) == (2, 1)
+    # Greedy takes the 4-set first and needs 3 sets; 6 / 4 rounds up to 2.
+    branching = SetSystem(6, ((1, {0, 1, 2}), (2, {3, 4, 5}), (3, {0, 1, 3, 4})))
+    with pytest.raises(BudgetExceededError):
+        set_cover(branching, one)
+    assert set_cover(branching) == 2
