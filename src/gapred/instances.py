@@ -95,6 +95,15 @@ def _flags(mask: int) -> bytes:
     return format(mask, "b").encode()[::-1].translate(_TO_FLAGS)
 
 
+def _name_table(masks, first: int) -> list[str]:
+    """Names str(first + i) of bit positions i, for the emitters: as many as
+    the widest of `masks` needs but no more than their total popcount, so a
+    few far bits cannot make the table larger than the text it names. A mask
+    wider than the table is read with bits_of."""
+    width = min(max(map(int.bit_length, masks), default=0), sum(map(int.bit_count, masks)))
+    return [str(first + i) for i in range(width)]
+
+
 def bit_set(mask: int) -> frozenset[int]:
     """The set bit indices of a nonnegative int, read in one pass over its digits."""
     return frozenset(itertools.compress(itertools.count(), _flags(mask)))
@@ -436,14 +445,10 @@ def parse_graph(data) -> Graph:
 
 
 def emit_graph(graph: Graph) -> str:
-    num_edges = graph.num_edges
-    lines = [f"p edge {graph.num_vertices} {num_edges}"]
+    lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
     adjacency = graph.adjacency
-    # Vertex names, as wide as the widest mask but no wider than the masks'
-    # total popcount, so a few far neighbours cannot make the table larger
-    # than the text; a row reaching past it is read bit by bit.
-    width = min(max(map(int.bit_length, adjacency), default=0), 2 * num_edges)
-    names = [str(v + 1) for v in range(width)]
+    names = _name_table(adjacency, 1)
+    width = len(names)
     for u, mask in enumerate(adjacency):
         higher = mask >> u + 1
         if not higher:
@@ -576,10 +581,8 @@ def parse_setsystem(data) -> SetSystem:
 def emit_setsystem(system: SetSystem) -> str:
     lines = [f"ss {system.universe_size} {system.num_sets}"]
     masks = system.masks
-    # Element names, bounded as in emit_graph: as wide as the widest mask but
-    # no wider than the masks' total popcount.
-    width = min(max(map(int.bit_length, masks), default=0), sum(map(int.bit_count, masks)))
-    names = [str(e + 1) for e in range(width)]
+    names = _name_table(masks, 1)
+    width = len(names)
     for sid, mask in zip(system.ids, masks):
         if mask.bit_length() <= width:
             body = " ".join(itertools.compress(names, _flags(mask)))
@@ -962,10 +965,8 @@ def emit_labelcover(lc: LabelCover) -> str:
             lines.append(f"a {u + 1} {len(labels)}" + (f" {body}" if body else ""))
     betas = lc.betas
     stored = [mask for masks in betas.values() for mask in masks.values()]
-    # Right-label names, bounded as in emit_graph: as wide as the widest mask
-    # but no wider than the stored pairs.
-    width = min(max(map(int.bit_length, stored), default=0), sum(map(int.bit_count, stored)))
-    names = [str(b) for b in range(width)]
+    names = _name_table(stored, 0)
+    width = len(names)
     # Edges whose stores hold the same (alpha, beta mask) items in the same
     # order share their text " count a b a b ...", which is built once per call.
     pieces: dict[tuple[tuple[int, int], ...], str] = {}

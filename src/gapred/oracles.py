@@ -531,13 +531,9 @@ def _min_cover(masks, n: int, meter: _Meter) -> int | None:
     branch and bound; None when their union falls short.
 
     The root is decided first: when the greedy cover is no larger than
-    ceil(n / largest set), greedy is optimal and the call costs one node and
-    no per-element work. Otherwise the search branches only over maximal
-    distinct sets, since a cover using a set contained in another stays a
-    cover when the larger set replaces it (the subset rule of Fomin, Grandoni
-    and Kratsch, "A measure & conquer approach for the analysis of exact
-    algorithms", JACM 2009). On a setcov_to_domset graph that leaves only the
-    set vertices. Every node, the root included, ticks the meter once.
+    ceil(n / largest set), greedy is optimal, and the call returns it for one
+    node before building the per-element candidate lists. Every search node,
+    the root included, ticks the meter once.
     """
     if n == 0:
         return 0
@@ -554,21 +550,16 @@ def _min_cover(masks, n: int, meter: _Meter) -> int | None:
         bestmask = max(masks, key=lambda m: (m & uncovered).bit_count())
         uncovered &= ~bestmask
         greedy += 1
-    meter.tick()  # the root
     max_size = max(m.bit_count() for m in masks)
     if -(-n // max_size) >= greedy:
+        meter.tick()  # the root, settled by its bound
         return greedy
     best = greedy
-    # Maximal distinct sets, largest first: a set is kept unless one already
-    # kept contains it, and a set can only lie inside one at least as large.
-    kept: list[int] = []
-    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
-        if all(m & ~k for k in kept):
-            kept.append(m)
-    covers_elem = [[m for m in kept if m >> e & 1] for e in range(n)]
+    covers_elem = [[m for m in masks if m >> e & 1] for e in range(n)]
 
     def search(uncov: int, used: int):
         nonlocal best
+        meter.tick()
         if not uncov:
             if used < best:
                 best = used
@@ -578,7 +569,6 @@ def _min_cover(masks, n: int, meter: _Meter) -> int | None:
         # Branch on the uncovered element with the fewest candidate sets.
         elem = min(bits_of(uncov), key=lambda e: len(covers_elem[e]))
         for m in sorted(covers_elem[elem], key=lambda m: -(m & uncov).bit_count()):
-            meter.tick()
             search(uncov & ~m, used + 1)
 
     search(full, 0)
