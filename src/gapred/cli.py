@@ -21,7 +21,7 @@ from .dispersers import (
     verify_disperser,
 )
 from .errors import BudgetExceededError, GapredError, ParseError
-from .instances import emit_cnf, parse_graph, random_cnf
+from .instances import emit_cnf, random_cnf
 from .lc_transforms import DEFAULT_SIZE_CAP
 from .oracles import (
     SolveBudget,
@@ -40,8 +40,7 @@ from .oracles import (
     set_cover,
 )
 from .pipelines import (
-    _EMITTERS,
-    _PARSERS,
+    _FORMATS,
     STAGES,
     PipelineSpec,
     gen_cnf_gap,
@@ -52,17 +51,22 @@ from .pipelines import (
     write_artifacts,
 )
 
+# One row per `solve` problem: the instance kind it reads, its oracle, and the
+# flag of the oracle's one extra argument (None when it takes none).
 _SOLVERS = {
-    "sat-max": ("cnf", sat_max),
-    "max-cov": ("lc", max_cov),
-    "min-lab": ("lc", min_lab),
-    "clique": ("graph", clique),
-    "independent-set": ("graph", independent_set),
-    "biclique": ("graph", biclique),
-    "set-cover": ("setsystem", set_cover),
-    "dom-set": ("graph", dom_set),
-    "induced-matching": ("graph", induced_matching),
-    "induced-path": ("graph", induced_path),
+    "sat-max": ("cnf", sat_max, None),
+    "max-cov": ("lc", max_cov, None),
+    "min-lab": ("lc", min_lab, None),
+    "clique": ("graph", clique, None),
+    "independent-set": ("graph", independent_set, None),
+    "biclique": ("graph", biclique, None),
+    "set-cover": ("setsystem", set_cover, None),
+    "dom-set": ("graph", dom_set, None),
+    "induced-matching": ("graph", induced_matching, None),
+    "induced-path": ("graph", induced_path, None),
+    "count-ktt": ("graph", count_ktt, "t"),
+    "densest-k": ("graph", densest_k, "k"),
+    "max-induced": ("graph", max_induced_with_property, "property"),
 }
 
 
@@ -82,27 +86,22 @@ def _manifest(out: str | None, data: dict):
     target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _budget(args) -> SolveBudget:
-    default = SolveBudget()
+def _budget(args, base: SolveBudget = SolveBudget()) -> SolveBudget:
+    """`base`, with each limit a --budget-* flag sets replaced."""
     return SolveBudget(
-        max_nodes=args.budget_nodes or default.max_nodes,
-        max_millis=args.budget_millis or default.max_millis,
+        max_nodes=args.budget_nodes or base.max_nodes,
+        max_millis=args.budget_millis or base.max_millis,
     )
 
 
 def _spec_with_cli_overrides(args) -> PipelineSpec:
     """Load a pipeline spec; explicit CLI seed, size-cap and budget flags override the file's."""
     spec = PipelineSpec.from_file(args.spec)
-    changes = {}
+    changes = {"budget": _budget(args, spec.budget)}
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.size_cap is not None:
         changes["size_cap"] = args.size_cap
-    if args.budget_nodes or args.budget_millis:
-        changes["budget"] = SolveBudget(
-            max_nodes=args.budget_nodes or spec.budget.max_nodes,
-            max_millis=args.budget_millis or spec.budget.max_millis,
-        )
     return dataclasses.replace(spec, **changes)
 
 
@@ -137,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("random", "planted", "gap", "pair"), default="random")
     p.add_argument("--epsilon", type=float, default=0.2)
     _add_common(p)
+    p.set_defaults(handler=_cmd_gen_cnf)
 
     for op, stage in STAGES.items():
         p = sub.add_parser(stage.command, help=stage.help)
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         for param in stage.params:
             _add_param(p, param)
         _add_common(p)
-        p.set_defaults(op=op)
+        p.set_defaults(op=op, handler=_cmd_transform)
 
     p = sub.add_parser("disperser", help="generate, check, or search dispersers")
     p.add_argument("action", choices=("gen", "check", "det"))
@@ -154,44 +154,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--epsilon", type=float)
     _add_common(p)
+    p.set_defaults(handler=_cmd_disperser)
 
     p = sub.add_parser("solve", help="run an exact oracle on an instance file")
-    p.add_argument("problem", choices=sorted(_SOLVERS) + ["count-ktt", "densest-k", "max-induced"])
+    p.add_argument("problem", choices=sorted(_SOLVERS))
     p.add_argument("input")
     p.add_argument("--t", type=int, default=1, help="t for count-ktt")
     p.add_argument("--k", type=int, default=2, help="k for densest-k")
     p.add_argument("--property", default="forest", help="property for max-induced")
     _add_common(p)
+    p.set_defaults(handler=_cmd_solve)
 
-    for name, text in (("pipeline", "run a pipeline spec and write artifacts"),
-                       ("verify", "run a pipeline spec and oracle-verify each stage")):
+    for name, text, handler in (
+        ("pipeline", "run a pipeline spec and write artifacts", _cmd_pipeline),
+        ("verify", "run a pipeline spec and oracle-verify each stage", _cmd_verify),
+    ):
         p = sub.add_parser(name, help=text)
         p.add_argument("spec")
         _add_common(p)
         # Unset seed and size cap mean "as the spec says".
-        p.set_defaults(seed=None, size_cap=None)
+        p.set_defaults(seed=None, size_cap=None, handler=handler)
 
     return top
 
 
 def _cmd_gen_cnf(args) -> int:
-    if args.mode == "random":
-        formula = random_cnf(args.n, args.m, args.seed)
-        _write(args.out, emit_cnf(formula))
-    elif args.mode == "planted":
-        formula = gen_planted_cnf(args.n, args.m, args.seed)
-        _write(args.out, emit_cnf(formula))
-    elif args.mode == "gap":
-        formula = gen_gap_cnf(args.n, args.m, args.epsilon, args.seed, budget=_budget(args))
-        _write(args.out, emit_cnf(formula))
-    else:
-        planted, gap = gen_cnf_gap(args.n, args.epsilon, args.seed, num_clauses=args.m)
+    if args.mode == "pair":
+        planted, gap = gen_cnf_gap(args.n, args.epsilon, args.seed, num_clauses=args.m,
+                                   budget=_budget(args))
         base = Path(args.out or "cnf")
         sat_path = base.parent / (base.stem + ".sat.cnf")
         gap_path = base.parent / (base.stem + ".gap.cnf")
         sat_path.write_text(emit_cnf(planted))
         gap_path.write_text(emit_cnf(gap))
         print(f"{sat_path}\n{gap_path}")
+    elif args.mode == "gap":
+        formula = gen_gap_cnf(args.n, args.m, args.epsilon, args.seed, budget=_budget(args))
+        _write(args.out, emit_cnf(formula))
+    else:
+        generate = random_cnf if args.mode == "random" else gen_planted_cnf
+        _write(args.out, emit_cnf(generate(args.n, args.m, args.seed)))
     _manifest(args.out, {"command": "gen-cnf", "mode": args.mode, "seed": args.seed,
                          "params": {"n": args.n, "m": args.m, "epsilon": args.epsilon}})
     return 0
@@ -201,11 +203,11 @@ def _cmd_transform(args) -> int:
     stage = STAGES[args.op]
     given = {p.name: getattr(args, p.name) for p in stage.params}
     params = stage.resolve(given, args.seed, args.size_cap)
-    source = _PARSERS[stage.source_kind](Path(args.input).read_bytes())
+    source = _FORMATS[stage.source_kind].parse(Path(args.input).read_bytes())
     out, _, extras = stage.build(source, params)
     if "disperser" in extras and args.out not in (None, "-"):
         Path(args.out).with_suffix(".disp").write_text(emit_disperser(extras["disperser"]))
-    _write(args.out, _EMITTERS[stage.output_kind](out))
+    _write(args.out, _FORMATS[stage.output_kind].emit(out))
     recorded = ["seed", "size_cap"] + [p.name for p in stage.params if p.record]
     _manifest(args.out, {"command": args.command, "input": args.input,
                          "params": {name: params[name] for name in recorded}})
@@ -234,20 +236,11 @@ def _cmd_disperser(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    budget = _budget(args)
-    data = Path(args.input).read_bytes()
-    if args.problem == "count-ktt":
-        print(count_ktt(parse_graph(data), args.t, budget))
-        return 0
-    if args.problem == "densest-k":
-        print(densest_k(parse_graph(data), args.k, budget))
-        return 0
-    if args.problem == "max-induced":
-        print(max_induced_with_property(parse_graph(data), args.property, budget))
-        return 0
-    kind, solver = _SOLVERS[args.problem]
-    value = solver(_PARSERS[kind](data), budget)
-    print("infeasible" if value is None else value)
+    kind, solver, flag = _SOLVERS[args.problem]
+    instance = _FORMATS[kind].parse(Path(args.input).read_bytes())
+    extra = () if flag is None else (getattr(args, flag),)
+    value = solver(instance, *extra, _budget(args))
+    _write(args.out, f"{'infeasible' if value is None else value}\n")
     return 0
 
 
@@ -277,17 +270,7 @@ def _cmd_verify(args) -> int:
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen-cnf":
-            return _cmd_gen_cnf(args)
-        if args.command == "disperser":
-            return _cmd_disperser(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "pipeline":
-            return _cmd_pipeline(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_transform(args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -3,7 +3,8 @@
 A pipeline is an input instance plus an ordered stage list whose input/output
 kinds chain (cnf -> lc -> ... -> graph). Each stage op is defined once, in the
 `STAGES` registry: its CLI subcommand, its kinds, its parameter schema, how it
-builds its output and ledger entry, and how verify grades it. Running a
+builds its output and ledger entry, and how verify grades it. Instance formats
+(`_FORMATS`) and input kinds (`_INPUTS`) are tables in the same way. Running a
 pipeline produces every intermediate instance and a gap ledger; verifying one
 additionally computes source and target optima with the exact oracles and
 grades each stage's completeness/soundness predicate PASS, FAIL,
@@ -20,7 +21,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import gap_ledger as gl
 from . import oracles
@@ -148,13 +149,14 @@ def gen_gap_cnf(
 
 
 def gen_cnf_gap(
-    num_vars: int, eps: float, seed, num_clauses: int | None = None
+    num_vars: int, eps: float, seed, num_clauses: int | None = None,
+    budget: SolveBudget | None = None,
 ) -> tuple[CnfFormula, CnfFormula]:
     """One planted satisfiable formula and one oracle-certified gap formula."""
     m = num_clauses if num_clauses is not None else 2 * num_vars
     rng = random.Random(seed)
     planted = gen_planted_cnf(num_vars, m, rng.randrange(2**63))
-    gap = gen_gap_cnf(num_vars, m, eps, rng.randrange(2**63))
+    gap = gen_gap_cnf(num_vars, m, eps, rng.randrange(2**63), budget=budget)
     return planted, gap
 
 
@@ -162,30 +164,20 @@ def gen_cnf_gap(
 # Instance kinds
 
 
-_INPUT_KINDS = {
-    "cnf-file": "cnf",
-    "lc-file": "lc",
-    "graph-file": "graph",
-    "ss-file": "setsystem",
-    "gen-planted": "cnf",
-    "gen-gap": "cnf",
-}
+class _Format(NamedTuple):
+    """How one instance kind is stored: its file extension, parser and emitter."""
 
-_PARSERS = {
-    "cnf": parse_cnf,
-    "lc": parse_labelcover,
-    "graph": parse_graph,
-    "setsystem": parse_setsystem,
-}
+    extension: str
+    parse: Callable
+    emit: Callable
 
-_EMITTERS = {
-    "cnf": emit_cnf,
-    "lc": emit_labelcover,
-    "graph": emit_graph,
-    "setsystem": emit_setsystem,
-}
 
-_EXTENSIONS = {"cnf": "cnf", "lc": "lc", "graph": "graph", "setsystem": "ss"}
+_FORMATS = {
+    "cnf": _Format("cnf", parse_cnf, emit_cnf),
+    "lc": _Format("lc", parse_labelcover, emit_labelcover),
+    "graph": _Format("graph", parse_graph, emit_graph),
+    "setsystem": _Format("ss", parse_setsystem, emit_setsystem),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +252,13 @@ def _check_seed(where: str, seed) -> None:
         raise ValidationError(f"{where}: 'seed' must be a number, a string or null, got {seed!r}")
 
 
-_FILE_PARAMS = (Param("path", str),)
 _GEN_PARAMS = (Param("n"), Param("m"))
-# The fields each input kind reads (besides `kind` and an optional `seed`).
-_INPUT_PARAMS = {
-    "cnf-file": _FILE_PARAMS,
-    "lc-file": _FILE_PARAMS,
-    "graph-file": _FILE_PARAMS,
-    "ss-file": _FILE_PARAMS,
-    "gen-planted": _GEN_PARAMS,
-    "gen-gap": _GEN_PARAMS + (Param("epsilon", float),),
+# Each input kind: the instance kind it loads and the fields it reads (besides
+# `kind` and an optional `seed`). A file input is named after its extension.
+_INPUTS = {
+    **{f"{fmt.extension}-file": (kind, (Param("path", str),)) for kind, fmt in _FORMATS.items()},
+    "gen-planted": ("cnf", _GEN_PARAMS),
+    "gen-gap": ("cnf", _GEN_PARAMS + (Param("epsilon", float),)),
 }
 
 # The top-level fields of a spec file other than `seed`, `input`, `stages`
@@ -730,12 +719,12 @@ class PipelineSpec:
         object.__setattr__(self, "stages", tuple(dict(s) for s in self.stages))
         # Names are looked up by hash, so a list or an object must not reach the lookup.
         kind = self.input.get("kind")
-        if not isinstance(kind, str) or kind not in _INPUT_KINDS:
+        if not isinstance(kind, str) or kind not in _INPUTS:
             raise ValidationError(f"unknown input kind {kind!r}")
         _check_seed("spec", self.seed)
         _check_seed(f"input {kind!r}", self.input.get("seed"))
-        _validate_params(f"input {kind!r}", _INPUT_PARAMS[kind], self.input, ("kind", "seed"))
-        current = _INPUT_KINDS[kind]
+        current, fields = _INPUTS[kind]
+        _validate_params(f"input {kind!r}", fields, self.input, ("kind", "seed"))
         for stage in self.stages:
             op = stage.get("op")
             if not isinstance(op, str) or op not in STAGES:
@@ -751,7 +740,7 @@ class PipelineSpec:
 
     @property
     def output_kind(self) -> str:
-        kind = _INPUT_KINDS[self.input["kind"]]
+        kind = _INPUTS[self.input["kind"]][0]
         for stage in self.stages:
             kind = STAGES[stage["op"]].output_kind
         return kind
@@ -794,13 +783,11 @@ def _load_input(spec: PipelineSpec):
     info = spec.input
     kind = info["kind"]
     if kind.endswith("-file"):
-        return _PARSERS[_INPUT_KINDS[kind]](Path(info["path"]).read_bytes())
+        return _FORMATS[_INPUTS[kind][0]].parse(Path(info["path"]).read_bytes())
     seed = info.get("seed", spec.seed)
     if kind == "gen-planted":
         return gen_planted_cnf(info["n"], info["m"], seed)
-    if kind == "gen-gap":
-        return gen_gap_cnf(info["n"], info["m"], info["epsilon"], seed)
-    raise ValidationError(f"unknown input kind {kind!r}")
+    return gen_gap_cnf(info["n"], info["m"], info["epsilon"], seed, budget=spec.budget)
 
 
 @dataclass
@@ -813,7 +800,7 @@ class PipelineRun:
 
 def run_pipeline(spec: PipelineSpec) -> PipelineRun:
     instance = _load_input(spec)
-    kinds = [_INPUT_KINDS[spec.input["kind"]]]
+    kinds = [_INPUTS[spec.input["kind"]][0]]
     instances = [instance]
     ledger = gl.GapLedger()
     extras = []
@@ -916,8 +903,8 @@ def write_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for idx, (kind, instance) in enumerate(zip(run.kinds, run.instances)):
-        name = f"stage{idx:02d}.{_EXTENSIONS[kind]}"
-        (out / name).write_text(_EMITTERS[kind](instance))
+        name = f"stage{idx:02d}.{_FORMATS[kind].extension}"
+        (out / name).write_text(_FORMATS[kind].emit(instance))
         artifacts.append(name)
     for idx, extra in enumerate(run.extras):
         disperser = extra.get("disperser")

@@ -19,9 +19,13 @@ from gapred import (
     Graph,
     ParseError,
     ValidationError,
+    cnf_to_labelcover,
+    emit_labelcover,
     max_cov,
     parse_cnf,
     parse_graph,
+    parse_labelcover,
+    parse_setsystem,
     sat_max,
 )
 from gapred import cli, oracles, pipelines
@@ -393,12 +397,12 @@ def test_write_artifacts_roundtrip_and_determinism(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["verification"]["overall"] == "pass"
     # Every emitted instance re-parses to the in-memory instance.
-    from gapred.pipelines import _EMITTERS, _EXTENSIONS, _PARSERS
+    from gapred.pipelines import _FORMATS
 
     run = run_pipeline(spec)
     for idx, (kind, instance) in enumerate(zip(run.kinds, run.instances)):
-        text = (out1 / f"stage{idx:02d}.{_EXTENSIONS[kind]}").read_text()
-        assert _PARSERS[kind](text) == instance
+        text = (out1 / f"stage{idx:02d}.{_FORMATS[kind].extension}").read_text()
+        assert _FORMATS[kind].parse(text) == instance
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +605,52 @@ def test_cli_specialized_solvers(tmp_path, capsys):
     assert run_command(["solve", "max-induced", str(graph), "--property", "forest"]) == 0
     assert capsys.readouterr().out.strip() == "4"
 
+    # Every problem prints its oracle's value on the parsed file, to stdout or
+    # to --out. The graph's six plain oracle values differ, and each extra flag
+    # is set to a value whose answer differs from the default's, so a row wired
+    # to the wrong oracle, instance kind or flag fails.
+    cnf, lc, ss, g = (tmp_path / name for name in ("f.cnf", "f.lc", "f.ss", "g.graph"))
+    cnf.write_text("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n")
+    lc.write_text(emit_labelcover(cnf_to_labelcover(parse_cnf(cnf.read_text()))))
+    ss.write_text("ss 3 3\ns 1 2 1 2\ns 2 2 2 3\ns 3 1 3\n")
+    g.write_text("p edge 9 6\ne 1 3\ne 2 3\ne 3 5\ne 4 8\ne 5 8\ne 7 9\n")
+    parse = {cnf: parse_cnf, lc: parse_labelcover, ss: parse_setsystem, g: parse_graph}
+    cases = {
+        "sat-max": (cnf, (), oracles.sat_max, ()),
+        "max-cov": (lc, (), oracles.max_cov, ()),
+        "min-lab": (lc, (), oracles.min_lab, ()),
+        "set-cover": (ss, (), oracles.set_cover, ()),
+        "clique": (g, (), oracles.clique, ()),
+        "independent-set": (g, (), oracles.independent_set, ()),
+        "biclique": (g, (), oracles.biclique, ()),
+        "dom-set": (g, (), oracles.dom_set, ()),
+        "induced-matching": (g, (), oracles.induced_matching, ()),
+        "induced-path": (g, (), oracles.induced_path, ()),
+        "count-ktt": (g, ("--t", "2"), oracles.count_ktt, (2,)),
+        "densest-k": (g, ("--k", "3"), oracles.densest_k, (3,)),
+        "max-induced": (g, ("--property", "edgeless"), oracles.max_induced_with_property,
+                        ("edgeless",)),
+    }
+    assert set(cases) == set(cli._SOLVERS)
+    printed = {}
+    for problem, (path, flags, oracle, extra) in cases.items():
+        want = f"{oracle(parse[path](path.read_bytes()), *extra)}\n"
+        assert run_command(["solve", problem, str(path), *flags]) == 0
+        assert capsys.readouterr().out == want, problem
+        out = tmp_path / f"{problem}.txt"
+        assert run_command(["solve", problem, str(path), *flags, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == want, problem
+        printed[problem] = want
+    assert run_command(["solve", "min-lab", str(lc), "--out", "-"]) == 0
+    assert capsys.readouterr().out == printed["min-lab"] != printed["max-cov"]
+    plain = ("clique", "independent-set", "biclique", "dom-set", "induced-matching", "induced-path")
+    assert len({printed[problem] for problem in plain}) == len(plain)
+    graph = parse_graph(g.read_text())
+    assert printed["count-ktt"] != f"{oracles.count_ktt(graph, 1)}\n"
+    assert printed["densest-k"] != f"{oracles.densest_k(graph, 2)}\n"
+    assert printed["max-induced"] != f"{oracles.max_induced_with_property(graph, 'forest')}\n"
+
 
 def test_cli_gen_cnf_pair_mode(tmp_path, capsys):
     base = tmp_path / "inst"
@@ -610,6 +660,9 @@ def test_cli_gen_cnf_pair_mode(tmp_path, capsys):
     gap = parse_cnf((tmp_path / "inst.gap.cnf").read_text())
     assert sat_max(sat) == sat.num_clauses
     assert sat_max(gap) < 0.7 * gap.num_clauses
+    # --budget-* bounds the gap formula's certification, as in --mode gap.
+    assert run_command(["gen-cnf", "--n", "6", "--m", "5", "--mode", "pair", "--epsilon", "0.3",
+                        "--seed", "9", "--out", str(base), "--budget-nodes", "5"]) == 3
 
 
 def test_verify_fail_report_names_witness(tmp_path):
@@ -622,6 +675,19 @@ def test_verify_fail_report_names_witness(tmp_path):
     report = verify_pipeline(spec)
     assert report.overall == "fail"
     assert "witness instance: stage01" in report.stages[0].detail
+
+
+def test_cli_spec_budget_bounds_gen_gap_input(tmp_path):
+    # The spec's budget bounds each sat_max call of the gen-gap rejection loop,
+    # so the first attempt exhausts it instead of 5000 attempts running unbounded.
+    spec_path = tmp_path / "gap.json"
+    spec_path.write_text(json.dumps({
+        "seed": 3,
+        "input": {"kind": "gen-gap", "n": 14, "m": 28, "epsilon": 0.3},
+        "stages": [],
+        "budget": {"max_nodes": 5},
+    }))
+    assert run_command(["pipeline", str(spec_path)]) == 3
 
 
 def test_cli_budget_flag_overrides_spec(tmp_path):
