@@ -679,7 +679,8 @@ def test_verify_fail_report_names_witness(tmp_path):
 
 def test_cli_spec_budget_bounds_gen_gap_input(tmp_path):
     # The spec's budget bounds each sat_max call of the gen-gap rejection loop,
-    # so the first attempt exhausts it instead of 5000 attempts running unbounded.
+    # so the first attempt exhausts it; without it all 5000 attempts would run
+    # under the default budget and end in a GenerationError (exit 2).
     spec_path = tmp_path / "gap.json"
     spec_path.write_text(json.dumps({
         "seed": 3,
