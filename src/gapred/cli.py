@@ -89,8 +89,8 @@ def _manifest(out: str | None, data: dict):
 def _budget(args, base: SolveBudget = SolveBudget()) -> SolveBudget:
     """`base`, with each limit a --budget-* flag sets replaced."""
     return SolveBudget(
-        max_nodes=args.budget_nodes or base.max_nodes,
-        max_millis=args.budget_millis or base.max_millis,
+        max_nodes=base.max_nodes if args.budget_nodes is None else args.budget_nodes,
+        max_millis=base.max_millis if args.budget_millis is None else args.budget_millis,
     )
 
 
@@ -180,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_cnf(args) -> int:
     if args.mode == "pair":
+        if args.out == "-":
+            raise ParseError("--mode pair writes two files: --out takes a path stem, not '-'")
         planted, gap = gen_cnf_gap(args.n, args.epsilon, args.seed, num_clauses=args.m,
                                    budget=_budget(args))
         base = Path(args.out or "cnf")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
-from .instances import _as_text
+from .instances import _as_text, _checked
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -197,7 +197,4 @@ def parse_disperser(data) -> Disperser:
             raise ParseError(f"non-integer element in {ln!r}") from None
     if len(subsets) != k:
         raise ParseError(f"header declares {k} subsets, found {len(subsets)}")
-    try:
-        return Disperser(m, k, ell, r, eps, tuple(subsets))
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+    return _checked(Disperser, m, k, ell, r, eps, tuple(subsets))

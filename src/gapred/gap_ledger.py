@@ -99,9 +99,6 @@ class StageEntry:
         object.__setattr__(self, "params", tuple(sorted(self.params)))
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
 
 @dataclass(frozen=True)
 class GapLedger:

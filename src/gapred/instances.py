@@ -62,6 +62,42 @@ def _as_text(data) -> str:
     return data
 
 
+def _records(data, comments=("c",)):
+    """(line number, stripped line, its fields) for each line of the text that
+    is not blank and does not start with one of `comments`."""
+    for lineno, line in enumerate(_as_text(data).splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith(comments):
+            yield lineno, line, line.split()
+
+
+def _ints(lineno: int, fields, what: str) -> list[int]:
+    """The fields as ints, or a ParseError naming the line and `what` they are."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer {what}") from None
+
+
+def _header(lineno: int, line: str, fields, header, kind, counts: int, what: str):
+    """The `counts` integer counts of a header line, whose second field is
+    `kind` when `kind` is given; `header` is the header already read, if any."""
+    if header is not None:
+        raise ParseError(f"line {lineno}: duplicate header")
+    words = 1 if kind is None else 2
+    if len(fields) != words + counts or (kind is not None and fields[1] != kind):
+        raise ParseError(f"line {lineno}: malformed header {line!r}")
+    return tuple(_ints(lineno, fields[words:], what))
+
+
+def _checked(build, *args):
+    """build(*args), a ValidationError of the constructor raised as a ParseError."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def bits_of(mask: int):
     """Iterate the set bit indices of a nonnegative int, ascending."""
     while mask:
@@ -171,30 +207,15 @@ class CnfFormula:
 
 def parse_cnf(data) -> CnfFormula:
     """Parse DIMACS CNF text ('p cnf n m' header, 0-terminated clauses)."""
-    text = _as_text(data)
     header = None
     tokens: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
+    for lineno, line, fields in _records(data, ("c", "%")):
         if line.startswith("p"):
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts in header") from None
-            continue
-        if header is None:
+            header = _header(lineno, line, fields, header, "cnf", 2, "counts in header")
+        elif header is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
-        try:
-            tokens.extend(int(tok) for tok in line.split())
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer literal") from None
+        else:
+            tokens += _ints(lineno, fields, "literal")
     if header is None:
         raise ParseError("missing 'p cnf' header")
     num_vars, num_clauses = header
@@ -216,10 +237,7 @@ def parse_cnf(data) -> CnfFormula:
         raise ParseError("unterminated final clause (missing 0)")
     if len(clauses) != num_clauses:
         raise ParseError(f"header declares {num_clauses} clauses, found {len(clauses)}")
-    try:
-        return CnfFormula(num_vars, tuple(clauses))
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+    return _checked(CnfFormula, num_vars, tuple(clauses))
 
 
 def emit_cnf(formula: CnfFormula) -> str:
@@ -387,20 +405,9 @@ def parse_graph(data) -> Graph:
         return graph
     header = mask_bits = None
     masks: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts in header") from None
+    for lineno, line, fields in _records(text):
+        if fields[0] == "p":
+            header = _header(lineno, line, fields, header, "edge", 2, "counts in header")
             if not 0 <= header[0] <= DEFAULT_SIZE_CAP:
                 raise ParseError(
                     f"line {lineno}: vertex count {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
@@ -408,15 +415,12 @@ def parse_graph(data) -> Graph:
             masks = [0] * header[0]
             # n masks of at most n bits each cannot pass the bound.
             mask_bits = 0 if header[0] * header[0] > 1 << _MASK_BITS else None
-        elif parts[0] == "e":
+        elif fields[0] == "e":
             if header is None:
                 raise ParseError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
+            if len(fields) != 3:
                 raise ParseError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer endpoint") from None
+            u, v = (x - 1 for x in _ints(lineno, fields[1:], "endpoint"))
             n = header[0]
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"line {lineno}: vertex out of range")
@@ -435,7 +439,7 @@ def parse_graph(data) -> Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         else:
-            raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
+            raise ParseError(f"line {lineno}: unknown line tag {fields[0]!r}")
     if header is None:
         raise ParseError("missing 'p edge' header")
     graph = Graph._from_masks(masks)
@@ -530,34 +534,19 @@ class SetSystem:
 
 def parse_setsystem(data) -> SetSystem:
     """Parse the set-system format ('ss n k' header, 's id size e1 .. ek' lines)."""
-    text = _as_text(data)
     header = None
     sets: list[tuple[int, list[int]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "ss":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts") from None
+    for lineno, line, fields in _records(data):
+        if fields[0] == "ss":
+            header = _header(lineno, line, fields, header, None, 2, "counts")
             if not 0 <= header[0] <= DEFAULT_SIZE_CAP:
                 raise ParseError(
                     f"line {lineno}: universe size {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
                 )
-        elif parts[0] == "s":
+        elif fields[0] == "s":
             if header is None:
                 raise ParseError(f"line {lineno}: set line before header")
-            try:
-                nums = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer field") from None
+            nums = _ints(lineno, fields[1:], "field")
             if len(nums) < 2 or len(nums) != 2 + nums[1]:
                 raise ParseError(f"line {lineno}: size field disagrees with element count")
             sid, _, *elems = nums
@@ -565,17 +554,14 @@ def parse_setsystem(data) -> SetSystem:
                 raise ParseError(f"line {lineno}: element out of range")
             sets.append((sid, [e - 1 for e in elems]))
         else:
-            raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
+            raise ParseError(f"line {lineno}: unknown line tag {fields[0]!r}")
     if header is None:
         raise ParseError("missing 'ss' header")
     if len(sets) != header[1]:
         raise ParseError(f"header declares {header[1]} sets, found {len(sets)}")
     # The constructor refuses repeated ids and masks past the width bound
     # before it builds them.
-    try:
-        return SetSystem(header[0], sets)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+    return _checked(SetSystem, header[0], sets)
 
 
 def emit_setsystem(system: SetSystem) -> str:
@@ -598,39 +584,13 @@ def emit_setsystem(system: SetSystem) -> str:
 
 @dataclass(frozen=True)
 class TupleDecoder:
-    """Decodes packed labels produced by compression back into per-member sub-labels.
+    """The member tuples behind a compressed super-vertex's labels.
 
     `labels[packed]` is the tuple of sub-labels assigned to `members`, in order.
     """
 
     members: tuple[int, ...]
     labels: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
-        object.__setattr__(
-            self, "labels", tuple(tuple(int(x) for x in tup) for tup in self.labels)
-        )
-        for tup in self.labels:
-            if len(tup) != len(self.members):
-                raise ValidationError("decoder tuple arity disagrees with member count")
-
-    @classmethod
-    def _unchecked(cls, members: tuple[int, ...], labels: tuple[tuple[int, ...], ...]):
-        """Unchecked constructor for transforms whose tuples are normalised; copies none."""
-        decoder = object.__new__(cls)
-        decoder.__dict__.update(members=members, labels=labels)
-        return decoder
-
-    @property
-    def arity(self) -> int:
-        return len(self.members)
-
-    def decode(self, label: int) -> tuple[int, ...]:
-        return self.labels[label]
-
-    def sub_label(self, label: int, member: int) -> int:
-        return self.labels[label][self.members.index(member)]
 
 
 class _Pairs(Set):
@@ -702,8 +662,9 @@ class LabelCover:
     that no labeling can cover (compression produces these for
     unsatisfiable-style sources).
 
-    Decoders are optional structured views of compressed labels; they are
-    metadata and do not participate in equality or serialization.
+    Left decoders, set by the compressions, map each left vertex's labels
+    back to its members' labels; they are metadata and do not participate in
+    equality or serialization.
     """
 
     left_size: int
@@ -715,7 +676,6 @@ class LabelCover:
     )
     admissible: Mapping[int, frozenset[int]] | None
     left_decoders: tuple | None = field(compare=False, repr=False)
-    right_decoders: tuple | None = field(compare=False, repr=False)
     betas: Mapping[tuple[int, int], Mapping[int, int]] = field(init=False)
 
     def __init__(
@@ -727,7 +687,6 @@ class LabelCover:
         relations=None,
         admissible=None,
         left_decoders=None,
-        right_decoders=None,
     ):
         if left_size < 0 or right_size < 0:
             raise ValidationError("vertex counts must be >= 0")
@@ -786,7 +745,6 @@ class LabelCover:
             right_alphabet=right_alphabet,
             admissible=adm,
             left_decoders=left_decoders,
-            right_decoders=right_decoders,
         )
         self._store(betas)
 
@@ -890,24 +848,12 @@ class MultiLabeling:
 
 def parse_labelcover(data) -> LabelCover:
     """Parse the label cover format ('lc' header, 'a' admissible lines, 'e' edges)."""
-    text = _as_text(data)
     header = None
     admissible: dict[int, frozenset[int]] = {}
     relations: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "lc":
-            if header is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(parts) != 5:
-                raise ParseError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = tuple(int(x) for x in parts[1:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts") from None
+    for lineno, line, fields in _records(data):
+        if fields[0] == "lc":
+            header = _header(lineno, line, fields, header, None, 4, "counts")
             # A label cover holds state per left vertex, right vertex and left
             # label, so a short header must not ask for more than the cap.
             for name, count in zip(("|U|", "|V|", "|SigmaU|"), header):
@@ -915,26 +861,20 @@ def parse_labelcover(data) -> LabelCover:
                     raise ParseError(
                         f"line {lineno}: {name} = {count} exceeds {DEFAULT_SIZE_CAP}"
                     )
-        elif parts[0] == "a":
+        elif fields[0] == "a":
             if header is None:
                 raise ParseError(f"line {lineno}: admissible line before header")
-            try:
-                nums = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer field") from None
+            nums = _ints(lineno, fields[1:], "field")
             if len(nums) < 2 or len(nums) != 2 + nums[1]:
                 raise ParseError(f"line {lineno}: size field disagrees with label count")
             u = nums[0] - 1
             if u in admissible:
                 raise ParseError(f"line {lineno}: duplicate admissible line for vertex {u + 1}")
             admissible[u] = frozenset(nums[2:])
-        elif parts[0] == "e":
+        elif fields[0] == "e":
             if header is None:
                 raise ParseError(f"line {lineno}: edge before header")
-            try:
-                nums = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer field") from None
+            nums = _ints(lineno, fields[1:], "field")
             if len(nums) < 3 or len(nums) != 3 + 2 * nums[2]:
                 raise ParseError(f"line {lineno}: pair count disagrees with pair list")
             u, v, npairs = nums[0] - 1, nums[1] - 1, nums[2]
@@ -943,17 +883,14 @@ def parse_labelcover(data) -> LabelCover:
             flat = nums[3:]
             relations[(u, v)] = frozenset((flat[2 * i], flat[2 * i + 1]) for i in range(npairs))
         else:
-            raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
+            raise ParseError(f"line {lineno}: unknown line tag {fields[0]!r}")
     if header is None:
         raise ParseError("missing 'lc' header")
     left, right, la, ra = header
     full = frozenset(range(la))
     for u in range(left):
         admissible.setdefault(u, full)
-    try:
-        return LabelCover(left, right, la, ra, relations, admissible)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+    return _checked(LabelCover, left, right, la, ra, relations, admissible)
 
 
 def emit_labelcover(lc: LabelCover) -> str:

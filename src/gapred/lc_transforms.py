@@ -135,7 +135,6 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
         betas=betas,
         admissible=admissible,
         left_decoders=None,
-        right_decoders=None,
     )
 
 
@@ -283,7 +282,7 @@ def compress_left_with(
         touched, kept, packed = _joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
-        decoders.append(TupleDecoder._unchecked(members, tuple(kept)))
+        decoders.append(TupleDecoder(members, tuple(kept)))
         for p, v in enumerate(touched):
             # Every kept tuple's lanes are nonempty, so each mask is too.
             s = p * width
@@ -300,7 +299,6 @@ def compress_left_with(
         betas=betas,
         admissible=admissible,
         left_decoders=tuple(decoders),
-        right_decoders=lc.right_decoders,
     )
 
 
@@ -343,12 +341,6 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     if ra**max_block > params.size_cap:
         raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
 
-    right_decoders = [
-        TupleDecoder._unchecked(
-            members, tuple(itertools.product(range(ra), repeat=len(members)))
-        )
-        for members in blocks
-    ]
     width = ra + 1
     block_labels: dict[tuple[int, tuple[int, ...]], _BlockLabels] = {}
     betas = {}
@@ -360,7 +352,7 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
         touched, kept, packed = _joint_labels(lc, members, params.size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
-        left_decoders.append(TupleDecoder._unchecked(members, tuple(kept)))
+        left_decoders.append(TupleDecoder(members, tuple(kept)))
         hi = 0
         for j, block in enumerate(blocks):
             # Touched vertices ascend and blocks are contiguous, so the block's
@@ -386,7 +378,6 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
         betas=betas,
         admissible=admissible,
         left_decoders=tuple(left_decoders),
-        right_decoders=tuple(right_decoders),
     )
 
 
@@ -414,9 +405,6 @@ def drop_isolated_right(lc: LabelCover) -> LabelCover:
         return lc
     remap = {v: j for j, v in enumerate(keep)}
     betas = {(u, remap[v]): masks for (u, v), masks in lc.betas.items()}
-    right_decoders = None
-    if lc.right_decoders is not None:
-        right_decoders = tuple(lc.right_decoders[v] for v in keep)
     return LabelCover._unchecked(
         left_size=lc.left_size,
         right_size=len(keep),
@@ -425,7 +413,6 @@ def drop_isolated_right(lc: LabelCover) -> LabelCover:
         betas=betas,
         admissible=dict(lc.admissible),
         left_decoders=lc.left_decoders,
-        right_decoders=right_decoders,
     )
 
 

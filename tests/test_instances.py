@@ -600,17 +600,6 @@ def test_setsystem_order_insensitive():
     assert parse_setsystem(emit_setsystem(a)) == a
 
 
-def test_tuple_decoder():
-    from gapred import TupleDecoder
-
-    dec = TupleDecoder((4, 7), ((0, 1), (2, 3), (2, 5)))
-    assert dec.arity == 2
-    assert dec.decode(1) == (2, 3)
-    assert dec.sub_label(2, 7) == 5
-    with pytest.raises(ValidationError):
-        TupleDecoder((4,), ((0, 1),))
-
-
 # ---------------------------------------------------------------------------
 # Parser fuzzing: mutated files raise only the package's own errors
 
@@ -757,6 +746,202 @@ def ref_parse_graph(text):
     if graph.num_edges != header[1]:
         raise ParseError(f"header declares {header[1]} edges, found {graph.num_edges}")
     return graph
+
+
+def ref_parse_cnf(data):
+    """The line loop parse_cnf ran before its lines went through the shared record reader."""
+    text = instances._as_text(data)
+    header = None
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("c") or line.startswith("%"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer counts in header") from None
+            continue
+        if header is None:
+            raise ParseError(f"line {lineno}: clause before 'p cnf' header")
+        try:
+            tokens.extend(int(tok) for tok in line.split())
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer literal") from None
+    if header is None:
+        raise ParseError("missing 'p cnf' header")
+    num_vars, num_clauses = header
+    clauses = []
+    current = []
+    for tok in tokens:
+        if tok == 0:
+            if not current:
+                raise ParseError("empty clause (bare 0)")
+            if len(current) > 3:
+                raise ParseError(f"clause {len(clauses) + 1} wider than 3 literals")
+            clauses.append(tuple(current))
+            current = []
+        else:
+            if abs(tok) > num_vars:
+                raise ParseError(f"literal {tok} out of range (header declares {num_vars} vars)")
+            current.append(tok)
+    if current:
+        raise ParseError("unterminated final clause (missing 0)")
+    if len(clauses) != num_clauses:
+        raise ParseError(f"header declares {num_clauses} clauses, found {len(clauses)}")
+    try:
+        return CnfFormula(num_vars, tuple(clauses))
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def ref_parse_setsystem(data):
+    """The line loop parse_setsystem ran before the shared record reader."""
+    text = instances._as_text(data)
+    header = None
+    sets = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "ss":
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            try:
+                header = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer counts") from None
+            if not 0 <= header[0] <= instances.DEFAULT_SIZE_CAP:
+                raise ParseError(
+                    f"line {lineno}: universe size {header[0]} outside "
+                    f"0..{instances.DEFAULT_SIZE_CAP}"
+                )
+        elif parts[0] == "s":
+            if header is None:
+                raise ParseError(f"line {lineno}: set line before header")
+            try:
+                nums = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer field") from None
+            if len(nums) < 2 or len(nums) != 2 + nums[1]:
+                raise ParseError(f"line {lineno}: size field disagrees with element count")
+            sid, _, *elems = nums
+            if any(not 1 <= e <= header[0] for e in elems):
+                raise ParseError(f"line {lineno}: element out of range")
+            sets.append((sid, [e - 1 for e in elems]))
+        else:
+            raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
+    if header is None:
+        raise ParseError("missing 'ss' header")
+    if len(sets) != header[1]:
+        raise ParseError(f"header declares {header[1]} sets, found {len(sets)}")
+    try:
+        return SetSystem(header[0], sets)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def ref_parse_labelcover(data):
+    """The line loop parse_labelcover ran before the shared record reader."""
+    text = instances._as_text(data)
+    header = None
+    admissible = {}
+    relations = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "lc":
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(parts) != 5:
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            try:
+                header = tuple(int(x) for x in parts[1:])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer counts") from None
+            for name, count in zip(("|U|", "|V|", "|SigmaU|"), header):
+                if count > instances.DEFAULT_SIZE_CAP:
+                    raise ParseError(
+                        f"line {lineno}: {name} = {count} exceeds {instances.DEFAULT_SIZE_CAP}"
+                    )
+        elif parts[0] == "a":
+            if header is None:
+                raise ParseError(f"line {lineno}: admissible line before header")
+            try:
+                nums = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer field") from None
+            if len(nums) < 2 or len(nums) != 2 + nums[1]:
+                raise ParseError(f"line {lineno}: size field disagrees with label count")
+            u = nums[0] - 1
+            if u in admissible:
+                raise ParseError(f"line {lineno}: duplicate admissible line for vertex {u + 1}")
+            admissible[u] = frozenset(nums[2:])
+        elif parts[0] == "e":
+            if header is None:
+                raise ParseError(f"line {lineno}: edge before header")
+            try:
+                nums = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer field") from None
+            if len(nums) < 3 or len(nums) != 3 + 2 * nums[2]:
+                raise ParseError(f"line {lineno}: pair count disagrees with pair list")
+            u, v, npairs = nums[0] - 1, nums[1] - 1, nums[2]
+            if (u, v) in relations:
+                raise ParseError(f"line {lineno}: duplicate edge ({u + 1},{v + 1})")
+            flat = nums[3:]
+            relations[(u, v)] = frozenset((flat[2 * i], flat[2 * i + 1]) for i in range(npairs))
+        else:
+            raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
+    if header is None:
+        raise ParseError("missing 'lc' header")
+    left, right, la, ra = header
+    full = frozenset(range(la))
+    for u in range(left):
+        admissible.setdefault(u, full)
+    try:
+        return LabelCover(left, right, la, ra, relations, admissible)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _parsed(parse, data):
+    """What `parse` makes of `data`: the instance, or the package error's type and text."""
+    try:
+        return parse(data)
+    except GapredError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind, parse, referee", [
+    ("cnf", parse_cnf, ref_parse_cnf),
+    ("graph", parse_graph, ref_parse_graph),
+    ("ss", parse_setsystem, ref_parse_setsystem),
+    ("lc", parse_labelcover, ref_parse_labelcover),
+])
+@given(seed=st.integers(0, 10**6), counts=_HEADER_COUNTS,
+       mutations=st.lists(_MUTATION, max_size=4), as_bytes=st.booleans(),
+       raw=st.binary(max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_parsers_keep_their_line_loops_outcome_on_mutated_files(kind, parse, referee, seed,
+                                                                counts, mutations, as_bytes,
+                                                                raw):
+    text = _mutate(_valid_text(kind, seed), counts, mutations)
+    data = text.encode() + raw if as_bytes else text
+    # ref_parse_graph is parse_graph's line loop alone, which takes decoded text.
+    want = _parsed(lambda data: referee(instances._as_text(data)), data)
+    assert _parsed(parse, data) == want
 
 
 def ref_emit_graph(graph):

@@ -147,7 +147,7 @@ def test_compress_left_keeps_consistent_tuples_only():
     out, _ = compress_left(lc, CompressLeftParams(k=1, r=1, eps=0.5, seed=0))
     decoder = out.left_decoders[0]
     for label in sorted(out.admissible[0]):
-        a0, a1 = decoder.decode(label)
+        a0, a1 = decoder.labels[label]
         assert (a0 & 1) == (a1 & 1)  # both assign the same value to x1
 
 
@@ -279,7 +279,7 @@ def ref_compress_left_with(lc, disperser, size_cap=lc_transforms.DEFAULT_SIZE_CA
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             relations[(i, v)] = pairs
     return LabelCover(disperser.k, lc.right_size, max_labels, lc.right_alphabet, relations,
-                      admissible, tuple(decoders), lc.right_decoders)
+                      admissible, tuple(decoders))
 
 
 def ref_compress_right(lc, params):
@@ -300,10 +300,6 @@ def ref_compress_right(lc, params):
     max_block = max(len(b) for b in blocks)
     if ra**max_block > params.size_cap:
         raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
-    right_decoders = [
-        TupleDecoder(members, tuple(itertools.product(range(ra), repeat=len(members))))
-        for members in blocks
-    ]
     full_mask = (1 << ra) - 1
     relations, admissible, left_decoders = {}, {}, []
     total_pairs, max_labels = 0, 1
@@ -326,11 +322,11 @@ def ref_compress_right(lc, params):
                 raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
             relations[(i, j)] = frozenset(pairs)
     return LabelCover(num_left, params.q, max_labels, ra**max_block, relations, admissible,
-                      tuple(left_decoders), tuple(right_decoders))
+                      tuple(left_decoders))
 
 
 def _outcomes(pairs):
-    """Each compression's emitted text plus decoders, or the error it raised."""
+    """Each compression's emitted text plus left decoders, or the error it raised."""
     outputs = []
     for compress in pairs:
         try:
@@ -338,7 +334,7 @@ def _outcomes(pairs):
         except (SizeCapError, ValidationError) as exc:
             outputs.append((type(exc), str(exc)))
         else:
-            outputs.append((emit_labelcover(out), out.left_decoders, out.right_decoders))
+            outputs.append((emit_labelcover(out), out.left_decoders))
     return outputs
 
 
@@ -441,7 +437,7 @@ def test_drop_isolated_right():
 def _rebuilt(lc):
     """The same fields passed through the public, validating constructor."""
     return LabelCover(lc.left_size, lc.right_size, lc.left_alphabet, lc.right_alphabet,
-                      lc.relations, lc.admissible, lc.left_decoders, lc.right_decoders)
+                      lc.relations, lc.admissible, lc.left_decoders)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -485,6 +485,23 @@ def test_cli_budget_exit_code(tmp_path):
     assert run_command(["solve", "sat-max", str(cnf), "--budget-nodes", "3"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-millis"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_refuses_a_zero_budget(tmp_path, capsys, command, flag):
+    # 0 is a limit like any other, not "unset", so it is refused as -1 is.
+    if command == "solve":
+        graph = tmp_path / "k4.graph"
+        graph.write_text("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+        argv = ["solve", "clique", str(graph)]
+    else:
+        spec = tmp_path / "pipe.json"
+        spec.write_text(json.dumps({"seed": 2, "input": {"kind": "gen-planted", "n": 6, "m": 5},
+                                    "stages": [{"op": "cnf2lc"}]}))
+        argv = ["verify", str(spec)]
+    assert run_command(argv + [flag, "0"]) == 2
+    assert "budget limits must be positive" in capsys.readouterr().err
+
+
 def test_cli_disperser_commands(tmp_path, capsys):
     disp = tmp_path / "d.disp"
     assert run_command(["disperser", "gen", "--m", "12", "--k", "4", "--r", "2",
@@ -663,6 +680,15 @@ def test_cli_gen_cnf_pair_mode(tmp_path, capsys):
     # --budget-* bounds the gap formula's certification, as in --mode gap.
     assert run_command(["gen-cnf", "--n", "6", "--m", "5", "--mode", "pair", "--epsilon", "0.3",
                         "--seed", "9", "--out", str(base), "--budget-nodes", "5"]) == 3
+
+
+def test_cli_gen_cnf_pair_mode_refuses_stdout(tmp_path, monkeypatch, capsys):
+    # Pair mode writes two files named from a path stem, so '-' is no stem.
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["gen-cnf", "--n", "6", "--m", "5", "--mode", "pair",
+                        "--epsilon", "0.3", "--seed", "9", "--out", "-"]) == 2
+    assert "path stem" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_fail_report_names_witness(tmp_path):
