@@ -51,7 +51,6 @@ from .oracles import (
     induced_path,
     induced_path_at_least,
     max_cov,
-    max_cov_at_least,
     max_induced_with_property,
     min_lab,
     sat_max,

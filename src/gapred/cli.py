@@ -105,12 +105,14 @@ def _spec_with_cli_overrides(args) -> PipelineSpec:
     return dataclasses.replace(spec, **changes)
 
 
-def _add_common(parser):
-    parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-    parser.add_argument("--budget-nodes", type=int, default=None)
-    parser.add_argument("--budget-millis", type=int, default=None)
+# Each subcommand takes --out, and --seed, --size-cap and --budget-* only
+# where its handler reads them.
+_OUT_HELP = "output path ('-' for stdout)"
+
+
+def _add_budget(parser):
+    parser.add_argument("--budget-nodes", type=int)
+    parser.add_argument("--budget-millis", type=int)
 
 
 def _add_param(parser, param):
@@ -121,7 +123,7 @@ def _add_param(parser, param):
                             const=switch, default=default)
     else:
         parser.add_argument(f"--{param.name}", dest=param.name, type=param.type,
-                            metavar=param.metavar, required=param.required,
+                            required=param.required,
                             default=None if param.required else param.default)
 
 
@@ -135,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=("random", "planted", "gap", "pair"), default="random")
     p.add_argument("--epsilon", type=float, default=0.2)
-    _add_common(p)
+    p.add_argument("--out", help=f"{_OUT_HELP}; under --mode pair, a path stem, not '-'")
+    p.add_argument("--seed", type=int, default=0)
+    _add_budget(p)
     p.set_defaults(handler=_cmd_gen_cnf)
 
     for op, stage in STAGES.items():
@@ -143,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input")
         for param in stage.params:
             _add_param(p, param)
-        _add_common(p)
+        p.add_argument("--out", help=_OUT_HELP)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
         p.set_defaults(op=op, handler=_cmd_transform)
 
     p = sub.add_parser("disperser", help="generate, check, or search dispersers")
@@ -153,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--epsilon", type=float)
-    _add_common(p)
+    p.add_argument("--out", help=_OUT_HELP)
+    p.add_argument("--seed", type=int, default=0)
+    _add_budget(p)
     p.set_defaults(handler=_cmd_disperser)
 
     p = sub.add_parser("solve", help="run an exact oracle on an instance file")
@@ -162,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1, help="t for count-ktt")
     p.add_argument("--k", type=int, default=2, help="k for densest-k")
     p.add_argument("--property", default="forest", help="property for max-induced")
-    _add_common(p)
+    p.add_argument("--out", help=_OUT_HELP)
+    _add_budget(p)
     p.set_defaults(handler=_cmd_solve)
 
     for name, text, handler in (
@@ -171,19 +180,24 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("spec")
-        _add_common(p)
+        p.add_argument("--out", help=_OUT_HELP)
         # Unset seed and size cap mean "as the spec says".
-        p.set_defaults(seed=None, size_cap=None, handler=handler)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--size-cap", type=int)
+        _add_budget(p)
+        p.set_defaults(handler=handler)
 
     return top
 
 
 def _cmd_gen_cnf(args) -> int:
+    # Read in every mode, so a bad --budget-* exits 2 even where no oracle runs.
+    budget = _budget(args)
     if args.mode == "pair":
         if args.out == "-":
             raise ParseError("--mode pair writes two files: --out takes a path stem, not '-'")
         planted, gap = gen_cnf_gap(args.n, args.epsilon, args.seed, num_clauses=args.m,
-                                   budget=_budget(args))
+                                   budget=budget)
         base = Path(args.out or "cnf")
         sat_path = base.parent / (base.stem + ".sat.cnf")
         gap_path = base.parent / (base.stem + ".gap.cnf")
@@ -191,7 +205,7 @@ def _cmd_gen_cnf(args) -> int:
         gap_path.write_text(emit_cnf(gap))
         print(f"{sat_path}\n{gap_path}")
     elif args.mode == "gap":
-        formula = gen_gap_cnf(args.n, args.m, args.epsilon, args.seed, budget=_budget(args))
+        formula = gen_gap_cnf(args.n, args.m, args.epsilon, args.seed, budget=budget)
         _write(args.out, emit_cnf(formula))
     else:
         generate = random_cnf if args.mode == "random" else gen_planted_cnf
@@ -210,18 +224,18 @@ def _cmd_transform(args) -> int:
     if "disperser" in extras and args.out not in (None, "-"):
         Path(args.out).with_suffix(".disp").write_text(emit_disperser(extras["disperser"]))
     _write(args.out, _FORMATS[stage.output_kind].emit(out))
-    recorded = ["seed", "size_cap"] + [p.name for p in stage.params if p.record]
-    _manifest(args.out, {"command": args.command, "input": args.input,
-                         "params": {name: params[name] for name in recorded}})
+    _manifest(args.out, {"command": args.command, "input": args.input, "params": params})
     return 0
 
 
 def _cmd_disperser(args) -> int:
+    # Read in every action, so a bad --budget-* exits 2 even under 'gen'.
+    budget = _budget(args)
     if args.action == "check":
         if args.input is None:
             raise ParseError("disperser check needs an input file")
         d = parse_disperser(Path(args.input).read_bytes())
-        witness = verify_disperser(d, _budget(args))
+        witness = verify_disperser(d, budget)
         if witness is None:
             print("pass")
             return 0
@@ -232,7 +246,7 @@ def _cmd_disperser(args) -> int:
     if args.action == "gen":
         d = random_disperser(args.m, args.k, args.r, args.epsilon, args.seed)
     else:
-        d = deterministic_disperser(args.m, args.k, args.r, args.epsilon, _budget(args))
+        d = deterministic_disperser(args.m, args.k, args.r, args.epsilon, budget)
     _write(args.out, emit_disperser(d))
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
-from .instances import _as_text, _checked
+from .instances import _checked, _ints, _records
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -177,24 +177,23 @@ def emit_disperser(d: Disperser) -> str:
 
 
 def parse_disperser(data) -> Disperser:
-    text = _as_text(data)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
-    if not lines or not lines[0].startswith("disp"):
+    """Parse the disperser format ('disp m k l r eps' header, one line of
+    1-indexed elements per subset)."""
+    records = _records(data)
+    first = next(records, None)
+    if first is None:
         raise ParseError("missing 'disp' header")
-    parts = lines[0].split()
-    if len(parts) != 6:
-        raise ParseError(f"malformed header {lines[0]!r}")
+    lineno, line, fields = first
+    if fields[0] != "disp":
+        raise ParseError(f"line {lineno}: missing 'disp' header")
+    if len(fields) != 6:
+        raise ParseError(f"line {lineno}: malformed header {line!r}")
+    m, k, ell, r = _ints(lineno, fields[1:5], "header field")
     try:
-        m, k, ell, r = (int(x) for x in parts[1:5])
-        eps = float(parts[5])
+        eps = float(fields[5])
     except ValueError:
-        raise ParseError("non-numeric header field") from None
-    subsets = []
-    for ln in lines[1:]:
-        try:
-            subsets.append(frozenset(int(x) - 1 for x in ln.split()))
-        except ValueError:
-            raise ParseError(f"non-integer element in {ln!r}") from None
+        raise ParseError(f"line {lineno}: non-numeric header field") from None
+    subsets = [frozenset(x - 1 for x in _ints(n, row, "element")) for n, _, row in records]
     if len(subsets) != k:
         raise ParseError(f"header declares {k} subsets, found {len(subsets)}")
     return _checked(Disperser, m, k, ell, r, eps, tuple(subsets))

@@ -332,7 +332,6 @@ class DksParams:
     ell: int
     p: float = 1.0
     lam: float = 0.1
-    r: int | None = None
     seed: int | None = None
     size_cap: int = 2_000_000
 
@@ -351,7 +350,7 @@ def dks_params(num_vars: int, r: int, lam: float = 0.1, seed=None) -> DksParams:
         raise ValidationError("need num_vars >= 1, r >= 1, lam > 0")
     ell = max(1, min(num_vars, math.ceil(4 * num_vars / math.sqrt(lam * r))))
     p = min(1.0, 2 ** (lam * ell * ell / (2 * num_vars)) / math.comb(num_vars, ell))
-    return DksParams(ell=ell, p=p, lam=lam, r=r, seed=seed)
+    return DksParams(ell=ell, p=p, lam=lam, seed=seed)
 
 
 def dks_vertices(num_vars: int, ell: int) -> list[tuple[tuple[int, ...], int]]:

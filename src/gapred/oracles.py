@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "sat_max",
     "max_cov",
-    "max_cov_at_least",
     "min_lab",
     "clique",
     "independent_set",
@@ -272,34 +271,6 @@ def max_cov(lc: LabelCover, budget: SolveBudget | None = None) -> int:
         if free + best == lc.left_size:
             break
     return free + best
-
-
-def max_cov_at_least(lc: LabelCover, r: int, budget: SolveBudget | None = None) -> bool:
-    """Decision variant: enumerate r-subsets of U with their left labelings."""
-    meter = _Meter(budget)
-    if r <= 0:
-        return True
-    if r > lc.left_size:
-        return False
-    full = (1 << lc.right_alphabet) - 1
-    adm = [lc.admissible_list(u) for u in range(lc.left_size)]
-    for subset in itertools.combinations(range(lc.left_size), r):
-        for labels in itertools.product(*(adm[u] for u in subset)):
-            meter.tick()
-            ok = True
-            per_v: dict[int, int] = {}
-            for u, a in zip(subset, labels):
-                for v in lc.left_neighbors[u]:
-                    m = per_v.get(v, full) & lc.betas[u, v].get(a, 0)
-                    if not m:
-                        ok = False
-                        break
-                    per_v[v] = m
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False
 
 
 def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:

@@ -192,16 +192,13 @@ class Param:
 
     A parameter without a default is required. A string parameter lists its
     `choices`, default first; the CLI takes it as the switch
-    `--<choices[1]>-<name>`. `metavar` overrides the CLI's placeholder, and
-    `record` says whether a transform's manifest lists the value.
+    `--<choices[1]>-<name>`.
     """
 
     name: str
     type: type = int
     default: object = _REQUIRED
     choices: tuple[str, ...] = ()
-    metavar: str | None = None
-    record: bool = True
 
     @property
     def required(self) -> bool:
@@ -429,7 +426,6 @@ def _build_sat2dks(formula, p):
         ell=p["ell"],
         p=p["p"],
         lam=p["lambda"],
-        r=p["r"],
         seed=p["seed"],
         size_cap=p["size_cap"],
     )
@@ -694,8 +690,7 @@ STAGES: dict[str, Stage] = {
     ),
     "sat2dks": Stage(
         "sat2dks", "partial-assignment graph with optional subsampling", "cnf", "graph",
-        (Param("ell"), Param("p", float, 1.0), Param("lambda", float, 0.1, metavar="LAM"),
-         Param("r", int, None, record=False)),
+        (Param("ell"), Param("p", float, 1.0), Param("lambda", float, 0.1)),
         _build_sat2dks, _verify_sat2dks,
     ),
 }

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,13 +150,24 @@ def test_deterministic_disperser_reproducible():
 def test_emit_parse_roundtrip():
     d = random_disperser(10, 4, 2, 0.4, seed=3)
     assert parse_disperser(emit_disperser(d)) == d
+    # A comment may be indented, as in the other formats.
+    head, body = emit_disperser(d).split("\n", 1)
+    assert parse_disperser(f"{head}\n  c note\n{body}") == d
 
 
 def test_parse_disperser_errors():
-    with pytest.raises(ParseError):
-        parse_disperser("nope\n")
-    with pytest.raises(ParseError):
-        parse_disperser("disp 4 2 2 2 0.5\n1 2\n")  # missing second subset
+    # The tag is a whole field, and every error found on a line names it.
+    for text, error in [
+        ("nope\n", "line 1: missing 'disp' header"),
+        ("dispx 4 2 2 2 0.5\n1 2\n3 4\n", "line 1: missing 'disp' header"),
+        ("c\ndisp 4 2\n", "line 2: malformed header 'disp 4 2'"),
+        ("disp 4 x 2 2 0.5\n", "line 1: non-integer header field"),
+        ("disp 4 2 2 2 y\n", "line 1: non-numeric header field"),
+        ("disp 4 2 2 2 0.5\n1 2\n\n1 x\n", "line 4: non-integer element"),
+        ("disp 4 2 2 2 0.5\n1 2\n", "header declares 2 subsets, found 1"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+            parse_disperser(text)
 
 
 def test_statistical_regime_no_failures():

@@ -1,5 +1,6 @@
 """Pipeline assembly, the verify harness, and the CLI driver."""
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -114,6 +115,7 @@ def test_spec_chain_validation(tmp_path):
                                               {**no_r, "r": 2, "seed": [2]}]},
                 # A key no schema declares is refused, not ignored.
                 {"input": planted, "stages": [{"op": "sat2dks", "ell": 2, "prob": 0.5}]},
+                {"input": planted, "stages": [{"op": "sat2dks", "ell": 2, "r": 3}]},
                 {"input": {**planted, "bogus": 1}, "stages": [{"op": "cnf2lc"}]},
                 {"input": planted, "budget": {"max_node": 10}},
                 # NaN compares false, so it would lift the limit, not set one.
@@ -486,10 +488,16 @@ def test_cli_budget_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-millis"])
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["solve", "verify", "gen-cnf", "disperser"])
 def test_cli_refuses_a_zero_budget(tmp_path, capsys, command, flag):
     # 0 is a limit like any other, not "unset", so it is refused as -1 is.
-    if command == "solve":
+    # gen-cnf and disperser read it in every mode, also where no oracle or
+    # search runs: --mode random and 'gen' here.
+    if command == "gen-cnf":
+        argv = ["gen-cnf", "--n", "5", "--m", "4", "--mode", "random"]
+    elif command == "disperser":
+        argv = ["disperser", "gen", "--m", "12", "--k", "4", "--r", "2", "--epsilon", "0.5"]
+    elif command == "solve":
         graph = tmp_path / "k4.graph"
         graph.write_text("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
         argv = ["solve", "clique", str(graph)]
@@ -500,6 +508,55 @@ def test_cli_refuses_a_zero_budget(tmp_path, capsys, command, flag):
         argv = ["verify", str(spec)]
     assert run_command(argv + [flag, "0"]) == 2
     assert "budget limits must be positive" in capsys.readouterr().err
+
+
+_BUDGET = {"--budget-nodes", "--budget-millis"}
+_TRANSFORM = {"--out", "--seed", "--size-cap"}
+# Each subcommand's flags: --seed, --size-cap and --budget-* only where its
+# handler reads them.
+_FLAGS = {
+    "gen-cnf": {"--n", "--m", "--mode", "--epsilon", "--out", "--seed", *_BUDGET},
+    "cnf2lc": _TRANSFORM,
+    "lc-compress-left": {*_TRANSFORM, "--k", "--r", "--epsilon", "--deterministic-disperser"},
+    "lc-compress-right": {*_TRANSFORM, "--q", "--gamma", "--epsilon"},
+    "lc-minlab": {*_TRANSFORM, "--q", "--r", "--epsilon"},
+    "lc2clique": _TRANSFORM,
+    "minlab2setcov": _TRANSFORM,
+    "setcov2domset": _TRANSFORM,
+    "g2biclique-gadget": _TRANSFORM,
+    "g2im-gadget": _TRANSFORM,
+    "g2is2im": _TRANSFORM,
+    "clique2ipath": {*_TRANSFORM, "--k", "--q"},
+    "sat2dks": {*_TRANSFORM, "--ell", "--p", "--lambda"},
+    "disperser": {"--m", "--k", "--r", "--epsilon", "--out", "--seed", *_BUDGET},
+    "solve": {"--t", "--k", "--property", "--out", *_BUDGET},
+    "pipeline": {"--out", "--seed", "--size-cap", *_BUDGET},
+    "verify": {"--out", "--seed", "--size-cap", *_BUDGET},
+}
+
+
+def test_cli_subcommands_take_only_the_flags_they_read():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    got = {
+        name: {flag for action in parser._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")}
+        for name, parser in subparsers.choices.items()
+    }
+    assert got == _FLAGS
+    assert sum(map(len, got.values())) == 83
+
+
+@pytest.mark.parametrize("argv", [
+    ["cnf2lc", "f.cnf", "--budget-nodes", "5"],
+    ["solve", "clique", "g.graph", "--seed", "1"],
+    ["sat2dks", "f.cnf", "--ell", "2", "--r", "3"],
+])
+def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_disperser_commands(tmp_path, capsys):
