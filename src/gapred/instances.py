@@ -748,6 +748,28 @@ class LabelCover:
         )
         self._store(betas)
 
+    def __eq__(self, other):
+        """Field-wise equality, as the dataclass defines it, except that each
+        distinct pair of admissible-set objects is compared once. Instances
+        share one set among many vertices, so this costs |U| lookups plus one
+        comparison per pair, not |U|·|SigmaU|."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        sizes = (self.left_size, self.right_size, self.left_alphabet, self.right_alphabet)
+        if sizes != (other.left_size, other.right_size, other.left_alphabet,
+                     other.right_alphabet):
+            return False
+        if self.admissible.keys() != other.admissible.keys():
+            return False
+        # Both dicts hold every set compared, so their ids stay unique here.
+        ours = list(self.admissible.values())
+        theirs = list(map(other.admissible.__getitem__, self.admissible))
+        by_id = dict(zip(map(id, ours), ours)) | dict(zip(map(id, theirs), theirs))
+        pairs = set(zip(map(id, ours), map(id, theirs)))
+        if not all(by_id[a] == by_id[b] for a, b in pairs):
+            return False
+        return self.betas == other.betas
+
     @classmethod
     def _unchecked(cls, *, betas, **values) -> LabelCover:
         """Unchecked constructor for transforms whose beta masks are nonzero and in range."""

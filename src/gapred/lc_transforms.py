@@ -21,8 +21,9 @@ sources surface after compression.
 
 Both compressions build a super-vertex's labels with one join
 (`_joint_labels`), which keeps the tuples in itertools.product order. Their
-size cap bounds the product size (the number of tuples before pruning), not
-the number kept.
+size cap bounds the live prefixes: the join refuses a super-vertex once more
+than size_cap partial tuples survive some member, so a product far above the
+cap is joined when the members' constraints prune it.
 
 Every transform reads and builds the LabelCover's stored form, one
 {alpha: beta mask} dict per edge (`LabelCover.betas`), and builds no relation
@@ -165,13 +166,12 @@ def _joint_labels(
     it depend only on its lanes on the member's edges; they are tested once per
     distinct value of those lanes. The join is iterative, so long member lists
     do not recurse.
+
+    The cap bounds the live prefixes, not the product: SizeCapError is raised
+    as soon as the prefixes kept after some member pass `size_cap`, so at
+    most size_cap prefixes are ever extended.
     """
     choice_lists = [lc.admissible_list(u) for u in members]
-    product_size = math.prod(len(c) for c in choice_lists)
-    if product_size > size_cap:
-        raise SizeCapError(
-            f"super-vertex {index} would enumerate {product_size} tuples (cap {size_cap})"
-        )
     touched = sorted({v for u in members for v in lc.left_neighbors[u]})
     ra = lc.right_alphabet
     lane = (1 << ra) - 1
@@ -180,7 +180,7 @@ def _joint_labels(
     full, guard = lane * ones, (lane + 1) * ones
     tuples: list[tuple[int, ...]] = [()]
     packed = [full]
-    for u, choices in zip(members, choice_lists):
+    for t, (u, choices) in enumerate(zip(members, choice_lists), 1):
         edges = [(shift[v], lc.betas[u, v]) for v in lc.left_neighbors[u]]
         others = full
         for s, _ in edges:
@@ -205,6 +205,11 @@ def _joint_labels(
             for suffix, mask in fit:
                 next_tuples.append(tup + suffix)
                 next_packed.append(word & mask)
+            if len(next_packed) > size_cap:
+                raise SizeCapError(
+                    f"super-vertex {index} keeps over {size_cap} partial labelings "
+                    f"after {t} of {len(members)} members"
+                )
         tuples, packed = next_tuples, next_packed
     return touched, tuples, packed
 

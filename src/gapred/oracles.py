@@ -8,6 +8,13 @@ found. Each solver accepts a SolveBudget and raises BudgetExceededError rather
 than returning a truncated answer. A budget node is one labeling (sat_max and
 max_cov charge a whole chunk of labelings before scoring it) or one search
 node. Minimization problems return None when infeasible.
+
+sat_max, max_cov and clique also take an optional witness: an assignment, a
+right labeling or a vertex list. They check it themselves (sat_max and max_cov
+charge one node per clause or left vertex tested) and return at once when it
+reaches the trivial upper bound (m clauses, |U| left vertices); otherwise its
+value seeds the search's lower bound. A witness that fails its check is
+ignored, so it can make a call faster but never change its value.
 """
 
 from __future__ import annotations
@@ -182,15 +189,37 @@ def _clause_tables(formula: CnfFormula, table):
         yield hit
 
 
-def sat_max(formula: CnfFormula, budget: SolveBudget | None = None) -> int:
+def _is_labeling(labels, size: int, alphabet: int) -> bool:
+    """Whether `labels` is a sequence of `size` ints in range(alphabet)."""
+    return (isinstance(labels, (tuple, list)) and len(labels) == size
+            and all(type(b) is int and 0 <= b < alphabet for b in labels))
+
+
+def _satisfied(formula: CnfFormula, assignment) -> int:
+    """Clauses the witness `assignment` (value of variable i + 1 at index i)
+    satisfies, or -1 when it is no 0/1 sequence of num_vars values."""
+    if not _is_labeling(assignment, formula.num_vars, 2):
+        return -1
+    return sum(
+        any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause) for clause in formula.clauses
+    )
+
+
+def sat_max(formula: CnfFormula, budget: SolveBudget | None = None, witness=None) -> int:
     """Maximum number of clauses satisfied by any assignment (full enumeration).
 
     Variable i + 1 is bit i of an assignment; the meter is charged per chunk
-    of assignments.
+    of assignments. A `witness` assignment, the value of variable i + 1 at
+    index i, that satisfies every clause settles the call.
     """
+    meter = _Meter(budget)
+    if witness is not None:
+        meter.tick(formula.num_clauses)
+        if _satisfied(formula, witness) == formula.num_clauses:
+            return formula.num_clauses
     best = 0
     literals = {lit for clause in formula.clauses for lit in clause}
-    for _, ones, table in _chunks(2, formula.num_vars, len(literals), _Meter(budget)):
+    for _, ones, table in _chunks(2, formula.num_vars, len(literals), meter):
         best = max(best, _max_count(_clause_tables(formula, table), ones))
         if best == formula.num_clauses:
             break
@@ -252,20 +281,49 @@ def _cover_tables(entries, ones: int, table):
         yield covered
 
 
-def max_cov(lc: LabelCover, budget: SolveBudget | None = None) -> int:
+def _covered(lc: LabelCover, labeling) -> int:
+    """Left vertices the witness right `labeling` covers, or -1 when it is no
+    labeling of the right side. Like _label_rows, it scans only the labels
+    stored on each vertex's first edge."""
+    if not _is_labeling(labeling, lc.right_size, lc.right_alphabet):
+        return -1
+    count = 0
+    for u, nbrs in enumerate(lc.left_neighbors):
+        allowed = lc.admissible[u]
+        if not nbrs:
+            count += bool(allowed)
+            continue
+        edges = [(lc.betas[u, v], labeling[v]) for v in nbrs]
+        (first, b), rest = edges[0], edges[1:]
+        count += any(
+            mask >> b & 1 and a in allowed and all(masks.get(a, 0) >> c & 1 for masks, c in rest)
+            for a, mask in first.items()
+        )
+    return count
+
+
+def max_cov(lc: LabelCover, budget: SolveBudget | None = None, witness=None) -> int:
     """Maximum number of covered left vertices, by enumerating right labelings.
 
     A left vertex with no incident edges counts as covered as long as it has
     an admissible label. Right vertex v is digit v of a right labeling; the
-    meter is charged per chunk of labelings.
+    meter is charged per chunk of labelings. A `witness` right labeling that
+    covers every left vertex settles the call; one that covers fewer seeds
+    the best count.
     """
     meter = _Meter(budget)
+    covered = -1
+    if witness is not None:
+        meter.tick(lc.left_size)
+        covered = _covered(lc, witness)
+        if covered == lc.left_size:
+            return covered
     free = sum(
         1 for u, nbrs in enumerate(lc.left_neighbors) if not nbrs and lc.admissible[u]
     )
     entries = [entry for entry in _label_rows(lc).values() if entry[1]]
     keys = {key for nbrs, rows in entries for row in rows for key in zip(nbrs, row)}
-    best = 0
+    best = max(0, covered - free)
     for _, ones, table in _chunks(lc.right_alphabet, lc.right_size, len(keys), meter):
         best = max(best, _max_count(_cover_tables(entries, ones, table), ones))
         if free + best == lc.left_size:
@@ -348,7 +406,7 @@ def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:
 # Graph problems
 
 
-def _clique_number(adj, n: int, meter: _Meter) -> int:
+def _clique_number(adj, n: int, meter: _Meter, best: int = 0) -> int:
     """Clique number of the graph on range(n) with neighbour bitmasks `adj`,
     by branch and bound with greedy coloring bounds.
 
@@ -356,10 +414,12 @@ def _clique_number(adj, n: int, meter: _Meter) -> int:
     callers that want another order (highest degree first, say) relabel the
     graph when they build its masks. Coloring records only the vertices whose
     color can still beat the best clique; the branch loop would cut the rest.
+    `best` is the size of a clique the caller already holds: the search looks
+    only for larger ones, so a maximum one closes it at the root whenever the
+    root coloring uses no more colors.
     """
     if n == 0:
         return 0
-    best = 0
     # Masks are loop-free, so clearing a class member's non-neighbours keeps
     # the member itself, which `^ low` then drops.
     non_adj = [~mask for mask in adj]
@@ -402,15 +462,32 @@ def _clique_number(adj, n: int, meter: _Meter) -> int:
     return best
 
 
-def clique(graph: Graph, budget: SolveBudget | None = None) -> int:
+def _clique_size(adj, vertices) -> int:
+    """len(vertices) if they are distinct vertices of `adj` and pairwise adjacent, else 0."""
+    if not isinstance(vertices, (tuple, list)):
+        return 0
+    if not all(type(v) is int and 0 <= v < len(adj) for v in vertices):
+        return 0
+    mask = sum(1 << v for v in set(vertices))
+    if mask.bit_count() != len(vertices):
+        return 0
+    return len(vertices) if all((adj[v] | 1 << v) & mask == mask for v in vertices) else 0
+
+
+def clique(graph: Graph, budget: SolveBudget | None = None, witness=None) -> int:
     """Exact clique number via branch and bound with greedy coloring bounds.
 
     The search runs in vertex-index order. The reductions emit their vertices
     grouped by part (FGLSS super-vertices, DkS windows), which is already the
     order the coloring wants; relabelling by degree was measured to search
-    more nodes on those graphs.
+    more nodes on those graphs. A `witness` list of pairwise adjacent
+    vertices seeds the best clique; its check, one row test per witness
+    vertex, is charged with the root node, whose coloring tests every row.
     """
-    return _clique_number(graph.adjacency, graph.num_vertices, _Meter(budget))
+    adj, n = graph.adjacency, graph.num_vertices
+    if witness is None:
+        return _clique_number(adj, n, _Meter(budget))
+    return _clique_number(adj, n, _Meter(budget), _clique_size(adj, witness))
 
 
 def independent_set(graph: Graph, budget: SolveBudget | None = None) -> int:

@@ -61,6 +61,7 @@ from .lc_transforms import (
     DEFAULT_SIZE_CAP,
     CompressLeftParams,
     CompressRightParams,
+    _block_partition,
     cnf_to_labelcover,
     compress_left,
     compress_right,
@@ -89,6 +90,14 @@ __all__ = [
 # CNF generators for pipeline inputs
 
 
+# The planted assignment of each formula gen_planted_cnf built (the value of
+# variable i + 1 at index i), and sat_max of each formula gen_gap_cnf accepted:
+# verify lifts the first through the stages as oracle witnesses and does not
+# compute the second again. An entry lives as long as its formula.
+_PLANTED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_CERTIFIED_SAT_MAX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def gen_planted_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     """Satisfiable by construction: sample 3-clauses, flipping one literal when
     the planted assignment misses, so every clause is satisfied by it."""
@@ -104,12 +113,9 @@ def gen_planted_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
             fix = rng.randrange(3)
             lits[fix] = -lits[fix]
         clauses.append(tuple(lits))
-    return CnfFormula(num_vars, tuple(clauses))
-
-
-# sat_max of each formula gen_gap_cnf accepted, so that verifying a gen-gap
-# input does not compute it again. An entry lives as long as its formula.
-_CERTIFIED_SAT_MAX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    formula = CnfFormula(num_vars, tuple(clauses))
+    _PLANTED[formula] = tuple(planted >> i & 1 for i in range(num_vars))
+    return formula
 
 
 def gen_gap_cnf(
@@ -274,7 +280,9 @@ class Stage:
     `build(instance, params)` returns (output, ledger entry, extras), where
     `params` holds every declared parameter plus `seed` and `size_cap`.
     `verify(view)` grades the stage from a `_StageView` and returns
-    (status, detail, values).
+    (status, detail, values). `lift(instance, params, witness)`, when given,
+    maps a witness of the source (an assignment, a right labeling) to one of
+    the output that the build keeps optimal, or to None.
     """
 
     command: str
@@ -284,6 +292,7 @@ class Stage:
     params: tuple[Param, ...]
     build: Callable
     verify: Callable
+    lift: Callable | None = None
 
     def validate(self, op: str, given: dict) -> None:
         """Raise ValidationError unless `given` fits this stage's parameter schema."""
@@ -443,41 +452,125 @@ def _build_sat2dks(formula, p):
 
 
 # ---------------------------------------------------------------------------
+# Witness lifts: the completeness direction of each stage, applied to the
+# planted assignment. Each reads only its source and parameters; the oracle
+# that receives the result checks it against the output.
+
+
+def _same_labeling(source, p, sigma):
+    """cnf2lc and compress-left: right vertex v keeps its label (variable v + 1's bit)."""
+    return sigma
+
+
+def _lift_compress_right(lc, p, sigma):
+    """Each block's label: sigma on the block in base ra, first vertex most significant."""
+    if len(sigma) != lc.right_size:
+        return None
+    labels = []
+    for block in _block_partition(lc.right_size, p["q"]):
+        label = 0
+        for v in block:
+            label = label * lc.right_alphabet + sigma[v]
+        labels.append(label)
+    return tuple(labels)
+
+
+def _lift_fglss(lc, p, sigma):
+    """Per left vertex, the FGLSS vertex of its first admissible label that holds
+    sigma on every edge; a left vertex with no such label is left out."""
+    if len(sigma) != lc.right_size:
+        return None
+    clique, offset = [], 0
+    for u, nbrs in enumerate(lc.left_neighbors):
+        labels = lc.admissible_list(u)
+        edges = [(lc.betas[u, v], sigma[v]) for v in nbrs]
+        for i, a in enumerate(labels):
+            if all(masks.get(a, 0) >> b & 1 for masks, b in edges):
+                clique.append(offset + i)
+                break
+        offset += len(labels)
+    return tuple(clique)
+
+
+def _lift_sat2dks(formula, p, sigma):
+    """The kept vertices (window, sigma on the window), in dks_vertices order.
+
+    A subsample is replayed as sat_to_dks draws it; an unseeded one cannot be.
+    """
+    if p["p"] < 1.0 and p["seed"] is None:
+        return None
+    draw = random.Random(p["seed"]).random if p["p"] < 1.0 else None
+    clique, index, window = [], 0, None
+    for w, bits in dks_vertices(formula.num_vars, p["ell"]):
+        if draw is not None and not draw() < p["p"]:
+            continue
+        if w != window:
+            window, want = w, sum(sigma[var] << t for t, var in enumerate(w))
+        if bits == want:
+            clique.append(index)
+        index += 1
+    return tuple(clique)
+
+
+def _lifted(spec: "PipelineSpec", run: "PipelineRun", witness) -> list:
+    """Per run instance, `witness` (of the input, or None) lifted to it, or
+    None once a stage without a lift is passed."""
+    witnesses = [witness]
+    for idx, stage in enumerate(spec.stages):
+        lift = STAGES[stage["op"]].lift
+        if witness is not None and lift is not None:
+            witness = lift(run.instances[idx], spec.stage_params(idx), witness)
+        else:
+            witness = None
+        witnesses.append(witness)
+    return witnesses
+
+
+# ---------------------------------------------------------------------------
 # Stage verify rules
 
+# The oracles that take a witness.
+_WITNESSED = {"sat_max", "max_cov", "clique"}
 
-def _oracle_value(memo: dict, instances: list, index: int, oracle: str, *args, budget):
+
+def _oracle_value(memo: dict, instances: list, index: int, oracle: str, *args, budget,
+                  witness=None):
     """oracles.<oracle>(instances[index], *args), computed once per memo.
 
     The oracle is looked up by name on each call, so a wrapped or replaced
-    oracle is seen. A call that raises stores nothing.
+    oracle is seen. A witness goes to the oracles that take one; it cannot
+    change the value, so the memo key leaves it out. A call that raises
+    stores nothing.
     """
     key = (oracle, index, args)
     if key not in memo:
-        memo[key] = getattr(oracles, oracle)(instances[index], *args, budget)
+        hint = {"witness": witness} if witness is not None and oracle in _WITNESSED else {}
+        memo[key] = getattr(oracles, oracle)(instances[index], *args, budget, **hint)
     return memo[key]
 
 
 class _StageView:
     """What a verify rule sees of one stage: its resolved params, its source,
     output and extras, and the oracle values of its source (`src`) and output
-    (`out`), memoized across one verify call."""
+    (`out`), memoized across one verify call and given the instances' witnesses."""
 
-    def __init__(self, run: "PipelineRun", index: int, params: dict, budget, memo: dict):
+    def __init__(self, run: "PipelineRun", index: int, params: dict, budget, memo: dict,
+                 witnesses: list):
         self.params = params
         self.budget = budget
         self.source = run.instances[index]
         self.output = run.instances[index + 1]
         self.extra = run.extras[index]
         self._instances, self._index, self._memo = run.instances, index, memo
+        self._witnesses = witnesses
 
     def src(self, oracle: str, *args):
         return _oracle_value(self._memo, self._instances, self._index, oracle, *args,
-                             budget=self.budget)
+                             budget=self.budget, witness=self._witnesses[self._index])
 
     def out(self, oracle: str, *args):
         return _oracle_value(self._memo, self._instances, self._index + 1, oracle, *args,
-                             budget=self.budget)
+                             budget=self.budget, witness=self._witnesses[self._index + 1])
 
 
 def _status(ok: bool) -> str:
@@ -638,7 +731,7 @@ def _verify_sat2dks(s):
 STAGES: dict[str, Stage] = {
     "cnf2lc": Stage(
         "cnf2lc", "clause-variable game: CNF to label cover", "cnf", "lc", (),
-        _build_cnf2lc, _equal("sat_max", "max_cov"),
+        _build_cnf2lc, _equal("sat_max", "max_cov"), _same_labeling,
     ),
     "compress-left": Stage(
         "lc-compress-left", "disperser-based left compression", "lc", "lc",
@@ -646,12 +739,14 @@ STAGES: dict[str, Stage] = {
          Param("disperser", str, "random", choices=("random", "deterministic"))),
         _build_compress_left,
         _compression("max_cov", lambda s: s.params["k"], _compress_left_sound),
+        _same_labeling,
     ),
     "compress-right": Stage(
         "lc-compress-right", "block-merge right compression", "lc", "lc",
         (Param("q"), Param("gamma", float), Param("epsilon", float)),
         _build_compress_right,
         _compression("max_cov", lambda s: s.output.left_size, _compress_right_sound),
+        _lift_compress_right,
     ),
     "minlab": Stage(
         "lc-minlab", "right compression at gamma = (r/q)^-q", "lc", "lc",
@@ -661,7 +756,7 @@ STAGES: dict[str, Stage] = {
     ),
     "fglss": Stage(
         "lc2clique", "FGLSS graph of a projection label cover", "lc", "graph", (),
-        _build_fglss, _equal("max_cov", "clique"),
+        _build_fglss, _equal("max_cov", "clique"), _lift_fglss,
     ),
     "minlab2setcov": Stage(
         "minlab2setcov", "hypercube set system of a MinLab instance", "lc", "setsystem", (),
@@ -691,7 +786,7 @@ STAGES: dict[str, Stage] = {
     "sat2dks": Stage(
         "sat2dks", "partial-assignment graph with optional subsampling", "cnf", "graph",
         (Param("ell"), Param("p", float, 1.0), Param("lambda", float, 0.1)),
-        _build_sat2dks, _verify_sat2dks,
+        _build_sat2dks, _verify_sat2dks, _lift_sat2dks,
     ),
 }
 
@@ -848,25 +943,29 @@ def verify_pipeline(spec: PipelineSpec, run: PipelineRun | None = None) -> Verif
 
     Within one call each oracle value of each run instance is computed at most
     once, and the sat_max gen_gap_cnf certified for a gen-gap input is not
-    computed again. The report keeps no reference to the run's instances.
+    computed again. A gen-planted input's assignment, lifted through the
+    stages that have a lift, is each instance's witness for sat_max, max_cov
+    and clique. The report keeps no reference to the run's instances.
     """
     if run is None:
         run = run_pipeline(spec)
     memo: dict = {}
+    planted = _PLANTED.get(run.instances[0]) if run.kinds[0] == "cnf" else None
+    witnesses = _lifted(spec, run, planted)
     input_values = {}
     if run.kinds[0] == "cnf":
         if run.instances[0] in _CERTIFIED_SAT_MAX:
             memo["sat_max", 0, ()] = _CERTIFIED_SAT_MAX[run.instances[0]]
         try:
             input_values["sat_max"] = _oracle_value(memo, run.instances, 0, "sat_max",
-                                                    budget=spec.budget)
+                                                    budget=spec.budget, witness=witnesses[0])
             input_values["num_clauses"] = run.instances[0].num_clauses
         except BudgetExceededError:
             pass
     stages = []
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
-        view = _StageView(run, idx, spec.stage_params(idx), spec.budget, memo)
+        view = _StageView(run, idx, spec.stage_params(idx), spec.budget, memo, witnesses)
         try:
             status, detail, values = STAGES[op].verify(view)
         except BudgetExceededError as exc:

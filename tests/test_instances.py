@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -420,6 +421,32 @@ def test_parse_labelcover_shares_the_full_alphabet():
     lc = parse_labelcover("lc 4 1 3 2\na 2 1 0\ne 1 1 1 0 1\n")
     assert lc.admissible[0] == frozenset(range(3)) and lc.admissible[1] == {0}
     assert lc.admissible[0] is lc.admissible[2] is lc.admissible[3]
+
+
+def test_labelcover_equality_compares_each_admissible_set_pair_once():
+    # Each parse builds its own full-alphabet set; comparing it once per left
+    # vertex took |U|*|SigmaU| steps, and this comparison did not finish.
+    text = "lc 500000 1 500000 1\n"
+    a, b = parse_labelcover(text), parse_labelcover(text)
+    assert a.admissible[0] is not b.admissible[0]
+    start = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - start < 1.0
+    # Unequal instances still compare unequal, in each field.
+    assert a != parse_labelcover("lc 500000 1 500000 1\na 7 1 3\n")
+    small = parse_labelcover("lc 3 2 3 2\na 2 1 0\ne 1 1 1 0 1\n")
+    assert small == parse_labelcover("lc 3 2 3 2\na 2 1 0\ne 1 1 1 0 1\n")
+    for other in ("lc 3 2 3 2\na 2 1 1\ne 1 1 1 0 1\n", "lc 3 2 3 2\na 2 1 0\ne 1 1 1 0 0\n",
+                  "lc 3 2 3 2\na 2 1 0\ne 1 2 1 0 1\n", "lc 3 2 4 2\na 2 1 0\ne 1 1 1 0 1\n",
+                  "lc 3 3 3 2\na 2 1 0\ne 1 1 1 0 1\n", "lc 4 2 3 2\na 2 1 0\ne 1 1 1 0 1\n"):
+        assert small != parse_labelcover(other), other
+    # Shared and separate sets of equal content compare equal either way.
+    shared = frozenset({0, 1})
+    one = LabelCover(2, 1, 3, 2, {(0, 0): {(0, 1)}}, {0: shared, 1: shared})
+    two = LabelCover(2, 1, 3, 2, {(0, 0): {(0, 1)}}, {0: frozenset({0, 1}), 1: frozenset({1, 0})})
+    assert one == two and two == one
+    assert one != LabelCover(2, 1, 3, 2, {(0, 0): {(0, 1)}}, {0: shared, 1: frozenset({2})})
+    assert one != "lc"
 
 
 def test_labelcover_constructor_refuses_wide_beta_masks():

@@ -158,6 +158,22 @@ def test_compress_left_size_cap():
         compress_left(lc, CompressLeftParams(k=2, r=2, eps=0.2, seed=0, size_cap=10))
 
 
+def test_compress_left_caps_live_prefixes_not_the_product():
+    # Eight clauses over the same three variables: their joint labels must
+    # agree on all three, so at most 7 prefixes survive each member, while the
+    # product holds 7^8 = 5,764,801 tuples.
+    clauses = tuple((1, 2, 3) if i % 2 else (-1, 2, -3) for i in range(8))
+    lc = cnf_to_labelcover(CnfFormula(3, clauses))
+    disperser = Disperser(8, 1, 8, 1, 0.5, (frozenset(range(8)),))
+    out = compress_left_with(lc, disperser, size_cap=18)
+    assert len(out.admissible[0]) == 6  # the assignments satisfying both clause kinds
+    assert sum(map(len, out.relations.values())) == 18  # the relation-pair cap still holds
+    assert max_cov(out) == 1
+    # The first member alone keeps its 7 labels, one over a cap of 6.
+    with pytest.raises(SizeCapError, match="over 6 partial labelings after 1 of 8 members"):
+        compress_left_with(lc, disperser, size_cap=6)
+
+
 def test_compress_left_with_explicit_disperser_soundness():
     # Random label covers exercise ell < m and genuinely gappy sources.
     hits = 0
@@ -235,24 +251,27 @@ def test_compress_right_gamma_one_clamps_ell():
 
 
 def _product_joint_labels(lc, members, size_cap, index):
-    """Reference for lc_transforms._joint_labels: enumerate the product, then filter."""
+    """Reference for lc_transforms._joint_labels: enumerate the product, then filter.
+
+    The cap applies to the live prefixes: for each t, the product of the first
+    t members' labels, filtered the same way, must hold at most size_cap tuples.
+    """
     choice_lists = [lc.admissible_list(u) for u in members]
-    product_size = math.prod(len(c) for c in choice_lists)
-    if product_size > size_cap:
-        raise SizeCapError(
-            f"super-vertex {index} would enumerate {product_size} tuples (cap {size_cap})"
-        )
     touched = sorted({v for u in members for v in lc.left_neighbors[u]})
     betas = {(u, v): pair_beta_masks(lc, u, v) for u in members for v in lc.left_neighbors[u]}
-    kept, kept_masks = [], []
-    for tup in itertools.product(*choice_lists):
-        vmask = {v: -1 for v in touched}
-        for u, alpha in zip(members, tup):
-            for v in lc.left_neighbors[u]:
-                vmask[v] &= betas[u, v][alpha]
-        if all(vmask.values()):
-            kept.append(tup)
-            kept_masks.append(vmask)
+    for t in range(len(members) + 1):
+        kept, kept_masks = [], []
+        for tup in itertools.product(*choice_lists[:t]):
+            vmask = {v: -1 for v in touched}
+            for u, alpha in zip(members, tup):
+                for v in lc.left_neighbors[u]:
+                    vmask[v] &= betas[u, v][alpha]
+            if all(vmask.values()):
+                kept.append(tup)
+                kept_masks.append(vmask)
+        if t and len(kept) > size_cap:
+            raise SizeCapError(f"super-vertex {index} keeps over {size_cap} partial labelings "
+                               f"after {t} of {len(members)} members")
     return touched, kept, kept_masks
 
 

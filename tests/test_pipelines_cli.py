@@ -276,15 +276,20 @@ def test_verify_detects_corruption():
 
 def test_verify_computes_each_oracle_value_once(monkeypatch):
     calls = Counter()
+    witnessed = set()
     for name in ("sat_max", "max_cov", "clique"):
-        def counted(instance, *args, _name=name, _oracle=getattr(oracles, name)):
+        def counted(instance, *args, _name=name, _oracle=getattr(oracles, name), **kwargs):
             calls[_name, id(instance)] += 1
-            return _oracle(instance, *args)
+            if kwargs.get("witness") is not None:
+                witnessed.add(_name)
+            return _oracle(instance, *args, **kwargs)
         monkeypatch.setattr(oracles, name, counted)
     report = verify_pipeline(_clique_spec("gen-planted"))
     assert report.overall == "pass"
     assert max(calls.values()) == 1
     assert Counter(name for name, _ in calls) == {"sat_max": 1, "max_cov": 2, "clique": 1}
+    # The planted assignment reaches every oracle of the chain as a witness.
+    assert witnessed == {"sat_max", "max_cov", "clique"}
     # A gen-gap input's sat_max is certified by its generation and not computed
     # again. Every formula solved is kept alive, so no two share an id.
     solved = []
