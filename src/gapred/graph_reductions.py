@@ -366,6 +366,16 @@ def dks_vertices(num_vars: int, ell: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+def _dks_kept(num_vars: int, ell: int, p: float, seed) -> list[tuple[tuple[int, ...], int]]:
+    """The vertices sat_to_dks keeps, in canonical order: when p < 1,
+    random.Random(seed) draws once per dks_vertices entry and keeps it below p."""
+    vertices = dks_vertices(num_vars, ell)
+    if p < 1.0:
+        rng = random.Random(seed)
+        vertices = [vx for vx in vertices if rng.random() < p]
+    return vertices
+
+
 def dks_edge(
     formula: CnfFormula,
     window1: tuple[int, ...],
@@ -414,10 +424,7 @@ def sat_to_dks(formula: CnfFormula, params: DksParams) -> Graph:
     count = math.comb(n, ell) << ell
     if count > params.size_cap:
         raise SizeCapError(f"{count} vertices exceed cap {params.size_cap}")
-    vertices = dks_vertices(n, ell)
-    if params.p < 1.0:
-        rng = random.Random(params.seed)
-        vertices = [vx for vx in vertices if rng.random() < params.p]
+    vertices = _dks_kept(n, ell, params.p, params.seed)
     # value[var][bit]: the kept vertices whose window gives var that bit.
     value = [[0, 0] for _ in range(n)]
     for i, (window, bits) in enumerate(vertices):

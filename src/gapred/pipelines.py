@@ -14,6 +14,7 @@ uncertified disperser).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -34,10 +35,10 @@ from .errors import (
 )
 from .graph_reductions import (
     DksParams,
+    _dks_kept,
     biclique_gadget,
     clique_to_inducedpath,
     dks_edge,
-    dks_vertices,
     fglss,
     im_gadget,
     is_to_im_gadget,
@@ -482,33 +483,27 @@ def _lift_fglss(lc, p, sigma):
         return None
     clique, offset = [], 0
     for u, nbrs in enumerate(lc.left_neighbors):
-        labels = lc.admissible_list(u)
-        edges = [(lc.betas[u, v], sigma[v]) for v in nbrs]
-        for i, a in enumerate(labels):
-            if all(masks.get(a, 0) >> b & 1 for masks, b in edges):
-                clique.append(offset + i)
-                break
+        labels = fits = lc.admissible_list(u)
+        for v in nbrs:
+            masks, b = lc.betas[u, v], sigma[v]
+            fits = [a for a in fits if masks.get(a, 0) >> b & 1]
+        if fits:
+            clique.append(offset + bisect.bisect_left(labels, fits[0]))
         offset += len(labels)
     return tuple(clique)
 
 
 def _lift_sat2dks(formula, p, sigma):
-    """The kept vertices (window, sigma on the window), in dks_vertices order.
-
-    A subsample is replayed as sat_to_dks draws it; an unseeded one cannot be.
-    """
+    """The kept vertices (window, sigma on the window); an unseeded subsample
+    cannot be replayed."""
     if p["p"] < 1.0 and p["seed"] is None:
         return None
-    draw = random.Random(p["seed"]).random if p["p"] < 1.0 else None
-    clique, index, window = [], 0, None
-    for w, bits in dks_vertices(formula.num_vars, p["ell"]):
-        if draw is not None and not draw() < p["p"]:
-            continue
+    clique, window = [], None
+    for i, (w, bits) in enumerate(_dks_kept(formula.num_vars, p["ell"], p["p"], p["seed"])):
         if w != window:
             window, want = w, sum(sigma[var] << t for t, var in enumerate(w))
         if bits == want:
-            clique.append(index)
-        index += 1
+            clique.append(i)
     return tuple(clique)
 
 
@@ -679,14 +674,12 @@ def _verify_sat2dks(s):
     values = {"num_vertices": output.num_vertices}
     if dp.p < 1.0:
         # A subsample is the p = 1 graph induced on the vertices sat_to_dks
-        # keeps: random.Random(seed) draws once per dks_vertices entry, in order.
-        # Each pair of kept vertices is graded by dks_edge, one meter tick a
+        # keeps, which _dks_kept replays from the seed. Each pair of kept vertices is graded by dks_edge, one meter tick a
         # pair, so the check costs the output's size, not the full graph's.
         if dp.seed is None:
             detail = f"unseeded subsample ({output.num_vertices} of {full} vertices) is not replayable"
             return "NOT-APPLICABLE", detail, values
-        rng = random.Random(dp.seed)
-        kept = [vx for vx in dks_vertices(n, ell) if rng.random() < dp.p]
+        kept = _dks_kept(n, ell, dp.p, dp.seed)
         if output.num_vertices != len(kept):
             detail = f"|V|={output.num_vertices}, want the {len(kept)} the seeded draw keeps"
             return "FAIL", detail, values
