@@ -674,8 +674,9 @@ def _verify_sat2dks(s):
     values = {"num_vertices": output.num_vertices}
     if dp.p < 1.0:
         # A subsample is the p = 1 graph induced on the vertices sat_to_dks
-        # keeps, which _dks_kept replays from the seed. Each pair of kept vertices is graded by dks_edge, one meter tick a
-        # pair, so the check costs the output's size, not the full graph's.
+        # keeps, which _dks_kept replays from the seed. Each pair of kept
+        # vertices is graded by dks_edge, one meter tick a pair, so the check
+        # costs the output's size, not the full graph's.
         if dp.seed is None:
             detail = f"unseeded subsample ({output.num_vertices} of {full} vertices) is not replayable"
             return "NOT-APPLICABLE", detail, values
