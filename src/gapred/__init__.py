@@ -73,7 +73,6 @@ from .lc_transforms import (
     compress_left,
     compress_left_with,
     compress_right,
-    drop_isolated_right,
     minlab_instance,
     projection_check,
 )

@@ -220,7 +220,7 @@ def _cmd_transform(args) -> int:
     given = {p.name: getattr(args, p.name) for p in stage.params}
     params = stage.resolve(given, args.seed, args.size_cap)
     source = _FORMATS[stage.source_kind].parse(Path(args.input).read_bytes())
-    out, _, extras = stage.build(source, params)
+    out, extras = stage.build(source, params)
     if "disperser" in extras and args.out not in (None, "-"):
         Path(args.out).with_suffix(".disp").write_text(emit_disperser(extras["disperser"]))
     _write(args.out, _FORMATS[stage.output_kind].emit(out))

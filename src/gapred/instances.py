@@ -951,10 +951,18 @@ def emit_labelcover(lc: LabelCover) -> str:
 # Seeded generators
 
 
+def _check_cnf_counts(num_vars: int, num_clauses: int) -> None:
+    """Refuse a generator's counts outside 0..DEFAULT_SIZE_CAP, as Graph refuses its vertex count."""
+    for name, count in (("num_vars", num_vars), ("num_clauses", num_clauses)):
+        if not 0 <= count <= DEFAULT_SIZE_CAP:
+            raise ValidationError(f"{name} must lie in 0..{DEFAULT_SIZE_CAP}, got {count}")
+
+
 def random_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     """Uniform random 3-clauses over distinct variables; pure function of the seed."""
-    if num_vars < 1 or num_clauses < 0:
-        raise ValidationError("need num_vars >= 1 and num_clauses >= 0")
+    _check_cnf_counts(num_vars, num_clauses)
+    if num_vars < 1:
+        raise ValidationError("need num_vars >= 1")
     if num_clauses > 0 and num_vars < 3:
         raise ValidationError("3-literal clauses need at least 3 variables")
     rng = random.Random(seed)

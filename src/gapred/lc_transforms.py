@@ -60,7 +60,6 @@ __all__ = [
     "compress_left_with",
     "compress_right",
     "minlab_instance",
-    "drop_isolated_right",
     "ProjectionReport",
     "projection_check",
 ]
@@ -389,7 +388,8 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
 def minlab_instance(
     lc: LabelCover, q: int, r: int, eps: float, size_cap: int = DEFAULT_SIZE_CAP
 ) -> LabelCover:
-    """Right compression at gamma = (r/q)^-q, with isolated right vertices removed.
+    """Right compression at gamma = (r/q)^-q. Every block is adjacent to every
+    left subset, so no right vertex of the output is isolated.
 
     For a fully coverable source the output has MinLab exactly q; when the
     source covers less than a (1-eps) fraction, random selection from any
@@ -399,26 +399,7 @@ def minlab_instance(
     if not r >= q >= 1:
         raise ValidationError(f"need r >= q >= 1, got q={q}, r={r}")
     gamma = (q / r) ** q
-    out = compress_right(lc, CompressRightParams(q=q, gamma=gamma, eps=eps, size_cap=size_cap))
-    return drop_isolated_right(out)
-
-
-def drop_isolated_right(lc: LabelCover) -> LabelCover:
-    """Remove right vertices with no incident edges, reindexing the rest."""
-    keep = [v for v in range(lc.right_size) if lc.right_neighbors[v]]
-    if len(keep) == lc.right_size:
-        return lc
-    remap = {v: j for j, v in enumerate(keep)}
-    betas = {(u, remap[v]): masks for (u, v), masks in lc.betas.items()}
-    return LabelCover._unchecked(
-        left_size=lc.left_size,
-        right_size=len(keep),
-        left_alphabet=lc.left_alphabet,
-        right_alphabet=lc.right_alphabet,
-        betas=betas,
-        admissible=dict(lc.admissible),
-        left_decoders=lc.left_decoders,
-    )
+    return compress_right(lc, CompressRightParams(q=q, gamma=gamma, eps=eps, size_cap=size_cap))
 
 
 # ---------------------------------------------------------------------------

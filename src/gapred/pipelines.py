@@ -49,6 +49,7 @@ from .graph_reductions import (
 from .instances import (
     CnfFormula,
     _as_text,
+    _check_cnf_counts,
     emit_cnf,
     emit_graph,
     emit_labelcover,
@@ -102,6 +103,7 @@ _CERTIFIED_SAT_MAX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def gen_planted_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     """Satisfiable by construction: sample 3-clauses, flipping one literal when
     the planted assignment misses, so every clause is satisfied by it."""
+    _check_cnf_counts(num_vars, num_clauses)
     if num_vars < 3 and num_clauses > 0:
         raise ValidationError("planting 3-clauses needs at least 3 variables")
     rng = random.Random(seed)
@@ -115,7 +117,8 @@ def gen_planted_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
             lits[fix] = -lits[fix]
         clauses.append(tuple(lits))
     formula = CnfFormula(num_vars, tuple(clauses))
-    _PLANTED[formula] = tuple(planted >> i & 1 for i in range(num_vars))
+    # Variable i + 1's bit, most significant last; [:n] as format(0, "00b") is "0".
+    _PLANTED[formula] = tuple(map(int, format(planted, f"0{num_vars}b")[::-1][:num_vars]))
     return formula
 
 
@@ -134,6 +137,7 @@ def gen_gap_cnf(
     from 3-clauses alone always satisfy sat_max >= 7m/8 and can never certify
     eps > 1/8. Short clauses have no such floor.
     """
+    _check_cnf_counts(num_vars, num_clauses)
     if num_vars < 1 or num_clauses < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need num_vars >= 1, num_clauses >= 1, eps in (0,1)")
     rng = random.Random(seed)
@@ -278,12 +282,15 @@ _BUDGET_PARAMS = (
 class Stage:
     """One reduction, as run_pipeline, verify_pipeline and the CLI use it.
 
-    `build(instance, params)` returns (output, ledger entry, extras), where
-    `params` holds every declared parameter plus `seed` and `size_cap`.
-    `verify(view)` grades the stage from a `_StageView` and returns
-    (status, detail, values). `lift(instance, params, witness)`, when given,
-    maps a witness of the source (an assignment, a right labeling) to one of
-    the output that the build keeps optimal, or to None.
+    `build(instance, params)` returns (output, extras), where `params` holds
+    every declared parameter plus `seed` and `size_cap`. The stage's ledger
+    entry is derived from the row: `predicate` is its (oracle, comparison,
+    target), `maps(source, params, output)`, when given, returns its
+    (completeness, soundness) maps (else both are the identity), and `notes`
+    are documentation. `verify(view)` grades the stage from a `_StageView`
+    and returns (status, detail, values). `lift(instance, params, witness)`,
+    when given, maps a witness of the source (an assignment, a right
+    labeling) to one of the output that the build keeps optimal, or to None.
     """
 
     command: str
@@ -293,6 +300,9 @@ class Stage:
     params: tuple[Param, ...]
     build: Callable
     verify: Callable
+    predicate: tuple[str, str, str]
+    maps: Callable | None = None
+    notes: tuple[str, ...] = ()
     lift: Callable | None = None
 
     def validate(self, op: str, given: dict) -> None:
@@ -300,156 +310,66 @@ class Stage:
         _validate_params(f"stage {op!r}", self.params + _SHARED_PARAMS, given, ("op", "seed"))
 
     def resolve(self, given: dict, seed, size_cap) -> dict:
-        """The full parameter dict `build` and `verify` read: defaults, then `given`."""
-        params = {"seed": seed, "size_cap": size_cap}
+        """The full parameter dict `build` and `verify` read: defaults, then
+        `given`; a null `size_cap` in `given` means the spec's `size_cap`."""
+        params = {"seed": seed}
         params.update((p.name, p.default) for p in self.params if not p.required)
         params.update(given)
+        if params.get("size_cap") is None:
+            params["size_cap"] = size_cap
         return params
+
+    def entry(self, op: str, source, params: dict, output) -> gl.StageEntry:
+        """The ledger entry of one build: named `op`, with the resolved values
+        of its non-string parameters."""
+        maps = (_IDENTITY, _IDENTITY) if self.maps is None else self.maps(source, params, output)
+        return gl.StageEntry(
+            name=op,
+            params=tuple((p.name, params[p.name]) for p in self.params if p.type is not str),
+            completeness=maps[0],
+            soundness=maps[1],
+            predicate=gl.StagePredicate(*self.predicate),
+            notes=self.notes,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Stage builds: output instance, ledger entry, extras
+# Stage builds (output instance, extras) and ledger maps
 
 
 _IDENTITY = gl.GapMap(kind="identity")
 
 
-def _entry(name, oracle, comparison, target, params=(), completeness=_IDENTITY,
-           soundness=_IDENTITY, notes=()) -> gl.StageEntry:
-    return gl.StageEntry(
-        name=name,
-        params=params,
-        completeness=completeness,
-        soundness=soundness,
-        predicate=gl.StagePredicate(oracle, comparison, target),
-        notes=notes,
-    )
+def _transform_of_source(transform: str):
+    """The build of a stage whose transform takes only its source. The
+    transform is looked up by name on each call, so a wrapped one is seen."""
+    return lambda source, p: (globals()[transform](source), {})
 
 
-def _build_cnf2lc(formula, p):
-    return cnf_to_labelcover(formula), _entry("cnf2lc", "max_cov", "==", "sat_max(source)"), {}
+def _constant(value, requires) -> gl.GapMap:
+    return gl.GapMap(kind="constant", value=value, requires=float(requires))
+
+
+def _gap_size(lc, p) -> Fraction:
+    """(1 - epsilon)|U|: a label-cover source covering less is a gap source."""
+    return (1 - Fraction(p["epsilon"])) * lc.left_size
 
 
 def _build_compress_left(lc, p):
-    cl = CompressLeftParams(
-        k=p["k"],
-        r=p["r"],
-        eps=p["epsilon"],
-        disperser_mode=p["disperser"],
-        seed=p["seed"],
-        size_cap=p["size_cap"],
-    )
+    cl = CompressLeftParams(k=p["k"], r=p["r"], eps=p["epsilon"], disperser_mode=p["disperser"],
+                            seed=p["seed"], size_cap=p["size_cap"])
     out, disperser = compress_left(lc, cl)
-    entry = _entry(
-        "compress-left", "max_cov", "==", "k (full source) / < r (gap source)",
-        params=(("k", cl.k), ("r", cl.r), ("epsilon", cl.eps)),
-        completeness=gl.GapMap(kind="constant", value=cl.k, requires=float(lc.left_size)),
-        soundness=gl.GapMap(
-            kind="constant",
-            value=cl.r,
-            requires=float((1 - Fraction(cl.eps)) * lc.left_size),
-        ),
-        notes=("running-time constants of the underlying hardness statement are out of scope",),
-    )
-    return out, entry, {"disperser": disperser}
+    return out, {"disperser": disperser}
 
 
 def _build_compress_right(lc, p):
     cr = CompressRightParams(q=p["q"], gamma=p["gamma"], eps=p["epsilon"], size_cap=p["size_cap"])
-    out = compress_right(lc, cr)
-    entry = _entry(
-        "compress-right", "max_cov", "==", "|U'| (full) / < gamma*|U'| (gap)",
-        params=(("q", cr.q), ("gamma", cr.gamma), ("epsilon", cr.eps)),
-        completeness=gl.GapMap(
-            kind="constant", value=float(out.left_size), requires=float(lc.left_size)
-        ),
-        soundness=gl.GapMap(
-            kind="constant",
-            value=cr.gamma * out.left_size,
-            requires=float((1 - Fraction(cr.eps)) * lc.left_size),
-        ),
-    )
-    return out, entry, {}
-
-
-def _build_minlab(lc, p):
-    q, r, eps = p["q"], p["r"], p["epsilon"]
-    out = minlab_instance(lc, q, r, eps, size_cap=p["size_cap"])
-    entry = _entry(
-        "minlab", "min_lab", "==", "q (full) / > r (gap)",
-        params=(("q", q), ("r", r), ("epsilon", eps)),
-        completeness=gl.GapMap(kind="constant", value=float(q), requires=float(lc.left_size)),
-        soundness=gl.GapMap(
-            kind="constant", value=float(r), requires=float((1 - Fraction(eps)) * lc.left_size)
-        ),
-        notes=("gamma follows the power form (r/q)^-q",),
-    )
-    return out, entry, {}
-
-
-def _build_fglss(lc, p):
-    return fglss(lc), _entry("fglss", "clique", "==", "max_cov(source)"), {}
-
-
-def _build_minlab2setcov(lc, p):
-    out = minlab_to_setcov(lc, size_cap=p["size_cap"])
-    return out, _entry("minlab2setcov", "set_cover", "==", "min_lab(source)"), {}
-
-
-def _build_setcov2domset(system, p):
-    entry = _entry("setcov2domset", "dom_set", "==", "set_cover(source)")
-    return setcov_to_domset(system), entry, {}
-
-
-_HALF = gl.GapMap(kind="scale", value=0.5)
-_SANDWICH = "clique(source), and <= 2*biclique(source)+1"
-
-
-def _build_biclique_gadget(graph, p):
-    entry = _entry("biclique-gadget", "biclique", ">=", _SANDWICH, soundness=_HALF)
-    return biclique_gadget(graph), entry, {}
-
-
-def _build_im_gadget(graph, p):
-    entry = _entry("im-gadget", "induced_matching", ">=", _SANDWICH, soundness=_HALF)
-    return im_gadget(graph), entry, {}
-
-
-def _build_is2im(graph, p):
-    entry = _entry("is2im", "induced_matching", ">=", "independent_set(source)")
-    return is_to_im_gadget(graph), entry, {}
-
-
-def _build_clique2ipath(graph, p):
-    k, q = p["k"], p["q"]
-    entry = _entry(
-        "clique2ipath", "induced_path", ">=", "2qk if clique >= k, else <= 4(k-1)",
-        params=(("k", k), ("q", q)),
-        completeness=gl.GapMap(kind="constant", value=float(2 * q * k), requires=float(k)),
-        soundness=gl.GapMap(kind="constant", value=float(4 * (k - 1)), requires=float(k)),
-    )
-    return clique_to_inducedpath(graph, k, q), entry, {}
+    return compress_right(lc, cr), {}
 
 
 def _build_sat2dks(formula, p):
-    dp = DksParams(
-        ell=p["ell"],
-        p=p["p"],
-        lam=p["lambda"],
-        seed=p["seed"],
-        size_cap=p["size_cap"],
-    )
-    out = sat_to_dks(formula, dp)
-    entry = _entry(
-        "sat2dks", "clique", "==",
-        "C(n,ell) iff sat_max(source) == m when ell < n and clause width <= 2*ell; "
-        "otherwise C(n,ell) if sat_max(source) == m",
-        params=(("ell", dp.ell), ("p", dp.p), ("lambda", dp.lam)),
-        notes=(
-            "occurrence bound 2^(4n) * (2^(-lam*ell^2/n) * C(n,ell))^(2t) is documentation only",
-        ),
-    )
-    return out, entry, {"dks_params": dp}
+    dp = DksParams(ell=p["ell"], p=p["p"], lam=p["lambda"], seed=p["seed"], size_cap=p["size_cap"])
+    return sat_to_dks(formula, dp), {}
 
 
 # ---------------------------------------------------------------------------
@@ -572,26 +492,34 @@ def _status(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _equal(source_oracle: str, output_oracle: str):
-    """Rule of an exact reduction: the source and output optima are equal."""
+def _equal(source_oracle: str, output_oracle: str) -> dict:
+    """Rule and predicate of an exact reduction: the source and output optima are equal."""
 
     def rule(s):
         a, b = s.src(source_oracle), s.out(output_oracle)
         detail = f"{source_oracle}={a}, {output_oracle}={b}"
         return _status(a == b), detail, {source_oracle: a, output_oracle: b}
 
-    return rule
+    return {"verify": rule, "predicate": (output_oracle, "==", f"{source_oracle}(source)")}
 
 
-def _sandwich(output_oracle: str, label: str, key: str):
-    """Rule of a doubling gadget: clique(source) <= value(output) <= 2*biclique(source)+1."""
+_HALF = gl.GapMap(kind="scale", value=0.5)
+
+
+def _sandwich(output_oracle: str, label: str, key: str) -> dict:
+    """Rule, predicate and maps of a doubling gadget:
+    clique(source) <= value(output) <= 2*biclique(source)+1."""
 
     def rule(s):
         c, bi, got = s.src("clique"), s.src("biclique"), s.out(output_oracle)
         detail = f"clique={c} <= {label}={got} <= 2*{bi}+1"
         return _status(c <= got <= 2 * bi + 1), detail, {"clique": c, "biclique_in": bi, key: got}
 
-    return rule
+    return {
+        "verify": rule,
+        "predicate": (output_oracle, ">=", "clique(source), and <= 2*biclique(source)+1"),
+        "maps": lambda *_: (_IDENTITY, _HALF),
+    }
 
 
 def _graded(ok: bool, detail: str, values: dict, got):
@@ -609,7 +537,7 @@ def _compression(oracle: str, target, sound):
     def rule(s):
         m = s.source.left_size
         mc_in = s.src("max_cov")
-        gap_bound = (1 - Fraction(s.params["epsilon"])) * m
+        gap_bound = _gap_size(s.source, s.params)
         values = {"max_cov_in": mc_in, "left_size_in": m}
         if mc_in == m:
             want, got = target(s), s.out(oracle)
@@ -668,19 +596,19 @@ def _verify_clique2ipath(s):
 
 
 def _verify_sat2dks(s):
-    dp, source, output = s.extra["dks_params"], s.source, s.output
-    n, ell = source.num_vars, dp.ell
+    source, output, p, seed = s.source, s.output, s.params["p"], s.params["seed"]
+    n, ell = source.num_vars, s.params["ell"]
     full = math.comb(n, ell) << ell
     values = {"num_vertices": output.num_vertices}
-    if dp.p < 1.0:
+    if p < 1.0:
         # A subsample is the p = 1 graph induced on the vertices sat_to_dks
         # keeps, which _dks_kept replays from the seed. Each pair of kept
         # vertices is graded by dks_edge, one meter tick a pair, so the check
         # costs the output's size, not the full graph's.
-        if dp.seed is None:
+        if seed is None:
             detail = f"unseeded subsample ({output.num_vertices} of {full} vertices) is not replayable"
             return "NOT-APPLICABLE", detail, values
-        kept = _dks_kept(n, ell, dp.p, dp.seed)
+        kept = _dks_kept(n, ell, p, seed)
         if output.num_vertices != len(kept):
             detail = f"|V|={output.num_vertices}, want the {len(kept)} the seeded draw keeps"
             return "FAIL", detail, values
@@ -725,7 +653,8 @@ def _verify_sat2dks(s):
 STAGES: dict[str, Stage] = {
     "cnf2lc": Stage(
         "cnf2lc", "clause-variable game: CNF to label cover", "cnf", "lc", (),
-        _build_cnf2lc, _equal("sat_max", "max_cov"), _same_labeling,
+        _transform_of_source("cnf_to_labelcover"), **_equal("sat_max", "max_cov"),
+        lift=_same_labeling,
     ),
     "compress-left": Stage(
         "lc-compress-left", "disperser-based left compression", "lc", "lc",
@@ -733,54 +662,79 @@ STAGES: dict[str, Stage] = {
          Param("disperser", str, "random", choices=("random", "deterministic"))),
         _build_compress_left,
         _compression("max_cov", lambda s: s.params["k"], _compress_left_sound),
-        _same_labeling,
+        ("max_cov", "==", "k (full source) / < r (gap source)"),
+        maps=lambda lc, p, out: (_constant(p["k"], lc.left_size),
+                                 _constant(p["r"], _gap_size(lc, p))),
+        notes=("running-time constants of the underlying hardness statement are out of scope",),
+        lift=_same_labeling,
     ),
     "compress-right": Stage(
         "lc-compress-right", "block-merge right compression", "lc", "lc",
         (Param("q"), Param("gamma", float), Param("epsilon", float)),
         _build_compress_right,
         _compression("max_cov", lambda s: s.output.left_size, _compress_right_sound),
-        _lift_compress_right,
+        ("max_cov", "==", "|U'| (full) / < gamma*|U'| (gap)"),
+        maps=lambda lc, p, out: (_constant(float(out.left_size), lc.left_size),
+                                 _constant(p["gamma"] * out.left_size, _gap_size(lc, p))),
+        lift=_lift_compress_right,
     ),
     "minlab": Stage(
         "lc-minlab", "right compression at gamma = (r/q)^-q", "lc", "lc",
         (Param("q"), Param("r"), Param("epsilon", float)),
-        _build_minlab,
+        lambda lc, p: (minlab_instance(lc, p["q"], p["r"], p["epsilon"], p["size_cap"]), {}),
         _compression("min_lab", lambda s: s.params["q"], _minlab_sound),
+        ("min_lab", "==", "q (full) / > r (gap)"),
+        maps=lambda lc, p, out: (_constant(float(p["q"]), lc.left_size),
+                                 _constant(float(p["r"]), _gap_size(lc, p))),
+        notes=("gamma follows the power form (r/q)^-q",),
     ),
     "fglss": Stage(
         "lc2clique", "FGLSS graph of a projection label cover", "lc", "graph", (),
-        _build_fglss, _equal("max_cov", "clique"), _lift_fglss,
+        _transform_of_source("fglss"), **_equal("max_cov", "clique"), lift=_lift_fglss,
     ),
     "minlab2setcov": Stage(
         "minlab2setcov", "hypercube set system of a MinLab instance", "lc", "setsystem", (),
-        _build_minlab2setcov, _equal("min_lab", "set_cover"),
+        lambda lc, p: (minlab_to_setcov(lc, size_cap=p["size_cap"]), {}),
+        **_equal("min_lab", "set_cover"),
     ),
     "setcov2domset": Stage(
         "setcov2domset", "set cover to dominating set", "setsystem", "graph", (),
-        _build_setcov2domset, _equal("set_cover", "dom_set"),
+        _transform_of_source("setcov_to_domset"), **_equal("set_cover", "dom_set"),
     ),
     "biclique-gadget": Stage(
         "g2biclique-gadget", "doubling gadget B_e[G]", "graph", "graph", (),
-        _build_biclique_gadget, _sandwich("biclique", "biclique(B_e)", "biclique_out"),
+        _transform_of_source("biclique_gadget"),
+        **_sandwich("biclique", "biclique(B_e)", "biclique_out"),
     ),
     "im-gadget": Stage(
         "g2im-gadget", "doubling gadget B_e[complement(G)]", "graph", "graph", (),
-        _build_im_gadget, _sandwich("induced_matching", "IM", "im_out"),
+        _transform_of_source("im_gadget"), **_sandwich("induced_matching", "IM", "im_out"),
     ),
     "is2im": Stage(
         "g2is2im", "pendant gadget: independent set to induced matching", "graph", "graph", (),
-        _build_is2im, _verify_is2im,
+        _transform_of_source("is_to_im_gadget"), _verify_is2im,
+        ("induced_matching", ">=", "independent_set(source)"),
     ),
     "clique2ipath": Stage(
         "clique2ipath", "block-chained clique to induced path gadget", "graph", "graph",
         (Param("k"), Param("q")),
-        _build_clique2ipath, _verify_clique2ipath,
+        lambda g, p: (clique_to_inducedpath(g, p["k"], p["q"]), {}),
+        _verify_clique2ipath,
+        ("induced_path", ">=", "2qk if clique >= k, else <= 4(k-1)"),
+        maps=lambda g, p, out: (_constant(float(2 * p["q"] * p["k"]), p["k"]),
+                                _constant(float(4 * (p["k"] - 1)), p["k"])),
     ),
     "sat2dks": Stage(
         "sat2dks", "partial-assignment graph with optional subsampling", "cnf", "graph",
         (Param("ell"), Param("p", float, 1.0), Param("lambda", float, 0.1)),
-        _build_sat2dks, _verify_sat2dks, _lift_sat2dks,
+        _build_sat2dks, _verify_sat2dks,
+        ("clique", "==",
+         "C(n,ell) iff sat_max(source) == m when ell < n and clause width <= 2*ell; "
+         "otherwise C(n,ell) if sat_max(source) == m"),
+        notes=(
+            "occurrence bound 2^(4n) * (2^(-lam*ell^2/n) * C(n,ell))^(2t) is documentation only",
+        ),
+        lift=_lift_sat2dks,
     ),
 }
 
@@ -889,11 +843,12 @@ def run_pipeline(spec: PipelineSpec) -> PipelineRun:
     ledger = gl.GapLedger()
     extras = []
     for idx, stage in enumerate(spec.stages):
-        definition = STAGES[stage["op"]]
-        out, entry, extra = definition.build(instances[-1], spec.stage_params(idx))
+        op = stage["op"]
+        definition, params = STAGES[op], spec.stage_params(idx)
+        out, extra = definition.build(instances[-1], params)
+        ledger = gl.push_stage(ledger, definition.entry(op, instances[-1], params, out))
         instances.append(out)
         kinds.append(definition.output_kind)
-        ledger = gl.push_stage(ledger, entry)
         extras.append(extra)
     return PipelineRun(kinds, instances, ledger, extras)
 

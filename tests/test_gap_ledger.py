@@ -112,3 +112,45 @@ def test_pipeline_ledger_json_roundtrip():
     )
     ledger = run_pipeline(spec).ledger
     assert ledger_from_json(ledger_to_json(ledger)) == ledger
+
+
+# One spec per chain, together covering all 12 ops: a deterministic
+# compress-left, a gap compress-right and minlab, and a subsampled sat2dks.
+def _planted(n, m):
+    return {"kind": "gen-planted", "n": n, "m": m}
+
+
+_PINNED_SPECS = (
+    (_planted(5, 4), 5, ({"op": "cnf2lc"},
+                         {"op": "compress-left", "k": 2, "r": 2, "epsilon": 0.2,
+                          "disperser": "deterministic"},
+                         {"op": "fglss"}, {"op": "clique2ipath", "k": 2, "q": 1})),
+    ({"kind": "gen-gap", "n": 6, "m": 5, "epsilon": 0.3}, 3,
+     ({"op": "cnf2lc"}, {"op": "compress-right", "q": 2, "gamma": 0.5, "epsilon": 0.3},
+      {"op": "minlab", "q": 1, "r": 2, "epsilon": 0.3})),
+    (_planted(4, 3), 2, ({"op": "cnf2lc"}, {"op": "minlab", "q": 2, "r": 2, "epsilon": 0.3},
+                         {"op": "minlab2setcov"}, {"op": "setcov2domset"})),
+    (_planted(5, 4), 8, ({"op": "sat2dks", "ell": 2, "p": 0.5},)),
+    (_planted(3, 2), 6, ({"op": "cnf2lc"}, {"op": "fglss"}, {"op": "biclique-gadget"},
+                         {"op": "is2im"})),
+    (_planted(3, 2), 6, ({"op": "cnf2lc"}, {"op": "fglss"}, {"op": "im-gadget"})),
+)
+
+
+def test_every_op_emits_its_pinned_ledger_and_report():
+    # The expected bytes are literal: a ledger entry's params, map values
+    # (ints for compress-left's k and r, floats elsewhere), predicate and
+    # notes, and the verify report that prints them.
+    from pathlib import Path
+
+    from gapred.pipelines import STAGES, PipelineSpec, run_pipeline, verify_pipeline
+
+    parts, ops = [], set()
+    for source, seed, stages in _PINNED_SPECS:
+        spec = PipelineSpec(input=source, stages=stages, seed=seed)
+        run = run_pipeline(spec)
+        parts += [ledger_to_json(run.ledger) + "\n", verify_pipeline(spec, run).render()]
+        ops.update(stage["op"] for stage in stages)
+    assert ops == set(STAGES)
+    expected = (Path(__file__).parent / "pinned_ledgers.txt").read_text()
+    assert "".join(parts) == expected

@@ -20,7 +20,6 @@ from gapred import (
     compress_left,
     compress_left_with,
     compress_right,
-    drop_isolated_right,
     emit_labelcover,
     max_cov,
     min_lab,
@@ -427,9 +426,12 @@ def test_minlab_instance_validation():
 
 def test_minlab_completeness():
     f = gen_planted_cnf(6, 5, seed=12)
-    out = minlab_instance(cnf_to_labelcover(f), q=2, r=3, eps=0.3)
+    lc = cnf_to_labelcover(f)
+    out = minlab_instance(lc, q=2, r=3, eps=0.3)
     assert out.right_size == 2
     assert min_lab(out) == 2
+    # minlab is exactly the right compression at gamma = (q/r)^q.
+    assert out == compress_right(lc, CompressRightParams(2, (2 / 3) ** 2, 0.3))
 
 
 def test_minlab_soundness():
@@ -437,16 +439,6 @@ def test_minlab_soundness():
     out = minlab_instance(cnf_to_labelcover(f), q=2, r=3, eps=0.3)
     value = min_lab(out)
     assert value is None or value > 3
-
-
-def test_drop_isolated_right():
-    from gapred import LabelCover
-
-    lc = LabelCover(1, 3, 1, 2, {(0, 1): {(0, 0)}})
-    out = drop_isolated_right(lc)
-    assert out.right_size == 1
-    assert out.edges == ((0, 0),)
-    assert min_lab(out) == min_lab(lc) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +458,6 @@ def test_unchecked_outputs_pass_the_public_checks(seed):
         compress_left(lc, CompressLeftParams(k=3, r=2, eps=0.5, seed=seed))[0],
         compress_right(lc, CompressRightParams(q=2, gamma=0.5, eps=0.3)),
         minlab_instance(lc, q=2, r=3, eps=0.3),
-        drop_isolated_right(LabelCover(1, 3, 1, 2, {(0, 1): {(0, 0)}})),
     ]
     for out in outputs:
         checked = _rebuilt(out)

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import io
 import json
+import random
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,7 @@ from gapred import (
     GenerationError,
     Graph,
     ParseError,
+    SizeCapError,
     ValidationError,
     cnf_to_labelcover,
     emit_labelcover,
@@ -73,6 +75,26 @@ def test_gen_gap_impossible_target():
     # sat_max >= m/2 always, so eps close to 1 must exhaust its attempts.
     with pytest.raises(GenerationError):
         gen_gap_cnf(4, 4, 0.9, seed=0, max_attempts=25)
+
+
+def test_planted_assignment_holds_every_bit():
+    # The generator draws the assignment first; variable i + 1's value is bit i.
+    for n in (0, 1, 64, 20_000):
+        formula = gen_planted_cnf(n, 4 if n >= 3 else 0, seed=n)
+        planted = random.Random(n).getrandbits(n) if n else 0
+        assert pipelines._PLANTED[formula] == tuple(planted >> i & 1 for i in range(n))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "planted", "--n", "-5", "--m", "0"],
+    ["--mode", "planted", "--n", str(10**30), "--m", "1"],
+    ["--mode", "random", "--n", str(10**21), "--m", "1"],
+    ["--mode", "gap", "--n", str(10**21), "--m", "1"],
+    ["--mode", "planted", "--n", "5", "--m", "500001"],
+])
+def test_cli_gen_cnf_refuses_counts_outside_the_cap(argv, capsys):
+    assert run_command(["gen-cnf", *argv]) == 2
+    assert "must lie in 0..500000" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +224,24 @@ def test_verify_exits_with_a_documented_code_on_mutated_specs(edits, text_edits)
         spec_path.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run_command(["verify", str(spec_path)]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("stages", [
+    ({"op": "cnf2lc"}, {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.2}),
+    ({"op": "cnf2lc"}, {"op": "compress-right", "q": 2, "gamma": 0.5, "epsilon": 0.3}),
+    ({"op": "cnf2lc"}, {"op": "minlab", "q": 1, "r": 1, "epsilon": 0.3}),
+    ({"op": "cnf2lc"}, {"op": "minlab", "q": 1, "r": 1, "epsilon": 0.3, "size_cap": 10**6},
+     {"op": "minlab2setcov"}),
+    ({"op": "sat2dks", "ell": 2},),
+])
+def test_a_null_stage_size_cap_means_the_specs(stages):
+    source = {"kind": "gen-planted", "n": 5, "m": 4}
+    nulled = stages[:-1] + ({**stages[-1], "size_cap": None},)
+    spec = PipelineSpec(input=source, stages=stages, seed=3)
+    run = run_pipeline(PipelineSpec(input=source, stages=nulled, seed=3))
+    assert verify_pipeline(spec).render() == verify_pipeline(spec, run).render()
+    with pytest.raises(SizeCapError):
+        run_pipeline(PipelineSpec(input=source, stages=nulled, seed=3, size_cap=1))
 
 
 def test_spec_output_kind():
