@@ -23,8 +23,6 @@ from .instances import (
     CnfFormula,
     Graph,
     LabelCover,
-    Labeling,
-    MultiLabeling,
     SetSystem,
     TupleDecoder,
     emit_cnf,

@@ -68,6 +68,8 @@ _SOLVERS = {
     "densest-k": ("graph", densest_k, "k"),
     "max-induced": ("graph", max_induced_with_property, "property"),
 }
+# Each solve flag's value when it is not given.
+_SOLVE_DEFAULTS = {"t": 1, "k": 2, "property": "forest"}
 
 
 def _write(path: str | None, text: str):
@@ -167,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run an exact oracle on an instance file")
     p.add_argument("problem", choices=sorted(_SOLVERS))
     p.add_argument("input")
-    p.add_argument("--t", type=int, default=1, help="t for count-ktt")
-    p.add_argument("--k", type=int, default=2, help="k for densest-k")
-    p.add_argument("--property", default="forest", help="property for max-induced")
+    # Unset means the problem's default; a problem refuses the others' flags.
+    p.add_argument("--t", type=int, help="t for count-ktt")
+    p.add_argument("--k", type=int, help="k for densest-k")
+    p.add_argument("--property", help="property for max-induced")
     p.add_argument("--out", help=_OUT_HELP)
     _add_budget(p)
     p.set_defaults(handler=_cmd_solve)
@@ -253,8 +256,14 @@ def _cmd_disperser(args) -> int:
 
 def _cmd_solve(args) -> int:
     kind, solver, flag = _SOLVERS[args.problem]
+    extra = ()
+    for name, default in _SOLVE_DEFAULTS.items():
+        value = getattr(args, name)
+        if name == flag:
+            extra = (default if value is None else value,)
+        elif value is not None:
+            raise ParseError(f"solve {args.problem} does not read --{name}")
     instance = _FORMATS[kind].parse(Path(args.input).read_bytes())
-    extra = () if flag is None else (getattr(args, flag),)
     value = solver(instance, *extra, _budget(args))
     _write(args.out, f"{'infeasible' if value is None else value}\n")
     return 0

@@ -104,9 +104,6 @@ class StageEntry:
 class GapLedger:
     stages: tuple[StageEntry, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.stages)
-
 
 def push_stage(ledger: GapLedger, entry: StageEntry) -> GapLedger:
     """Append a stage, validating that its predicate references a known oracle."""

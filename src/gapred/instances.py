@@ -37,8 +37,6 @@ __all__ = [
     "SetSystem",
     "LabelCover",
     "TupleDecoder",
-    "Labeling",
-    "MultiLabeling",
     "parse_cnf",
     "emit_cnf",
     "parse_graph",
@@ -195,14 +193,6 @@ class CnfFormula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    def clause_satisfied(self, idx: int, assignment: int) -> bool:
-        """Whether clause `idx` is satisfied by `assignment` (bit v-1 = value of var v)."""
-        for lit in self.clauses[idx]:
-            value = (assignment >> (abs(lit) - 1)) & 1
-            if value == (1 if lit > 0 else 0):
-                return True
-        return False
 
 
 def parse_cnf(data) -> CnfFormula:
@@ -805,67 +795,22 @@ class LabelCover:
     def is_full_admissible(self, u: int) -> bool:
         return len(self.admissible[u]) == self.left_alphabet
 
-
-@dataclass(frozen=True)
-class Labeling:
-    """Total labeling (left and right); left labels must be admissible."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def validate(self, lc: LabelCover) -> None:
-        if len(self.left) != lc.left_size or len(self.right) != lc.right_size:
-            raise ValidationError("labeling length disagrees with instance")
-        for u, a in enumerate(self.left):
-            if a not in lc.admissible[u]:
-                raise ValidationError(f"label {a} not admissible at left vertex {u}")
-        for v, b in enumerate(self.right):
-            if not 0 <= b < lc.right_alphabet:
-                raise ValidationError(f"label {b} out of range at right vertex {v}")
-
-    def covers_vertex(self, lc: LabelCover, u: int) -> bool:
-        return all(
-            (self.left[u], self.right[v]) in lc.relations[(u, v)]
-            for v in lc.left_neighbors[u]
-        )
-
-    def covered_count(self, lc: LabelCover) -> int:
-        return sum(1 for u in range(lc.left_size) if self.covers_vertex(lc, u))
-
-
-@dataclass(frozen=True)
-class MultiLabeling:
-    """Left labeling plus a right label *set* per vertex.
-
-    Right sets may be empty; only vertices incident to an edge ever need a
-    label, so isolated right vertices contribute zero cost.
-    """
-
-    left: tuple[int, ...]
-    right: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "right", tuple(frozenset(s) for s in self.right))
-
-    def cost(self) -> int:
-        return sum(len(s) for s in self.right)
-
-    def validate(self, lc: LabelCover) -> None:
-        if len(self.left) != lc.left_size or len(self.right) != lc.right_size:
-            raise ValidationError("multi-labeling length disagrees with instance")
-        for u, a in enumerate(self.left):
-            if a not in lc.admissible[u]:
-                raise ValidationError(f"label {a} not admissible at left vertex {u}")
-        for v, labels in enumerate(self.right):
-            if any(not 0 <= b < lc.right_alphabet for b in labels):
-                raise ValidationError(f"label set out of range at right vertex {v}")
-
-    def covers_all(self, lc: LabelCover) -> bool:
-        for (u, v), pairs in lc.relations.items():
-            a = self.left[u]
-            if not any((a, b) in pairs for b in self.right[v]):
-                return False
-        return True
+    def fitting_labels(self, u: int, sigma) -> list[int]:
+        """The admissible labels of left vertex `u`, ascending, whose beta mask
+        holds `sigma[v]` on every edge (u, v): the labels that cover `u` under
+        the right labeling `sigma`. Only the labels stored on u's first edge
+        are scanned, then narrowed edge by edge; a vertex with no edges gets
+        every admissible label."""
+        nbrs = self.left_neighbors[u]
+        if not nbrs:
+            return self.admissible_list(u)
+        allowed, b = self.admissible[u], sigma[nbrs[0]]
+        fits = sorted(a for a, mask in self.betas[u, nbrs[0]].items()
+                      if mask >> b & 1 and a in allowed)
+        for v in nbrs[1:]:
+            masks, b = self.betas[u, v], sigma[v]
+            fits = [a for a in fits if masks.get(a, 0) >> b & 1]
+        return fits
 
 
 def parse_labelcover(data) -> LabelCover:
@@ -961,8 +906,6 @@ def _check_cnf_counts(num_vars: int, num_clauses: int) -> None:
 def random_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     """Uniform random 3-clauses over distinct variables; pure function of the seed."""
     _check_cnf_counts(num_vars, num_clauses)
-    if num_vars < 1:
-        raise ValidationError("need num_vars >= 1")
     if num_clauses > 0 and num_vars < 3:
         raise ValidationError("3-literal clauses need at least 3 variables")
     rng = random.Random(seed)

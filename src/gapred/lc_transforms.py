@@ -50,6 +50,7 @@ from typing import NamedTuple
 from .dispersers import Disperser, deterministic_disperser, random_disperser
 from .errors import SizeCapError, ValidationError
 from .instances import DEFAULT_SIZE_CAP, CnfFormula, LabelCover, TupleDecoder, digit_table
+from .oracles import SolveBudget
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -250,12 +251,15 @@ class _BlockLabels(dict):
 # Left compression
 
 
-def compress_left(lc: LabelCover, params: CompressLeftParams) -> tuple[LabelCover, Disperser]:
-    """Compress the left side down to k disperser subsets."""
+def compress_left(
+    lc: LabelCover, params: CompressLeftParams, budget: SolveBudget | None = None
+) -> tuple[LabelCover, Disperser]:
+    """Compress the left side down to k disperser subsets; `budget` bounds a
+    deterministic disperser's search."""
     if lc.left_size < 1:
         raise ValidationError("cannot left-compress an empty left side")
     if params.disperser_mode == "deterministic":
-        disperser = deterministic_disperser(lc.left_size, params.k, params.r, params.eps)
+        disperser = deterministic_disperser(lc.left_size, params.k, params.r, params.eps, budget)
     else:
         disperser = random_disperser(lc.left_size, params.k, params.r, params.eps, params.seed)
     return compress_left_with(lc, disperser, size_cap=params.size_cap), disperser

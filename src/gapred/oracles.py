@@ -283,23 +283,12 @@ def _cover_tables(entries, ones: int, table):
 
 def _covered(lc: LabelCover, labeling) -> int:
     """Left vertices the witness right `labeling` covers, or -1 when it is no
-    labeling of the right side. Like _label_rows, it scans only the labels
-    stored on each vertex's first edge."""
+    labeling of the right side. A vertex with no edges is covered when it has
+    an admissible label, which is tested without listing its labels."""
     if not _is_labeling(labeling, lc.right_size, lc.right_alphabet):
         return -1
-    count = 0
-    for u, nbrs in enumerate(lc.left_neighbors):
-        allowed = lc.admissible[u]
-        if not nbrs:
-            count += bool(allowed)
-            continue
-        edges = [(lc.betas[u, v], labeling[v]) for v in nbrs]
-        (first, b), rest = edges[0], edges[1:]
-        count += any(
-            mask >> b & 1 and a in allowed and all(masks.get(a, 0) >> c & 1 for masks, c in rest)
-            for a, mask in first.items()
-        )
-    return count
+    return sum(bool(lc.fitting_labels(u, labeling) if nbrs else lc.admissible[u])
+               for u, nbrs in enumerate(lc.left_neighbors))
 
 
 def max_cov(lc: LabelCover, budget: SolveBudget | None = None, witness=None) -> int:

@@ -283,11 +283,12 @@ class Stage:
     """One reduction, as run_pipeline, verify_pipeline and the CLI use it.
 
     `build(instance, params)` returns (output, extras), where `params` holds
-    every declared parameter plus `seed` and `size_cap`. The stage's ledger
-    entry is derived from the row: `predicate` is its (oracle, comparison,
-    target), `maps(source, params, output)`, when given, returns its
-    (completeness, soundness) maps (else both are the identity), and `notes`
-    are documentation. `verify(view)` grades the stage from a `_StageView`
+    every declared parameter plus `seed` and `size_cap`, and, in a pipeline,
+    the spec's `budget`, which bounds compress-left's disperser search. The
+    stage's ledger entry is derived from the row: `predicate` is its (oracle,
+    comparison, target), `maps(source, params, output)`, when given, returns
+    its (completeness, soundness) maps (else both are the identity), and
+    `notes` are documentation. `verify(view)` grades the stage from a `_StageView`
     and returns (status, detail, values). `lift(instance, params, witness)`,
     when given, maps a witness of the source (an assignment, a right
     labeling) to one of the output that the build keeps optimal, or to None.
@@ -358,7 +359,7 @@ def _gap_size(lc, p) -> Fraction:
 def _build_compress_left(lc, p):
     cl = CompressLeftParams(k=p["k"], r=p["r"], eps=p["epsilon"], disperser_mode=p["disperser"],
                             seed=p["seed"], size_cap=p["size_cap"])
-    out, disperser = compress_left(lc, cl)
+    out, disperser = compress_left(lc, cl, p.get("budget"))
     return out, {"disperser": disperser}
 
 
@@ -402,11 +403,8 @@ def _lift_fglss(lc, p, sigma):
     if len(sigma) != lc.right_size:
         return None
     clique, offset = [], 0
-    for u, nbrs in enumerate(lc.left_neighbors):
-        labels = fits = lc.admissible_list(u)
-        for v in nbrs:
-            masks, b = lc.betas[u, v], sigma[v]
-            fits = [a for a in fits if masks.get(a, 0) >> b & 1]
+    for u in range(lc.left_size):
+        labels, fits = lc.admissible_list(u), lc.fitting_labels(u, sigma)
         if fits:
             clique.append(offset + bisect.bisect_left(labels, fits[0]))
         offset += len(labels)
@@ -845,7 +843,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineRun:
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
         definition, params = STAGES[op], spec.stage_params(idx)
-        out, extra = definition.build(instances[-1], params)
+        out, extra = definition.build(instances[-1], {**params, "budget": spec.budget})
         ledger = gl.push_stage(ledger, definition.entry(op, instances[-1], params, out))
         instances.append(out)
         kinds.append(definition.output_kind)

@@ -221,7 +221,8 @@ def test_criterion_09_dks_construction():
             assert out.num_vertices == math.comb(n, 2) * 4
             full = next(
                 a for a in range(1 << n)
-                if all(f.clause_satisfied(i, a) for i in range(f.num_clauses))
+                if all(any((a >> abs(lit) - 1 & 1) == (lit > 0) for lit in clause)
+                       for clause in f.clauses)
             )
             restrictions = []
             for window in itertools.combinations(range(n), 2):

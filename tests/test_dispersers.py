@@ -121,6 +121,15 @@ def test_deterministic_disperser_search_has_one_budget():
     assert deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=31)).verified
 
 
+def test_deterministic_disperser_tops_up_trimmed_subsets():
+    # m' = ceil(4 ln 4) = 6 and l' = 5, lifted twice to [12] and trimmed to
+    # [10]: each lifted subset misses one of 0..5, so it loses 10 or 11 or
+    # both and is topped up, here to all of [10].
+    d = deterministic_disperser(10, 4, 4, 0.9)
+    assert d.verified and d.ell == 10
+    assert d.subsets == (frozenset(range(10)),) * 4
+
+
 def _first_violation_by_set_unions(d):
     threshold = (1 - Fraction(d.eps)) * d.m
     for indices in itertools.combinations(range(d.k), d.r):

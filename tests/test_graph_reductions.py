@@ -339,7 +339,8 @@ def test_dks_satisfying_restrictions_form_clique():
     f = gen_planted_cnf(4, 3, seed=7)
     full = next(
         a for a in range(1 << 4)
-        if all(f.clause_satisfied(i, a) for i in range(f.num_clauses))
+        if all(any((a >> abs(lit) - 1 & 1) == (lit > 0) for lit in clause)
+               for clause in f.clauses)
     )
     restrictions = []
     for window in itertools.combinations(range(4), 2):

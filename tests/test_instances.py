@@ -567,43 +567,6 @@ def test_random_graph_deterministic():
     assert random_graph(8, 0.5, seed=4) == random_graph(8, 0.5, seed=4)
 
 
-def test_labeling_cover_helpers():
-    from gapred import Labeling, cnf_to_labelcover, max_cov
-
-    lc = cnf_to_labelcover(CnfFormula(2, ((1, 2), (-1, 2))))
-    best = 0
-    import itertools
-
-    for left in itertools.product(*(sorted(lc.admissible[u]) for u in range(lc.left_size))):
-        for right in itertools.product(range(lc.right_alphabet), repeat=lc.right_size):
-            lab = Labeling(left, right)
-            lab.validate(lc)
-            best = max(best, lab.covered_count(lc))
-    assert best == max_cov(lc)
-
-
-def test_multilabeling_cost_and_cover():
-    from gapred import LabelCover, MultiLabeling, min_lab
-
-    lc = LabelCover(2, 1, 1, 2, {(0, 0): {(0, 0)}, (1, 0): {(0, 1)}})
-    ml = MultiLabeling((0, 0), (frozenset({0, 1}),))
-    ml.validate(lc)
-    assert ml.covers_all(lc)
-    assert ml.cost() == 2 == min_lab(lc)
-    partial = MultiLabeling((0, 0), (frozenset({0}),))
-    assert not partial.covers_all(lc)
-
-
-def test_labeling_validation_errors():
-    from gapred import LabelCover, Labeling
-
-    lc = LabelCover(1, 1, 2, 2, {(0, 0): {(0, 0)}}, admissible={0: {0}})
-    with pytest.raises(ValidationError):
-        Labeling((1,), (0,)).validate(lc)  # label 1 not admissible
-    with pytest.raises(ValidationError):
-        Labeling((0,), (5,)).validate(lc)
-
-
 def test_empty_formula_roundtrip():
     f = CnfFormula(0, ())
     assert parse_cnf(emit_cnf(f)) == f

@@ -345,6 +345,8 @@ def test_max_cov_scans_stored_labels_only(edges):
     unlisted = _Unlisted(lc.admissible[0])
     lc.admissible.update(dict.fromkeys(lc.admissible, unlisted))
     assert max_cov(lc) == (0 if edges else 5000)
+    # So may the witness check.
+    assert max_cov(lc, witness=(0,)) == (0 if edges else 5000)
 
 
 @given(st.integers(0, 10**9))
@@ -362,7 +364,8 @@ def scalar_sat_max(formula):
     """Every assignment in turn, every clause in turn."""
     best = 0
     for assign in range(1 << formula.num_vars):
-        count = sum(formula.clause_satisfied(i, assign) for i in range(formula.num_clauses))
+        count = sum(any((assign >> abs(lit) - 1 & 1) == (lit > 0) for lit in clause)
+                    for clause in formula.clauses)
         best = max(best, count)
     return best
 

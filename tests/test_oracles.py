@@ -17,6 +17,7 @@ from gapred import (
     ValidationError,
     biclique,
     clique,
+    cnf_to_labelcover,
     count_ktt,
     densest_k,
     dom_set,
@@ -398,9 +399,12 @@ def test_cross_oracle_exhaustive_six_vertices():
 
 
 def test_max_cov_strategies_agree_200_seeds():
-    for seed in range(200):
-        lc = random_labelcover(3, 2, 2, 2, density=0.8, seed=f"s2-{seed}",
-                               pair_density=0.4)
+    # cnf2lc of (x1 or x2) and (not x1 or x2), whose x2 = 1 covers both clauses.
+    covers = [cnf_to_labelcover(CnfFormula(2, ((1, 2), (-1, 2))))]
+    covers += [random_labelcover(3, 2, 2, 2, density=0.8, seed=f"s2-{seed}", pair_density=0.4)
+               for seed in range(200)]
+    assert max_cov(covers[0]) == 2
+    for lc in covers:
         opt = max_cov(lc)
         for r in range(lc.left_size + 1):
             assert ref_max_cov_at_least(lc, r) == (opt >= r)

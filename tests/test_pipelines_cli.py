@@ -8,6 +8,7 @@ import io
 import json
 import random
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -95,6 +96,15 @@ def test_planted_assignment_holds_every_bit():
 def test_cli_gen_cnf_refuses_counts_outside_the_cap(argv, capsys):
     assert run_command(["gen-cnf", *argv]) == 2
     assert "must lie in 0..500000" in capsys.readouterr().err
+
+
+def test_cli_gen_cnf_writes_the_empty_formula(capsys):
+    for mode in ("random", "planted"):
+        assert run_command(["gen-cnf", "--mode", mode, "--n", "0", "--m", "0"]) == 0
+        assert capsys.readouterr().out == "p cnf 0 0\n"
+    # Clauses of three distinct variables still need three variables.
+    assert run_command(["gen-cnf", "--mode", "random", "--n", "2", "--m", "1"]) == 2
+    assert "at least 3 variables" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +294,51 @@ def test_verify_gap_clique_pipeline():
     assert by_name["fglss"].values["clique"] < 2
 
 
+def test_verify_compress_left_source_between_full_and_gap(tmp_path):
+    # x1 and not x1 cannot both hold, so max_cov = 3 of 4: neither full nor
+    # below (1 - 0.5) * 4 = 2, and compress-left claims nothing.
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 3 4\n1 0\n-1 0\n2 0\n3 0\n")
+    spec = PipelineSpec(input={"kind": "cnf-file", "path": str(path)},
+                        stages=({"op": "cnf2lc"},
+                                {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.5}),
+                        seed=1)
+    stage = verify_pipeline(spec).stages[1]
+    assert stage.status == "NOT-APPLICABLE"
+    assert stage.detail == "source max_cov=3 is neither full (4) nor below 2.000"
+
+
+def test_verify_compress_left_gap_with_a_failing_disperser_is_inconclusive():
+    # Soundness rests on the disperser, so a run whose disperser has a small
+    # r-union certifies nothing.
+    spec = _clique_spec("gen-gap")
+    run = run_pipeline(spec)
+    assert verify_pipeline(spec, run).stages[1].status == "PASS"
+    good = run.extras[1]["disperser"]
+    small = dataclasses.replace(good, ell=1, subsets=(frozenset({0}),) * good.k)
+    run.extras[1] = {"disperser": small}
+    stage = verify_pipeline(spec, run).stages[1]
+    assert stage.status == "INCONCLUSIVE"
+    assert stage.detail.startswith("disperser unverified (witness (0, 1))")
+
+
+def test_pipeline_budget_bounds_the_deterministic_disperser_search(tmp_path, capsys):
+    # Every r-union of this search's candidates is checked, C(40, 6) of them,
+    # which takes seconds; the spec's 500 ms budget must stop it.
+    spec = tmp_path / "det.json"
+    spec.write_text(json.dumps({
+        "seed": 1, "budget": {"max_millis": 500},
+        "input": {"kind": "gen-planted", "n": 12, "m": 16},
+        "stages": [{"op": "cnf2lc"},
+                   {"op": "compress-left", "k": 40, "r": 6, "epsilon": 0.9,
+                    "disperser": "deterministic"}],
+    }))
+    start = time.perf_counter()
+    assert run_command(["pipeline", str(spec)]) == 3
+    assert time.perf_counter() - start < 2.5
+    assert "time budget exceeded" in capsys.readouterr().err
+
+
 def test_verify_minlab_pipeline():
     spec = PipelineSpec(
         input={"kind": "gen-planted", "n": 6, "m": 5},
@@ -415,6 +470,20 @@ def test_verify_dks_subsample_against_the_seeded_draw():
     # Without a seed the draw cannot be replayed, so nothing is certified.
     unseeded = PipelineSpec(input=spec.input, stages=spec.stages)
     assert verify_pipeline(unseeded).stages[0].status == "NOT-APPLICABLE"
+
+
+@pytest.mark.parametrize("p, want", [(1.0, "want 40"), (0.5, "the seeded draw keeps")])
+def test_verify_dks_fails_a_wrong_vertex_count(p, want):
+    spec = PipelineSpec(
+        input={"kind": "gen-planted", "n": 5, "m": 4},
+        stages=({"op": "sat2dks", "ell": 2, "p": p},),
+        seed=8,
+    )
+    run = run_pipeline(spec)
+    run.instances[1] = Graph(run.instances[1].num_vertices + 1)
+    stage = verify_pipeline(spec, run).stages[0]
+    assert stage.status == "FAIL"
+    assert stage.detail.startswith("|V|=") and want in stage.detail
 
 
 def test_verify_dks_subsample_costs_the_kept_pairs():
@@ -592,16 +661,23 @@ def test_cli_subcommands_take_only_the_flags_they_read():
     assert sum(map(len, got.values())) == 83
 
 
-@pytest.mark.parametrize("argv", [
-    ["cnf2lc", "f.cnf", "--budget-nodes", "5"],
-    ["solve", "clique", "g.graph", "--seed", "1"],
-    ["sat2dks", "f.cnf", "--ell", "2", "--r", "3"],
-])
-def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_command(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["cnf2lc", "f.cnf", "--budget-nodes", "5"], "unrecognized arguments"),
+    (["solve", "clique", "g.graph", "--seed", "1"], "unrecognized arguments"),
+    (["sat2dks", "f.cnf", "--ell", "2", "--r", "3"], "unrecognized arguments"),
+    # The solve flags are one parser's, so the handler refuses another problem's.
+    (["solve", "clique", "g.graph", "--t", "3", "--k", "9", "--property", "bogus"],
+     "solve clique does not read --t"),
+    (["solve", "densest-k", "g.graph", "--property", "forest"],
+     "solve densest-k does not read --property"),
+], ids=[f"argv{i}" for i in range(5)])
+def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, message, capsys):
+    try:
+        code = run_command(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_disperser_commands(tmp_path, capsys):

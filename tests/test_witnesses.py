@@ -6,10 +6,15 @@ cheaper: with or without it, and whether it is right or corrupted, the value
 is the same.
 """
 
+import bisect
+import random
+
 import pytest
 
-from gapred import oracles, pipelines
+from gapred import LabelCover, oracles, pipelines
 from gapred.pipelines import PipelineSpec, gen_gap_cnf, run_pipeline, verify_pipeline
+
+from corpus import pair_cover_fields
 
 _ORACLE = {"cnf": "sat_max", "lc": "max_cov", "graph": "clique"}
 
@@ -170,3 +175,74 @@ def test_verify_reports_the_same_with_and_without_witnesses(monkeypatch, name):
 def test_gen_gap_formulas_carry_no_witness():
     formula = gen_gap_cnf(6, 5, 0.3, seed=2)
     assert formula not in pipelines._PLANTED
+
+
+# ---------------------------------------------------------------------------
+# Referees: the label-fit loops that LabelCover.fitting_labels replaced
+
+
+def loop_covered(lc, labeling):
+    """max_cov's witness check with its own loop: each vertex's first-edge
+    labels, each tested on the vertex's other edges."""
+    if not oracles._is_labeling(labeling, lc.right_size, lc.right_alphabet):
+        return -1
+    count = 0
+    for u, nbrs in enumerate(lc.left_neighbors):
+        allowed = lc.admissible[u]
+        if not nbrs:
+            count += bool(allowed)
+            continue
+        edges = [(lc.betas[u, v], labeling[v]) for v in nbrs]
+        (first, b), rest = edges[0], edges[1:]
+        count += any(
+            mask >> b & 1 and a in allowed and all(masks.get(a, 0) >> c & 1 for masks, c in rest)
+            for a, mask in first.items()
+        )
+    return count
+
+
+def loop_lift_fglss(lc, p, sigma):
+    """The fglss lift with its own loop: each admissible list narrowed edge by edge."""
+    if len(sigma) != lc.right_size:
+        return None
+    clique, offset = [], 0
+    for u, nbrs in enumerate(lc.left_neighbors):
+        labels = fits = lc.admissible_list(u)
+        for v in nbrs:
+            masks, b = lc.betas[u, v], sigma[v]
+            fits = [a for a in fits if masks.get(a, 0) >> b & 1]
+        if fits:
+            clique.append(offset + bisect.bisect_left(labels, fits[0]))
+        offset += len(labels)
+    return tuple(clique)
+
+
+def pair_fitting_labels(lc, u, sigma):
+    """The admissible labels a of u whose pair (a, sigma[v]) every edge (u, v) holds."""
+    return [a for a in sorted(lc.admissible[u])
+            if all((a, sigma[v]) in lc.relations[u, v] for v in lc.left_neighbors[u])]
+
+
+def test_label_fit_matches_its_referees_on_random_covers(monkeypatch):
+    seen = {"isolated": 0, "partial": 0, "stored, not admissible": 0, "no pair": 0}
+    for seed in range(250):
+        rng = random.Random(f"fit-{seed}")
+        left, right, la, ra = (rng.randint(*bounds) for bounds in ((0, 5), (0, 3), (1, 4), (1, 3)))
+        relations, admissible = pair_cover_fields(rng, left, right, la, ra)
+        lc = LabelCover(left, right, la, ra, relations, admissible)
+        sigma = tuple(rng.randrange(ra) for _ in range(right))
+        for u in range(left):
+            assert lc.fitting_labels(u, sigma) == pair_fitting_labels(lc, u, sigma), (seed, u)
+            seen["isolated"] += not lc.left_neighbors[u]
+            seen["partial"] += 0 < len(admissible[u]) < la
+        for (u, v), masks in lc.betas.items():
+            seen["stored, not admissible"] += bool(masks.keys() - admissible[u])
+            seen["no pair"] += not any(mask >> sigma[v] & 1 for mask in masks.values())
+        assert oracles._covered(lc, sigma) == loop_covered(lc, sigma), seed
+        assert pipelines._lift_fglss(lc, {}, sigma) == loop_lift_fglss(lc, {}, sigma), seed
+        # The witnessed max_cov reads the same count, so it charges the same nodes.
+        got = _solve(monkeypatch, "lc", lc, witness=sigma)
+        monkeypatch.setattr(oracles, "_covered", loop_covered)
+        assert _solve(monkeypatch, "lc", lc, witness=sigma) == got, seed
+        monkeypatch.undo()
+    assert min(seen.values()) > 0, seen
