@@ -65,8 +65,6 @@ from .dispersers import (
     verify_disperser,
 )
 from .lc_transforms import (
-    CompressLeftParams,
-    CompressRightParams,
     cnf_to_labelcover,
     compress_left,
     compress_left_with,
@@ -75,7 +73,6 @@ from .lc_transforms import (
     projection_check,
 )
 from .graph_reductions import (
-    DksParams,
     HypercubeSystem,
     biclique_gadget,
     check_cover_iff_column,

@@ -22,7 +22,6 @@ from .dispersers import (
 )
 from .errors import BudgetExceededError, GapredError, ParseError
 from .instances import emit_cnf, random_cnf
-from .lc_transforms import DEFAULT_SIZE_CAP
 from .oracles import (
     SolveBudget,
     biclique,
@@ -124,7 +123,8 @@ def _add_param(parser, param):
         parser.add_argument(f"--{switch}-{param.name}", dest=param.name, action="store_const",
                             const=switch, default=default)
     else:
-        parser.add_argument(f"--{param.name}", dest=param.name, type=param.type,
+        flag = param.name.replace("_", "-")
+        parser.add_argument(f"--{flag}", dest=param.name, type=param.type,
                             required=param.required,
                             default=None if param.required else param.default)
 
@@ -150,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         for param in stage.params:
             _add_param(p, param)
         p.add_argument("--out", help=_OUT_HELP)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
         p.set_defaults(op=op, handler=_cmd_transform)
 
     p = sub.add_parser("disperser", help="generate, check, or search dispersers")
@@ -221,7 +219,8 @@ def _cmd_gen_cnf(args) -> int:
 def _cmd_transform(args) -> int:
     stage = STAGES[args.op]
     given = {p.name: getattr(args, p.name) for p in stage.params}
-    params = stage.resolve(given, args.seed, args.size_cap)
+    stage.validate(args.op, given)
+    params = stage.resolve(given)
     source = _FORMATS[stage.source_kind].parse(Path(args.input).read_bytes())
     out, extras = stage.build(source, params)
     if "disperser" in extras and args.out not in (None, "-"):

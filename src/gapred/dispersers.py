@@ -118,9 +118,11 @@ def deterministic_disperser(
 
     When m' does not divide m the search runs over the padded universe and the
     padding elements are dropped after lifting; subsets are then topped up with
-    unused elements to a uniform size (which can only grow unions). The result
-    is re-verified before it is returned. One budget bounds the whole search:
-    every candidate's verification and the final one tick the same meter.
+    unused elements to a uniform size (which can only grow unions). A lifted
+    result is re-verified before it is returned; when m' = m the lift is the
+    identity, so the candidate the search verified is returned as it is. One
+    budget bounds the whole search: every candidate's verification and the
+    final one tick the same meter.
     """
     if min(m, k, r) < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need m, k, r >= 1 and eps in (0,1)")
@@ -146,6 +148,8 @@ def deterministic_disperser(
             f"exhausted all collections of {k} subsets of [{m_small}] without finding a disperser"
         )
     blocks = -(-m // m_small)
+    if blocks == 1:
+        return replace(found, verified=True)
     lifted = lift_disperser(found, blocks)
     if lifted.m == m:
         result = replace(lifted, verified=False)

@@ -41,7 +41,6 @@ __all__ = [
     "im_gadget",
     "is_to_im_gadget",
     "clique_to_inducedpath",
-    "DksParams",
     "dks_params",
     "dks_vertices",
     "dks_edge",
@@ -321,36 +320,17 @@ def clique_to_inducedpath(h: Graph, k: int, q: int) -> Graph:
 # Densest k-subgraph: partial-assignment graph with subsampling
 
 
-@dataclass(frozen=True)
-class DksParams:
-    """Partial-assignment graph parameters: window size ell, keep probability p.
+def dks_params(num_vars: int, r: int, lam: float = 0.1) -> tuple[int, float]:
+    """The construction's own (ell, p): ell = 4n/sqrt(lam*r), p = 2^(lam*ell^2/2n)/C(n,ell).
 
-    lam is the soundness constant of the occurrence bound; it only steers the
-    (ell, p) helper and is never asserted at desk scale.
+    lam is the soundness constant of the occurrence bound; it only steers this
+    choice and is never asserted at desk scale.
     """
-
-    ell: int
-    p: float = 1.0
-    lam: float = 0.1
-    seed: int | None = None
-    size_cap: int = 2_000_000
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValidationError("ell must be >= 1")
-        if not 0.0 < self.p <= 1.0:
-            raise ValidationError("p must lie in (0,1]")
-        if self.lam <= 0:
-            raise ValidationError("lam must be positive")
-
-
-def dks_params(num_vars: int, r: int, lam: float = 0.1, seed=None) -> DksParams:
-    """The construction's own choice ell = 4n/sqrt(lam*r), p = 2^(lam*ell^2/2n)/C(n,ell)."""
     if num_vars < 1 or r < 1 or lam <= 0:
         raise ValidationError("need num_vars >= 1, r >= 1, lam > 0")
     ell = max(1, min(num_vars, math.ceil(4 * num_vars / math.sqrt(lam * r))))
     p = min(1.0, 2 ** (lam * ell * ell / (2 * num_vars)) / math.comb(num_vars, ell))
-    return DksParams(ell=ell, p=p, lam=lam, seed=seed)
+    return ell, p
 
 
 def dks_vertices(num_vars: int, ell: int) -> list[tuple[tuple[int, ...], int]]:
@@ -399,8 +379,11 @@ def dks_edge(
     return True
 
 
-def sat_to_dks(formula: CnfFormula, params: DksParams) -> Graph:
-    """Vertices are all ell-variable partial assignments (each kept with prob p).
+def sat_to_dks(
+    formula: CnfFormula, *, ell: int, p: float = 1.0, seed=None, size_cap: int = DEFAULT_SIZE_CAP
+) -> Graph:
+    """Vertices are all ell-variable partial assignments (each kept with prob p,
+    drawn from `seed`).
 
     Two vertices are adjacent exactly when `dks_edge` says so; the graph is
     built from one mask per (variable, bit) of the kept vertices whose window
@@ -418,13 +401,17 @@ def sat_to_dks(formula: CnfFormula, params: DksParams) -> Graph:
     windows, whose edge certifies it. So clique == C(n, ell) exactly when the
     formula is satisfiable.
     """
-    n, ell = formula.num_vars, params.ell
+    if ell < 1:
+        raise ValidationError("ell must be >= 1")
+    if not 0.0 < p <= 1.0:
+        raise ValidationError("p must lie in (0,1]")
+    n = formula.num_vars
     if ell > n:
         raise ValidationError(f"ell={ell} exceeds num_vars={n}")
     count = math.comb(n, ell) << ell
-    if count > params.size_cap:
-        raise SizeCapError(f"{count} vertices exceed cap {params.size_cap}")
-    vertices = _dks_kept(n, ell, params.p, params.seed)
+    if count > size_cap:
+        raise SizeCapError(f"{count} vertices exceed cap {size_cap}")
+    vertices = _dks_kept(n, ell, p, seed)
     # value[var][bit]: the kept vertices whose window gives var that bit.
     value = [[0, 0] for _ in range(n)]
     for i, (window, bits) in enumerate(vertices):

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dispersers import Disperser, deterministic_disperser, random_disperser
@@ -54,8 +53,6 @@ from .oracles import SolveBudget
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
-    "CompressLeftParams",
-    "CompressRightParams",
     "cnf_to_labelcover",
     "compress_left",
     "compress_left_with",
@@ -64,44 +61,6 @@ __all__ = [
     "ProjectionReport",
     "projection_check",
 ]
-
-
-@dataclass(frozen=True)
-class CompressLeftParams:
-    """Left-compression parameters: k new super-vertices, soundness target r."""
-
-    k: int
-    r: int
-    eps: float
-    disperser_mode: str = "random"
-    seed: int | None = None
-    size_cap: int = DEFAULT_SIZE_CAP
-
-    def __post_init__(self):
-        if not self.k >= self.r >= 1:
-            raise ValidationError(f"need k >= r >= 1, got k={self.k}, r={self.r}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValidationError("eps must lie in (0,1)")
-        if self.disperser_mode not in ("random", "deterministic"):
-            raise ValidationError(f"unknown disperser mode {self.disperser_mode!r}")
-
-
-@dataclass(frozen=True)
-class CompressRightParams:
-    """Right-compression parameters: q merged blocks, soundness fraction gamma."""
-
-    q: int
-    gamma: float
-    eps: float
-    size_cap: int = DEFAULT_SIZE_CAP
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValidationError("q must be >= 1")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError("gamma must lie in (0,1]")
-        if not 0.0 < self.eps < 1.0:
-            raise ValidationError("eps must lie in (0,1)")
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +211,34 @@ class _BlockLabels(dict):
 
 
 def compress_left(
-    lc: LabelCover, params: CompressLeftParams, budget: SolveBudget | None = None
+    lc: LabelCover,
+    *,
+    k: int,
+    r: int,
+    epsilon: float,
+    disperser: str = "random",
+    seed=None,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    budget: SolveBudget | None = None,
 ) -> tuple[LabelCover, Disperser]:
-    """Compress the left side down to k disperser subsets; `budget` bounds a
-    deterministic disperser's search."""
+    """Compress the left side down to k disperser subsets, soundness target r.
+
+    The disperser is drawn from `seed` or, with disperser="deterministic",
+    searched for within `budget`.
+    """
+    if not k >= r >= 1:
+        raise ValidationError(f"need k >= r >= 1, got k={k}, r={r}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError("eps must lie in (0,1)")
+    if disperser not in ("random", "deterministic"):
+        raise ValidationError(f"unknown disperser mode {disperser!r}")
     if lc.left_size < 1:
         raise ValidationError("cannot left-compress an empty left side")
-    if params.disperser_mode == "deterministic":
-        disperser = deterministic_disperser(lc.left_size, params.k, params.r, params.eps, budget)
+    if disperser == "deterministic":
+        d = deterministic_disperser(lc.left_size, k, r, epsilon, budget)
     else:
-        disperser = random_disperser(lc.left_size, params.k, params.r, params.eps, params.seed)
-    return compress_left_with(lc, disperser, size_cap=params.size_cap), disperser
+        d = random_disperser(lc.left_size, k, r, epsilon, seed)
+    return compress_left_with(lc, d, size_cap=size_cap), d
 
 
 def compress_left_with(
@@ -326,28 +302,36 @@ def _block_partition(n: int, q: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
+def compress_right(
+    lc: LabelCover, *, q: int, gamma: float, epsilon: float, size_cap: int = DEFAULT_SIZE_CAP
+) -> LabelCover:
     """Merge the right side into q blocks; the left side becomes all ell-subsets.
 
-    ell = ceil(ln(1/gamma)/eps), clamped to at least 1. The output graph is
+    ell = ceil(ln(1/gamma)/epsilon), clamped to at least 1. The output graph is
     complete bipartite and generally loses the projection property.
     """
+    if q < 1:
+        raise ValidationError("q must be >= 1")
+    if not 0.0 < gamma <= 1.0:
+        raise ValidationError("gamma must lie in (0,1]")
+    if not 0.0 < epsilon < 1.0:
+        raise ValidationError("eps must lie in (0,1)")
     m, n = lc.left_size, lc.right_size
     if m < 1 or n < 1:
         raise ValidationError("right compression needs nonempty sides")
-    if params.q > n:
-        raise ValidationError(f"q={params.q} exceeds right size {n}")
-    ell = max(1, math.ceil(math.log(1.0 / params.gamma) / params.eps))
+    if q > n:
+        raise ValidationError(f"q={q} exceeds right size {n}")
+    ell = max(1, math.ceil(math.log(1.0 / gamma) / epsilon))
     if ell > m:
         raise ValidationError(f"derived ell={ell} exceeds left size {m}")
     num_left = math.comb(m, ell)
-    if num_left > params.size_cap:
-        raise SizeCapError(f"{num_left} left subsets exceed cap {params.size_cap}")
-    blocks = _block_partition(n, params.q)
+    if num_left > size_cap:
+        raise SizeCapError(f"{num_left} left subsets exceed cap {size_cap}")
+    blocks = _block_partition(n, q)
     ra = lc.right_alphabet
     max_block = max(len(b) for b in blocks)
-    if ra**max_block > params.size_cap:
-        raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
+    if ra**max_block > size_cap:
+        raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {size_cap}")
 
     width = ra + 1
     block_labels: dict[tuple[int, tuple[int, ...]], _BlockLabels] = {}
@@ -357,7 +341,7 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
     total_pairs = 0
     max_labels = 1
     for i, members in enumerate(itertools.combinations(range(m), ell)):
-        touched, kept, packed = _joint_labels(lc, members, params.size_cap, i)
+        touched, kept, packed = _joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
         left_decoders.append(TupleDecoder(members, tuple(kept)))
@@ -375,12 +359,12 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
             s, mask = lo * width, (1 << (hi - lo) * width) - 1
             masks = [labels[word >> s & mask] for word in packed]
             total_pairs += sum(map(int.bit_count, masks))
-            if total_pairs > params.size_cap:
-                raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
+            if total_pairs > size_cap:
+                raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             betas[i, j] = dict(enumerate(masks))
     return LabelCover._unchecked(
         left_size=num_left,
-        right_size=params.q,
+        right_size=q,
         left_alphabet=max_labels,
         right_alphabet=ra**max_block,
         betas=betas,
@@ -390,20 +374,19 @@ def compress_right(lc: LabelCover, params: CompressRightParams) -> LabelCover:
 
 
 def minlab_instance(
-    lc: LabelCover, q: int, r: int, eps: float, size_cap: int = DEFAULT_SIZE_CAP
+    lc: LabelCover, q: int, r: int, epsilon: float, size_cap: int = DEFAULT_SIZE_CAP
 ) -> LabelCover:
     """Right compression at gamma = (r/q)^-q. Every block is adjacent to every
     left subset, so no right vertex of the output is isolated.
 
     For a fully coverable source the output has MinLab exactly q; when the
-    source covers less than a (1-eps) fraction, random selection from any
+    source covers less than a (1-epsilon) fraction, random selection from any
     multi-labeling of total weight r would cover at least gamma*|U| left
     vertices, so MinLab exceeds r.
     """
     if not r >= q >= 1:
         raise ValidationError(f"need r >= q >= 1, got q={q}, r={r}")
-    gamma = (q / r) ** q
-    return compress_right(lc, CompressRightParams(q=q, gamma=gamma, eps=eps, size_cap=size_cap))
+    return compress_right(lc, q=q, gamma=(q / r) ** q, epsilon=epsilon, size_cap=size_cap)
 
 
 # ---------------------------------------------------------------------------

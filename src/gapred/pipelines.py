@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .graph_reductions import (
-    DksParams,
     _dks_kept,
     biclique_gadget,
     clique_to_inducedpath,
@@ -61,8 +60,6 @@ from .instances import (
 )
 from .lc_transforms import (
     DEFAULT_SIZE_CAP,
-    CompressLeftParams,
-    CompressRightParams,
     _block_partition,
     cnf_to_labelcover,
     compress_left,
@@ -197,19 +194,26 @@ _FORMATS = {
 _REQUIRED = object()
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Param:
     """One stage parameter: its spec key, its type, and its default.
 
-    A parameter without a default is required. A string parameter lists its
-    `choices`, default first; the CLI takes it as the switch
-    `--<choices[1]>-<name>`.
+    A parameter without a default is required, and a null value is accepted
+    when the default is null. A string parameter lists its `choices`, default
+    first; the CLI takes it as the switch `--<choices[1]>-<name>`, and any
+    other parameter as `--<name>` with dashes for underscores. `check`, when
+    given, is (test, what a value must be), and takes the type test's place.
     """
 
     name: str
     type: type = int
     default: object = _REQUIRED
     choices: tuple[str, ...] = ()
+    check: tuple[Callable, str] | None = None
 
     @property
     def required(self) -> bool:
@@ -218,13 +222,14 @@ class Param:
     def validate(self, where: str, value) -> None:
         if value is None and self.default is None:
             return
-        if self.type is str and self.choices:
+        if self.check is not None:
+            ok, want = self.check[0](value), self.check[1]
+        elif self.type is str and self.choices:
             ok, want = value in self.choices, f"one of {self.choices}"
         elif self.type is str:
             ok, want = isinstance(value, str), "a string"
         else:
-            allowed = (int, float) if self.type is float else int
-            ok = isinstance(value, allowed) and not isinstance(value, bool)
+            ok = _number(value) and (self.type is float or isinstance(value, int))
             want = "a number" if self.type is float else "an integer"
         if not ok:
             raise ValidationError(
@@ -249,16 +254,14 @@ def _validate_params(where: str, params, given: dict, known=()) -> None:
             raise ValidationError(f"{where} needs parameter {param.name!r}")
 
 
-# Checked on every stage: each may set its own size cap. (A `seed`, on a stage,
-# the input or the spec, goes to random.Random, which takes every JSON value
-# but a list or an object; _check_seed refuses those two.)
-_SHARED_PARAMS = (Param("size_cap", default=None),)
-
-
-def _check_seed(where: str, seed) -> None:
-    if isinstance(seed, (list, dict)):
-        raise ValidationError(f"{where}: 'seed' must be a number, a string or null, got {seed!r}")
-
+# The seed and the size cap, listed by the stages whose transform reads them.
+# A seed (of a stage, an input or the spec) goes to random.Random, which takes
+# every JSON value but a list or an object. A stage without the key takes the
+# spec's value, and a null size cap means the spec's too; on the CLI the seed
+# defaults to 0 and the cap to DEFAULT_SIZE_CAP. The ledger leaves both out.
+_SEED = Param("seed", int, 0, check=(lambda v: not isinstance(v, (list, dict)),
+                                     "a number, a string or null"))
+_SIZE_CAP = Param("size_cap", int, None)
 
 _GEN_PARAMS = (Param("n"), Param("m"))
 # Each input kind: the instance kind it loads and the fields it reads (besides
@@ -282,16 +285,18 @@ _BUDGET_PARAMS = (
 class Stage:
     """One reduction, as run_pipeline, verify_pipeline and the CLI use it.
 
-    `build(instance, params)` returns (output, extras), where `params` holds
-    every declared parameter plus `seed` and `size_cap`, and, in a pipeline,
-    the spec's `budget`, which bounds compress-left's disperser search. The
-    stage's ledger entry is derived from the row: `predicate` is its (oracle,
-    comparison, target), `maps(source, params, output)`, when given, returns
-    its (completeness, soundness) maps (else both are the identity), and
-    `notes` are documentation. `verify(view)` grades the stage from a `_StageView`
-    and returns (status, detail, values). `lift(instance, params, witness)`,
-    when given, maps a witness of the source (an assignment, a right
-    labeling) to one of the output that the build keeps optimal, or to None.
+    `params` is the one declaration of what the stage reads; `seed` and
+    `size_cap` are among them only where the transform reads them.
+    `build(instance, params, budget=None)` returns (output, extras), where
+    `params` maps each declared name to its resolved value and `budget`, a
+    pipeline's, bounds compress-left's disperser search. The stage's ledger
+    entry is derived from the row: `predicate` is its (oracle, comparison,
+    target), `maps(source, params, output)`, when given, returns its
+    (completeness, soundness) maps (else both are the identity), and `notes`
+    are documentation. `verify(view)` grades the stage from a `_StageView` and
+    returns (status, detail, values). `lift(instance, params, witness)`, when
+    given, maps a witness of the source (an assignment, a right labeling) to
+    one of the output that the build keeps optimal, or to None.
     """
 
     command: str
@@ -308,25 +313,26 @@ class Stage:
 
     def validate(self, op: str, given: dict) -> None:
         """Raise ValidationError unless `given` fits this stage's parameter schema."""
-        _validate_params(f"stage {op!r}", self.params + _SHARED_PARAMS, given, ("op", "seed"))
+        _validate_params(f"stage {op!r}", self.params, given, ("op",))
 
-    def resolve(self, given: dict, seed, size_cap) -> dict:
-        """The full parameter dict `build` and `verify` read: defaults, then
-        `given`; a null `size_cap` in `given` means the spec's `size_cap`."""
-        params = {"seed": seed}
-        params.update((p.name, p.default) for p in self.params if not p.required)
-        params.update(given)
-        if params.get("size_cap") is None:
+    def resolve(self, given: dict, seed=None, size_cap=DEFAULT_SIZE_CAP) -> dict:
+        """The parameter dict `build` and `verify` read: each declared name's
+        value in `given`, else the run's `seed` or `size_cap`, else its
+        default; a null size cap means the run's too."""
+        run = {"seed": seed, "size_cap": size_cap}
+        params = {p.name: given.get(p.name, run.get(p.name, p.default)) for p in self.params}
+        if "size_cap" in params and params["size_cap"] is None:
             params["size_cap"] = size_cap
         return params
 
     def entry(self, op: str, source, params: dict, output) -> gl.StageEntry:
         """The ledger entry of one build: named `op`, with the resolved values
-        of its non-string parameters."""
+        of its non-string parameters other than the seed and size cap."""
         maps = (_IDENTITY, _IDENTITY) if self.maps is None else self.maps(source, params, output)
         return gl.StageEntry(
             name=op,
-            params=tuple((p.name, params[p.name]) for p in self.params if p.type is not str),
+            params=tuple((p.name, params[p.name]) for p in self.params
+                         if p.type is not str and p not in (_SEED, _SIZE_CAP)),
             completeness=maps[0],
             soundness=maps[1],
             predicate=gl.StagePredicate(*self.predicate),
@@ -341,10 +347,15 @@ class Stage:
 _IDENTITY = gl.GapMap(kind="identity")
 
 
-def _transform_of_source(transform: str):
-    """The build of a stage whose transform takes only its source. The
-    transform is looked up by name on each call, so a wrapped one is seen."""
-    return lambda source, p: (globals()[transform](source), {})
+def _calls(transform: str, unread=()):
+    """The build of a stage that calls the transform named `transform` on its
+    source, with every parameter but `unread` as a keyword. The transform is
+    looked up by name on each call, so a wrapped one is seen."""
+
+    def build(source, p, budget=None):
+        return globals()[transform](source, **{k: v for k, v in p.items() if k not in unread}), {}
+
+    return build
 
 
 def _constant(value, requires) -> gl.GapMap:
@@ -356,21 +367,9 @@ def _gap_size(lc, p) -> Fraction:
     return (1 - Fraction(p["epsilon"])) * lc.left_size
 
 
-def _build_compress_left(lc, p):
-    cl = CompressLeftParams(k=p["k"], r=p["r"], eps=p["epsilon"], disperser_mode=p["disperser"],
-                            seed=p["seed"], size_cap=p["size_cap"])
-    out, disperser = compress_left(lc, cl, p.get("budget"))
+def _build_compress_left(lc, p, budget=None):
+    out, disperser = compress_left(lc, **p, budget=budget)
     return out, {"disperser": disperser}
-
-
-def _build_compress_right(lc, p):
-    cr = CompressRightParams(q=p["q"], gamma=p["gamma"], eps=p["epsilon"], size_cap=p["size_cap"])
-    return compress_right(lc, cr), {}
-
-
-def _build_sat2dks(formula, p):
-    dp = DksParams(ell=p["ell"], p=p["p"], lam=p["lambda"], seed=p["seed"], size_cap=p["size_cap"])
-    return sat_to_dks(formula, dp), {}
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +650,14 @@ def _verify_sat2dks(s):
 STAGES: dict[str, Stage] = {
     "cnf2lc": Stage(
         "cnf2lc", "clause-variable game: CNF to label cover", "cnf", "lc", (),
-        _transform_of_source("cnf_to_labelcover"), **_equal("sat_max", "max_cov"),
+        _calls("cnf_to_labelcover"), **_equal("sat_max", "max_cov"),
         lift=_same_labeling,
     ),
     "compress-left": Stage(
         "lc-compress-left", "disperser-based left compression", "lc", "lc",
         (Param("k"), Param("r"), Param("epsilon", float),
-         Param("disperser", str, "random", choices=("random", "deterministic"))),
+         Param("disperser", str, "random", choices=("random", "deterministic")),
+         _SEED, _SIZE_CAP),
         _build_compress_left,
         _compression("max_cov", lambda s: s.params["k"], _compress_left_sound),
         ("max_cov", "==", "k (full source) / < r (gap source)"),
@@ -668,8 +668,8 @@ STAGES: dict[str, Stage] = {
     ),
     "compress-right": Stage(
         "lc-compress-right", "block-merge right compression", "lc", "lc",
-        (Param("q"), Param("gamma", float), Param("epsilon", float)),
-        _build_compress_right,
+        (Param("q"), Param("gamma", float), Param("epsilon", float), _SIZE_CAP),
+        _calls("compress_right"),
         _compression("max_cov", lambda s: s.output.left_size, _compress_right_sound),
         ("max_cov", "==", "|U'| (full) / < gamma*|U'| (gap)"),
         maps=lambda lc, p, out: (_constant(float(out.left_size), lc.left_size),
@@ -678,8 +678,8 @@ STAGES: dict[str, Stage] = {
     ),
     "minlab": Stage(
         "lc-minlab", "right compression at gamma = (r/q)^-q", "lc", "lc",
-        (Param("q"), Param("r"), Param("epsilon", float)),
-        lambda lc, p: (minlab_instance(lc, p["q"], p["r"], p["epsilon"], p["size_cap"]), {}),
+        (Param("q"), Param("r"), Param("epsilon", float), _SIZE_CAP),
+        _calls("minlab_instance"),
         _compression("min_lab", lambda s: s.params["q"], _minlab_sound),
         ("min_lab", "==", "q (full) / > r (gap)"),
         maps=lambda lc, p, out: (_constant(float(p["q"]), lc.left_size),
@@ -688,35 +688,35 @@ STAGES: dict[str, Stage] = {
     ),
     "fglss": Stage(
         "lc2clique", "FGLSS graph of a projection label cover", "lc", "graph", (),
-        _transform_of_source("fglss"), **_equal("max_cov", "clique"), lift=_lift_fglss,
+        _calls("fglss"), **_equal("max_cov", "clique"), lift=_lift_fglss,
     ),
     "minlab2setcov": Stage(
-        "minlab2setcov", "hypercube set system of a MinLab instance", "lc", "setsystem", (),
-        lambda lc, p: (minlab_to_setcov(lc, size_cap=p["size_cap"]), {}),
+        "minlab2setcov", "hypercube set system of a MinLab instance", "lc", "setsystem",
+        (_SIZE_CAP,), _calls("minlab_to_setcov"),
         **_equal("min_lab", "set_cover"),
     ),
     "setcov2domset": Stage(
         "setcov2domset", "set cover to dominating set", "setsystem", "graph", (),
-        _transform_of_source("setcov_to_domset"), **_equal("set_cover", "dom_set"),
+        _calls("setcov_to_domset"), **_equal("set_cover", "dom_set"),
     ),
     "biclique-gadget": Stage(
         "g2biclique-gadget", "doubling gadget B_e[G]", "graph", "graph", (),
-        _transform_of_source("biclique_gadget"),
+        _calls("biclique_gadget"),
         **_sandwich("biclique", "biclique(B_e)", "biclique_out"),
     ),
     "im-gadget": Stage(
         "g2im-gadget", "doubling gadget B_e[complement(G)]", "graph", "graph", (),
-        _transform_of_source("im_gadget"), **_sandwich("induced_matching", "IM", "im_out"),
+        _calls("im_gadget"), **_sandwich("induced_matching", "IM", "im_out"),
     ),
     "is2im": Stage(
         "g2is2im", "pendant gadget: independent set to induced matching", "graph", "graph", (),
-        _transform_of_source("is_to_im_gadget"), _verify_is2im,
+        _calls("is_to_im_gadget"), _verify_is2im,
         ("induced_matching", ">=", "independent_set(source)"),
     ),
     "clique2ipath": Stage(
         "clique2ipath", "block-chained clique to induced path gadget", "graph", "graph",
         (Param("k"), Param("q")),
-        lambda g, p: (clique_to_inducedpath(g, p["k"], p["q"]), {}),
+        _calls("clique_to_inducedpath"),
         _verify_clique2ipath,
         ("induced_path", ">=", "2qk if clique >= k, else <= 4(k-1)"),
         maps=lambda g, p, out: (_constant(float(2 * p["q"] * p["k"]), p["k"]),
@@ -724,8 +724,11 @@ STAGES: dict[str, Stage] = {
     ),
     "sat2dks": Stage(
         "sat2dks", "partial-assignment graph with optional subsampling", "cnf", "graph",
-        (Param("ell"), Param("p", float, 1.0), Param("lambda", float, 0.1)),
-        _build_sat2dks, _verify_sat2dks,
+        # lambda only steers the documented bound, so only the ledger reads it.
+        (Param("ell"), Param("p", float, 1.0),
+         Param("lambda", float, 0.1, check=(lambda v: _number(v) and v > 0, "a positive number")),
+         _SEED, _SIZE_CAP),
+        _calls("sat_to_dks", unread=("lambda",)), _verify_sat2dks,
         ("clique", "==",
          "C(n,ell) iff sat_max(source) == m when ell < n and clause width <= 2*ell; "
          "otherwise C(n,ell) if sat_max(source) == m"),
@@ -757,10 +760,9 @@ class PipelineSpec:
         kind = self.input.get("kind")
         if not isinstance(kind, str) or kind not in _INPUTS:
             raise ValidationError(f"unknown input kind {kind!r}")
-        _check_seed("spec", self.seed)
-        _check_seed(f"input {kind!r}", self.input.get("seed"))
+        _SEED.validate("spec", self.seed)
         current, fields = _INPUTS[kind]
-        _validate_params(f"input {kind!r}", fields, self.input, ("kind", "seed"))
+        _validate_params(f"input {kind!r}", fields + (_SEED,), self.input, ("kind",))
         for stage in self.stages:
             op = stage.get("op")
             if not isinstance(op, str) or op not in STAGES:
@@ -770,7 +772,6 @@ class PipelineSpec:
                 raise ValidationError(
                     f"stage {op!r} expects a {definition.source_kind} input but gets {current}"
                 )
-            _check_seed(f"stage {op!r}", stage.get("seed"))
             definition.validate(op, stage)
             current = definition.output_kind
 
@@ -843,7 +844,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineRun:
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
         definition, params = STAGES[op], spec.stage_params(idx)
-        out, extra = definition.build(instances[-1], {**params, "budget": spec.budget})
+        out, extra = definition.build(instances[-1], params, spec.budget)
         ledger = gl.push_stage(ledger, definition.entry(op, instances[-1], params, out))
         instances.append(out)
         kinds.append(definition.output_kind)

@@ -117,18 +117,14 @@ def test_criterion_05_left_compression():
         for i, f in enumerate(planted):
             assert g.sat_max(f) == f.num_clauses
             lc = g.cnf_to_labelcover(f)
-            out, disp = g.compress_left(
-                lc, g.CompressLeftParams(k=3, r=2, eps=0.2, seed=i)
-            )
+            out, disp = g.compress_left(lc, k=3, r=2, epsilon=0.2, seed=i)
             assert g.verify_disperser(disp) is None
             assert g.max_cov(out) == 3
         for i, f in enumerate(gaps):
             m = f.num_clauses
             assert Fraction(g.sat_max(f)) < (1 - Fraction(2, 10)) * m  # eps = 0.2 premise
             lc = g.cnf_to_labelcover(f)
-            out, disp = g.compress_left(
-                lc, g.CompressLeftParams(k=3, r=2, eps=0.2, seed=1000 + i)
-            )
+            out, disp = g.compress_left(lc, k=3, r=2, epsilon=0.2, seed=1000 + i)
             assert g.verify_disperser(disp) is None
             assert g.max_cov(out) < 2
 
@@ -136,24 +132,24 @@ def test_criterion_05_left_compression():
 def test_criterion_06_right_compression_and_minlab():
     with _Timer("criterion 6: right compression and MinLab on the same corpus", 300):
         planted, gaps = _corpus_formulas()
-        params = g.CompressRightParams(q=2, gamma=0.5, eps=0.3)
+        params = {"q": 2, "gamma": 0.5, "epsilon": 0.3}
         # Criterion bounds: m <= 8, derived ell <= 3, q <= 2.
         assert all(f.num_clauses <= 8 for f in planted + gaps)
-        assert math.ceil(math.log(1 / params.gamma) / params.eps) <= 3
+        assert math.ceil(math.log(1 / params["gamma"]) / params["epsilon"]) <= 3
         assert math.ceil(2 * math.log(3 / 2) / 0.3) <= 3  # minlab at q=2, r=3
         for f in planted:
             lc = g.cnf_to_labelcover(f)
-            out = g.compress_right(lc, params)
+            out = g.compress_right(lc, **params)
             assert g.max_cov(out) == out.left_size
-            ml = g.minlab_instance(lc, q=2, r=3, eps=0.3)
+            ml = g.minlab_instance(lc, q=2, r=3, epsilon=0.3)
             assert g.min_lab(ml) == 2
         for f in gaps:
             m = f.num_clauses
             assert Fraction(g.sat_max(f)) < (1 - Fraction(3, 10)) * m  # eps = 0.3 premise
             lc = g.cnf_to_labelcover(f)
-            out = g.compress_right(lc, params)
+            out = g.compress_right(lc, **params)
             assert Fraction(g.max_cov(out)) < Fraction(1, 2) * out.left_size
-            ml = g.minlab_instance(lc, q=2, r=3, eps=0.3)
+            ml = g.minlab_instance(lc, q=2, r=3, epsilon=0.3)
             value = g.min_lab(ml)
             assert value is None or value > 3
 
@@ -217,7 +213,7 @@ def test_criterion_09_dks_construction():
     with _Timer("criterion 9: DkS partial-assignment graph", 30):
         for n in range(3, 7):
             f = gen_planted_cnf(n, max(3, n - 2), seed=f"c9-{n}")
-            out = g.sat_to_dks(f, g.DksParams(ell=2, p=1.0))
+            out = g.sat_to_dks(f, ell=2, p=1.0)
             assert out.num_vertices == math.comb(n, 2) * 4
             full = next(
                 a for a in range(1 << n)
@@ -244,11 +240,11 @@ def test_criterion_09_dks_clique_identity():
         for n, ell in ((5, 2), (6, 2), (6, 3), (7, 3)):
             windows = math.comb(n, ell)
             planted = gen_planted_cnf(n, 2 * n, seed=f"c9i-{n}-{ell}")
-            assert g.clique(g.sat_to_dks(planted, g.DksParams(ell=ell))) == windows
+            assert g.clique(g.sat_to_dks(planted, ell=ell)) == windows
             for seed in range(3):
                 gap = gen_gap_cnf(n, 8, 0.2, seed=f"c9i-{n}-{ell}-{seed}")
                 assert g.sat_max(gap) < gap.num_clauses
-                assert g.clique(g.sat_to_dks(gap, g.DksParams(ell=ell))) < windows
+                assert g.clique(g.sat_to_dks(gap, ell=ell)) < windows
         # verify grades both directions by the identity...
         for source, direction in (
             ({"kind": "gen-planted", "n": 5, "m": 8}, "completeness"),

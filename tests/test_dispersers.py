@@ -130,6 +130,17 @@ def test_deterministic_disperser_tops_up_trimmed_subsets():
     assert d.subsets == (frozenset(range(10)),) * 4
 
 
+def test_deterministic_disperser_returns_a_one_block_search_as_verified():
+    # m' = min(3, ceil(2 ln 3)) = 3 = m: one block, so the lift is the identity
+    # and the search's own check stands. That is one candidate node plus
+    # C(3, 2) = 3 unions; checking the lift again would take 7 nodes.
+    d = deterministic_disperser(3, 3, 2, 0.5, SolveBudget(max_nodes=4))
+    assert d.verified and (d.m, d.k, d.ell) == (3, 3, 3)
+    assert verify_disperser(d) is None
+    with pytest.raises(BudgetExceededError):
+        deterministic_disperser(3, 3, 2, 0.5, SolveBudget(max_nodes=3))
+
+
 def _first_violation_by_set_unions(d):
     threshold = (1 - Fraction(d.eps)) * d.m
     for indices in itertools.combinations(range(d.k), d.r):

@@ -15,7 +15,6 @@ import pytest
 
 from gapred import (
     CnfFormula,
-    DksParams,
     Graph,
     ReductionError,
     SetSystem,
@@ -178,11 +177,11 @@ def ref_clique_to_inducedpath(h, k, q):
     return Graph(q * k * stride, frozenset(edges))
 
 
-def ref_sat_to_dks(formula, params):
-    vertices = dks_vertices(formula.num_vars, params.ell)
-    if params.p < 1.0:
-        rng = random.Random(params.seed)
-        vertices = [vx for vx in vertices if rng.random() < params.p]
+def ref_sat_to_dks(formula, ell, p=1.0, seed=None):
+    vertices = dks_vertices(formula.num_vars, ell)
+    if p < 1.0:
+        rng = random.Random(seed)
+        vertices = [vx for vx in vertices if rng.random() < p]
     edges = set()
     for a in range(len(vertices)):
         w1, b1 = vertices[a]
@@ -308,11 +307,11 @@ def test_sat_to_dks_matches_edge_set_builder(seed):
     n = ell + seed // 4
     formula = mixed_cnf(rng, n, 0 if seed % 9 == 0 else rng.randint(1, 8))
     for p in (1.0, 0.6):
-        params = DksParams(ell=ell, p=p, seed=seed)
-        out = sat_to_dks(formula, params)
+        params = {"ell": ell, "p": p, "seed": seed}
+        out = sat_to_dks(formula, **params)
         if p == 1.0:
             assert out.num_vertices == math.comb(n, ell) << ell
-        assert_same_graph(out, ref_sat_to_dks(formula, params))
+        assert_same_graph(out, ref_sat_to_dks(formula, **params))
 
 
 def test_sat_to_dks_isolates_vertices_falsifying_a_clause_in_their_window():
@@ -321,9 +320,8 @@ def test_sat_to_dks_isolates_vertices_falsifying_a_clause_in_their_window():
     formula = CnfFormula(3, ((1, -2),))
     vertices = dks_vertices(3, 2)
     for p in (1.0, 0.6):
-        params = DksParams(ell=2, p=p, seed=1)
-        out = sat_to_dks(formula, params)
-        assert_same_graph(out, ref_sat_to_dks(formula, params))
-    out = sat_to_dks(formula, DksParams(ell=2))
+        out = sat_to_dks(formula, ell=2, p=p, seed=1)
+        assert_same_graph(out, ref_sat_to_dks(formula, 2, p, 1))
+    out = sat_to_dks(formula, ell=2)
     isolated = [vertices[i] for i, mask in enumerate(out.adjacency) if not mask]
     assert isolated == [((0, 1), 0b10)]

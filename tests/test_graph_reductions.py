@@ -43,7 +43,6 @@ from gapred import (
     sat_to_dks,
     set_cover,
     setcov_to_domset,
-    DksParams,
 )
 from gapred.pipelines import gen_planted_cnf
 
@@ -321,7 +320,7 @@ def test_ipath_bounds_small_sweep():
 
 def test_dks_vertex_count():
     f = CnfFormula(3, ((1, 2, 3),))
-    g = sat_to_dks(f, DksParams(ell=2))
+    g = sat_to_dks(f, ell=2)
     assert g.num_vertices == math.comb(3, 2) * 4 == 12
 
 
@@ -352,16 +351,16 @@ def test_dks_satisfying_restrictions_form_clique():
 
 def test_dks_subsampling_deterministic():
     f = CnfFormula(4, ((1, 2, 3),))
-    a = sat_to_dks(f, DksParams(ell=2, p=0.5, seed=3))
-    b = sat_to_dks(f, DksParams(ell=2, p=0.5, seed=3))
+    a = sat_to_dks(f, ell=2, p=0.5, seed=3)
+    b = sat_to_dks(f, ell=2, p=0.5, seed=3)
     assert a == b
     assert a.num_vertices <= math.comb(4, 2) * 4
 
 
 def test_dks_params_helper():
-    p = dks_params(6, r=4, lam=0.1)
-    assert 1 <= p.ell <= 6
-    assert 0 < p.p <= 1
+    ell, p = dks_params(6, r=4, lam=0.1)
+    assert 1 <= ell <= 6
+    assert 0 < p <= 1
     with pytest.raises(ValidationError):
         dks_params(0, r=4)
 
@@ -369,7 +368,7 @@ def test_dks_params_helper():
 def test_dks_vertices_order_matches_graph():
     f = CnfFormula(3, ((1, 2, 3),))
     vertices = dks_vertices(3, 2)
-    g = sat_to_dks(f, DksParams(ell=2))
+    g = sat_to_dks(f, ell=2)
     assert len(vertices) == g.num_vertices
     # Spot-check one adjacency against the graph's indexing.
     i, j = 0, 5
@@ -380,7 +379,16 @@ def test_dks_vertices_order_matches_graph():
 def test_dks_size_cap():
     f = CnfFormula(12, ((1, 2, 3),))
     with pytest.raises(SizeCapError):
-        sat_to_dks(f, DksParams(ell=6, size_cap=100))
+        sat_to_dks(f, ell=6, size_cap=100)
+
+
+def test_sat_to_dks_range_checks():
+    f = CnfFormula(3, ((1, 2, 3),))
+    with pytest.raises(ValidationError, match="ell must be >= 1"):
+        sat_to_dks(f, ell=0)
+    for p in (0.0, 1.5):
+        with pytest.raises(ValidationError, match=r"p must lie in \(0,1\]"):
+            sat_to_dks(f, ell=2, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +437,14 @@ def test_dks_edge_rule_symmetric(seed):
 
 def test_fglss_equality_on_compressed_instances():
     # End-to-end: CNF lowering, left compression, FGLSS, exact clique.
-    from gapred import CompressLeftParams, compress_left
+    from gapred import compress_left
     from gapred.pipelines import gen_gap_cnf
 
     for i in range(3):
         for f in (gen_planted_cnf(6, 5, seed=f"fc-{i}"),
                   gen_gap_cnf(6, 5, 0.3, seed=f"fg-{i}")):
             lc = cnf_to_labelcover(f)
-            out, _ = compress_left(lc, CompressLeftParams(k=3, r=2, eps=0.2, seed=i))
+            out, _ = compress_left(lc, k=3, r=2, epsilon=0.2, seed=i)
             assert clique(fglss(out)) == max_cov(out)
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from gapred import (
     CnfFormula,
-    CompressLeftParams,
     Disperser,
     GapredError,
     Graph,
@@ -1188,7 +1187,7 @@ def _labelcovers():
     for seed in range(4):
         lc = cnf_to_labelcover(mixed_cnf(random.Random(seed), 5, 4))
         yield lc
-        yield compress_left(lc, CompressLeftParams(k=2, r=2, eps=0.3, seed=seed))[0]
+        yield compress_left(lc, k=2, r=2, epsilon=0.3, seed=seed)[0]
         yield random_labelcover(4, 5, 3, 4, density=0.8, seed=seed, projection=True)
 
 

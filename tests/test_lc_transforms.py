@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from gapred import (
     CnfFormula,
-    CompressLeftParams,
-    CompressRightParams,
     Disperser,
     LabelCover,
     SizeCapError,
@@ -102,12 +100,13 @@ def test_projection_check_violations():
 
 
 def test_compress_left_params_validation():
-    with pytest.raises(ValidationError):
-        CompressLeftParams(k=1, r=2, eps=0.5)
-    with pytest.raises(ValidationError):
-        CompressLeftParams(k=2, r=1, eps=1.5)
-    with pytest.raises(ValidationError):
-        CompressLeftParams(k=2, r=1, eps=0.5, disperser_mode="magic")
+    lc = cnf_to_labelcover(gen_planted_cnf(4, 3, seed=1))
+    with pytest.raises(ValidationError, match="need k >= r >= 1"):
+        compress_left(lc, k=1, r=2, epsilon=0.5)
+    with pytest.raises(ValidationError, match=r"eps must lie in \(0,1\)"):
+        compress_left(lc, k=2, r=1, epsilon=1.5)
+    with pytest.raises(ValidationError, match="unknown disperser mode 'magic'"):
+        compress_left(lc, k=2, r=1, epsilon=0.5, disperser="magic")
 
 
 def test_compress_left_single_supervertex_is_and_of_clauses():
@@ -116,7 +115,7 @@ def test_compress_left_single_supervertex_is_and_of_clauses():
     gap = gen_gap_cnf(5, 4, 0.3, seed=3)
     for f in (sat, gap):
         lc = cnf_to_labelcover(f)
-        out, disp = compress_left(lc, CompressLeftParams(k=1, r=1, eps=0.2, seed=5))
+        out, disp = compress_left(lc, k=1, r=1, epsilon=0.2, seed=5)
         assert disp.ell == lc.left_size
         fully = sat_max(f) == f.num_clauses
         assert max_cov(out) == (1 if fully else 0)
@@ -125,7 +124,7 @@ def test_compress_left_single_supervertex_is_and_of_clauses():
 def test_compress_left_completeness():
     f = gen_planted_cnf(6, 5, seed=1)
     lc = cnf_to_labelcover(f)
-    out, disp = compress_left(lc, CompressLeftParams(k=3, r=2, eps=0.2, seed=2))
+    out, disp = compress_left(lc, k=3, r=2, epsilon=0.2, seed=2)
     assert out.left_size == 3
     assert max_cov(out) == 3
     assert projection_check(out).ok
@@ -134,7 +133,7 @@ def test_compress_left_completeness():
 def test_compress_left_soundness_on_certified_gap():
     f = gen_gap_cnf(6, 5, 0.3, seed=4)
     lc = cnf_to_labelcover(f)
-    out, disp = compress_left(lc, CompressLeftParams(k=3, r=2, eps=0.2, seed=9))
+    out, disp = compress_left(lc, k=3, r=2, epsilon=0.2, seed=9)
     assert verify_disperser(disp) is None
     assert max_cov(out) < 2
 
@@ -143,7 +142,7 @@ def test_compress_left_keeps_consistent_tuples_only():
     # Two clauses sharing x1 with opposite polarity: joint tuples must agree on x1.
     f = CnfFormula(3, ((1, 2, 3), (-1, 2, 3)))
     lc = cnf_to_labelcover(f)
-    out, _ = compress_left(lc, CompressLeftParams(k=1, r=1, eps=0.5, seed=0))
+    out, _ = compress_left(lc, k=1, r=1, epsilon=0.5, seed=0)
     decoder = out.left_decoders[0]
     for label in sorted(out.admissible[0]):
         a0, a1 = decoder.labels[label]
@@ -154,7 +153,7 @@ def test_compress_left_size_cap():
     f = gen_planted_cnf(6, 6, seed=8)
     lc = cnf_to_labelcover(f)
     with pytest.raises(SizeCapError):
-        compress_left(lc, CompressLeftParams(k=2, r=2, eps=0.2, seed=0, size_cap=10))
+        compress_left(lc, k=2, r=2, epsilon=0.2, seed=0, size_cap=10)
 
 
 def test_compress_left_caps_live_prefixes_not_the_product():
@@ -194,7 +193,7 @@ def test_compress_left_with_explicit_disperser_soundness():
 def test_compress_left_preserves_projection_on_random_instances():
     for seed in range(10):
         lc = random_labelcover(5, 3, 2, 2, density=0.8, seed=seed, projection=True)
-        out, _ = compress_left(lc, CompressLeftParams(k=2, r=2, eps=0.5, seed=seed))
+        out, _ = compress_left(lc, k=2, r=2, epsilon=0.5, seed=seed)
         assert projection_check(out).ok
 
 
@@ -203,12 +202,13 @@ def test_compress_left_preserves_projection_on_random_instances():
 
 
 def test_compress_right_params_validation():
-    with pytest.raises(ValidationError):
-        CompressRightParams(q=0, gamma=0.5, eps=0.2)
-    with pytest.raises(ValidationError):
-        CompressRightParams(q=1, gamma=0.0, eps=0.2)
-    with pytest.raises(ValidationError):
-        CompressRightParams(q=1, gamma=0.5, eps=0.0)
+    lc = cnf_to_labelcover(gen_planted_cnf(4, 3, seed=1))
+    with pytest.raises(ValidationError, match="q must be >= 1"):
+        compress_right(lc, q=0, gamma=0.5, epsilon=0.2)
+    with pytest.raises(ValidationError, match=r"gamma must lie in \(0,1\]"):
+        compress_right(lc, q=1, gamma=0.0, epsilon=0.2)
+    with pytest.raises(ValidationError, match=r"eps must lie in \(0,1\)"):
+        compress_right(lc, q=1, gamma=0.5, epsilon=0.0)
 
 
 def test_compress_right_sizes():
@@ -216,8 +216,7 @@ def test_compress_right_sizes():
 
     f = gen_planted_cnf(6, 5, seed=6)
     lc = cnf_to_labelcover(f)
-    params = CompressRightParams(q=2, gamma=0.5, eps=0.3)
-    out = compress_right(lc, params)
+    out = compress_right(lc, q=2, gamma=0.5, epsilon=0.3)
     # ell = ceil(ln 2 / 0.3) = 3; |U'| = C(5,3); |Sigma_V'| = 2^ceil(6/2).
     assert out.left_size == math.comb(5, 3)
     assert out.right_size == 2
@@ -227,19 +226,19 @@ def test_compress_right_sizes():
 
 def test_compress_right_completeness():
     f = gen_planted_cnf(6, 5, seed=6)
-    out = compress_right(cnf_to_labelcover(f), CompressRightParams(q=2, gamma=0.5, eps=0.3))
+    out = compress_right(cnf_to_labelcover(f), q=2, gamma=0.5, epsilon=0.3)
     assert max_cov(out) == out.left_size
 
 
 def test_compress_right_soundness():
     f = gen_gap_cnf(6, 5, 0.3, seed=10)
-    out = compress_right(cnf_to_labelcover(f), CompressRightParams(q=2, gamma=0.5, eps=0.3))
+    out = compress_right(cnf_to_labelcover(f), q=2, gamma=0.5, epsilon=0.3)
     assert max_cov(out) < 0.5 * out.left_size
 
 
 def test_compress_right_gamma_one_clamps_ell():
     f = gen_planted_cnf(5, 4, seed=2)
-    out = compress_right(cnf_to_labelcover(f), CompressRightParams(q=1, gamma=1.0, eps=0.3))
+    out = compress_right(cnf_to_labelcover(f), q=1, gamma=1.0, epsilon=0.3)
     # ell clamps to 1: left vertices are singletons.
     assert out.left_size == 4
     assert max_cov(out) == 4
@@ -300,29 +299,29 @@ def ref_compress_left_with(lc, disperser, size_cap=lc_transforms.DEFAULT_SIZE_CA
                       admissible, tuple(decoders))
 
 
-def ref_compress_right(lc, params):
+def ref_compress_right(lc, q, gamma, epsilon, size_cap=lc_transforms.DEFAULT_SIZE_CAP):
     """Reference for compress_right: every kept tuple's block product, deduplicated."""
     m, n = lc.left_size, lc.right_size
     if m < 1 or n < 1:
         raise ValidationError("right compression needs nonempty sides")
-    if params.q > n:
-        raise ValidationError(f"q={params.q} exceeds right size {n}")
-    ell = max(1, math.ceil(math.log(1.0 / params.gamma) / params.eps))
+    if q > n:
+        raise ValidationError(f"q={q} exceeds right size {n}")
+    ell = max(1, math.ceil(math.log(1.0 / gamma) / epsilon))
     if ell > m:
         raise ValidationError(f"derived ell={ell} exceeds left size {m}")
     num_left = math.comb(m, ell)
-    if num_left > params.size_cap:
-        raise SizeCapError(f"{num_left} left subsets exceed cap {params.size_cap}")
-    blocks = lc_transforms._block_partition(n, params.q)
+    if num_left > size_cap:
+        raise SizeCapError(f"{num_left} left subsets exceed cap {size_cap}")
+    blocks = lc_transforms._block_partition(n, q)
     ra = lc.right_alphabet
     max_block = max(len(b) for b in blocks)
-    if ra**max_block > params.size_cap:
-        raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {params.size_cap}")
+    if ra**max_block > size_cap:
+        raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {size_cap}")
     full_mask = (1 << ra) - 1
     relations, admissible, left_decoders = {}, {}, []
     total_pairs, max_labels = 0, 1
     for i, members in enumerate(itertools.combinations(range(m), ell)):
-        _, kept, kept_masks = _product_joint_labels(lc, members, params.size_cap, i)
+        _, kept, kept_masks = _product_joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
         left_decoders.append(TupleDecoder(tuple(members), tuple(kept)))
@@ -336,10 +335,10 @@ def ref_compress_right(lc, params):
                         beta = beta * ra + digit
                     pairs.add((ai, beta))
             total_pairs += len(pairs)
-            if total_pairs > params.size_cap:
-                raise SizeCapError(f"relation pairs exceed cap {params.size_cap}")
+            if total_pairs > size_cap:
+                raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             relations[(i, j)] = frozenset(pairs)
-    return LabelCover(num_left, params.q, max_labels, ra**max_block, relations, admissible,
+    return LabelCover(num_left, q, max_labels, ra**max_block, relations, admissible,
                       tuple(left_decoders))
 
 
@@ -357,10 +356,11 @@ def _outcomes(pairs):
 
 
 def _assert_compressions_match_referees(lc, disperser, params):
-    got = _outcomes([lambda: compress_left_with(lc, disperser, size_cap=params.size_cap),
-                     lambda: compress_right(lc, params)])
-    want = _outcomes([lambda: ref_compress_left_with(lc, disperser, size_cap=params.size_cap),
-                      lambda: ref_compress_right(lc, params)])
+    cap = params.get("size_cap", lc_transforms.DEFAULT_SIZE_CAP)
+    got = _outcomes([lambda: compress_left_with(lc, disperser, size_cap=cap),
+                     lambda: compress_right(lc, **params)])
+    want = _outcomes([lambda: ref_compress_left_with(lc, disperser, size_cap=cap),
+                      lambda: ref_compress_right(lc, **params)])
     assert got == want
 
 
@@ -376,8 +376,8 @@ def test_joint_labels_match_product_then_filter(seed, left, right, la, ra, cap):
     ell, k = rng.randint(1, left), rng.randint(1, 3)
     disperser = Disperser(left, k, ell, 1, 0.5,
                           tuple(frozenset(rng.sample(range(left), ell)) for _ in range(k)))
-    params = CompressRightParams(q=rng.randint(1, right), gamma=rng.choice([0.3, 0.5, 1.0]),
-                                 eps=rng.choice([0.3, 0.6, 0.9]), size_cap=cap)
+    params = {"q": rng.randint(1, right), "gamma": rng.choice([0.3, 0.5, 1.0]),
+              "epsilon": rng.choice([0.3, 0.6, 0.9]), "size_cap": cap}
     _assert_compressions_match_referees(lc, disperser, params)
 
 
@@ -393,11 +393,11 @@ def test_packed_emission_matches_referees_on_edge_layouts(q):
     disperser = Disperser(3, 3, 2, 1, 0.5,
                           (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})))
     for gamma in (1.0, 0.5, 0.3):
-        params = CompressRightParams(q=q, gamma=gamma, eps=0.6)
+        params = {"q": q, "gamma": gamma, "epsilon": 0.6}
         _assert_compressions_match_referees(lc, disperser, params)
     # At gamma = 1 the left subsets are singletons: the edgeless left vertex 1
     # keeps both its labels, and each allows every label of every block.
-    out = compress_right(lc, CompressRightParams(q=q, gamma=1.0, eps=0.6))
+    out = compress_right(lc, q=q, gamma=1.0, epsilon=0.6)
     assert out.admissible[1] == {0, 1}
     blocks = lc_transforms._block_partition(5, q)
     assert [len(out.relations[(1, j)]) for j in range(q)] == [2 * 5 ** len(b) for b in blocks]
@@ -408,7 +408,7 @@ def test_compress_left_joins_long_member_lists():
     # join must not recurse once per member.
     n = 3000
     lc = LabelCover(n, n, 1, 1, {(u, u): {(0, 0)} for u in range(n)})
-    out, disperser = compress_left(lc, CompressLeftParams(k=1, r=1, eps=0.5, seed=0))
+    out, disperser = compress_left(lc, k=1, r=1, epsilon=0.5, seed=0)
     assert disperser.ell == n
     assert out.left_decoders[0].labels == ((0,) * n,)
     assert max_cov(out) == 1
@@ -421,22 +421,22 @@ def test_compress_left_joins_long_member_lists():
 def test_minlab_instance_validation():
     lc = cnf_to_labelcover(gen_planted_cnf(4, 3, seed=1))
     with pytest.raises(ValidationError):
-        minlab_instance(lc, q=3, r=2, eps=0.3)
+        minlab_instance(lc, q=3, r=2, epsilon=0.3)
 
 
 def test_minlab_completeness():
     f = gen_planted_cnf(6, 5, seed=12)
     lc = cnf_to_labelcover(f)
-    out = minlab_instance(lc, q=2, r=3, eps=0.3)
+    out = minlab_instance(lc, q=2, r=3, epsilon=0.3)
     assert out.right_size == 2
     assert min_lab(out) == 2
     # minlab is exactly the right compression at gamma = (q/r)^q.
-    assert out == compress_right(lc, CompressRightParams(2, (2 / 3) ** 2, 0.3))
+    assert out == compress_right(lc, q=2, gamma=(2 / 3) ** 2, epsilon=0.3)
 
 
 def test_minlab_soundness():
     f = gen_gap_cnf(6, 5, 0.3, seed=13)
-    out = minlab_instance(cnf_to_labelcover(f), q=2, r=3, eps=0.3)
+    out = minlab_instance(cnf_to_labelcover(f), q=2, r=3, epsilon=0.3)
     value = min_lab(out)
     assert value is None or value > 3
 
@@ -455,9 +455,9 @@ def _rebuilt(lc):
 def test_unchecked_outputs_pass_the_public_checks(seed):
     lc = cnf_to_labelcover(gen_planted_cnf(6, 5, seed=seed))
     outputs = [
-        compress_left(lc, CompressLeftParams(k=3, r=2, eps=0.5, seed=seed))[0],
-        compress_right(lc, CompressRightParams(q=2, gamma=0.5, eps=0.3)),
-        minlab_instance(lc, q=2, r=3, eps=0.3),
+        compress_left(lc, k=3, r=2, epsilon=0.5, seed=seed)[0],
+        compress_right(lc, q=2, gamma=0.5, epsilon=0.3),
+        minlab_instance(lc, q=2, r=3, epsilon=0.3),
     ]
     for out in outputs:
         checked = _rebuilt(out)
@@ -473,13 +473,13 @@ def test_unchecked_outputs_pass_the_public_checks(seed):
 
 
 def test_compressions_store_int_masks_matching_the_referees():
-    params = CompressRightParams(q=2, gamma=0.5, eps=0.3)
+    params = {"q": 2, "gamma": 0.5, "epsilon": 0.3}
     for seed in range(4):
         lc = cnf_to_labelcover(gen_planted_cnf(6, 5, seed=seed))
         disperser = random_disperser(lc.left_size, 3, 2, 0.5, seed)
         for out, ref in [
             (compress_left_with(lc, disperser), ref_compress_left_with(lc, disperser)),
-            (compress_right(lc, params), ref_compress_right(lc, params)),
+            (compress_right(lc, **params), ref_compress_right(lc, **params)),
         ]:
             assert out.edges == ref.edges
             for edge in out.edges:

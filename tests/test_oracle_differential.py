@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from gapred import (
     BudgetExceededError,
-    DksParams,
     Graph,
     LabelCover,
     biclique,
@@ -553,7 +552,7 @@ def test_graph_oracles_on_gadgets_match_index_order_referees(seed, n, p):
 def test_graph_oracles_on_sat2dks_match_index_order_referees(seed, shape):
     n, ell, p = shape
     formula = gen_planted_cnf(n, 2 * n, seed)
-    _assert_graph_oracles_match_referees(sat_to_dks(formula, DksParams(ell=ell, p=p, seed=seed)))
+    _assert_graph_oracles_match_referees(sat_to_dks(formula, ell=ell, p=p, seed=seed))
 
 
 def _searched_masks(g):

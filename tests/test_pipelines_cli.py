@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import inspect
 import io
 import json
 import random
@@ -23,14 +24,20 @@ from gapred import (
     ParseError,
     SizeCapError,
     ValidationError,
+    clique_to_inducedpath,
     cnf_to_labelcover,
+    compress_left,
+    compress_right,
     emit_labelcover,
     max_cov,
+    minlab_instance,
+    minlab_to_setcov,
     parse_cnf,
     parse_graph,
     parse_labelcover,
     parse_setsystem,
     sat_max,
+    sat_to_dks,
 )
 from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
@@ -168,8 +175,9 @@ _SMALL_SPEC = {
     "size_cap": 1000,
     "input": {"kind": "gen-gap", "n": 5, "m": 4, "epsilon": 0.3, "seed": 2},
     "stages": [{"op": "cnf2lc"},
-               {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.2, "disperser": "random"},
-               {"op": "fglss", "size_cap": None}],
+               {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.2, "disperser": "random",
+                "size_cap": None},
+               {"op": "fglss"}],
     "budget": {"max_nodes": 1000, "max_millis": 500},
 }
 # JSON values that reach the spec's checks: names of kinds, ops and keys,
@@ -252,6 +260,37 @@ def test_a_null_stage_size_cap_means_the_specs(stages):
     assert verify_pipeline(spec).render() == verify_pipeline(spec, run).render()
     with pytest.raises(SizeCapError):
         run_pipeline(PipelineSpec(input=source, stages=nulled, seed=3, size_cap=1))
+
+
+@pytest.mark.parametrize("stage", [{"op": "fglss", "seed": 3}, {"op": "cnf2lc", "size_cap": 10}])
+def test_a_stage_refuses_a_seed_or_size_cap_it_does_not_read(tmp_path, capsys, stage):
+    stages = [{"op": "cnf2lc"}, stage] if stage["op"] == "fglss" else [stage]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1, "input": {"kind": "gen-planted", "n": 5, "m": 4},
+                                "stages": stages}))
+    assert run_command(["verify", str(spec)]) == 2
+    assert "unknown parameter" in capsys.readouterr().err
+
+
+def test_a_sat2dks_stage_seed_steers_its_subsample():
+    formula = gen_planted_cnf(5, 4, 2)
+    source = {"kind": "gen-planted", "n": 5, "m": 4, "seed": 2}
+
+    def output(stage, spec_seed=3):
+        spec = PipelineSpec(input=source, stages=({"op": "sat2dks", "ell": 2, "p": 0.5,
+                                                   **stage},), seed=spec_seed)
+        return spec, run_pipeline(spec).instances[1]
+
+    # The stage's own seed draws the subsample, whatever the spec's seed.
+    for seed in (5, 6):
+        want = sat_to_dks(formula, ell=2, p=0.5, seed=seed)
+        assert output({"seed": seed})[1] == output({"seed": seed}, spec_seed=4)[1] == want
+    assert output({})[1] == sat_to_dks(formula, ell=2, p=0.5, seed=3)
+    assert output({"seed": 5})[1] != output({"seed": 6})[1]
+    # A null stage seed is unseeded, even under a seeded spec: nothing to replay.
+    spec, _ = output({"seed": None})
+    assert spec.stage_params(0)["seed"] is None
+    assert verify_pipeline(spec).stages[0].status == "NOT-APPLICABLE"
 
 
 def test_spec_output_kind():
@@ -625,23 +664,23 @@ def test_cli_refuses_a_zero_budget(tmp_path, capsys, command, flag):
 
 
 _BUDGET = {"--budget-nodes", "--budget-millis"}
-_TRANSFORM = {"--out", "--seed", "--size-cap"}
+_SEEDED = {"--out", "--seed", "--size-cap"}
 # Each subcommand's flags: --seed, --size-cap and --budget-* only where its
 # handler reads them.
 _FLAGS = {
     "gen-cnf": {"--n", "--m", "--mode", "--epsilon", "--out", "--seed", *_BUDGET},
-    "cnf2lc": _TRANSFORM,
-    "lc-compress-left": {*_TRANSFORM, "--k", "--r", "--epsilon", "--deterministic-disperser"},
-    "lc-compress-right": {*_TRANSFORM, "--q", "--gamma", "--epsilon"},
-    "lc-minlab": {*_TRANSFORM, "--q", "--r", "--epsilon"},
-    "lc2clique": _TRANSFORM,
-    "minlab2setcov": _TRANSFORM,
-    "setcov2domset": _TRANSFORM,
-    "g2biclique-gadget": _TRANSFORM,
-    "g2im-gadget": _TRANSFORM,
-    "g2is2im": _TRANSFORM,
-    "clique2ipath": {*_TRANSFORM, "--k", "--q"},
-    "sat2dks": {*_TRANSFORM, "--ell", "--p", "--lambda"},
+    "cnf2lc": {"--out"},
+    "lc-compress-left": {*_SEEDED, "--k", "--r", "--epsilon", "--deterministic-disperser"},
+    "lc-compress-right": {"--out", "--size-cap", "--q", "--gamma", "--epsilon"},
+    "lc-minlab": {"--out", "--size-cap", "--q", "--r", "--epsilon"},
+    "lc2clique": {"--out"},
+    "minlab2setcov": {"--out", "--size-cap"},
+    "setcov2domset": {"--out"},
+    "g2biclique-gadget": {"--out"},
+    "g2im-gadget": {"--out"},
+    "g2is2im": {"--out"},
+    "clique2ipath": {"--out", "--k", "--q"},
+    "sat2dks": {*_SEEDED, "--ell", "--p", "--lambda"},
     "disperser": {"--m", "--k", "--r", "--epsilon", "--out", "--seed", *_BUDGET},
     "solve": {"--t", "--k", "--property", "--out", *_BUDGET},
     "pipeline": {"--out", "--seed", "--size-cap", *_BUDGET},
@@ -658,7 +697,41 @@ def test_cli_subcommands_take_only_the_flags_they_read():
         for name, parser in subparsers.choices.items()
     }
     assert got == _FLAGS
-    assert sum(map(len, got.values())) == 83
+    assert sum(map(len, got.values())) == 66
+    # A transform offers --seed and --size-cap exactly where its row declares them.
+    for stage in pipelines.STAGES.values():
+        declared = {f"--{p.name.replace('_', '-')}" for p in stage.params
+                    if p.name in ("seed", "size_cap")}
+        assert got[stage.command] & {"--seed", "--size-cap"} == declared
+
+
+# The transform each stage with parameters builds with.
+_TRANSFORMS = {
+    "compress-left": compress_left,
+    "compress-right": compress_right,
+    "minlab": minlab_instance,
+    "minlab2setcov": minlab_to_setcov,
+    "clique2ipath": clique_to_inducedpath,
+    "sat2dks": sat_to_dks,
+}
+
+
+def test_every_declared_parameter_is_a_keyword_of_its_transform(monkeypatch):
+    # lambda is only listed in the ledger; every other declared name reaches
+    # the transform as a keyword of the same name.
+    assert {op for op, stage in pipelines.STAGES.items() if stage.params} == set(_TRANSFORMS)
+    for op, transform in _TRANSFORMS.items():
+        stage = pipelines.STAGES[op]
+        declared = {p.name for p in stage.params} - {"lambda"}
+        signature = inspect.signature(transform).parameters.values()
+        keywords = {p.name for p in signature if p.kind in (p.POSITIONAL_OR_KEYWORD,
+                                                              p.KEYWORD_ONLY)}
+        assert declared <= keywords, op
+        calls = []
+        monkeypatch.setattr(pipelines, transform.__name__,
+                            lambda source, **kw: calls.append(kw) or (None, None))
+        stage.build("source", {p.name: p.name for p in stage.params})
+        assert set(calls[0]) - {"budget"} == declared, op
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -670,7 +743,9 @@ def test_cli_subcommands_take_only_the_flags_they_read():
      "solve clique does not read --t"),
     (["solve", "densest-k", "g.graph", "--property", "forest"],
      "solve densest-k does not read --property"),
-], ids=[f"argv{i}" for i in range(5)])
+    (["lc2clique", "f.lc", "--seed", "1"], "unrecognized arguments"),
+    (["cnf2lc", "f.cnf", "--size-cap", "5"], "unrecognized arguments"),
+], ids=[f"argv{i}" for i in range(7)])
 def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, message, capsys):
     try:
         code = run_command(argv)
