@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, oracles
 from .dispersers import (
     deterministic_disperser,
     emit_disperser,
@@ -22,22 +22,7 @@ from .dispersers import (
 )
 from .errors import BudgetExceededError, GapredError, ParseError
 from .instances import emit_cnf, random_cnf
-from .oracles import (
-    SolveBudget,
-    biclique,
-    clique,
-    count_ktt,
-    densest_k,
-    dom_set,
-    independent_set,
-    induced_matching,
-    induced_path,
-    max_cov,
-    max_induced_with_property,
-    min_lab,
-    sat_max,
-    set_cover,
-)
+from .oracles import ORACLES, SolveBudget
 from .pipelines import (
     _FORMATS,
     STAGES,
@@ -50,25 +35,9 @@ from .pipelines import (
     write_artifacts,
 )
 
-# One row per `solve` problem: the instance kind it reads, its oracle, and the
-# flag of the oracle's one extra argument (None when it takes none).
-_SOLVERS = {
-    "sat-max": ("cnf", sat_max, None),
-    "max-cov": ("lc", max_cov, None),
-    "min-lab": ("lc", min_lab, None),
-    "clique": ("graph", clique, None),
-    "independent-set": ("graph", independent_set, None),
-    "biclique": ("graph", biclique, None),
-    "set-cover": ("setsystem", set_cover, None),
-    "dom-set": ("graph", dom_set, None),
-    "induced-matching": ("graph", induced_matching, None),
-    "induced-path": ("graph", induced_path, None),
-    "count-ktt": ("graph", count_ktt, "t"),
-    "densest-k": ("graph", densest_k, "k"),
-    "max-induced": ("graph", max_induced_with_property, "property"),
-}
-# Each solve flag's value when it is not given.
-_SOLVE_DEFAULTS = {"t": 1, "k": 2, "property": "forest"}
+# Each `solve` problem's oracle, and the oracles whose extra argument is a flag.
+_PROBLEMS = {row.problem: name for name, row in ORACLES.items() if row.problem is not None}
+_FLAGGED = {name: row for name, row in ORACLES.items() if row.extra is not None}
 
 
 def _write(path: str | None, text: str):
@@ -165,12 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_disperser)
 
     p = sub.add_parser("solve", help="run an exact oracle on an instance file")
-    p.add_argument("problem", choices=sorted(_SOLVERS))
+    p.add_argument("problem", choices=sorted(_PROBLEMS))
     p.add_argument("input")
     # Unset means the problem's default; a problem refuses the others' flags.
-    p.add_argument("--t", type=int, help="t for count-ktt")
-    p.add_argument("--k", type=int, help="k for densest-k")
-    p.add_argument("--property", help="property for max-induced")
+    for row in _FLAGGED.values():
+        flag, flag_type, _ = row.extra
+        p.add_argument(f"--{flag}", type=flag_type, help=f"{flag} for {row.problem}")
     p.add_argument("--out", help=_OUT_HELP)
     _add_budget(p)
     p.set_defaults(handler=_cmd_solve)
@@ -254,16 +223,17 @@ def _cmd_disperser(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    kind, solver, flag = _SOLVERS[args.problem]
+    oracle = _PROBLEMS[args.problem]
     extra = ()
-    for name, default in _SOLVE_DEFAULTS.items():
-        value = getattr(args, name)
-        if name == flag:
+    for name, row in _FLAGGED.items():
+        flag, _, default = row.extra
+        value = getattr(args, flag)
+        if name == oracle:
             extra = (default if value is None else value,)
         elif value is not None:
-            raise ParseError(f"solve {args.problem} does not read --{name}")
-    instance = _FORMATS[kind].parse(Path(args.input).read_bytes())
-    value = solver(instance, *extra, _budget(args))
+            raise ParseError(f"solve {args.problem} does not read --{flag}")
+    instance = _FORMATS[ORACLES[oracle].kind].parse(Path(args.input).read_bytes())
+    value = oracles.call(oracle, instance, *extra, budget=_budget(args))
     _write(args.out, f"{'infeasible' if value is None else value}\n")
     return 0
 

@@ -118,11 +118,13 @@ def deterministic_disperser(
 
     When m' does not divide m the search runs over the padded universe and the
     padding elements are dropped after lifting; subsets are then topped up with
-    unused elements to a uniform size (which can only grow unions). A lifted
-    result is re-verified before it is returned; when m' = m the lift is the
-    identity, so the candidate the search verified is returned as it is. One
-    budget bounds the whole search: every candidate's verification and the
-    final one tick the same meter.
+    unused elements to a uniform size (which can only grow unions), and the
+    result is re-verified before it is returned. When m' divides m nothing is
+    trimmed: each r-union of the lift is one the search verified, copied into
+    each of the b = m/m' blocks, and b * ceil((1 - eps) m') >= ceil((1 - eps) m),
+    so the lift is returned without a second check. One budget bounds the
+    whole search: every candidate's verification and the final one tick the
+    same meter.
     """
     if min(m, k, r) < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need m, k, r >= 1 and eps in (0,1)")
@@ -147,23 +149,19 @@ def deterministic_disperser(
         raise GenerationError(
             f"exhausted all collections of {k} subsets of [{m_small}] without finding a disperser"
         )
-    blocks = -(-m // m_small)
-    if blocks == 1:
-        return replace(found, verified=True)
-    lifted = lift_disperser(found, blocks)
+    lifted = lift_disperser(found, -(-m // m_small))
     if lifted.m == m:
-        result = replace(lifted, verified=False)
-    else:
-        trimmed = [frozenset(x for x in s if x < m) for s in lifted.subsets]
-        ell_final = min(m, lifted.ell)
-        final = []
-        for s in trimmed:
-            missing = ell_final - len(s)
-            if missing > 0:
-                spare = [x for x in range(m) if x not in s][:missing]
-                s = s | frozenset(spare)
-            final.append(s)
-        result = Disperser(m, k, ell_final, r, eps, tuple(final))
+        return replace(lifted, verified=True)
+    trimmed = [frozenset(x for x in s if x < m) for s in lifted.subsets]
+    ell_final = min(m, lifted.ell)
+    final = []
+    for s in trimmed:
+        missing = ell_final - len(s)
+        if missing > 0:
+            spare = [x for x in range(m) if x not in s][:missing]
+            s = s | frozenset(spare)
+        final.append(s)
+    result = Disperser(m, k, ell_final, r, eps, tuple(final))
     witness = _verify_disperser(result, meter)
     if witness is not None:
         raise GenerationError(

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 
 from .errors import LedgerError
+from .oracles import ORACLES
 
 __all__ = [
-    "KNOWN_ORACLES",
     "GapMap",
     "StagePredicate",
     "StageEntry",
@@ -25,24 +25,6 @@ __all__ = [
     "ledger_to_json",
     "ledger_from_json",
 ]
-
-KNOWN_ORACLES = frozenset(
-    {
-        "sat_max",
-        "max_cov",
-        "min_lab",
-        "clique",
-        "independent_set",
-        "biclique",
-        "count_ktt",
-        "set_cover",
-        "dom_set",
-        "induced_matching",
-        "induced_path",
-        "densest_k",
-        "max_induced_with_property",
-    }
-)
 
 _MAP_KINDS = ("identity", "constant", "scale")
 
@@ -106,8 +88,8 @@ class GapLedger:
 
 
 def push_stage(ledger: GapLedger, entry: StageEntry) -> GapLedger:
-    """Append a stage, validating that its predicate references a known oracle."""
-    if entry.predicate is not None and entry.predicate.oracle not in KNOWN_ORACLES:
+    """Append a stage, validating that its predicate names an oracle of ORACLES."""
+    if entry.predicate is not None and entry.predicate.oracle not in ORACLES:
         raise LedgerError(f"predicate names unknown oracle {entry.predicate.oracle!r}")
     return GapLedger(ledger.stages + (entry,))
 

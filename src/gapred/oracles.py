@@ -15,6 +15,12 @@ charge one node per clause or left vertex tested) and return at once when it
 reaches the trivial upper bound (m clauses, |U| left vertices); otherwise its
 value seeds the search's lower bound. A witness that fails its check is
 ignored, so it can make a call faster but never change its value.
+
+ORACLES is the one table of the solvers: one row per oracle, keyed by its
+function's name, with its `gapred solve` problem, the instance kind it reads,
+its one extra argument and whether it takes a witness. `call` runs an oracle
+by name; `gapred solve`, the verification harness and the gap-formula
+generator all go through it.
 """
 
 from __future__ import annotations
@@ -24,29 +30,10 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, ValidationError
 from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of, digit_table, pairs_of
-
-__all__ = [
-    "SolveBudget",
-    "DEFAULT_BUDGET",
-    "sat_max",
-    "max_cov",
-    "min_lab",
-    "clique",
-    "independent_set",
-    "biclique",
-    "count_ktt",
-    "set_cover",
-    "dom_set",
-    "induced_matching",
-    "induced_path",
-    "induced_path_at_least",
-    "densest_k",
-    "max_induced_with_property",
-    "SUPPORTED_PROPERTIES",
-]
 
 
 @dataclass(frozen=True)
@@ -62,6 +49,53 @@ class SolveBudget:
 
 
 DEFAULT_BUDGET = SolveBudget()
+
+
+class Oracle(NamedTuple):
+    """One exact oracle, as `gapred solve`, verify and the gap ledger use it.
+
+    `problem` is its `gapred solve` name (None when only verify calls it),
+    `kind` the instance kind it reads, `extra` its one argument after the
+    instance as the solve flag's (name, type, default), or None, and
+    `witness` whether it takes `witness=`.
+    """
+
+    problem: str | None
+    kind: str
+    extra: tuple[str, type, object] | None = None
+    witness: bool = False
+
+
+# Rows hold names, not functions, so `call` sees a wrapped or replaced oracle.
+ORACLES = {
+    "sat_max": Oracle("sat-max", "cnf", witness=True),
+    "max_cov": Oracle("max-cov", "lc", witness=True),
+    "min_lab": Oracle("min-lab", "lc"),
+    "clique": Oracle("clique", "graph", witness=True),
+    "independent_set": Oracle("independent-set", "graph"),
+    "biclique": Oracle("biclique", "graph"),
+    "count_ktt": Oracle("count-ktt", "graph", ("t", int, 1)),
+    "set_cover": Oracle("set-cover", "setsystem"),
+    "dom_set": Oracle("dom-set", "graph"),
+    "induced_matching": Oracle("induced-matching", "graph"),
+    "induced_path": Oracle("induced-path", "graph"),
+    "induced_path_at_least": Oracle(None, "graph"),
+    "densest_k": Oracle("densest-k", "graph", ("k", int, 2)),
+    "max_induced_with_property": Oracle("max-induced", "graph", ("property", str, "forest")),
+}
+
+__all__ = ["SolveBudget", "DEFAULT_BUDGET", "Oracle", "ORACLES", "call", "SUPPORTED_PROPERTIES",
+           *ORACLES]
+
+
+def call(name: str, instance, *args, budget: SolveBudget | None = None, witness=None):
+    """The value of oracle `name` on `instance`; `args` is its extra argument.
+
+    The oracle is looked up by name on each call, so a wrapped or replaced
+    oracle is seen. A witness goes only to the oracles whose row takes one.
+    """
+    hint = {"witness": witness} if ORACLES[name].witness and witness is not None else {}
+    return globals()[name](instance, *args, budget, **hint)
 
 
 class _Meter:

@@ -66,7 +66,7 @@ from .lc_transforms import (
     compress_right,
     minlab_instance,
 )
-from .oracles import SolveBudget, sat_max
+from .oracles import SolveBudget
 
 __all__ = [
     "gen_planted_cnf",
@@ -147,7 +147,7 @@ def gen_gap_cnf(
             variables = rng.sample(range(1, num_vars + 1), width)
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
         formula = CnfFormula(num_vars, tuple(clauses))
-        value = sat_max(formula, budget)
+        value = oracles.call("sat_max", formula, budget=budget)
         if Fraction(value) < threshold:
             _CERTIFIED_SAT_MAX[formula] = value
             return formula
@@ -265,11 +265,12 @@ _SIZE_CAP = Param("size_cap", int, None)
 
 _GEN_PARAMS = (Param("n"), Param("m"))
 # Each input kind: the instance kind it loads and the fields it reads (besides
-# `kind` and an optional `seed`). A file input is named after its extension.
+# `kind`); only the generators read a seed. A file input is named after its
+# extension.
 _INPUTS = {
     **{f"{fmt.extension}-file": (kind, (Param("path", str),)) for kind, fmt in _FORMATS.items()},
-    "gen-planted": ("cnf", _GEN_PARAMS),
-    "gen-gap": ("cnf", _GEN_PARAMS + (Param("epsilon", float),)),
+    "gen-planted": ("cnf", _GEN_PARAMS + (_SEED,)),
+    "gen-gap": ("cnf", _GEN_PARAMS + (Param("epsilon", float), _SEED)),
 }
 
 # The top-level fields of a spec file other than `seed`, `input`, `stages`
@@ -441,23 +442,16 @@ def _lifted(spec: "PipelineSpec", run: "PipelineRun", witness) -> list:
 # ---------------------------------------------------------------------------
 # Stage verify rules
 
-# The oracles that take a witness.
-_WITNESSED = {"sat_max", "max_cov", "clique"}
-
-
 def _oracle_value(memo: dict, instances: list, index: int, oracle: str, *args, budget,
                   witness=None):
-    """oracles.<oracle>(instances[index], *args), computed once per memo.
+    """oracles.call(oracle, instances[index], *args), computed once per memo.
 
-    The oracle is looked up by name on each call, so a wrapped or replaced
-    oracle is seen. A witness goes to the oracles that take one; it cannot
-    change the value, so the memo key leaves it out. A call that raises
-    stores nothing.
+    A witness cannot change the value, so the memo key leaves it out. A call
+    that raises stores nothing.
     """
     key = (oracle, index, args)
     if key not in memo:
-        hint = {"witness": witness} if witness is not None and oracle in _WITNESSED else {}
-        memo[key] = getattr(oracles, oracle)(instances[index], *args, budget, **hint)
+        memo[key] = oracles.call(oracle, instances[index], *args, budget=budget, witness=witness)
     return memo[key]
 
 
@@ -762,7 +756,7 @@ class PipelineSpec:
             raise ValidationError(f"unknown input kind {kind!r}")
         _SEED.validate("spec", self.seed)
         current, fields = _INPUTS[kind]
-        _validate_params(f"input {kind!r}", fields + (_SEED,), self.input, ("kind",))
+        _validate_params(f"input {kind!r}", fields, self.input, ("kind",))
         for stage in self.stages:
             op = stage.get("op")
             if not isinstance(op, str) or op not in STAGES:

@@ -114,11 +114,24 @@ def test_deterministic_disperser_k1():
 
 def test_deterministic_disperser_search_has_one_budget():
     # m' = ceil(2 ln 6) = 4 and the first candidate passes, so the search is one
-    # candidate node plus two verifications of C(6, 2) = 15 unions each. A budget
-    # of 15 fits each verification but not the search.
+    # candidate node plus one verification of C(6, 2) = 15 unions. A budget of 15
+    # fits the verification but not the search; 16 fit both. m' divides 20, so
+    # the lift is not checked again.
     with pytest.raises(BudgetExceededError):
         deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=15))
-    assert deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=31)).verified
+    assert deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=16)).verified
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_deterministic_disperser_lifts_over_a_divisible_universe_unchecked(k):
+    # When m' divides m, each r-union of the lift is `blocks` times one the
+    # search verified, so the lift passes without its own check.
+    for r in range(1, min(k, 4) + 1):
+        m_small = math.ceil(r * math.log(k))
+        for eps, blocks in itertools.product((0.3, 0.6, 0.9), (1, 2, 3, 5)):
+            d = deterministic_disperser(blocks * m_small, k, r, eps)
+            assert d.verified and d.m == blocks * m_small
+            assert verify_disperser(d) is None, (k, r, eps, blocks)
 
 
 def test_deterministic_disperser_tops_up_trimmed_subsets():

@@ -1,5 +1,6 @@
 """Exact oracle solvers: spec examples, cross-oracle consistency, budgets."""
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from gapred import (
     sat_max,
     set_cover,
 )
+from gapred import oracles
 from gapred.instances import bits_of
 
 from corpus import (
@@ -356,6 +358,49 @@ def test_count_ktt_matches_biclique(seed):
     else:
         assert count_ktt(g, 1) == 0
     assert count_ktt(g, b + 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# The oracle table
+
+
+def test_oracle_table_rows_match_their_functions():
+    tiny = {
+        "cnf": CnfFormula(2, ((1, 2), (-1,))),
+        "lc": cnf_to_labelcover(CnfFormula(2, ((1, 2), (-1,)))),
+        "graph": petersen_graph(),
+        "setsystem": SetSystem(3, ((1, frozenset({0, 1})), (2, frozenset({1, 2})))),
+    }
+    problems = [row.problem for row in oracles.ORACLES.values() if row.problem is not None]
+    assert len(problems) == len(set(problems)) == 13
+    for name, row in oracles.ORACLES.items():
+        function = getattr(oracles, name)
+        assert callable(function) and not name.startswith("_") and name in oracles.__all__
+        assert row.witness == ("witness" in inspect.signature(function).parameters), name
+        # Every solve problem runs on an instance of its kind, with its flag's default.
+        extra = ()
+        if row.extra is not None:
+            _, flag_type, default = row.extra
+            assert isinstance(default, flag_type), name
+            extra = (default,)
+        if row.problem is not None:
+            oracles.call(name, tiny[row.kind], *extra)
+    assert set(oracles.__all__) - set(oracles.ORACLES) == {
+        "SolveBudget", "DEFAULT_BUDGET", "Oracle", "ORACLES", "call", "SUPPORTED_PROPERTIES"}
+
+
+def test_call_passes_a_witness_only_to_witness_rows(monkeypatch):
+    seen = {}
+    for name in oracles.ORACLES:
+        monkeypatch.setattr(oracles, name,
+                            lambda instance, *args, _name=name, **kw: seen.update({_name: (args, kw)}))
+    for name, row in oracles.ORACLES.items():
+        oracles.call(name, "instance", 7, budget="budget", witness="witness")
+        assert seen[name] == ((7, "budget"), {"witness": "witness"} if row.witness else {}), name
+        oracles.call(name, "instance", budget="budget")
+        assert seen[name] == (("budget",), {}), name
+    with pytest.raises(KeyError):
+        oracles.call("solve_everything", "instance")
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,10 @@ def test_spec_chain_validation(tmp_path):
                 # A seed reaches random.Random, which takes no list or object.
                 {"seed": [1], "input": planted, "stages": [{"op": "cnf2lc"}]},
                 {"input": {**planted, "seed": {"a": 1}}, "stages": [{"op": "cnf2lc"}]},
+                # Only the generators read an input seed; a file input refuses one.
+                {"input": {"kind": "cnf-file", "path": "f.cnf", "seed": 5},
+                 "stages": [{"op": "cnf2lc"}]},
+                {"input": {"kind": "graph-file", "path": "g.graph", "seed": 0}, "stages": []},
                 {"input": planted, "stages": [{"op": "cnf2lc"},
                                               {**no_r, "r": 2, "seed": [2]}]},
                 # A key no schema declares is refused, not ignored.
@@ -168,6 +172,17 @@ def test_spec_chain_validation(tmp_path):
             PipelineSpec.from_json(json.dumps(bad))
         spec_path.write_text(json.dumps(bad))
         assert run_command(["verify", str(spec_path)]) == 2
+    # A seeded gen input and a top-level seed beside a file input are accepted.
+    cnf_path = tmp_path / "f.cnf"
+    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    for good in ({"input": {**planted, "seed": 5}, "stages": [{"op": "cnf2lc"}]},
+                 {"input": {"kind": "gen-gap", "n": 4, "m": 4, "epsilon": 0.3, "seed": 5},
+                  "stages": []},
+                 {"seed": 5, "input": {"kind": "cnf-file", "path": str(cnf_path)},
+                  "stages": [{"op": "cnf2lc"}]}):
+        PipelineSpec.from_json(json.dumps(good))
+        spec_path.write_text(json.dumps(good))
+        assert run_command(["pipeline", str(spec_path)]) == 0
 
 
 _SMALL_SPEC = {
@@ -425,7 +440,8 @@ def test_verify_computes_each_oracle_value_once(monkeypatch):
     # The planted assignment reaches every oracle of the chain as a witness.
     assert witnessed == {"sat_max", "max_cov", "clique"}
     # A gen-gap input's sat_max is certified by its generation and not computed
-    # again. Every formula solved is kept alive, so no two share an id.
+    # again. Generation calls sat_max through oracles.call too, so one patch
+    # sees every call. Every formula solved is kept alive, so no two share an id.
     solved = []
 
     def solve_once(instance, *args, _oracle=oracles.sat_max):
@@ -433,7 +449,6 @@ def test_verify_computes_each_oracle_value_once(monkeypatch):
         return _oracle(instance, *args)
 
     monkeypatch.setattr(oracles, "sat_max", solve_once)
-    monkeypatch.setattr(pipelines, "sat_max", solve_once)
     spec = _clique_spec("gen-gap")
     run = run_pipeline(spec)
     report = verify_pipeline(spec, run)
@@ -705,6 +720,24 @@ def test_cli_subcommands_take_only_the_flags_they_read():
         assert got[stage.command] & {"--seed", "--size-cap"} == declared
 
 
+def test_cli_solve_flags_come_from_the_oracle_table():
+    # The solve problems and extra flags are generated from ORACLES, in table
+    # order; each flag is unset by default, so a problem can refuse another's.
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    solve = subparsers.choices["solve"]
+    problem = next(action for action in solve._actions if action.dest == "problem")
+    assert problem.choices == sorted(
+        ("sat-max", "max-cov", "min-lab", "clique", "independent-set", "biclique", "set-cover",
+         "dom-set", "induced-matching", "induced-path", "count-ktt", "densest-k", "max-induced"))
+    extras = [(action.option_strings, action.type, action.default, action.help)
+              for action in solve._actions if action.option_strings
+              and action.dest not in ("help", "out", "budget_nodes", "budget_millis")]
+    assert extras == [(["--t"], int, None, "t for count-ktt"),
+                      (["--k"], int, None, "k for densest-k"),
+                      (["--property"], str, None, "property for max-induced")]
+
+
 # The transform each stage with parameters builds with.
 _TRANSFORMS = {
     "compress-left": compress_left,
@@ -901,7 +934,7 @@ def test_cli_specialized_solvers(tmp_path, capsys):
         "max-induced": (g, ("--property", "edgeless"), oracles.max_induced_with_property,
                         ("edgeless",)),
     }
-    assert set(cases) == set(cli._SOLVERS)
+    assert set(cases) == {row.problem for row in oracles.ORACLES.values()} - {None}
     printed = {}
     for problem, (path, flags, oracle, extra) in cases.items():
         want = f"{oracle(parse[path](path.read_bytes()), *extra)}\n"
@@ -920,6 +953,10 @@ def test_cli_specialized_solvers(tmp_path, capsys):
     assert printed["count-ktt"] != f"{oracles.count_ktt(graph, 1)}\n"
     assert printed["densest-k"] != f"{oracles.densest_k(graph, 2)}\n"
     assert printed["max-induced"] != f"{oracles.max_induced_with_property(graph, 'forest')}\n"
+    # Without its flag, a problem takes the documented default.
+    for problem, default in (("count-ktt", 1), ("densest-k", 2), ("max-induced", "forest")):
+        assert run_command(["solve", problem, str(g)]) == 0
+        assert capsys.readouterr().out == f"{cases[problem][2](graph, default)}\n", problem
 
 
 def test_cli_gen_cnf_pair_mode(tmp_path, capsys):
