@@ -375,7 +375,7 @@ def test_oracle_table_rows_match_their_functions():
     assert len(problems) == len(set(problems)) == 13
     for name, row in oracles.ORACLES.items():
         function = getattr(oracles, name)
-        assert callable(function) and not name.startswith("_") and name in oracles.__all__
+        assert callable(function) and not name.startswith("_"), name
         assert row.witness == ("witness" in inspect.signature(function).parameters), name
         # Every solve problem runs on an instance of its kind, with its flag's default.
         extra = ()
