@@ -669,17 +669,54 @@ def _touched(adj, edges) -> list[int]:
     return [closed[a] | closed[b] for a, b in edges]
 
 
+def _kept_edges(adj) -> list[tuple[int, int]]:
+    """The edges (a, b), a < b, left after dropping every dominated edge.
+
+    When a neighbour x of c has N[x] ⊆ N[c] (closed neighbourhoods), the edge
+    (c, x) touches only the edges at N[c], and every other edge at c touches
+    all of those, so an induced matching can trade any other edge at c for
+    (c, x). Each such c keeps only its edge to the lowest such x, and an edge
+    survives if both endpoints keep it. Following the trades from a dropped
+    edge reaches a kept one: closed neighbourhoods shrink along the way, and
+    among true twins the two lowest keep the edge between them.
+    """
+    closed = [mask | 1 << v for v, mask in enumerate(adj)]
+    keep = list(adj)  # keep[c]: the neighbours c keeps its edges to
+    chosen = 0  # the vertices c whose x is found; x ascends, so it is the lowest
+    for x, mask in enumerate(adj):
+        # The vertices c with N[x] ⊆ N[c] are those in every N[w], w in N[x];
+        # x is in all of them, so the scan stops once x is all that is left.
+        common = closed[x]
+        only = 1 << x
+        while mask and common != only:
+            low = mask & -mask
+            common &= closed[low.bit_length() - 1]
+            mask ^= low
+        dominators = common & ~(chosen | only)
+        if dominators:
+            chosen |= dominators
+            for c in bits_of(dominators):
+                keep[c] = only
+    if not chosen:
+        return list(pairs_of(adj))
+    # pairs_of yields each b > a that a keeps; the edge survives if b keeps a.
+    return [(a, b) for a, b in pairs_of(keep) if keep[b] >> a & 1]
+
+
 def induced_matching(graph: Graph, budget: SolveBudget | None = None) -> int:
     """Maximum induced matching: edges pairwise disjoint with no cross edges.
 
     Two edges are compatible iff vertex-disjoint and with no edge between
     their endpoints; an induced matching is a clique of the compatibility
     graph, whose edge i is compatible with every edge it does not touch. The
-    edges are numbered by ascending touched count, that is descending
+    search first drops dominated edges (`_kept_edges`), which keeps the
+    optimum: on the pendant gadget `is_to_im_gadget(G)` only the n pendant
+    edges are left, whose compatibility graph is the complement of G. The
+    kept edges are numbered by ascending touched count, that is descending
     compatibility degree, so the clique search runs highest degree first.
     """
     adj = graph.adjacency
-    edges = list(pairs_of(adj))
+    edges = _kept_edges(adj)
     if not edges:
         return 0
     counts = [t.bit_count() for t in _touched(adj, edges)]
@@ -760,16 +797,6 @@ def densest_k(graph: Graph, k: int, budget: SolveBudget | None = None) -> Fracti
     return Fraction(best, denom)
 
 
-def _subset_edgeless(adj, mask) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        if adj[low.bit_length() - 1] & mask:
-            return False
-    return True
-
-
 def _subset_forest(adj, mask) -> bool:
     # Leaf pruning: repeatedly strip vertices with at most one neighbor in the
     # subset; a cycle never becomes prunable.
@@ -805,8 +832,10 @@ def _subset_triangle_free(adj, mask) -> bool:
     return True
 
 
+# Each property's subset test. The edgeless sets are the independent sets, so
+# "edgeless" has none: `independent_set` solves it without enumeration.
 SUPPORTED_PROPERTIES = {
-    "edgeless": _subset_edgeless,
+    "edgeless": None,
     "forest": _subset_forest,
     "triangle-free": _subset_triangle_free,
 }
@@ -815,10 +844,13 @@ SUPPORTED_PROPERTIES = {
 def max_induced_with_property(
     graph: Graph, prop: str, budget: SolveBudget | None = None
 ) -> int:
-    """Largest |S| with G[S] in the property class, by subset enumeration."""
+    """Largest |S| with G[S] in the property class: `independent_set` for
+    "edgeless", subset enumeration for the others."""
     if prop not in SUPPORTED_PROPERTIES:
         raise ValidationError(f"unsupported property {prop!r}")
     checker = SUPPORTED_PROPERTIES[prop]
+    if checker is None:
+        return independent_set(graph, budget)
     meter = _Meter(budget)
     n = graph.num_vertices
     adj = graph.adjacency

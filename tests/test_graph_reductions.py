@@ -455,9 +455,9 @@ def test_property_registries_agree():
 
     assert set(PROPERTY_CLIQUE_EXCLUSION) == set(SUPPORTED_PROPERTIES)
     for prop, s in PROPERTY_CLIQUE_EXCLUSION.items():
-        # s is the smallest clique size the property excludes.
-        assert not SUPPORTED_PROPERTIES[prop](complete_graph(s).adjacency, (1 << s) - 1)
-        assert SUPPORTED_PROPERTIES[prop](complete_graph(s - 1).adjacency, (1 << (s - 1)) - 1)
+        # s is the smallest clique size the property excludes: K_s lacks it,
+        # and K_{s-1}, the largest proper induced subgraph of K_s, has it.
+        assert max_induced_with_property(complete_graph(s), prop) == s - 1
 
 
 def test_hypercube_system_type():

@@ -36,6 +36,7 @@ from gapred import (
     induced_path,
     induced_path_at_least,
     max_cov,
+    max_induced_with_property,
     min_lab,
     parse_labelcover,
     random_graph,
@@ -468,6 +469,13 @@ def pairwise_induced_matching(g):
     return index_order_clique(Graph(len(edges), frozenset(compat)))
 
 
+def subset_edgeless(g):
+    """Largest edgeless vertex set, by testing all 2^n vertex masks."""
+    adj = g.adjacency
+    return max(mask.bit_count() for mask in range(1 << g.num_vertices)
+               if not any(adj[v] & mask for v in bits_of(mask)))
+
+
 def unpruned_induced_path(g):
     """Every induced path grown from every start vertex, with no bound."""
     adj = g.adjacency
@@ -525,6 +533,83 @@ def test_induced_matching_matches_pairwise_build(seed, n):
     g = Graph(n, g.edges | frozenset(itertools.islice(pairs, max(0, 30 - g.num_edges))))
     assert g.num_edges >= 30
     assert induced_matching(g) == pairwise_induced_matching(g)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 12), st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_max_induced_edgeless_matches_subset_enumeration(seed, n, p):
+    g = random_graph(n, p, seed)
+    assert max_induced_with_property(g, "edgeless") == subset_edgeless(g)
+
+
+DOMINATION_FAMILIES = ("pendants", "star", "path", "tree", "complete", "twins", "matching")
+
+
+def domination_graph(family, seed):
+    """A small graph of `family`, with up to two isolated vertices and the
+    vertices relabelled at random. In all but disjoint K2s ("matching") some
+    vertex c has a neighbour x with N[x] ⊆ N[c]: a leaf, or a true twin."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    if family == "pendants":
+        leaves = rng.randint(1, 4)
+        edges = set(random_graph(n, rng.uniform(0.1, 0.8), seed).edges)
+        edges |= {(rng.randrange(n), leaf) for leaf in range(n, n + leaves)}
+        n += leaves
+    elif family == "star":
+        edges = {(0, v) for v in range(1, n)}
+    elif family == "path":
+        edges = {(v, v + 1) for v in range(n - 1)}
+    elif family == "tree":
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+    elif family == "complete":
+        edges = set(itertools.combinations(range(n), 2))
+    elif family == "twins":
+        # Blow each vertex of a small random graph up into a clique (true
+        # twins) or an independent set (false twins) of one to three copies.
+        base = random_graph(rng.randint(2, 5), rng.uniform(0.2, 0.8), seed)
+        copies, n = [], 0
+        for _ in range(base.num_vertices):
+            copies.append(range(n, n + rng.randint(1, 3)))
+            n = copies[-1].stop
+        edges = {(u, v) for a, b in base.edges for u in copies[a] for v in copies[b]}
+        for part in copies:
+            if rng.random() < 0.7:
+                edges |= set(itertools.combinations(part, 2))
+    else:
+        edges = {(2 * i, 2 * i + 1) for i in range(n // 2)}
+    n += rng.randint(0, 2)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, frozenset((label[u], label[v]) for u, v in edges))
+
+
+@given(st.sampled_from(DOMINATION_FAMILIES), st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_induced_matching_with_dominated_edges_matches_pairwise_build(family, seed):
+    g = domination_graph(family, seed)
+    assert set(oracles._kept_edges(g.adjacency)) <= g.edges
+    assert induced_matching(g) == pairwise_induced_matching(g)
+
+
+def test_dominated_edge_corpus_drops_edges_and_keeps_values():
+    for family in DOMINATION_FAMILIES:
+        dropped = 0
+        for seed in range(25):
+            g = domination_graph(family, seed)
+            dropped += len(oracles._kept_edges(g.adjacency)) < g.num_edges
+            assert induced_matching(g) == pairwise_induced_matching(g), (family, seed)
+        # Disjoint K2s keep every edge: each endpoint keeps its only one.
+        assert (dropped > 0) == (family != "matching"), family
+
+
+@given(st.integers(0, 10**9), st.integers(0, 14), st.floats(0.0, 0.9), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_induced_matching_of_pendant_gadget_is_independence_number(seed, n, p, isolated):
+    # The pendant edges of an independent set form an induced matching, and
+    # the dominated-edge rule leaves only pendant edges, so the two are equal.
+    g = Graph(n + isolated, random_graph(n, p, seed).edges)
+    assert induced_matching(is_to_im_gadget(g)) == independent_set(g)
 
 
 def _assert_graph_oracles_match_referees(g):
@@ -586,6 +671,13 @@ def test_independent_set_of_is2im_gadget_is_quick(seed):
     # Searched in index order, seed 0 passes 10^6 nodes.
     gadget = is_to_im_gadget(random_graph(50, 0.3, seed))
     assert independent_set(gadget, oracles.SolveBudget(max_nodes=1000)) == 50
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_induced_matching_of_is2im_gadget_searches_its_pendant_edges(seed):
+    # Every edge of the source graph is dominated by a pendant edge.
+    masks = _searched_masks(is_to_im_gadget(random_graph(50, 0.3, seed)))[2]
+    assert len(masks) == 50
 
 
 # (chunk bits, table bits): chunks cut by width, by the table bound, and neither.

@@ -326,6 +326,13 @@ def test_max_induced_property_examples():
         max_induced_with_property(path_graph(3), "planar")
 
 
+def test_max_induced_edgeless_is_the_independent_set_search():
+    # Enumerating the 2^40 subsets would pass this budget at once.
+    g = random_graph(40, 0.5, 3)
+    budget = SolveBudget(max_nodes=10_000)
+    assert max_induced_with_property(g, "edgeless", budget) == independent_set(g, budget)
+
+
 # ---------------------------------------------------------------------------
 # Cross-oracle consistency
 
