@@ -547,8 +547,9 @@ DOMINATION_FAMILIES = ("pendants", "star", "path", "tree", "complete", "twins", 
 
 def domination_graph(family, seed):
     """A small graph of `family`, with up to two isolated vertices and the
-    vertices relabelled at random. In all but disjoint K2s ("matching") some
-    vertex c has a neighbour x with N[x] ⊆ N[c]: a leaf, or a true twin."""
+    vertices relabelled at random. Leaves and true twins give the
+    dominated-edge rule edges to drop; disjoint K2s ("matching") give it
+    none."""
     rng = random.Random(seed)
     n = rng.randint(2, 9)
     if family == "pendants":
