@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
@@ -40,7 +40,6 @@ class Disperser:
     r: int
     eps: float
     subsets: tuple[frozenset[int], ...]
-    verified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if min(self.m, self.k, self.ell, self.r) < 1:
@@ -108,7 +107,7 @@ def lift_disperser(d: Disperser, blocks: int) -> Disperser:
     subsets = tuple(
         frozenset(b * d.m + x for b in range(blocks) for x in s) for s in d.subsets
     )
-    return Disperser(blocks * d.m, d.k, blocks * d.ell, d.r, d.eps, subsets, verified=d.verified)
+    return Disperser(blocks * d.m, d.k, blocks * d.ell, d.r, d.eps, subsets)
 
 
 def deterministic_disperser(
@@ -136,31 +135,24 @@ def deterministic_disperser(
             f"C({m_small},{ell_small}) candidate subsets exceed the search budget"
         )
     pool = list(itertools.combinations(range(m_small), ell_small))
-    found = None
     for collection in itertools.product(pool, repeat=k):
         meter.tick()
-        candidate = Disperser(
-            m_small, k, ell_small, r, eps, tuple(frozenset(s) for s in collection)
-        )
-        if _verify_disperser(candidate, meter) is None:
-            found = candidate
+        found = Disperser(m_small, k, ell_small, r, eps, tuple(map(frozenset, collection)))
+        if _verify_disperser(found, meter) is None:
             break
-    if found is None:
+    else:
         raise GenerationError(
             f"exhausted all collections of {k} subsets of [{m_small}] without finding a disperser"
         )
     lifted = lift_disperser(found, -(-m // m_small))
     if lifted.m == m:
-        return replace(lifted, verified=True)
+        return lifted
     trimmed = [frozenset(x for x in s if x < m) for s in lifted.subsets]
     ell_final = min(m, lifted.ell)
     final = []
     for s in trimmed:
-        missing = ell_final - len(s)
-        if missing > 0:
-            spare = [x for x in range(m) if x not in s][:missing]
-            s = s | frozenset(spare)
-        final.append(s)
+        spare = (x for x in range(m) if x not in s)
+        final.append(s | frozenset(itertools.islice(spare, ell_final - len(s))))
     result = Disperser(m, k, ell_final, r, eps, tuple(final))
     witness = _verify_disperser(result, meter)
     if witness is not None:
@@ -168,7 +160,7 @@ def deterministic_disperser(
             f"lifted disperser fails verification at indices {witness} "
             f"(universe padding weakened the union fraction)"
         )
-    return replace(result, verified=True)
+    return result
 
 
 def emit_disperser(d: Disperser) -> str:

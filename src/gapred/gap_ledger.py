@@ -10,7 +10,7 @@ constants) is representable only as documentation notes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import LedgerError
 from .oracles import ORACLES
@@ -127,12 +127,7 @@ def report(ledger: GapLedger, results: dict[int, tuple[str, str]] | None = None)
 
 
 def _map_to_json(m: GapMap) -> dict:
-    out = {"kind": m.kind}
-    for key in ("value", "requires"):
-        val = getattr(m, key)
-        if val is not None:
-            out[key] = val
-    return out
+    return {key: val for key, val in asdict(m).items() if val is not None}
 
 
 def ledger_to_json(ledger: GapLedger) -> str:
@@ -146,11 +141,7 @@ def ledger_to_json(ledger: GapLedger) -> str:
             "notes": list(entry.notes),
         }
         if entry.predicate is not None:
-            item["predicate"] = {
-                "oracle": entry.predicate.oracle,
-                "comparison": entry.predicate.comparison,
-                "target": entry.predicate.target,
-            }
+            item["predicate"] = asdict(entry.predicate)
         stages.append(item)
     return json.dumps({"stages": stages}, indent=2, sort_keys=True)
 
@@ -159,9 +150,7 @@ def ledger_from_json(text: str) -> GapLedger:
     data = json.loads(text)
     ledger = GapLedger()
     for item in data["stages"]:
-        predicate = None
-        if "predicate" in item:
-            predicate = StagePredicate(**item["predicate"])
+        predicate = StagePredicate(**item["predicate"]) if "predicate" in item else None
         entry = StageEntry(
             name=item["name"],
             params=tuple(sorted(item["params"].items())),

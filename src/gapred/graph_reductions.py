@@ -19,6 +19,7 @@ from typing import Mapping
 
 from .errors import ReductionError, SizeCapError, ValidationError
 from .instances import (
+    _MASK_BITS,
     DEFAULT_SIZE_CAP,
     CnfFormula,
     Graph,
@@ -26,9 +27,11 @@ from .instances import (
     SetSystem,
     bit_set,
     bits_of,
+    _too_wide,
     digit_table,
 )
 from .lc_transforms import projection_check
+from .oracles import SUPPORTED_PROPERTIES
 
 __all__ = [
     "fglss",
@@ -47,7 +50,6 @@ __all__ = [
     "sat_to_dks",
     "ramsey_binomial_bound",
     "hereditary_bridge",
-    "PROPERTY_CLIQUE_EXCLUSION",
 ]
 
 
@@ -243,15 +245,28 @@ def setcov_to_domset(system: SetSystem) -> Graph:
 # Doubling gadgets
 
 
-def _doubling(rows: list[int]) -> Graph:
-    """Bipartite double: (u, 1) ~ (v, 2) iff bit v of rows[u] is set.
+def _bounded(num_vertices: int, masks) -> Graph:
+    """The graph of the masks `masks` yields, refused where parse_graph would
+    refuse its file: past DEFAULT_SIZE_CAP vertices, or once the masks pass
+    2^_MASK_BITS bits. They are drawn lazily, so a refusal builds little."""
+    if num_vertices > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"{num_vertices} vertices exceed cap {DEFAULT_SIZE_CAP}")
+    adjacency, bits = [], 0
+    for mask in masks:
+        bits += mask.bit_length()
+        if bits >> _MASK_BITS:
+            raise SizeCapError(_too_wide("neighbour"))
+        adjacency.append(mask)
+    return Graph._from_masks(adjacency)
 
-    `rows` must be symmetric, so right vertex n + v sees the left vertices in
-    rows[v].
-    """
-    n = len(rows)
-    sides = (frozenset(range(n)), frozenset(range(n, 2 * n)))
-    return Graph._from_masks([row << n for row in rows] + rows, sides)
+
+def _doubling(n: int, row) -> Graph:
+    """Bipartite double on 2n vertices: (u, 1) ~ (v, 2) iff bit v of row(u) is set.
+
+    The rows must be symmetric, so right vertex n + v sees the left vertices
+    in row(v). Each side builds its own rows, so `_bounded` counts them lazily."""
+    left = (row(u) << n for u in range(n))
+    return _bounded(2 * n, itertools.chain(left, map(row, range(n))))
 
 
 def biclique_gadget(graph: Graph) -> Graph:
@@ -259,7 +274,8 @@ def biclique_gadget(graph: Graph) -> Graph:
 
     Sandwich: Clique(G) <= Biclique(B_e[G]) <= 2*Biclique(G) + 1.
     """
-    return _doubling([mask | 1 << u for u, mask in enumerate(graph.adjacency)])
+    adj = graph.adjacency
+    return _doubling(graph.num_vertices, lambda u: adj[u] | 1 << u)
 
 
 def im_gadget(graph: Graph) -> Graph:
@@ -267,15 +283,15 @@ def im_gadget(graph: Graph) -> Graph:
 
     Sandwich: Clique(G) <= IM(B_e[comp G]) <= 2*Biclique(G) + 1.
     """
-    full = (1 << graph.num_vertices) - 1
-    return _doubling([full & ~mask for mask in graph.adjacency])
+    adj, full = graph.adjacency, (1 << graph.num_vertices) - 1
+    return _doubling(graph.num_vertices, lambda u: full & ~adj[u])
 
 
 def is_to_im_gadget(graph: Graph) -> Graph:
     """Pendant construction: a leaf per vertex, so IM(output) >= MIS(input)."""
     n = graph.num_vertices
-    stems = [mask | 1 << n + v for v, mask in enumerate(graph.adjacency)]
-    return Graph._from_masks(stems + [1 << v for v in range(n)])
+    stems = (mask | 1 << n + v for v, mask in enumerate(graph.adjacency))
+    return _bounded(2 * n, itertools.chain(stems, (1 << v for v in range(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +317,21 @@ def clique_to_inducedpath(h: Graph, k: int, q: int) -> Graph:
     # copies of v itself (row clique) and of its non-neighbours in H.
     copies = (1 << nh) - 1
     apart = [copies & ~mask for mask in h.adjacency]
-    adjacency = []
-    for c in range(columns):
-        base = c * stride
-        column = copies << base
-        block = sum(1 << (c - c % k + j) * stride for j in range(k))
-        # The dummies of this column and of the next one, which for a block's
-        # last column is the next block's first dummy.
-        dummies = 1 << base + nh | (1 << base + stride + nh if c + 1 < columns else 0)
-        for v in range(nh):
-            adjacency.append((column ^ 1 << base + v) | dummies | (apart[v] * block & ~column))
-        # A dummy sees its own column and the previous one.
-        adjacency.append(column | column >> stride)
-    return Graph._from_masks(adjacency)
+
+    def masks():
+        for c in range(columns):
+            base = c * stride
+            column = copies << base
+            block = sum(1 << (c - c % k + j) * stride for j in range(k))
+            # The dummies of this column and of the next one, which for a
+            # block's last column is the next block's first dummy.
+            dummies = 1 << base + nh | (1 << base + stride + nh if c + 1 < columns else 0)
+            for v in range(nh):
+                yield (column ^ 1 << base + v) | dummies | (apart[v] * block & ~column)
+            # A dummy sees its own column and the previous one.
+            yield column | column >> stride
+
+    return _bounded(columns * stride, masks())
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +467,6 @@ def sat_to_dks(
 # Hereditary bridge
 
 
-PROPERTY_CLIQUE_EXCLUSION = {"edgeless": 2, "forest": 3, "triangle-free": 3}
-
-
 def ramsey_binomial_bound(s: int, t: int) -> int:
     """Binomial upper bound C(s+t-2, s-1) on the Ramsey number R(s, t)."""
     if s < 1 or t < 1:
@@ -466,13 +481,11 @@ def hereditary_bridge(graph: Graph, prop: str, r: int) -> int:
     smallest clique the property excludes. Forests are bipartite, so the
     stronger ceil(r/2) applies there.
     """
-    if prop not in PROPERTY_CLIQUE_EXCLUSION:
+    if prop not in SUPPORTED_PROPERTIES:
         raise ValidationError(f"unsupported property {prop!r}")
     if r < 0:
         raise ValidationError("r must be >= 0")
-    if r == 0:
-        return 0
-    s = PROPERTY_CLIQUE_EXCLUSION[prop]
+    _, s = SUPPORTED_PROPERTIES[prop]
     t = 0
     while ramsey_binomial_bound(s, t + 1) <= r:
         t += 1

@@ -31,6 +31,14 @@ DEFAULT_SIZE_CAP = 500_000
 # oracles._TABLE_BITS bounds the oracles' tables alike.
 _MASK_BITS = 27
 
+
+def _too_wide(masks: str) -> str:
+    """The refusal of neighbour, element or beta masks past 2^_MASK_BITS bits."""
+    width = {"neighbour": "its vertex's highest neighbour index",
+             "element": "its set's highest element", "beta": "its highest right label"}[masks]
+    return f"{masks} masks pass 2^{_MASK_BITS} bits (each is as wide as {width})"
+
+
 __all__ = [
     "CnfFormula",
     "Graph",
@@ -247,18 +255,12 @@ class Graph:
 
     It is stored as neighbour masks: bit v of `adjacency[u]` is set when uv is
     an edge. `edges` and `num_edges` are derived from the masks on each call.
-    `bipartition`, when present, records two sides with no intra-side edges.
-    It is derived metadata: it does not survive file round trips and does not
-    participate in equality.
     """
 
     num_vertices: int
     adjacency: tuple[int, ...]
-    bipartition: tuple[frozenset[int], frozenset[int]] | None = field(
-        default=None, compare=False
-    )
 
-    def __init__(self, num_vertices: int, edges=(), bipartition=None):
+    def __init__(self, num_vertices: int, edges=()):
         # The vertex count sizes a mask list before any edge is read.
         if not 0 <= num_vertices <= DEFAULT_SIZE_CAP:
             raise ValidationError(f"num_vertices must lie in 0..{DEFAULT_SIZE_CAP}")
@@ -275,33 +277,21 @@ class Graph:
                 mask_bits += max(0, v + 1 - masks[u].bit_length())
                 mask_bits += max(0, u + 1 - masks[v].bit_length())
                 if mask_bits >> _MASK_BITS:
-                    raise ValidationError(
-                        f"neighbour masks pass 2^{_MASK_BITS} bits "
-                        "(each is as wide as its vertex's highest neighbour index)"
-                    )
+                    raise ValidationError(_too_wide("neighbour"))
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        if bipartition is not None:
-            bipartition = tuple(frozenset(side) for side in bipartition)
-            left, right = bipartition
-            if left & right or left | right != frozenset(range(num_vertices)):
-                raise ValidationError("bipartition must partition the vertex set")
-            for u, v in pairs_of(masks):
-                if (u in left) == (v in left):
-                    raise ValidationError(f"intra-side edge ({u},{v}) contradicts bipartition")
-        self._store(masks, bipartition)
+        self._store(masks)
 
     @classmethod
-    def _from_masks(cls, adjacency, bipartition=None) -> Graph:
+    def _from_masks(cls, adjacency) -> Graph:
         """Unchecked constructor for builders whose masks are symmetric and loop-free."""
         graph = object.__new__(cls)
-        graph._store(adjacency, bipartition)
+        graph._store(adjacency)
         return graph
 
-    def _store(self, adjacency, bipartition) -> None:
+    def _store(self, adjacency) -> None:
         object.__setattr__(self, "num_vertices", len(adjacency))
         object.__setattr__(self, "adjacency", tuple(adjacency))
-        object.__setattr__(self, "bipartition", bipartition)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -422,10 +412,7 @@ def parse_graph(data) -> Graph:
                 mask_bits += max(0, v + 1 - masks[u].bit_length())
                 mask_bits += max(0, u + 1 - masks[v].bit_length())
                 if mask_bits >> _MASK_BITS:
-                    raise ParseError(
-                        f"line {lineno}: neighbour masks pass 2^{_MASK_BITS} bits "
-                        "(each is as wide as its vertex's highest neighbour index)"
-                    )
+                    raise ParseError(f"line {lineno}: {_too_wide('neighbour')}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         else:
@@ -493,10 +480,7 @@ class SetSystem:
                     raise ValidationError(f"element {e} of set {sid} out of range")
             mask_bits += max(elems, default=-1) + 1
             if mask_bits >> _MASK_BITS:
-                raise ValidationError(
-                    f"element masks pass 2^{_MASK_BITS} bits (each is as wide as its set's "
-                    "highest element)"
-                )
+                raise ValidationError(_too_wide("element"))
             by_id[sid] = _mask_of(elems)
         ids = sorted(by_id)
         self._store(universe_size, ids, [by_id[sid] for sid in ids])
@@ -699,10 +683,7 @@ class LabelCover:
                 if b >= mask.bit_length():
                     mask_bits += b + 1 - mask.bit_length()
                     if mask_bits >> _MASK_BITS:
-                        raise ValidationError(
-                            f"beta masks pass 2^{_MASK_BITS} bits "
-                            "(each is as wide as its highest right label)"
-                        )
+                        raise ValidationError(_too_wide("beta"))
                 masks[a] = mask | 1 << b
             betas[u, v] = masks
         if admissible is None:

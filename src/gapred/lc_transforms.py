@@ -234,6 +234,8 @@ def compress_left(
         raise ValidationError(f"unknown disperser mode {disperser!r}")
     if lc.left_size < 1:
         raise ValidationError("cannot left-compress an empty left side")
+    if k > size_cap:
+        raise SizeCapError(f"{k} left subsets exceed cap {size_cap}")
     if disperser == "deterministic":
         d = deterministic_disperser(lc.left_size, k, r, epsilon, budget)
     else:

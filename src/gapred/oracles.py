@@ -534,17 +534,16 @@ def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
     increasing vertex order and keeps the vertices F outside S adjacent to all
     of S; S then pairs with any min(|S|, |F|) vertices of F. F only shrinks as
     S grows, so a branch is cut once |F| or |S| plus the vertices left to add
-    cannot beat the best k. With a bipartition, S ranges over the smaller side
-    only: any biclique with k >= 1 has one side there.
+    cannot beat the best k. When the graph is bipartite, S ranges over the
+    smaller class of its 2-coloring only: a biclique with k >= 1 is connected,
+    so its two sides lie in opposite classes of one component.
     """
     meter = _Meter(budget)
     adj = graph.adjacency
     if not any(adj):
         return 0
-    if graph.bipartition is None:
-        pool = list(range(graph.num_vertices))
-    else:
-        pool = sorted(min(graph.bipartition, key=len))
+    side = _two_coloring_side(adj)
+    pool = list(range(graph.num_vertices) if side is None else bits_of(side))
     best = 0
 
     def grow(start: int, chosen: int, size: int, common: int):
@@ -564,6 +563,28 @@ def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
 
     grow(0, 0, 0, -1)
     return best
+
+
+def _two_coloring_side(adj) -> int | None:
+    """The smaller class of a proper 2-coloring of `adj` as a mask, or None.
+
+    Each component is split by the parity of its BFS levels from its lowest
+    vertex; an edge inside one level is an odd cycle. On a tie the even
+    class wins, which on a doubling gadget is its left side.
+    """
+    classes, unseen = [0, 0], (1 << len(adj)) - 1
+    while unseen:
+        frontier, parity = unseen & -unseen, 0
+        while frontier:
+            unseen &= ~frontier
+            classes[parity] |= frontier
+            reached = 0
+            for v in bits_of(frontier):
+                reached |= adj[v]
+            if reached & frontier:
+                return None
+            frontier, parity = reached & unseen, parity ^ 1
+    return min(classes, key=int.bit_count)
 
 
 def count_ktt(graph: Graph, t: int, budget: SolveBudget | None = None) -> int:
@@ -832,12 +853,13 @@ def _subset_triangle_free(adj, mask) -> bool:
     return True
 
 
-# Each property's subset test. The edgeless sets are the independent sets, so
-# "edgeless" has none: `independent_set` solves it without enumeration.
+# Each property's subset test, and the smallest s with K_s outside it, which
+# hereditary_bridge reads. The edgeless sets are the independent sets, so
+# "edgeless" has no test: `independent_set` solves it without enumeration.
 SUPPORTED_PROPERTIES = {
-    "edgeless": None,
-    "forest": _subset_forest,
-    "triangle-free": _subset_triangle_free,
+    "edgeless": (None, 2),
+    "forest": (_subset_forest, 3),
+    "triangle-free": (_subset_triangle_free, 3),
 }
 
 
@@ -848,7 +870,7 @@ def max_induced_with_property(
     "edgeless", subset enumeration for the others."""
     if prop not in SUPPORTED_PROPERTIES:
         raise ValidationError(f"unsupported property {prop!r}")
-    checker = SUPPORTED_PROPERTIES[prop]
+    checker, _ = SUPPORTED_PROPERTIES[prop]
     if checker is None:
         return independent_set(graph, budget)
     meter = _Meter(budget)

@@ -66,9 +66,7 @@ def empty_graph(n):
 
 
 def complete_bipartite(a, b):
-    edges = {(u, a + v) for u in range(a) for v in range(b)}
-    sides = (frozenset(range(a)), frozenset(range(a, a + b)))
-    return Graph(a + b, edges, bipartition=sides)
+    return Graph(a + b, {(u, a + v) for u in range(a) for v in range(b)})
 
 
 def petersen_graph():

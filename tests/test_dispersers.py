@@ -103,7 +103,6 @@ def test_deterministic_disperser_verified():
     for m, k in ((6, 2), (8, 3), (5, 3)):
         d = deterministic_disperser(m, k, 2, 0.5)
         assert d.m == m and d.k == k
-        assert d.verified
         assert verify_disperser(d) is None
 
 
@@ -119,7 +118,8 @@ def test_deterministic_disperser_search_has_one_budget():
     # the lift is not checked again.
     with pytest.raises(BudgetExceededError):
         deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=15))
-    assert deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=16)).verified
+    d = deterministic_disperser(20, 6, 2, 0.5, SolveBudget(max_nodes=16))
+    assert verify_disperser(d) is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -130,7 +130,7 @@ def test_deterministic_disperser_lifts_over_a_divisible_universe_unchecked(k):
         m_small = math.ceil(r * math.log(k))
         for eps, blocks in itertools.product((0.3, 0.6, 0.9), (1, 2, 3, 5)):
             d = deterministic_disperser(blocks * m_small, k, r, eps)
-            assert d.verified and d.m == blocks * m_small
+            assert d.m == blocks * m_small
             assert verify_disperser(d) is None, (k, r, eps, blocks)
 
 
@@ -139,7 +139,7 @@ def test_deterministic_disperser_tops_up_trimmed_subsets():
     # [10]: each lifted subset misses one of 0..5, so it loses 10 or 11 or
     # both and is topped up, here to all of [10].
     d = deterministic_disperser(10, 4, 4, 0.9)
-    assert d.verified and d.ell == 10
+    assert verify_disperser(d) is None and d.ell == 10
     assert d.subsets == (frozenset(range(10)),) * 4
 
 
@@ -148,7 +148,7 @@ def test_deterministic_disperser_returns_a_one_block_search_as_verified():
     # and the search's own check stands. That is one candidate node plus
     # C(3, 2) = 3 unions; checking the lift again would take 7 nodes.
     d = deterministic_disperser(3, 3, 2, 0.5, SolveBudget(max_nodes=4))
-    assert d.verified and (d.m, d.k, d.ell) == (3, 3, 3)
+    assert (d.m, d.k, d.ell) == (3, 3, 3)
     assert verify_disperser(d) is None
     with pytest.raises(BudgetExceededError):
         deterministic_disperser(3, 3, 2, 0.5, SolveBudget(max_nodes=3))

@@ -3,7 +3,7 @@
 The reductions build neighbour masks and hand them to `Graph` unchecked. The
 referees below are the edge-set builders they replaced: they collect edge
 tuples pair by pair and go through the validating public constructor. On
-seeded random inputs both must emit the same bytes and bipartition, and every
+seeded random inputs both must emit the same bytes, and every
 output must survive the edge-list and file round trips.
 """
 
@@ -120,8 +120,7 @@ def _ref_doubling(graph, cross_rule):
         for v in range(n):
             if u == v or cross_rule(u, v):
                 edges.add((u, n + v))
-    sides = (frozenset(range(n)), frozenset(range(n, 2 * n)))
-    return Graph(2 * n, frozenset(edges), bipartition=sides)
+    return Graph(2 * n, frozenset(edges))
 
 
 def ref_biclique_gadget(graph):
@@ -194,7 +193,6 @@ def ref_sat_to_dks(formula, ell, p=1.0, seed=None):
 
 def assert_same_graph(out, ref):
     assert emit_graph(out) == emit_graph(ref)
-    assert out.bipartition == ref.bipartition
     assert out == ref
     assert Graph(out.num_vertices, out.edges) == out
     assert parse_graph(emit_graph(out)) == out

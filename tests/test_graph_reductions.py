@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from gapred import (
     CnfFormula,
+    Graph,
     LabelCover,
     ReductionError,
     SetSystem,
@@ -24,6 +27,7 @@ from gapred import (
     dks_params,
     dks_vertices,
     dom_set,
+    emit_graph,
     fglss,
     hereditary_bridge,
     hypercube,
@@ -37,6 +41,7 @@ from gapred import (
     max_induced_with_property,
     min_lab,
     minlab_to_setcov,
+    parse_graph,
     ramsey_binomial_bound,
     random_graph,
     random_labelcover,
@@ -44,6 +49,7 @@ from gapred import (
     set_cover,
     setcov_to_domset,
 )
+from gapred import graph_reductions, instances, oracles
 from gapred.pipelines import gen_planted_cnf
 
 from corpus import complete_graph, empty_graph, path_graph
@@ -237,9 +243,54 @@ def test_im_gadget_examples():
 
 
 def test_gadgets_are_bipartite():
+    # No edge joins two left or two right vertices, and the 2-coloring that
+    # biclique derives has the left side as its smaller (even) class.
     g = random_graph(5, 0.5, seed=3)
-    assert biclique_gadget(g).bipartition is not None
-    assert im_gadget(g).bipartition is not None
+    for out in (biclique_gadget(g), im_gadget(g)):
+        assert all((u < 5) != (v < 5) for u, v in out.edges)
+        assert oracles._two_coloring_side(out.adjacency) == 0b11111
+
+
+def test_graph_gadgets_refuse_outputs_past_the_graph_bounds():
+    # An empty 200,000-vertex input would give 2n^2 to 3n^2 mask bits (10 to
+    # 15 GB); each gadget refuses after counting 2^27 of them.
+    big = Graph(200_000)
+    for gadget in (biclique_gadget, im_gadget, is_to_im_gadget):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match="neighbour masks pass 2\\^27 bits"):
+            gadget(big)
+        assert time.perf_counter() - start < 1
+    # q * k * (|V(H)| + 1) = 8,000,000 vertices, refused before any is built.
+    with pytest.raises(SizeCapError, match="8000000 vertices exceed cap 500000"):
+        clique_to_inducedpath(Graph(1), 2000, 2000)
+    with pytest.raises(SizeCapError, match="500002 vertices exceed cap 500000"):
+        biclique_gadget(Graph(250_001))
+
+
+@pytest.mark.parametrize("build", [
+    biclique_gadget,
+    im_gadget,
+    is_to_im_gadget,
+    lambda g: clique_to_inducedpath(g, 2, 2),
+])
+def test_graph_gadgets_refuse_exactly_what_parse_graph_refuses(build):
+    # Under a 2^12-bit bound, a gadget is refused exactly when its masks (each
+    # as wide as its highest neighbour) hold 2^12 bits or more, and whatever
+    # it builds parses back from its file under the same bound.
+    outcomes = set()
+    for n in range(1, 50):
+        g = random_graph(n, 0.3, seed=n)
+        bits = sum(mask.bit_length() for mask in build(g).adjacency)
+        with mock.patch.object(graph_reductions, "_MASK_BITS", 12), \
+                mock.patch.object(instances, "_MASK_BITS", 12):
+            if bits >= 1 << 12:
+                with pytest.raises(SizeCapError):
+                    build(g)
+            else:
+                out = build(g)
+                assert parse_graph(emit_graph(out)) == out
+        outcomes.add(bits >= 1 << 12)
+    assert outcomes == {False, True}
 
 
 @given(st.integers(0, 10**9))
@@ -449,12 +500,12 @@ def test_fglss_equality_on_compressed_instances():
 
 
 def test_property_registries_agree():
-    # The hereditary bridge must support exactly the oracle's property list.
-    from gapred.graph_reductions import PROPERTY_CLIQUE_EXCLUSION
+    # One table holds each property's subset test and excluded clique, which
+    # the oracle and the hereditary bridge both read.
     from gapred.oracles import SUPPORTED_PROPERTIES
 
-    assert set(PROPERTY_CLIQUE_EXCLUSION) == set(SUPPORTED_PROPERTIES)
-    for prop, s in PROPERTY_CLIQUE_EXCLUSION.items():
+    assert set(SUPPORTED_PROPERTIES) == {"edgeless", "forest", "triangle-free"}
+    for prop, (_, s) in SUPPORTED_PROPERTIES.items():
         # s is the smallest clique size the property excludes: K_s lacks it,
         # and K_{s-1}, the largest proper induced subgraph of K_s, has it.
         assert max_induced_with_property(complete_graph(s), prop) == s - 1

@@ -156,6 +156,15 @@ def test_compress_left_size_cap():
         compress_left(lc, k=2, r=2, epsilon=0.2, seed=0, size_cap=10)
 
 
+def test_compress_left_refuses_k_past_the_cap_before_any_disperser():
+    # k new left vertices cannot fit under a cap below k, so neither mode
+    # draws or searches a disperser first (10^9 subsets would take minutes).
+    lc = cnf_to_labelcover(gen_planted_cnf(4, 3, seed=0))
+    for mode in ("random", "deterministic"):
+        with pytest.raises(SizeCapError, match="1000000000 left subsets exceed cap 500000"):
+            compress_left(lc, k=10**9, r=2, epsilon=0.5, disperser=mode, seed=0)
+
+
 def test_compress_left_caps_live_prefixes_not_the_product():
     # Eight clauses over the same three variables: their joint labels must
     # agree on all three, so at most 7 prefixes survive each member, while the

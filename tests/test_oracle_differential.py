@@ -28,6 +28,7 @@ from gapred import (
     count_ktt,
     densest_k,
     dom_set,
+    emit_graph,
     gen_planted_cnf,
     im_gadget,
     independent_set,
@@ -38,6 +39,7 @@ from gapred import (
     max_cov,
     max_induced_with_property,
     min_lab,
+    parse_graph,
     parse_labelcover,
     random_graph,
     random_labelcover,
@@ -49,7 +51,17 @@ from gapred import (
 from gapred import oracles
 from gapred.instances import SetSystem, bits_of
 
-from corpus import complete_graph, mixed_cnf, pair_beta_masks, pair_cover_fields
+from corpus import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    mixed_cnf,
+    nonisomorphic_graphs_up_to,
+    pair_beta_masks,
+    pair_cover_fields,
+    path_graph,
+)
 
 
 def _subsets(vertices):
@@ -227,13 +239,112 @@ def test_biclique_matches_brute(seed):
 @given(st.integers(0, 10**9))
 @settings(max_examples=30, deadline=None)
 def test_biclique_bipartition_branch_matches_general(seed):
+    # The doubled graph is 2-colorable, so S ranges over one class; with a
+    # disjoint triangle it is not, and S ranges over every vertex.
     g = random_graph(8, 0.4, seed)
-    doubled_edges = {(u, 8 + v) for u in range(8) for v in range(8)
-                     if u == v or g.has_edge(u, v)}
-    sides = (frozenset(range(8)), frozenset(range(8, 16)))
-    with_sides = Graph(16, doubled_edges, bipartition=sides)
-    without_sides = Graph(16, doubled_edges)
-    assert biclique(with_sides) == biclique(without_sides)
+    doubled = Graph(16, {(u, 8 + v) for u in range(8) for v in range(8)
+                         if u == v or g.has_edge(u, v)})
+    assert oracles._two_coloring_side(doubled.adjacency) == 0xFF
+    assert biclique(doubled) == biclique(with_triangle(doubled))
+
+
+def with_triangle(g):
+    """g plus a disjoint triangle, which leaves it no 2-coloring."""
+    n = g.num_vertices
+    return Graph(n + 3, g.edges | {(n, n + 1), (n, n + 2), (n + 1, n + 2)})
+
+
+def two_colorable(g):
+    """Whether some assignment of two colors leaves no edge monochrome."""
+    return any(all((c >> u & 1) != (c >> v & 1) for u, v in g.edges)
+               for c in range(1 << g.num_vertices))
+
+
+def _bipartite_corpus():
+    yield from (complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5))
+    yield from (path_graph(n) for n in range(1, 9))
+    yield from (cycle_graph(n) for n in (4, 6, 8))
+    yield empty_graph(3)
+    yield from (g for g in nonisomorphic_graphs_up_to(6) if two_colorable(g))
+
+
+def test_two_coloring_side_is_the_smaller_class_rooted_at_lowest_vertices():
+    # On every graph of up to 6 vertices: None exactly when no 2-coloring
+    # exists; otherwise both classes are independent, the returned one is no
+    # larger, and every component's lowest vertex falls in the same class.
+    for g in nonisomorphic_graphs_up_to(6):
+        side = oracles._two_coloring_side(g.adjacency)
+        assert (side is not None) == two_colorable(g)
+        if side is None:
+            continue
+        rest = (1 << g.num_vertices) - 1 & ~side
+        assert all((side >> u & 1) != (side >> v & 1) for u, v in g.edges)
+        assert side.bit_count() <= rest.bit_count()
+        assert len({side >> v & 1 for v in component_minima(g)}) <= 1
+
+
+def component_minima(g):
+    """The lowest vertex of each connected component, by closing over neighbours."""
+    seen, minima = 0, []
+    for u in range(g.num_vertices):
+        if seen >> u & 1:
+            continue
+        grown, component = 1 << u, 0
+        while grown != component:
+            component = grown
+            for v in bits_of(component):
+                grown |= g.adjacency[v]
+        seen |= component
+        minima.append(u)
+    return minima
+
+
+def test_biclique_on_the_bipartite_corpus_matches_brute():
+    # No graph here carries a tag: biclique derives each one's 2-coloring.
+    # The disjoint triangle forces the all-vertex pool on the same graph.
+    for g in _bipartite_corpus():
+        want = brute_biclique(g)
+        assert biclique(g) == want
+        assert biclique(with_triangle(g)) == max(want, 1)
+
+
+@given(st.integers(0, 10**9), st.integers(4, 7))
+@settings(max_examples=25, deadline=None)
+def test_biclique_on_reparsed_gadget_files_matches_subset_dp(seed, n):
+    # A gadget read back from its file is the same graph; biclique finds the
+    # same value on it, and on each doubling gadget searches the same nodes.
+    g = random_graph(n, random.Random(seed).uniform(0.2, 0.8), seed)
+    for gadget in (biclique_gadget, im_gadget, is_to_im_gadget):
+        built = gadget(g)
+        parsed = parse_graph(emit_graph(built))
+        want = subset_dp_biclique(built)
+        assert biclique(built) == biclique(parsed) == want
+        assert biclique(with_triangle(parsed)) == max(want, 1)
+    for gadget in (biclique_gadget, im_gadget):
+        built = gadget(g)
+        assert biclique_nodes(built) == biclique_nodes(parse_graph(emit_graph(built)))
+
+
+def biclique_nodes(g):
+    """The fewest nodes a budget must allow for biclique(g) to finish."""
+    nodes = 1
+    while True:
+        try:
+            biclique(g, oracles.SolveBudget(max_nodes=nodes))
+            return nodes
+        except BudgetExceededError:
+            nodes += 1
+
+
+def test_biclique_searches_one_side_of_a_gadget_read_from_its_file():
+    # The left side of B_e[G(16, 1/2, 0)] takes 180 nodes; all 32 vertices
+    # took 897.
+    built = biclique_gadget(random_graph(16, 0.5, 0))
+    parsed = parse_graph(emit_graph(built))
+    budget = oracles.SolveBudget(max_nodes=180)
+    assert biclique(built, budget) == biclique(parsed, budget) == 4
+    with pytest.raises(BudgetExceededError):
+        biclique(parsed, oracles.SolveBudget(max_nodes=179))
 
 
 @given(st.integers(0, 10**9), st.integers(1, 3))
@@ -504,7 +615,6 @@ def test_biclique_matches_subset_dp(seed, n):
 @settings(max_examples=20, deadline=None)
 def test_biclique_on_gadgets_matches_subset_dp(seed, n):
     gadget = biclique_gadget(random_graph(n, 0.5, seed))
-    assert gadget.bipartition is not None
     assert biclique(gadget) == subset_dp_biclique(gadget)
 
 

@@ -24,10 +24,13 @@ from gapred import (
     ParseError,
     SizeCapError,
     ValidationError,
+    biclique_gadget,
     clique_to_inducedpath,
     cnf_to_labelcover,
     compress_left,
     compress_right,
+    emit_cnf,
+    emit_graph,
     emit_labelcover,
     max_cov,
     minlab_instance,
@@ -36,6 +39,7 @@ from gapred import (
     parse_graph,
     parse_labelcover,
     parse_setsystem,
+    random_graph,
     sat_max,
     sat_to_dks,
 )
@@ -631,6 +635,50 @@ def test_cli_parse_error_exit_code(tmp_path):
         assert run_command(["lc2clique", str(lc)]) == 2
 
 
+_MASKS_PAST = "neighbour masks pass 2^27 bits"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("p edge 200000 0\n", ["g2is2im"], _MASKS_PAST),
+    ("p edge 200000 0\n", ["g2biclique-gadget"], _MASKS_PAST),
+    ("p edge 200000 0\n", ["g2im-gadget"], _MASKS_PAST),
+    ("p edge 1 0\n", ["clique2ipath", "--k", "2000", "--q", "2000"],
+     "8000000 vertices exceed cap 500000"),
+])
+def test_cli_graph_gadgets_refuse_outputs_past_the_graph_bounds(tmp_path, capsys, text, argv,
+                                                                message):
+    # The doubling and pendant gadgets of an empty 200,000-vertex graph would
+    # hold 2n^2 to 3n^2 mask bits, and clique2ipath on one vertex would have
+    # 8,000,000 vertices; each once died with a MemoryError or ran on.
+    graph = tmp_path / "in.graph"
+    graph.write_text(text)
+    start = time.perf_counter()
+    assert run_command([*argv, str(graph)]) == 2
+    assert time.perf_counter() - start < 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_compress_left_refuses_k_past_the_size_cap_before_drawing(tmp_path, capsys):
+    # Drawing 10^8 subsets once ran for minutes before any cap was checked.
+    cnf, lc = tmp_path / "f.cnf", tmp_path / "f.lc"
+    cnf.write_text(emit_cnf(gen_planted_cnf(4, 3, 0)))
+    assert run_command(["cnf2lc", str(cnf), "--out", str(lc)]) == 0
+    start = time.perf_counter()
+    argv = ["lc-compress-left", str(lc), "--k", str(10**8), "--r", "2", "--epsilon", "0.5"]
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert "100000000 left subsets exceed cap 500000" in capsys.readouterr().err
+
+
+def test_cli_solve_biclique_searches_one_side_of_a_gadget_file(tmp_path, capsys):
+    # The file carries no sides; biclique finds the 2-coloring and searches
+    # the 16 left vertices in 180 nodes, where all 32 took 897.
+    gadget = tmp_path / "gadget.graph"
+    gadget.write_text(emit_graph(biclique_gadget(random_graph(16, 0.5, 0))))
+    assert run_command(["solve", "biclique", str(gadget), "--budget-nodes", "500"]) == 0
+    assert capsys.readouterr().out == "4\n"
+
+
 @pytest.mark.parametrize("text", ["ss 10000000000 1\ns 1 1 10000000000\n",
                                   "ss 10000000000 0\n"])
 def test_cli_refuses_a_huge_setsystem_universe(tmp_path, capsys, text):
@@ -736,6 +784,29 @@ def test_cli_solve_flags_come_from_the_oracle_table():
     assert extras == [(["--t"], int, None, "t for count-ktt"),
                       (["--k"], int, None, "k for densest-k"),
                       (["--property"], str, None, "property for max-induced")]
+
+
+def _help_pages() -> str:
+    """`gapred --help` and each subcommand's `--help`, as printed at 100 columns."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    pages = []
+    for argv in (["--help"], *([name, "--help"] for name in subparsers.choices)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            run_command(argv)
+        assert exc.value.code == 0
+        pages.append(f"$ gapred {' '.join(argv)}\n{out.getvalue()}")
+    return "".join(pages)
+
+
+def test_cli_help_text_is_pinned(monkeypatch):
+    # tests/pinned_help.txt holds the pages as argparse prints them under
+    # Python 3.11; other versions lay out usage lines differently. To
+    # regenerate after a deliberate CLI change, write _help_pages() to it.
+    monkeypatch.setenv("COLUMNS", "100")
+    expected = (Path(__file__).parent / "pinned_help.txt").read_text()
+    assert _help_pages() == expected
 
 
 # The transform each stage with parameters builds with.
