@@ -243,7 +243,7 @@ def _cmd_pipeline(args) -> int:
     run = run_pipeline(spec)
     if args.out not in (None, "-"):
         write_artifacts(run, args.out, "pipeline", spec, version=__version__)
-    print(f"ran {len(spec.stages)} stages; final kind: {spec.output_kind}")
+    print(f"ran {len(spec.stages)} stages; final kind: {run.kinds[-1]}")
     return 0
 
 

@@ -7,6 +7,9 @@ tables over the vectors' ranks, turns MinLab into SetCov exactly; the doubling
 gadgets sandwich Biclique and InducedMatching between Clique and
 2*Biclique+1; the block-chained clique gadget separates InducedPath at 2qk vs
 4(k-1); and the partial-assignment graph realizes the DkS subsampling route.
+
+Every reduction to a graph yields its masks lazily to `instances._bounded`,
+which refuses what parse_graph would refuse of the output's file.
 """
 
 from __future__ import annotations
@@ -19,15 +22,14 @@ from typing import Mapping
 
 from .errors import ReductionError, SizeCapError, ValidationError
 from .instances import (
-    _MASK_BITS,
     DEFAULT_SIZE_CAP,
     CnfFormula,
     Graph,
     LabelCover,
     SetSystem,
+    _bounded,
     bit_set,
     bits_of,
-    _too_wide,
     digit_table,
 )
 from .lc_transforms import projection_check
@@ -65,38 +67,46 @@ def fglss(lc: LabelCover) -> Graph:
     every common neighbor. Labels of the same left vertex are never adjacent,
     so a clique picks at most one label per vertex.
     """
-    report = projection_check(lc)
-    if not report.ok:
-        raise ReductionError(f"input lacks the projection property: violation {report.violation}")
-    # Each vertex keeps the mask of its own left vertex's labels and its
-    # projections, as (v, beta) keys. touch[v] holds the vertices whose left
-    # vertex sees v, and agree[v, beta] those among them that project to beta;
-    # a vertex's neighbours are the others that agree on every v it sees or do
-    # not see v, which allowed[v, beta] holds for one v.
-    rows: list[tuple[int, list[tuple[int, int]]]] = []
+    violation = projection_check(lc)
+    if violation is not None:
+        raise ReductionError(f"input lacks the projection property: violation {violation}")
+    return _bounded(sum(len(lc.admissible[u]) for u in range(lc.left_size)), _fglss_masks(lc))
+
+
+def _fglss_masks(lc: LabelCover):
+    """fglss's neighbour masks in vertex order. The state is built on the first
+    draw, so _bounded refuses too many vertices before any of it is built."""
+    # Each left vertex keeps its first vertex and its labels' projections, as
+    # (v, beta) keys. touch[v] holds the vertices whose left vertex sees v, and
+    # agree[v, beta] those among them that project to beta; allowed[v, beta] adds those
+    # not seeing v. A vertex's neighbours: off its left vertex, in allowed[key] for its keys.
+    lefts: list[tuple[int, list[list[tuple[int, int]]]]] = []
     touch: dict[int, int] = {}
     agree: dict[tuple[int, int], int] = {}
+    n = 0
     for u in range(lc.left_size):
         edge_masks = [(v, lc.betas[u, v]) for v in lc.left_neighbors[u]]
-        labels = lc.admissible_list(u)
-        own = ((1 << len(labels)) - 1) << len(rows)
-        for v, _ in edge_masks:
-            touch[v] = touch.get(v, 0) | own
-        for a in labels:
-            bit = 1 << len(rows)
-            proj = [(v, masks[a].bit_length() - 1) for v, masks in edge_masks]
-            for key in proj:
-                agree[key] = agree.get(key, 0) | bit
-            rows.append((own, proj))
+        projs = [[(v, masks[a].bit_length() - 1) for v, masks in edge_masks]
+                 for a in lc.admissible_list(u)]
+        if edge_masks:
+            own = ((1 << len(projs)) - 1) << n
+            for v, _ in edge_masks:
+                touch[v] = touch.get(v, 0) | own
+            for i, proj in enumerate(projs, n):
+                bit = 1 << i
+                for key in proj:
+                    agree[key] = agree.get(key, 0) | bit
+        lefts.append((n, projs))
+        n += len(projs)
     allowed = {key: ~touch[key[0]] | mask for key, mask in agree.items()}
-    full = (1 << len(rows)) - 1
-    adjacency = []
-    for own, proj in rows:
-        mask = full & ~own
-        for key in proj:
-            mask &= allowed[key]
-        adjacency.append(mask)
-    return Graph._from_masks(adjacency)
+    full = (1 << n) - 1
+    for first, projs in lefts:
+        others = full ^ ((1 << len(projs)) - 1) << first
+        for proj in projs:
+            mask = others
+            for key in proj:
+                mask &= allowed[key]
+            yield mask
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +246,12 @@ def setcov_to_domset(system: SetSystem) -> Graph:
         bit = 1 << i
         for e in bit_set(mask):
             elements[e] |= bit
-    return Graph._from_masks(
-        [(sets ^ 1 << i) | mask << k for i, mask in enumerate(system.masks)] + elements
-    )
+    rows = ((sets ^ 1 << i) | mask << k for i, mask in enumerate(system.masks))
+    return _bounded(k + system.universe_size, itertools.chain(rows, elements))
 
 
 # ---------------------------------------------------------------------------
 # Doubling gadgets
-
-
-def _bounded(num_vertices: int, masks) -> Graph:
-    """The graph of the masks `masks` yields, refused where parse_graph would
-    refuse its file: past DEFAULT_SIZE_CAP vertices, or once the masks pass
-    2^_MASK_BITS bits. They are drawn lazily, so a refusal builds little."""
-    if num_vertices > DEFAULT_SIZE_CAP:
-        raise SizeCapError(f"{num_vertices} vertices exceed cap {DEFAULT_SIZE_CAP}")
-    adjacency, bits = [], 0
-    for mask in masks:
-        bits += mask.bit_length()
-        if bits >> _MASK_BITS:
-            raise SizeCapError(_too_wide("neighbour"))
-        adjacency.append(mask)
-    return Graph._from_masks(adjacency)
 
 
 def _doubling(n: int, row) -> Graph:
@@ -430,37 +424,42 @@ def sat_to_dks(
     if count > size_cap:
         raise SizeCapError(f"{count} vertices exceed cap {size_cap}")
     vertices = _dks_kept(n, ell, p, seed)
-    # value[var][bit]: the kept vertices whose window gives var that bit.
-    value = [[0, 0] for _ in range(n)]
+    # value[var][bit]: the kept vertices whose window gives var that bit, as flag
+    # bytes read once as binary digits; a spare zero byte makes no vertex read as 0.
+    value = [(bytearray(len(vertices) + 1), bytearray(len(vertices) + 1)) for _ in range(n)]
     for i, (window, bits) in enumerate(vertices):
         for t, var in enumerate(window):
-            value[var][bits >> t & 1] |= 1 << i
+            value[var][bits >> t & 1][i] = 1
+    digits = bytes.maketrans(b"\x00\x01", b"01")
+    value = [[int(flags[::-1].translate(digits), 2) for flags in pair] for pair in value]
     everyone = (1 << len(vertices)) - 1
     clause_vars = [[(abs(lit) - 1, lit > 0) for lit in clause] for clause in formula.clauses]
-    adjacency = []
-    # dks_vertices lists each window's kept vertices together, so each
-    # clause's split into (inside literals, AND of outside falsifiers) is
-    # made once a window.
-    window = None
-    for i, (w, bits) in enumerate(vertices):
-        if w != window:
-            window, position = w, {var: t for t, var in enumerate(w)}
-            split = []
-            for lits in clause_vars:
-                inside = [(position[var], want) for var, want in lits if var in position]
-                outside = everyone
-                for var, want in lits:
-                    if var not in position:
-                        outside &= value[var][not want]
-                split.append((inside, outside))
-        non = 1 << i
-        for t, var in enumerate(window):
-            non |= value[var][not bits >> t & 1]
-        for inside, outside in split:
-            if not any((bits >> t & 1) == want for t, want in inside):
-                non |= outside
-        adjacency.append(everyone & ~non)
-    return Graph._from_masks(adjacency)
+
+    def masks():
+        # dks_vertices lists each window's kept vertices together, so each
+        # clause's split into (inside literals, AND of outside falsifiers) is
+        # made once a window.
+        window = None
+        for i, (w, bits) in enumerate(vertices):
+            if w != window:
+                window, position = w, {var: t for t, var in enumerate(w)}
+                split = []
+                for lits in clause_vars:
+                    inside = [(position[var], want) for var, want in lits if var in position]
+                    outside = everyone
+                    for var, want in lits:
+                        if var not in position:
+                            outside &= value[var][not want]
+                    split.append((inside, outside))
+            non = 1 << i
+            for t, var in enumerate(window):
+                non |= value[var][not bits >> t & 1]
+            for inside, outside in split:
+                if not any((bits >> t & 1) == want for t, want in inside):
+                    non |= outside
+            yield everyone & ~non
+
+    return _bounded(len(vertices), masks())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SizeCapError, ValidationError
 
 # Default bound on enumerated sizes (label tuples, ground sets, graph vertices).
 DEFAULT_SIZE_CAP = 500_000
@@ -25,9 +25,10 @@ DEFAULT_SIZE_CAP = 500_000
 # index, a SetSystem one per set, as wide as its highest element, and a
 # LabelCover one per edge and left label, as wide as its highest right label,
 # so a short file or call naming high vertices, elements or labels can need
-# far more memory than its size. parse_graph and the SetSystem and LabelCover
-# constructors, which parse_setsystem and parse_labelcover call, refuse masks
-# that would pass 2^_MASK_BITS bits (16 MB) in all;
+# far more memory than its size. parse_graph, _bounded (which builds every
+# graph reduction's output) and the SetSystem and LabelCover constructors,
+# which parse_setsystem and parse_labelcover call, refuse masks that would
+# pass 2^_MASK_BITS bits (16 MB) in all;
 # oracles._TABLE_BITS bounds the oracles' tables alike.
 _MASK_BITS = 27
 
@@ -210,6 +211,11 @@ def parse_cnf(data) -> CnfFormula:
     for lineno, line, fields in _records(data, ("c", "%")):
         if line.startswith("p"):
             header = _header(lineno, line, fields, header, "cnf", 2, "counts in header")
+            for name, count in zip(("variable", "clause"), header):
+                if not 0 <= count <= DEFAULT_SIZE_CAP:
+                    raise ParseError(
+                        f"line {lineno}: {name} count {count} outside 0..{DEFAULT_SIZE_CAP}"
+                    )
         elif header is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
         else:
@@ -327,6 +333,24 @@ class Graph:
         return Graph._from_masks(
             [int("".join(gather(format(adjacency[v], width))), 2) for v in vertices]
         )
+
+
+def _bounded(num_vertices: int, masks) -> Graph:
+    """The graph of the masks `masks` yields, refused where parse_graph would
+    refuse its file: past DEFAULT_SIZE_CAP vertices, or once the masks pass
+    2^_MASK_BITS bits. They are drawn lazily, so a refusal builds little."""
+    if num_vertices > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"{num_vertices} vertices exceed cap {DEFAULT_SIZE_CAP}")
+    # n masks of at most n bits each cannot pass the bound.
+    if num_vertices * num_vertices <= 1 << _MASK_BITS:
+        return Graph._from_masks(list(masks))
+    adjacency, bits = [], 0
+    for mask in masks:
+        bits += mask.bit_length()
+        if bits >> _MASK_BITS:
+            raise SizeCapError(_too_wide("neighbour"))
+        adjacency.append(mask)
+    return Graph._from_masks(adjacency)
 
 
 # A file that is one bare header line and bare edge lines only, each ended by

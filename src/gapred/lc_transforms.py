@@ -19,11 +19,13 @@ intact when the source has it. Super-vertices may end up with an empty
 admissible set (they can never be covered), which is how unsatisfiable
 sources surface after compression.
 
-Both compressions build a super-vertex's labels with one join
-(`_joint_labels`), which keeps the tuples in itertools.product order. Their
-size cap bounds the live prefixes: the join refuses a super-vertex once more
-than size_cap partial tuples survive some member, so a product far above the
-cap is joined when the members' constraints prune it.
+Both compressions run one loop (`_compress`), which builds a super-vertex's
+labels with one join (`_joint_labels`) that keeps the tuples in
+itertools.product order; each compression supplies only how the kept tuples
+project onto its right vertices. Their size cap bounds the live prefixes: the
+join refuses a super-vertex once more than size_cap partial tuples survive
+some member, so a product far above the cap is joined when the members'
+constraints prune it.
 
 Every transform reads and builds the LabelCover's stored form, one
 {alpha: beta mask} dict per edge (`LabelCover.betas`), and builds no relation
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 from .dispersers import Disperser, deterministic_disperser, random_disperser
 from .errors import SizeCapError, ValidationError
@@ -58,7 +59,6 @@ __all__ = [
     "compress_left_with",
     "compress_right",
     "minlab_instance",
-    "ProjectionReport",
     "projection_check",
 ]
 
@@ -99,7 +99,7 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
 
 
 # ---------------------------------------------------------------------------
-# Joint labels of a super-vertex
+# Joint labels of a super-vertex, and the compression loop over them
 
 
 def _joint_labels(
@@ -206,6 +206,37 @@ class _BlockLabels(dict):
         return mask
 
 
+def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: int,
+              size_cap: int) -> LabelCover:
+    """The compression whose left vertex i joins the i-th member tuple of `groups`.
+
+    Its labels are the tuples `_joint_labels` keeps, and `project(touched,
+    packed)` yields its edges, one (right vertex, beta mask per kept tuple) pair
+    each. SizeCapError is raised once the edges' relation pairs pass `size_cap`.
+    """
+    betas, admissible, decoders = {}, {}, []
+    total_pairs, max_labels = 0, 1
+    for i, members in enumerate(groups):
+        touched, kept, packed = _joint_labels(lc, members, size_cap, i)
+        admissible[i] = frozenset(range(len(kept)))
+        max_labels = max(max_labels, len(kept))
+        decoders.append(TupleDecoder(members, tuple(kept)))
+        for v, masks in project(touched, packed):
+            total_pairs += sum(map(int.bit_count, masks))
+            if total_pairs > size_cap:
+                raise SizeCapError(f"relation pairs exceed cap {size_cap}")
+            betas[i, v] = dict(enumerate(masks))
+    return LabelCover._unchecked(
+        left_size=len(decoders),
+        right_size=right_size,
+        left_alphabet=max_labels,
+        right_alphabet=right_alphabet,
+        betas=betas,
+        admissible=admissible,
+        left_decoders=tuple(decoders),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Left compression
 
@@ -258,34 +289,15 @@ def compress_left_with(
             f"disperser universe {disperser.m} disagrees with left size {lc.left_size}"
         )
     width, lane = lc.right_alphabet + 1, (1 << lc.right_alphabet) - 1
-    betas = {}
-    admissible = {}
-    decoders = []
-    total_pairs = 0
-    max_labels = 1
-    for i, subset in enumerate(disperser.subsets):
-        members = tuple(sorted(subset))
-        touched, kept, packed = _joint_labels(lc, members, size_cap, i)
-        admissible[i] = frozenset(range(len(kept)))
-        max_labels = max(max_labels, len(kept))
-        decoders.append(TupleDecoder(members, tuple(kept)))
+
+    def project(touched, packed):
+        # Every kept tuple's lanes are nonempty, so each mask is too.
         for p, v in enumerate(touched):
-            # Every kept tuple's lanes are nonempty, so each mask is too.
             s = p * width
-            masks = [word >> s & lane for word in packed]
-            total_pairs += sum(map(int.bit_count, masks))
-            if total_pairs > size_cap:
-                raise SizeCapError(f"relation pairs exceed cap {size_cap}")
-            betas[i, v] = dict(enumerate(masks))
-    return LabelCover._unchecked(
-        left_size=disperser.k,
-        right_size=lc.right_size,
-        left_alphabet=max_labels,
-        right_alphabet=lc.right_alphabet,
-        betas=betas,
-        admissible=admissible,
-        left_decoders=tuple(decoders),
-    )
+            yield v, [word >> s & lane for word in packed]
+
+    groups = (tuple(sorted(subset)) for subset in disperser.subsets)
+    return _compress(lc, groups, project, lc.right_size, lc.right_alphabet, size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +349,8 @@ def compress_right(
 
     width = ra + 1
     block_labels: dict[tuple[int, tuple[int, ...]], _BlockLabels] = {}
-    betas = {}
-    admissible = {}
-    left_decoders = []
-    total_pairs = 0
-    max_labels = 1
-    for i, members in enumerate(itertools.combinations(range(m), ell)):
-        touched, kept, packed = _joint_labels(lc, members, size_cap, i)
-        admissible[i] = frozenset(range(len(kept)))
-        max_labels = max(max_labels, len(kept))
-        left_decoders.append(TupleDecoder(members, tuple(kept)))
+
+    def project(touched, packed):
         hi = 0
         for j, block in enumerate(blocks):
             # Touched vertices ascend and blocks are contiguous, so the block's
@@ -359,20 +363,10 @@ def compress_right(
             if labels is None:
                 labels = block_labels[layout] = _BlockLabels(ra, *layout)
             s, mask = lo * width, (1 << (hi - lo) * width) - 1
-            masks = [labels[word >> s & mask] for word in packed]
-            total_pairs += sum(map(int.bit_count, masks))
-            if total_pairs > size_cap:
-                raise SizeCapError(f"relation pairs exceed cap {size_cap}")
-            betas[i, j] = dict(enumerate(masks))
-    return LabelCover._unchecked(
-        left_size=num_left,
-        right_size=q,
-        left_alphabet=max_labels,
-        right_alphabet=ra**max_block,
-        betas=betas,
-        admissible=admissible,
-        left_decoders=tuple(left_decoders),
-    )
+            yield j, [labels[word >> s & mask] for word in packed]
+
+    groups = itertools.combinations(range(m), ell)
+    return _compress(lc, groups, project, q, ra**max_block, size_cap)
 
 
 def minlab_instance(
@@ -395,13 +389,9 @@ def minlab_instance(
 # Projection property
 
 
-class ProjectionReport(NamedTuple):
-    ok: bool
-    violation: tuple[int, int, int, int] | None  # (u, v, alpha, beta_count)
-
-
-def projection_check(lc: LabelCover) -> ProjectionReport:
-    """True iff every (edge, admissible alpha) admits exactly one beta."""
+def projection_check(lc: LabelCover) -> tuple[int, int, int, int] | None:
+    """The first (u, v, alpha, beta count) whose admissible alpha does not
+    admit exactly one beta on edge (u, v), or None if every one does."""
     for u, nbrs in enumerate(lc.left_neighbors):
         labels = lc.admissible_list(u) if nbrs else ()
         for v in nbrs:
@@ -409,5 +399,5 @@ def projection_check(lc: LabelCover) -> ProjectionReport:
             for alpha in labels:
                 count = masks.get(alpha, 0).bit_count()
                 if count != 1:
-                    return ProjectionReport(False, (u, v, alpha, count))
-    return ProjectionReport(True, None)
+                    return u, v, alpha, count
+    return None

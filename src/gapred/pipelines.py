@@ -194,10 +194,6 @@ _FORMATS = {
 _REQUIRED = object()
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Param:
     """One stage parameter: its spec key, its type, and its default.
@@ -229,7 +225,8 @@ class Param:
         elif self.type is str:
             ok, want = isinstance(value, str), "a string"
         else:
-            ok = _number(value) and (self.type is float or isinstance(value, int))
+            ok = isinstance(value, int if self.type is int else (int, float))
+            ok = ok and not isinstance(value, bool)
             want = "a number" if self.type is float else "an integer"
         if not ok:
             raise ValidationError(
@@ -348,13 +345,13 @@ class Stage:
 _IDENTITY = gl.GapMap(kind="identity")
 
 
-def _calls(transform: str, unread=()):
+def _calls(transform: str):
     """The build of a stage that calls the transform named `transform` on its
-    source, with every parameter but `unread` as a keyword. The transform is
-    looked up by name on each call, so a wrapped one is seen."""
+    source, with every parameter as a keyword. The transform is looked up by
+    name on each call, so a wrapped one is seen."""
 
     def build(source, p, budget=None):
-        return globals()[transform](source, **{k: v for k, v in p.items() if k not in unread}), {}
+        return globals()[transform](source, **p), {}
 
     return build
 
@@ -718,11 +715,8 @@ STAGES: dict[str, Stage] = {
     ),
     "sat2dks": Stage(
         "sat2dks", "partial-assignment graph with optional subsampling", "cnf", "graph",
-        # lambda only steers the documented bound, so only the ledger reads it.
-        (Param("ell"), Param("p", float, 1.0),
-         Param("lambda", float, 0.1, check=(lambda v: _number(v) and v > 0, "a positive number")),
-         _SEED, _SIZE_CAP),
-        _calls("sat_to_dks", unread=("lambda",)), _verify_sat2dks,
+        (Param("ell"), Param("p", float, 1.0), _SEED, _SIZE_CAP),
+        _calls("sat_to_dks"), _verify_sat2dks,
         ("clique", "==",
          "C(n,ell) iff sat_max(source) == m when ell < n and clause width <= 2*ell; "
          "otherwise C(n,ell) if sat_max(source) == m"),
@@ -768,13 +762,6 @@ class PipelineSpec:
                 )
             definition.validate(op, stage)
             current = definition.output_kind
-
-    @property
-    def output_kind(self) -> str:
-        kind = _INPUTS[self.input["kind"]][0]
-        for stage in self.stages:
-            kind = STAGES[stage["op"]].output_kind
-        return kind
 
     def stage_params(self, index: int) -> dict:
         """Stage `index`'s resolved parameters, with this spec's seed and size cap as defaults."""

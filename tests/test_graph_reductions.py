@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from unittest import mock
 
@@ -49,7 +50,7 @@ from gapred import (
     set_cover,
     setcov_to_domset,
 )
-from gapred import graph_reductions, instances, oracles
+from gapred import instances, oracles
 from gapred.pipelines import gen_planted_cnf
 
 from corpus import complete_graph, empty_graph, path_graph
@@ -267,27 +268,53 @@ def test_graph_gadgets_refuse_outputs_past_the_graph_bounds():
         biclique_gadget(Graph(250_001))
 
 
+def _sat_to_dks_ell2(formula):
+    return sat_to_dks(formula, ell=2)
+
+
+def _set_system(n):
+    """4n elements, each in at least one of 1 + n // 3 random sets."""
+    rng = random.Random(n)
+    size, count = 4 * n, 1 + n // 3
+    sets = [{e for e in range(size) if rng.random() < 0.3} for _ in range(count)]
+    for e in range(size):
+        sets[rng.randrange(count)].add(e)
+    return SetSystem(size, tuple((i + 1, frozenset(s)) for i, s in enumerate(sets)))
+
+
+# The input each graph reduction is tried on at size n; the gadgets take random graphs.
+_DRAWS = {
+    fglss: lambda n: random_labelcover(1 + n // 2, 3, 4, 2, density=0.6, seed=n,
+                                       projection=True),
+    _sat_to_dks_ell2: lambda n: gen_planted_cnf(3 + n // 5, 1 + n // 4, n),
+    setcov_to_domset: _set_system,
+}
+
+
 @pytest.mark.parametrize("build", [
     biclique_gadget,
     im_gadget,
     is_to_im_gadget,
     lambda g: clique_to_inducedpath(g, 2, 2),
+    fglss,
+    _sat_to_dks_ell2,
+    setcov_to_domset,
 ])
 def test_graph_gadgets_refuse_exactly_what_parse_graph_refuses(build):
-    # Under a 2^12-bit bound, a gadget is refused exactly when its masks (each
-    # as wide as its highest neighbour) hold 2^12 bits or more, and whatever
-    # it builds parses back from its file under the same bound.
+    # Under a 2^12-bit bound, a graph reduction is refused exactly when its
+    # masks (each as wide as its highest neighbour) hold 2^12 bits or more,
+    # and whatever it builds parses back from its file under the same bound.
+    draw = _DRAWS.get(build, lambda n: random_graph(n, 0.3, seed=n))
     outcomes = set()
     for n in range(1, 50):
-        g = random_graph(n, 0.3, seed=n)
-        bits = sum(mask.bit_length() for mask in build(g).adjacency)
-        with mock.patch.object(graph_reductions, "_MASK_BITS", 12), \
-                mock.patch.object(instances, "_MASK_BITS", 12):
+        source = draw(n)
+        bits = sum(mask.bit_length() for mask in build(source).adjacency)
+        with mock.patch.object(instances, "_MASK_BITS", 12):
             if bits >= 1 << 12:
                 with pytest.raises(SizeCapError):
-                    build(g)
+                    build(source)
             else:
-                out = build(g)
+                out = build(source)
                 assert parse_graph(emit_graph(out)) == out
         outcomes.add(bits >= 1 << 12)
     assert outcomes == {False, True}

@@ -90,6 +90,19 @@ def test_parse_cnf_malformed_header():
         parse_cnf("1 2 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 100000000 2\n1 0\n-1 0\n", "line 1: variable count 100000000 outside 0..500000"),
+    ("c big\np cnf 3 500001\n", "line 2: clause count 500001 outside 0..500000"),
+    ("p cnf -1 0\n", "line 1: variable count -1 outside 0..500000"),
+])
+def test_parse_cnf_refuses_header_counts_past_the_cap(text, message):
+    # As parse_graph refuses its vertex count; the first parsed, and cnf2lc
+    # wrote a label cover that lc-minlab refuses.
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_cnf(text)
+    assert parse_cnf("p cnf 500000 0\n").num_vars == 500000
+
+
 def test_parse_cnf_accepts_comments_and_multiline_clauses():
     f = parse_cnf("c hello\np cnf 3 1\n1 2\n3 0\n")
     assert f.clauses == ((1, 2, 3),)
@@ -754,6 +767,10 @@ def ref_parse_cnf(data):
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer counts in header") from None
+            for name, count in zip(("variable", "clause"), header):
+                if not 0 <= count <= instances.DEFAULT_SIZE_CAP:
+                    raise ParseError(f"line {lineno}: {name} count {count} outside "
+                                     f"0..{instances.DEFAULT_SIZE_CAP}")
             continue
         if header is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")

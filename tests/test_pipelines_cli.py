@@ -291,6 +291,15 @@ def test_a_stage_refuses_a_seed_or_size_cap_it_does_not_read(tmp_path, capsys, s
     assert "unknown parameter" in capsys.readouterr().err
 
 
+def test_a_sat2dks_stage_refuses_lambda(tmp_path, capsys):
+    # lambda changes no graph, so sat2dks does not declare it.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"input": {"kind": "gen-planted", "n": 5, "m": 4},
+                                "stages": [{"op": "sat2dks", "ell": 2, "lambda": 0.1}]}))
+    assert run_command(["verify", str(spec)]) == 2
+    assert "unknown parameter" in capsys.readouterr().err
+
+
 def test_a_sat2dks_stage_seed_steers_its_subsample():
     formula = gen_planted_cnf(5, 4, 2)
     source = {"kind": "gen-planted", "n": 5, "m": 4, "seed": 2}
@@ -318,7 +327,7 @@ def test_spec_output_kind():
         stages=({"op": "cnf2lc"}, {"op": "fglss"}),
         seed=1,
     )
-    assert spec.output_kind == "graph"
+    assert run_pipeline(spec).kinds[-1] == "graph"
 
 
 def _clique_spec(kind, seed=3):
@@ -658,6 +667,38 @@ def test_cli_graph_gadgets_refuse_outputs_past_the_graph_bounds(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+_WIDE_PAIRS = " ".join(f"{a} 0" for a in range(20))
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    # 5,000 left vertices whose 20 labels all project to one right label:
+    # 100,000 FGLSS vertices, nearly all pairwise adjacent.
+    ("wide.lc", lambda: "lc 5000 1 20 1\n" + "".join(
+        f"e {u} 1 20 {_WIDE_PAIRS}\n" for u in range(1, 5001)), ["lc2clique"], _MASKS_PAST),
+    # A bare header: 25,000 isolated left vertices of 40 labels each.
+    ("labels.lc", lambda: "lc 25000 1 40 1\n", ["lc2clique"], "1000000 vertices exceed cap 500000"),
+    # C(60, 3) * 2^3 = 273,760 partial assignments, each a mask that wide.
+    ("p60.cnf", lambda: emit_cnf(gen_planted_cnf(60, 100, 1)), ["sat2dks", "--ell", "3"],
+     _MASKS_PAST),
+    ("one.ss", lambda: "ss 500000 1\ns 1 500000 " + " ".join(map(str, range(1, 500001))) + "\n",
+     ["setcov2domset"], "500001 vertices exceed cap 500000"),
+    ("huge.cnf", lambda: "p cnf 100000000 2\n1 0\n-1 0\n", ["cnf2lc"],
+     "line 1: variable count 100000000 outside 0..500000"),
+], ids=["lc2clique", "lc2clique-header", "sat2dks", "setcov2domset", "cnf2lc"])
+def test_cli_refuses_graph_reductions_and_cnf_headers_past_the_bounds(tmp_path, capsys, name,
+                                                                      text, argv, message):
+    # The first three once died with a MemoryError after 9 s, 5 s and 30 s,
+    # setcov2domset wrote a graph that parse_graph refuses, and cnf2lc wrote a
+    # label cover that lc-minlab refuses.
+    source = tmp_path / name
+    source.write_text(text())
+    start = time.perf_counter()
+    assert run_command([*argv, str(source)]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
 def test_cli_compress_left_refuses_k_past_the_size_cap_before_drawing(tmp_path, capsys):
     # Drawing 10^8 subsets once ran for minutes before any cap was checked.
     cnf, lc = tmp_path / "f.cnf", tmp_path / "f.lc"
@@ -743,7 +784,7 @@ _FLAGS = {
     "g2im-gadget": {"--out"},
     "g2is2im": {"--out"},
     "clique2ipath": {"--out", "--k", "--q"},
-    "sat2dks": {*_SEEDED, "--ell", "--p", "--lambda"},
+    "sat2dks": {*_SEEDED, "--ell", "--p"},
     "disperser": {"--m", "--k", "--r", "--epsilon", "--out", "--seed", *_BUDGET},
     "solve": {"--t", "--k", "--property", "--out", *_BUDGET},
     "pipeline": {"--out", "--seed", "--size-cap", *_BUDGET},
@@ -760,7 +801,7 @@ def test_cli_subcommands_take_only_the_flags_they_read():
         for name, parser in subparsers.choices.items()
     }
     assert got == _FLAGS
-    assert sum(map(len, got.values())) == 66
+    assert sum(map(len, got.values())) == 65
     # A transform offers --seed and --size-cap exactly where its row declares them.
     for stage in pipelines.STAGES.values():
         declared = {f"--{p.name.replace('_', '-')}" for p in stage.params
@@ -821,12 +862,11 @@ _TRANSFORMS = {
 
 
 def test_every_declared_parameter_is_a_keyword_of_its_transform(monkeypatch):
-    # lambda is only listed in the ledger; every other declared name reaches
-    # the transform as a keyword of the same name.
+    # Every declared name reaches the transform as a keyword of the same name.
     assert {op for op, stage in pipelines.STAGES.items() if stage.params} == set(_TRANSFORMS)
     for op, transform in _TRANSFORMS.items():
         stage = pipelines.STAGES[op]
-        declared = {p.name for p in stage.params} - {"lambda"}
+        declared = {p.name for p in stage.params}
         signature = inspect.signature(transform).parameters.values()
         keywords = {p.name for p in signature if p.kind in (p.POSITIONAL_OR_KEYWORD,
                                                               p.KEYWORD_ONLY)}
@@ -849,7 +889,8 @@ def test_every_declared_parameter_is_a_keyword_of_its_transform(monkeypatch):
      "solve densest-k does not read --property"),
     (["lc2clique", "f.lc", "--seed", "1"], "unrecognized arguments"),
     (["cnf2lc", "f.cnf", "--size-cap", "5"], "unrecognized arguments"),
-], ids=[f"argv{i}" for i in range(7)])
+    (["sat2dks", "f.cnf", "--ell", "2", "--lambda", "5"], "unrecognized arguments"),
+], ids=[f"argv{i}" for i in range(8)])
 def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, message, capsys):
     try:
         code = run_command(argv)
