@@ -14,6 +14,7 @@ which refuses what parse_graph would refuse of the output's file.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -88,14 +89,13 @@ def _fglss_masks(lc: LabelCover):
         edge_masks = [(v, lc.betas[u, v]) for v in lc.left_neighbors[u]]
         projs = [[(v, masks[a].bit_length() - 1) for v, masks in edge_masks]
                  for a in lc.admissible_list(u)]
-        if edge_masks:
-            own = ((1 << len(projs)) - 1) << n
-            for v, _ in edge_masks:
-                touch[v] = touch.get(v, 0) | own
-            for i, proj in enumerate(projs, n):
-                bit = 1 << i
-                for key in proj:
-                    agree[key] = agree.get(key, 0) | bit
+        own = ((1 << len(projs)) - 1) << n
+        for v, _ in edge_masks:
+            touch[v] = touch.get(v, 0) | own
+        for i, proj in enumerate(projs, n):
+            bit = 1 << i
+            for key in proj:
+                agree[key] = agree.get(key, 0) | bit
         lefts.append((n, projs))
         n += len(projs)
     allowed = {key: ~touch[key[0]] | mask for key, mask in agree.items()}
@@ -424,14 +424,17 @@ def sat_to_dks(
     if count > size_cap:
         raise SizeCapError(f"{count} vertices exceed cap {size_cap}")
     vertices = _dks_kept(n, ell, p, seed)
-    # value[var][bit]: the kept vertices whose window gives var that bit, as flag
-    # bytes read once as binary digits; a spare zero byte makes no vertex read as 0.
-    value = [(bytearray(len(vertices) + 1), bytearray(len(vertices) + 1)) for _ in range(n)]
+    # value[var][bit]: the kept vertices whose window gives var that bit, set in
+    # little-endian bytes made when a kept window first names var; others read 0.
+    size = len(vertices) // 8 + 1
+    flags = collections.defaultdict(lambda: (bytearray(size), bytearray(size)))
     for i, (window, bits) in enumerate(vertices):
+        byte, bit = i >> 3, 1 << (i & 7)
         for t, var in enumerate(window):
-            value[var][bits >> t & 1][i] = 1
-    digits = bytes.maketrans(b"\x00\x01", b"01")
-    value = [[int(flags[::-1].translate(digits), 2) for flags in pair] for pair in value]
+            flags[var][bits >> t & 1][byte] |= bit
+    value = [(0, 0)] * n
+    for var, pair in flags.items():
+        value[var] = [int.from_bytes(f, "little") for f in pair]
     everyone = (1 << len(vertices)) - 1
     clause_vars = [[(abs(lit) - 1, lit > 0) for lit in clause] for clause in formula.clauses]
 

@@ -341,9 +341,6 @@ def _bounded(num_vertices: int, masks) -> Graph:
     2^_MASK_BITS bits. They are drawn lazily, so a refusal builds little."""
     if num_vertices > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"{num_vertices} vertices exceed cap {DEFAULT_SIZE_CAP}")
-    # n masks of at most n bits each cannot pass the bound.
-    if num_vertices * num_vertices <= 1 << _MASK_BITS:
-        return Graph._from_masks(list(masks))
     adjacency, bits = [], 0
     for mask in masks:
         bits += mask.bit_length()

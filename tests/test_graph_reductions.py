@@ -50,7 +50,7 @@ from gapred import (
     set_cover,
     setcov_to_domset,
 )
-from gapred import instances, oracles
+from gapred import graph_reductions, instances, oracles
 from gapred.pipelines import gen_planted_cnf
 
 from corpus import complete_graph, empty_graph, path_graph
@@ -433,6 +433,21 @@ def test_dks_subsampling_deterministic():
     b = sat_to_dks(f, ell=2, p=0.5, seed=3)
     assert a == b
     assert a.num_vertices <= math.comb(4, 2) * 4
+
+
+def test_dks_subsamples_a_wide_formula_within_its_kept_vertices():
+    # About 10,000 of 500,000 vertices are kept. One mask per variable and bit
+    # sized to the kept vertices, for all 250,000 variables, once took 5 GB.
+    f = instances.parse_cnf("p cnf 250000 2\n1 0\n-250000 7 0\n")
+    start = time.perf_counter()
+    g = sat_to_dks(f, ell=1, p=0.02, seed=1)
+    assert time.perf_counter() - start < 2
+    kept = graph_reductions._dks_kept(250000, 1, 0.02, 1)
+    assert g.num_vertices == len(kept)
+    rng = random.Random(0)
+    for _ in range(500):
+        i, j = rng.sample(range(len(kept)), 2)
+        assert g.has_edge(i, j) == dks_edge(f, *kept[i], *kept[j])
 
 
 def test_dks_params_helper():
