@@ -186,16 +186,15 @@ def _cmd_gen_cnf(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    """Run the one-stage spec of the subcommand's op on the input file."""
     stage = STAGES[args.op]
-    given = {p.name: getattr(args, p.name) for p in stage.params}
-    stage.validate(args.op, given)
-    params = stage.resolve(given)
-    source = _FORMATS[stage.source_kind].parse(Path(args.input).read_bytes())
-    out, extras = stage.build(source, params)
-    if "disperser" in extras and args.out not in (None, "-"):
-        Path(args.out).with_suffix(".disp").write_text(emit_disperser(extras["disperser"]))
-    _write(args.out, _FORMATS[stage.output_kind].emit(out))
-    _manifest(args.out, {"command": args.command, "input": args.input, "params": params})
+    source = {"kind": f"{_FORMATS[stage.source_kind].extension}-file", "path": args.input}
+    flags = {p.name: getattr(args, p.name) for p in stage.params}
+    run = run_pipeline(PipelineSpec(input=source, stages=({"op": args.op, **flags},)))
+    if "disperser" in run.extras[0] and args.out not in (None, "-"):
+        Path(args.out).with_suffix(".disp").write_text(emit_disperser(run.extras[0]["disperser"]))
+    _write(args.out, _FORMATS[run.kinds[1]].emit(run.instances[1]))
+    _manifest(args.out, {"command": args.command, "input": args.input, "params": run.params[0]})
     return 0
 
 

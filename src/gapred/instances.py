@@ -25,10 +25,10 @@ DEFAULT_SIZE_CAP = 500_000
 # index, a SetSystem one per set, as wide as its highest element, and a
 # LabelCover one per edge and left label, as wide as its highest right label,
 # so a short file or call naming high vertices, elements or labels can need
-# far more memory than its size. parse_graph, _bounded (which builds every
-# graph reduction's output) and the SetSystem and LabelCover constructors,
-# which parse_setsystem and parse_labelcover call, refuse masks that would
-# pass 2^_MASK_BITS bits (16 MB) in all;
+# far more memory than its size. parse_graph, _bounded (which builds the
+# Graph() constructor's and every graph reduction's output) and the SetSystem
+# and LabelCover constructors, which parse_setsystem and parse_labelcover
+# call, refuse masks that would pass 2^_MASK_BITS bits (16 MB) in all;
 # oracles._TABLE_BITS bounds the oracles' tables alike.
 _MASK_BITS = 27
 
@@ -267,26 +267,19 @@ class Graph:
     adjacency: tuple[int, ...]
 
     def __init__(self, num_vertices: int, edges=()):
-        # The vertex count sizes a mask list before any edge is read.
+        # The vertex count sizes the neighbour lists before any edge is read.
         if not 0 <= num_vertices <= DEFAULT_SIZE_CAP:
             raise ValidationError(f"num_vertices must lie in 0..{DEFAULT_SIZE_CAP}")
-        masks = [0] * num_vertices
-        # n masks of at most n bits each cannot pass the bound.
-        mask_bits = 0 if num_vertices * num_vertices > 1 << _MASK_BITS else None
+        neighbours: list[list[int]] = [[] for _ in range(num_vertices)]
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge ({u},{v}) out of range")
-            if mask_bits is not None:
-                mask_bits += max(0, v + 1 - masks[u].bit_length())
-                mask_bits += max(0, u + 1 - masks[v].bit_length())
-                if mask_bits >> _MASK_BITS:
-                    raise ValidationError(_too_wide("neighbour"))
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self._store(masks)
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        self._store(_bounded(num_vertices, map(_mask_of, neighbours)).adjacency)
 
     @classmethod
     def _from_masks(cls, adjacency) -> Graph:
@@ -369,7 +362,9 @@ def _parse_edge_lines(text: str) -> Graph | None:
     if header is None:
         return None
     n, m = int(header[1]), int(header[2])
-    # n masks of at most n bits each cannot pass the mask bound.
+    # The name table below grows with n (59 MB for 500,000 names), so a short
+    # file declaring many vertices goes to the line loop. Below this bound, n
+    # masks of n bits cannot pass the mask bound either, so none is counted.
     if n * n > 1 << _MASK_BITS:
         return None
     # Only canonical names are keys, so "03", "+3" and ids past n miss.
@@ -404,7 +399,7 @@ def parse_graph(data) -> Graph:
     graph = _parse_edge_lines(text)
     if graph is not None:
         return graph
-    header = mask_bits = None
+    header, mask_bits = None, 0
     masks: list[int] = []
     for lineno, line, fields in _records(text):
         if fields[0] == "p":
@@ -414,8 +409,6 @@ def parse_graph(data) -> Graph:
                     f"line {lineno}: vertex count {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
                 )
             masks = [0] * header[0]
-            # n masks of at most n bits each cannot pass the bound.
-            mask_bits = 0 if header[0] * header[0] > 1 << _MASK_BITS else None
         elif fields[0] == "e":
             if header is None:
                 raise ParseError(f"line {lineno}: edge before header")
@@ -429,11 +422,10 @@ def parse_graph(data) -> Graph:
                 raise ParseError(f"line {lineno}: self-loop")
             if masks[u] >> v & 1:
                 raise ParseError(f"line {lineno}: duplicate edge")
-            if mask_bits is not None:
-                mask_bits += max(0, v + 1 - masks[u].bit_length())
-                mask_bits += max(0, u + 1 - masks[v].bit_length())
-                if mask_bits >> _MASK_BITS:
-                    raise ParseError(f"line {lineno}: {_too_wide('neighbour')}")
+            mask_bits += max(0, v + 1 - masks[u].bit_length())
+            mask_bits += max(0, u + 1 - masks[v].bit_length())
+            if mask_bits >> _MASK_BITS:
+                raise ParseError(f"line {lineno}: {_too_wide('neighbour')}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         else:
@@ -687,6 +679,12 @@ class LabelCover:
             raise ValidationError("vertex counts must be >= 0")
         if left_alphabet < 1 or right_alphabet < 1:
             raise ValidationError("alphabet sizes must be >= 1")
+        # State is held per left vertex, right vertex and left label, so the
+        # counts are bounded before anything is built, as parse_labelcover
+        # bounds its header's.
+        for name, count in zip(("|U|", "|V|", "|SigmaU|"), (left_size, right_size, left_alphabet)):
+            if count > DEFAULT_SIZE_CAP:
+                raise ValidationError(f"{name} = {count} exceeds {DEFAULT_SIZE_CAP}")
         betas = {}
         mask_bits = 0
         for (u, v), pairs in (relations or {}).items():

@@ -414,13 +414,8 @@ def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:
             ]
             for picks in itertools.product(*pools):
                 meter.tick()
-                choice = {v: 0 for v in range(lc.right_size)}
-                for v, labels in zip(live, picks):
-                    m = 0
-                    for b in labels:
-                        m |= 1 << b
-                    choice[v] = m
-                if feasible(choice):
+                masks = (sum(1 << b for b in labels) for labels in picks)
+                if feasible(dict(zip(live, masks))):
                     return total
     raise AssertionError("full label sets were feasible but enumeration missed them")
 

@@ -4,12 +4,13 @@ A pipeline is an input instance plus an ordered stage list whose input/output
 kinds chain (cnf -> lc -> ... -> graph). Each stage op is defined once, in the
 `STAGES` registry: its CLI subcommand, its kinds, its parameter schema, how it
 builds its output and ledger entry, and how verify grades it. Instance formats
-(`_FORMATS`) and input kinds (`_INPUTS`) are tables in the same way. Running a
-pipeline produces every intermediate instance and a gap ledger; verifying one
-additionally computes source and target optima with the exact oracles and
-grades each stage's completeness/soundness predicate PASS, FAIL,
-NOT-APPLICABLE (premise unmet), or INCONCLUSIVE (budget exhausted or
-uncertified disperser).
+(`_FORMATS`) and input kinds (`_INPUTS`) are tables in the same way.
+`run_pipeline` is the one place a stage is built (a CLI transform subcommand
+runs a one-stage spec): it produces every intermediate instance, the resolved
+parameters of each stage, and a gap ledger. Verifying a run additionally
+computes source and target optima with the exact oracles and grades each
+stage's completeness/soundness predicate PASS, FAIL, NOT-APPLICABLE (premise
+unmet), or INCONCLUSIVE (budget exhausted or uncertified disperser).
 """
 
 from __future__ import annotations
@@ -281,20 +282,21 @@ _BUDGET_PARAMS = (
 
 @dataclass(frozen=True)
 class Stage:
-    """One reduction, as run_pipeline, verify_pipeline and the CLI use it.
+    """One reduction: a row of `STAGES`, which only run_pipeline builds.
 
     `params` is the one declaration of what the stage reads; `seed` and
-    `size_cap` are among them only where the transform reads them.
+    `size_cap` are among them only where the transform reads them. A spec's
+    stage is checked against it and resolved by `PipelineSpec.stage_params`.
     `build(instance, params, budget=None)` returns (output, extras), where
     `params` maps each declared name to its resolved value and `budget`, a
-    pipeline's, bounds compress-left's disperser search. The stage's ledger
-    entry is derived from the row: `predicate` is its (oracle, comparison,
-    target), `maps(source, params, output)`, when given, returns its
-    (completeness, soundness) maps (else both are the identity), and `notes`
-    are documentation. `verify(view)` grades the stage from a `_StageView` and
-    returns (status, detail, values). `lift(instance, params, witness)`, when
-    given, maps a witness of the source (an assignment, a right labeling) to
-    one of the output that the build keeps optimal, or to None.
+    pipeline's, bounds compress-left's disperser search. run_pipeline derives
+    the stage's ledger entry from the row: `predicate` is its (oracle,
+    comparison, target), `maps(source, params, output)`, when given, returns
+    its (completeness, soundness) maps (else both are the identity), and
+    `notes` are documentation. `verify(view)` grades the stage from a
+    `_StageView` and returns (status, detail, values). `lift(instance, params,
+    witness)`, when given, maps a witness of the source (an assignment, a right
+    labeling) to one of the output that the build keeps optimal, or to None.
     """
 
     command: str
@@ -308,34 +310,6 @@ class Stage:
     maps: Callable | None = None
     notes: tuple[str, ...] = ()
     lift: Callable | None = None
-
-    def validate(self, op: str, given: dict) -> None:
-        """Raise ValidationError unless `given` fits this stage's parameter schema."""
-        _validate_params(f"stage {op!r}", self.params, given, ("op",))
-
-    def resolve(self, given: dict, seed=None, size_cap=DEFAULT_SIZE_CAP) -> dict:
-        """The parameter dict `build` and `verify` read: each declared name's
-        value in `given`, else the run's `seed` or `size_cap`, else its
-        default; a null size cap means the run's too."""
-        run = {"seed": seed, "size_cap": size_cap}
-        params = {p.name: given.get(p.name, run.get(p.name, p.default)) for p in self.params}
-        if "size_cap" in params and params["size_cap"] is None:
-            params["size_cap"] = size_cap
-        return params
-
-    def entry(self, op: str, source, params: dict, output) -> gl.StageEntry:
-        """The ledger entry of one build: named `op`, with the resolved values
-        of its non-string parameters other than the seed and size cap."""
-        maps = (_IDENTITY, _IDENTITY) if self.maps is None else self.maps(source, params, output)
-        return gl.StageEntry(
-            name=op,
-            params=tuple((p.name, params[p.name]) for p in self.params
-                         if p.type is not str and p not in (_SEED, _SIZE_CAP)),
-            completeness=maps[0],
-            soundness=maps[1],
-            predicate=gl.StagePredicate(*self.predicate),
-            notes=self.notes,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +403,7 @@ def _lifted(spec: "PipelineSpec", run: "PipelineRun", witness) -> list:
     for idx, stage in enumerate(spec.stages):
         lift = STAGES[stage["op"]].lift
         if witness is not None and lift is not None:
-            witness = lift(run.instances[idx], spec.stage_params(idx), witness)
+            witness = lift(run.instances[idx], run.params[idx], witness)
         else:
             witness = None
         witnesses.append(witness)
@@ -457,9 +431,8 @@ class _StageView:
     output and extras, and the oracle values of its source (`src`) and output
     (`out`), memoized across one verify call and given the instances' witnesses."""
 
-    def __init__(self, run: "PipelineRun", index: int, params: dict, budget, memo: dict,
-                 witnesses: list):
-        self.params = params
+    def __init__(self, run: "PipelineRun", index: int, budget, memo: dict, witnesses: list):
+        self.params = run.params[index]
         self.budget = budget
         self.source = run.instances[index]
         self.output = run.instances[index + 1]
@@ -760,13 +733,20 @@ class PipelineSpec:
                 raise ValidationError(
                     f"stage {op!r} expects a {definition.source_kind} input but gets {current}"
                 )
-            definition.validate(op, stage)
+            _validate_params(f"stage {op!r}", definition.params, stage, ("op",))
             current = definition.output_kind
 
     def stage_params(self, index: int) -> dict:
-        """Stage `index`'s resolved parameters, with this spec's seed and size cap as defaults."""
+        """The parameter dict stage `index` is built and graded with: each
+        declared name's value in the stage, else this spec's seed or size cap,
+        else its default; a null size cap means the spec's too."""
         stage = self.stages[index]
-        return STAGES[stage["op"]].resolve(stage, self.seed, self.size_cap)
+        run = {"seed": self.seed, "size_cap": self.size_cap}
+        params = {p.name: stage.get(p.name, run.get(p.name, p.default))
+                  for p in STAGES[stage["op"]].params}
+        if "size_cap" in params and params["size_cap"] is None:
+            params["size_cap"] = self.size_cap
+        return params
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineSpec":
@@ -810,27 +790,42 @@ def _load_input(spec: PipelineSpec):
 
 @dataclass
 class PipelineRun:
+    """Each instance of a run and its kind, input first; per stage, its
+    extras and the resolved parameters it was built with; and the ledger."""
+
     kinds: list[str]
     instances: list
     ledger: gl.GapLedger
     extras: list[dict]
+    params: list[dict]
 
 
 def run_pipeline(spec: PipelineSpec) -> PipelineRun:
+    """Build each stage of `spec` in turn: the one place a stage is built."""
     instance = _load_input(spec)
-    kinds = [_INPUTS[spec.input["kind"]][0]]
-    instances = [instance]
-    ledger = gl.GapLedger()
-    extras = []
+    run = PipelineRun([_INPUTS[spec.input["kind"]][0]], [instance], gl.GapLedger(), [], [])
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
-        definition, params = STAGES[op], spec.stage_params(idx)
-        out, extra = definition.build(instances[-1], params, spec.budget)
-        ledger = gl.push_stage(ledger, definition.entry(op, instances[-1], params, out))
-        instances.append(out)
-        kinds.append(definition.output_kind)
-        extras.append(extra)
-    return PipelineRun(kinds, instances, ledger, extras)
+        definition, params, source = STAGES[op], spec.stage_params(idx), run.instances[-1]
+        out, extra = definition.build(source, params, spec.budget)
+        maps = (_IDENTITY, _IDENTITY) if definition.maps is None else definition.maps(
+            source, params, out)
+        # The ledger entry is named after the op, and lists the resolved
+        # values of its non-string parameters other than the seed and size cap.
+        run.ledger = gl.push_stage(run.ledger, gl.StageEntry(
+            name=op,
+            params=tuple((p.name, params[p.name]) for p in definition.params
+                         if p.type is not str and p not in (_SEED, _SIZE_CAP)),
+            completeness=maps[0],
+            soundness=maps[1],
+            predicate=gl.StagePredicate(*definition.predicate),
+            notes=definition.notes,
+        ))
+        run.instances.append(out)
+        run.kinds.append(definition.output_kind)
+        run.extras.append(extra)
+        run.params.append(params)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +889,7 @@ def verify_pipeline(spec: PipelineSpec, run: PipelineRun | None = None) -> Verif
     stages = []
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
-        view = _StageView(run, idx, spec.stage_params(idx), spec.budget, memo, witnesses)
+        view = _StageView(run, idx, spec.budget, memo, witnesses)
         try:
             status, detail, values = STAGES[op].verify(view)
         except BudgetExceededError as exc:

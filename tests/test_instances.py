@@ -20,6 +20,7 @@ from gapred import (
     LabelCover,
     ParseError,
     SetSystem,
+    SizeCapError,
     ValidationError,
     cnf_to_labelcover,
     compress_left,
@@ -148,16 +149,17 @@ def test_graph_constructor_refuses_vertex_counts_past_the_cap():
 
 def test_graph_constructor_bounds_the_mask_width():
     # 300 edges to the last of 500,000 vertices would take 150,000,300 mask
-    # bits; parse_graph refuses the same graph's file.
-    with pytest.raises(ValidationError, match="neighbour masks"):
+    # bits; parse_graph refuses the same graph's file, and the constructor
+    # refuses it as every graph reduction's output is refused.
+    with pytest.raises(SizeCapError, match="neighbour masks"):
         Graph(500_000, [(u, 499_999) for u in range(300)])
     # On both sides of the bound: u < count holds 2,000 bits each and vertex
     # 1,999 holds count bits, so 524 edges stay below 2^20 and 525 reach it.
     with mock.patch.object(instances, "_MASK_BITS", 20):
         assert Graph(2_000, [(u, 1_999) for u in range(524)]).num_edges == 524
-        with pytest.raises(ValidationError, match="neighbour masks"):
+        with pytest.raises(SizeCapError, match="neighbour masks"):
             Graph(2_000, [(u, 1_999) for u in range(525)])
-        # n^2 <= 2^20: no mask can pass the bound, and none is tracked.
+        # n^2 <= 2^20: every mask is counted, and together they stay below the bound.
         assert complete_graph(1_024).num_edges == 1_024 * 1_023 // 2
 
 
@@ -372,6 +374,19 @@ def test_parse_labelcover_refuses_oversized_headers(header, name):
     # vertex or label: each of these 17-19 byte files once took all memory.
     with pytest.raises(ParseError, match=re.escape(f"{name} = ") + r"\d+ exceeds 500000"):
         parse_labelcover(header + "\n")
+
+
+@pytest.mark.parametrize("counts, name", [((10**9, 1, 1, 1), "|U|"), ((1, 10**9, 1, 1), "|V|"),
+                                          ((1, 1, 10**9, 1), "|SigmaU|")])
+def test_labelcover_constructor_refuses_counts_past_the_cap(counts, name):
+    # The same bounds as the file header's, checked before anything is built:
+    # the first and third once raised MemoryError after 3.2 s and 1.8 s. The
+    # right alphabet stays unbounded, as only beta masks grow with it.
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=re.escape(f"{name} = {10**9} exceeds 500000")):
+        LabelCover(*counts)
+    assert time.perf_counter() - start < 0.1
+    assert LabelCover(1, 1, 1, 10**100).right_alphabet == 10**100
 
 
 @pytest.mark.parametrize("text", [

@@ -980,6 +980,67 @@ def test_cli_transform_commands(tmp_path):
     assert run_command(["solve", "induced-path", str(out)]) == 0
 
 
+_SMALL_INPUTS = {
+    "f.cnf": emit_cnf(gen_planted_cnf(4, 3, 0)),
+    "f.lc": emit_labelcover(cnf_to_labelcover(gen_planted_cnf(4, 3, 0))),
+    "f.ss": "ss 3 3\ns 1 2 1 2\ns 2 2 2 3\ns 3 1 3\n",
+    "g.graph": "p edge 4 4\ne 1 2\ne 1 3\ne 2 3\ne 3 4\n",
+}
+# Each stage op on a small input, with the flags its subcommand is given.
+_ONE_STAGE = [
+    ("cnf2lc", "f.cnf", {}),
+    ("compress-left", "f.lc", {"k": 2, "r": 2, "epsilon": 0.5}),
+    ("compress-left", "f.lc", {"k": 2, "r": 2, "epsilon": 0.5, "disperser": "deterministic"}),
+    ("compress-right", "f.lc", {"q": 2, "gamma": 0.5, "epsilon": 0.3}),
+    ("minlab", "f.lc", {"q": 2, "r": 2, "epsilon": 0.3}),
+    ("fglss", "f.lc", {}),
+    ("minlab2setcov", "f.lc", {}),
+    ("setcov2domset", "f.ss", {}),
+    ("biclique-gadget", "g.graph", {}),
+    ("im-gadget", "g.graph", {}),
+    ("is2im", "g.graph", {}),
+    ("clique2ipath", "g.graph", {"k": 2, "q": 1}),
+    ("sat2dks", "f.cnf", {"ell": 2, "p": 0.5}),
+]
+
+
+def test_every_stage_op_has_a_one_stage_case():
+    assert {op for op, _, _ in _ONE_STAGE} == set(pipelines.STAGES)
+
+
+@pytest.mark.parametrize("op, source, given", _ONE_STAGE,
+                         ids=[f"{op} {given.get('disperser', '')}".strip()
+                              for op, _, given in _ONE_STAGE])
+def test_a_transform_writes_what_its_one_stage_pipeline_writes(tmp_path, capsys, op, source,
+                                                               given):
+    # A transform subcommand and `gapred pipeline` on the one-stage spec of
+    # the same flags write the same bytes, and the manifest holds the resolved
+    # parameters: the seed defaults to 0 and the size cap to 500,000.
+    stage = pipelines.STAGES[op]
+    path = tmp_path / source
+    path.write_text(_SMALL_INPUTS[source])
+    ext = pipelines._FORMATS[stage.output_kind].extension
+    out = tmp_path / f"out.{ext}"
+    argv = [stage.command, str(path), "--out", str(out)]
+    for name, value in given.items():
+        argv += ["--deterministic-disperser"] if name == "disperser" else [f"--{name}", str(value)]
+    assert run_command(argv) == 0
+    flags = {p.name: given.get(p.name, p.default) for p in stage.params}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "input": {"kind": f"{path.suffix[1:]}-file", "path": str(path)},
+        "stages": [{"op": op, **flags}],
+    }))
+    assert run_command(["pipeline", str(spec), "--out", str(tmp_path / "run")]) == 0
+    assert out.read_bytes() == (tmp_path / "run" / f"stage01.{ext}").read_bytes()
+    if op == "compress-left":
+        assert (tmp_path / "out.disp").read_bytes() == (tmp_path / "run/stage01.disp").read_bytes()
+    manifest = json.loads((tmp_path / f"out.{ext}.manifest.json").read_text())
+    want = {**flags, **{k: v for k, v in (("seed", 0), ("size_cap", 500_000)) if k in flags}}
+    assert manifest["params"] == want
+    assert manifest["command"] == stage.command and manifest["input"] == str(path)
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     assert run_command(["solve", "clique", "/nonexistent/g.graph"]) == 2
     assert run_command(["solve", "clique", str(tmp_path)]) == 2
