@@ -380,8 +380,9 @@ def test_parse_labelcover_refuses_oversized_headers(header, name):
                                           ((1, 1, 10**9, 1), "|SigmaU|")])
 def test_labelcover_constructor_refuses_counts_past_the_cap(counts, name):
     # The same bounds as the file header's, checked before anything is built:
-    # the first and third once raised MemoryError after 3.2 s and 1.8 s. The
-    # right alphabet stays unbounded, as only beta masks grow with it.
+    # under a 2 GB address-space limit the first and third once raised
+    # MemoryError after 2.9 s and 1.8 s. The right alphabet stays unbounded,
+    # as only beta masks grow with it.
     start = time.perf_counter()
     with pytest.raises(ValidationError, match=re.escape(f"{name} = {10**9} exceeds 500000")):
         LabelCover(*counts)

@@ -1011,8 +1011,7 @@ def test_every_stage_op_has_a_one_stage_case():
 @pytest.mark.parametrize("op, source, given", _ONE_STAGE,
                          ids=[f"{op} {given.get('disperser', '')}".strip()
                               for op, _, given in _ONE_STAGE])
-def test_a_transform_writes_what_its_one_stage_pipeline_writes(tmp_path, capsys, op, source,
-                                                               given):
+def test_a_transform_writes_what_its_one_stage_pipeline_writes(tmp_path, op, source, given):
     # A transform subcommand and `gapred pipeline` on the one-stage spec of
     # the same flags write the same bytes, and the manifest holds the resolved
     # parameters: the seed defaults to 0 and the size cap to 500,000.
