@@ -9,7 +9,9 @@ gadgets sandwich Biclique and InducedMatching between Clique and
 4(k-1); and the partial-assignment graph realizes the DkS subsampling route.
 
 Every reduction to a graph yields its masks lazily to `instances._bounded`,
-which refuses what parse_graph would refuse of the output's file.
+which refuses what parse_graph would refuse of the output's file, and
+minlab_to_setcov builds through `SetSystem._bounded` alike. fglss and
+sat_to_dks also count the vertex masks they build first.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .instances import (
     LabelCover,
     SetSystem,
     _bounded,
+    _MaskBits,
     bit_set,
     bits_of,
     digit_table,
@@ -76,7 +79,8 @@ def fglss(lc: LabelCover) -> Graph:
 
 def _fglss_masks(lc: LabelCover):
     """fglss's neighbour masks in vertex order. The state is built on the first
-    draw, so _bounded refuses too many vertices before any of it is built."""
+    draw, so _bounded refuses too many vertices before any of it is built, and
+    its masks are counted left vertex by left vertex as they widen."""
     # Each left vertex keeps its first vertex and its labels' projections, as
     # (v, beta) keys. touch[v] holds the vertices whose left vertex sees v, and
     # agree[v, beta] those among them that project to beta; allowed[v, beta] adds those
@@ -84,18 +88,28 @@ def _fglss_masks(lc: LabelCover):
     lefts: list[tuple[int, list[list[tuple[int, int]]]]] = []
     touch: dict[int, int] = {}
     agree: dict[tuple[int, int], int] = {}
+    widths = _MaskBits("vertex")
     n = 0
     for u in range(lc.left_size):
         edge_masks = [(v, lc.betas[u, v]) for v in lc.left_neighbors[u]]
         projs = [[(v, masks[a].bit_length() - 1) for v, masks in edge_masks]
                  for a in lc.admissible_list(u)]
         own = ((1 << len(projs)) - 1) << n
+        grown = 0
         for v, _ in edge_masks:
-            touch[v] = touch.get(v, 0) | own
-        for i, proj in enumerate(projs, n):
-            bit = 1 << i
+            mask = touch.get(v, 0)
+            touch[v] = mask | own
+            grown += touch[v].bit_length() - mask.bit_length()
+        # Each key's labels of u, as bits from u's first vertex, join it in one OR.
+        by_key: dict[tuple[int, int], int] = {}
+        for bit, proj in enumerate(projs):
             for key in proj:
-                agree[key] = agree.get(key, 0) | bit
+                by_key[key] = by_key.get(key, 0) | 1 << bit
+        for key, bits in by_key.items():
+            mask = agree.get(key, 0)
+            agree[key] = mask | bits << n
+            grown += agree[key].bit_length() - mask.bit_length()
+        widths.add(grown)
         lefts.append((n, projs))
         n += len(projs)
     allowed = {key: ~touch[key[0]] | mask for key, mask in agree.items()}
@@ -197,31 +211,36 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
         if total > size_cap:
             raise SizeCapError(f"universe of {total}+ elements exceeds cap {size_cap}")
     ra = lc.right_alphabet
-    masks = [0] * (lc.right_size * ra)
-    cubes: dict[tuple[int, int], list[list[int]]] = {}
-    for u in range(lc.left_size):
-        nbrs = lc.left_neighbors[u]
-        coords = lc.admissible_list(u)
-        shape = len(nbrs), len(coords)
-        if shape not in cubes:
-            cubes[shape] = canonical_masks(*shape)
-        for j, v in enumerate(nbrs):
-            betas, tables = lc.betas[u, v], cubes[shape][j]
-            # by_beta[beta]: the union of X(j, pos) over the coordinates
-            # whose label has that beta mask on this edge; each of its labels
-            # b buys the union.
-            by_beta: dict[int, int] = {}
-            for pos, a in enumerate(coords):
-                beta = betas.get(a)
-                if beta:
-                    by_beta[beta] = by_beta.get(beta, 0) | tables[pos]
-            bought: dict[int, int] = {}
-            for beta, mask in by_beta.items():
-                for b in bits_of(beta):
-                    bought[b] = bought.get(b, 0) | mask
-            for b, mask in bought.items():
-                masks[v * ra + b] |= mask << offsets[u]
-    return SetSystem._from_masks(total, range(1, len(masks) + 1), masks)
+
+    def sets():
+        # Drawn once SetSystem._bounded has checked the counts, which size this list.
+        masks = [0] * (lc.right_size * ra)
+        cubes: dict[tuple[int, int], list[list[int]]] = {}
+        for u in range(lc.left_size):
+            nbrs = lc.left_neighbors[u]
+            coords = lc.admissible_list(u)
+            shape = len(nbrs), len(coords)
+            if shape not in cubes:
+                cubes[shape] = canonical_masks(*shape)
+            for j, v in enumerate(nbrs):
+                betas, tables = lc.betas[u, v], cubes[shape][j]
+                # by_beta[beta]: the union of X(j, pos) over the coordinates
+                # whose label has that beta mask on this edge; each of its
+                # labels b buys the union.
+                by_beta: dict[int, int] = {}
+                for pos, a in enumerate(coords):
+                    beta = betas.get(a)
+                    if beta:
+                        by_beta[beta] = by_beta.get(beta, 0) | tables[pos]
+                bought: dict[int, int] = {}
+                for beta, mask in by_beta.items():
+                    for b in bits_of(beta):
+                        bought[b] = bought.get(b, 0) | mask
+                for b, mask in bought.items():
+                    masks[v * ra + b] |= mask << offsets[u]
+        yield from masks
+
+    return SetSystem._bounded(total, lc.right_size * ra, sets())
 
 
 def setcov_to_domset(system: SetSystem) -> Graph:
@@ -426,6 +445,12 @@ def sat_to_dks(
     vertices = _dks_kept(n, ell, p, seed)
     # value[var][bit]: the kept vertices whose window gives var that bit, set in
     # little-endian bytes made when a kept window first names var; others read 0.
+    # Each is as wide as the last such vertex, so the widths are counted first.
+    last = [-1] * (2 * n)
+    for i, (window, bits) in enumerate(vertices):
+        for t, var in enumerate(window):
+            last[2 * var + (bits >> t & 1)] = i
+    _MaskBits("vertex").add(sum(last) + len(last))
     size = len(vertices) // 8 + 1
     flags = collections.defaultdict(lambda: (bytearray(size), bytearray(size)))
     for i, (window, bits) in enumerate(vertices):

@@ -2,8 +2,9 @@
 
 Conventions: vertices and universe elements are 0-indexed in memory and
 1-indexed in files; labels are opaque dense integers 0..|alphabet|-1 in both.
-All types are immutable; public constructors validate invariants, reductions
-use private unchecked ones. Generators are pure functions of their seed.
+All types are immutable. Generators are pure functions of their seed. Every
+build, parse and generator holds its instance to one size rule (`_check_counts`,
+`_MaskBits`), so parse(emit(x)) == x for every instance a constructor accepts.
 """
 
 from __future__ import annotations
@@ -18,26 +19,55 @@ from functools import cached_property
 
 from .errors import ParseError, SizeCapError, ValidationError
 
-# Default bound on enumerated sizes (label tuples, ground sets, graph vertices).
+# The bound on every instance count, and the default bound on the sizes a
+# transform enumerates (label tuples, ground sets, graph vertices).
 DEFAULT_SIZE_CAP = 500_000
 
-# A Graph holds one int mask per vertex, as wide as its highest neighbour
-# index, a SetSystem one per set, as wide as its highest element, and a
-# LabelCover one per edge and left label, as wide as its highest right label,
-# so a short file or call naming high vertices, elements or labels can need
-# far more memory than its size. parse_graph, _bounded (which builds the
-# Graph() constructor's and every graph reduction's output) and the SetSystem
-# and LabelCover constructors, which parse_setsystem and parse_labelcover
-# call, refuse masks that would pass 2^_MASK_BITS bits (16 MB) in all;
+# A mask is as wide as its highest bit: a Graph's neighbour index, a
+# SetSystem's element, a LabelCover's right label. So a short file or call
+# naming high ones can need far more memory than its size, and every build
+# stops once its masks would pass 2^_MASK_BITS bits (16 MB) in all;
 # oracles._TABLE_BITS bounds the oracles' tables alike.
 _MASK_BITS = 27
 
 
-def _too_wide(masks: str) -> str:
-    """The refusal of neighbour, element or beta masks past 2^_MASK_BITS bits."""
-    width = {"neighbour": "its vertex's highest neighbour index",
-             "element": "its set's highest element", "beta": "its highest right label"}[masks]
-    return f"{masks} masks pass 2^{_MASK_BITS} bits (each is as wide as {width})"
+# Header counts; a label cover's right alphabet only widens its beta masks.
+_CNF_COUNTS = ("variable count", "clause count")
+_COVER_COUNTS = ("|U|", "|V|", "|SigmaU|")
+
+
+def _check_counts(*counts) -> None:
+    """Refuse, with SizeCapError, the first (name, count) pair whose count
+    lies outside 0..DEFAULT_SIZE_CAP."""
+    for name, count in counts:
+        if not 0 <= count <= DEFAULT_SIZE_CAP:
+            raise SizeCapError(f"{name} {count} outside 0..{DEFAULT_SIZE_CAP}")
+
+
+class _MaskBits:
+    """One build's running mask width: `add` counts the bits a mask gains
+    before it widens, `drawn` lists a lazy iterable's masks as it counts
+    them, and both raise SizeCapError once the total passes 2^_MASK_BITS."""
+
+    _WIDTHS = {"neighbour": "its vertex's highest neighbour index",
+               "element": "its set's highest element", "beta": "its highest right label",
+               "vertex": "the highest vertex it holds"}
+
+    def __init__(self, kind: str):
+        self.bits, self.kind = 0, kind
+
+    def add(self, bits: int) -> None:
+        self.bits += bits
+        if self.bits >> _MASK_BITS:
+            raise SizeCapError(f"{self.kind} masks pass 2^{_MASK_BITS} bits "
+                               f"(each is as wide as {self._WIDTHS[self.kind]})")
+
+    def drawn(self, masks) -> list[int]:
+        kept = []
+        for mask in masks:
+            self.add(mask.bit_length())
+            kept.append(mask)
+        return kept
 
 
 __all__ = [
@@ -86,22 +116,28 @@ def _ints(lineno: int, fields, what: str) -> list[int]:
         raise ParseError(f"line {lineno}: non-integer {what}") from None
 
 
-def _header(lineno: int, line: str, fields, header, kind, counts: int, what: str):
-    """The `counts` integer counts of a header line, whose second field is
-    `kind` when `kind` is given; `header` is the header already read, if any."""
+def _header(lineno: int, line: str, fields, header, kind, names, what: str):
+    """The integer counts of a header line, one per entry of `names` (each
+    named one held to the size rule), whose second field is `kind` when
+    `kind` is given; `header` is the header already read, if any."""
     if header is not None:
         raise ParseError(f"line {lineno}: duplicate header")
     words = 1 if kind is None else 2
-    if len(fields) != words + counts or (kind is not None and fields[1] != kind):
+    if len(fields) != words + len(names) or (kind is not None and fields[1] != kind):
         raise ParseError(f"line {lineno}: malformed header {line!r}")
-    return tuple(_ints(lineno, fields[words:], what))
+    counts = tuple(_ints(lineno, fields[words:], what))
+    try:
+        _check_counts(*((name, count) for name, count in zip(names, counts) if name))
+    except SizeCapError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    return counts
 
 
 def _checked(build, *args):
-    """build(*args), a ValidationError of the constructor raised as a ParseError."""
+    """build(*args), a refusal of the constructor raised as a ParseError."""
     try:
         return build(*args)
-    except ValidationError as exc:
+    except (ValidationError, SizeCapError) as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -183,9 +219,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.num_vars < 0:
-            raise ValidationError(f"num_vars must be >= 0, got {self.num_vars}")
         clauses = tuple(tuple(int(lit) for lit in clause) for clause in self.clauses)
+        _check_counts(*zip(_CNF_COUNTS, (self.num_vars, len(clauses))))
         object.__setattr__(self, "clauses", clauses)
         for idx, clause in enumerate(clauses):
             if not 1 <= len(clause) <= 3:
@@ -210,12 +245,7 @@ def parse_cnf(data) -> CnfFormula:
     tokens: list[int] = []
     for lineno, line, fields in _records(data, ("c", "%")):
         if line.startswith("p"):
-            header = _header(lineno, line, fields, header, "cnf", 2, "counts in header")
-            for name, count in zip(("variable", "clause"), header):
-                if not 0 <= count <= DEFAULT_SIZE_CAP:
-                    raise ParseError(
-                        f"line {lineno}: {name} count {count} outside 0..{DEFAULT_SIZE_CAP}"
-                    )
+            header = _header(lineno, line, fields, header, "cnf", _CNF_COUNTS, "counts in header")
         elif header is None:
             raise ParseError(f"line {lineno}: clause before 'p cnf' header")
         else:
@@ -267,9 +297,7 @@ class Graph:
     adjacency: tuple[int, ...]
 
     def __init__(self, num_vertices: int, edges=()):
-        # The vertex count sizes the neighbour lists before any edge is read.
-        if not 0 <= num_vertices <= DEFAULT_SIZE_CAP:
-            raise ValidationError(f"num_vertices must lie in 0..{DEFAULT_SIZE_CAP}")
+        _check_counts(("vertex count", num_vertices))  # it sizes the neighbour lists
         neighbours: list[list[int]] = [[] for _ in range(num_vertices)]
         for u, v in edges:
             u, v = int(u), int(v)
@@ -329,18 +357,11 @@ class Graph:
 
 
 def _bounded(num_vertices: int, masks) -> Graph:
-    """The graph of the masks `masks` yields, refused where parse_graph would
-    refuse its file: past DEFAULT_SIZE_CAP vertices, or once the masks pass
-    2^_MASK_BITS bits. They are drawn lazily, so a refusal builds little."""
-    if num_vertices > DEFAULT_SIZE_CAP:
-        raise SizeCapError(f"{num_vertices} vertices exceed cap {DEFAULT_SIZE_CAP}")
-    adjacency, bits = [], 0
-    for mask in masks:
-        bits += mask.bit_length()
-        if bits >> _MASK_BITS:
-            raise SizeCapError(_too_wide("neighbour"))
-        adjacency.append(mask)
-    return Graph._from_masks(adjacency)
+    """The graph of the `num_vertices` masks `masks` yields, refused by the
+    size rule where parse_graph would refuse its file. The masks are drawn
+    after the vertex count is checked."""
+    _check_counts(("vertex count", num_vertices))
+    return Graph._from_masks(_MaskBits("neighbour").drawn(masks))
 
 
 # A file that is one bare header line and bare edge lines only, each ended by
@@ -364,7 +385,7 @@ def _parse_edge_lines(text: str) -> Graph | None:
     n, m = int(header[1]), int(header[2])
     # The name table below grows with n (59 MB for 500,000 names), so a short
     # file declaring many vertices goes to the line loop. Below this bound, n
-    # masks of n bits cannot pass the mask bound either, so none is counted.
+    # masks of n bits cannot break the size rule either, so none is counted.
     if n * n > 1 << _MASK_BITS:
         return None
     # Only canonical names are keys, so "03", "+3" and ids past n miss.
@@ -399,15 +420,12 @@ def parse_graph(data) -> Graph:
     graph = _parse_edge_lines(text)
     if graph is not None:
         return graph
-    header, mask_bits = None, 0
+    header, widths = None, _MaskBits("neighbour")
     masks: list[int] = []
     for lineno, line, fields in _records(text):
         if fields[0] == "p":
-            header = _header(lineno, line, fields, header, "edge", 2, "counts in header")
-            if not 0 <= header[0] <= DEFAULT_SIZE_CAP:
-                raise ParseError(
-                    f"line {lineno}: vertex count {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
-                )
+            header = _header(lineno, line, fields, header, "edge", ("vertex count", None),
+                             "counts in header")
             masks = [0] * header[0]
         elif fields[0] == "e":
             if header is None:
@@ -422,10 +440,11 @@ def parse_graph(data) -> Graph:
                 raise ParseError(f"line {lineno}: self-loop")
             if masks[u] >> v & 1:
                 raise ParseError(f"line {lineno}: duplicate edge")
-            mask_bits += max(0, v + 1 - masks[u].bit_length())
-            mask_bits += max(0, u + 1 - masks[v].bit_length())
-            if mask_bits >> _MASK_BITS:
-                raise ParseError(f"line {lineno}: {_too_wide('neighbour')}")
+            try:
+                widths.add(max(0, v + 1 - masks[u].bit_length())
+                           + max(0, u + 1 - masks[v].bit_length()))
+            except SizeCapError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         else:
@@ -479,10 +498,7 @@ class SetSystem:
     masks: tuple[int, ...]
 
     def __init__(self, universe_size: int, sets=()):
-        if not 0 <= universe_size <= 1 << _MASK_BITS:
-            raise ValidationError(f"universe_size must lie in 0..2^{_MASK_BITS}")
-        by_id: dict[int, int] = {}
-        mask_bits = 0
+        by_id: dict[int, list[int]] = {}
         for sid, elems in sets:
             sid = int(sid)
             if sid in by_id:
@@ -491,24 +507,24 @@ class SetSystem:
             for e in elems:
                 if not 0 <= e < universe_size:
                     raise ValidationError(f"element {e} of set {sid} out of range")
-            mask_bits += max(elems, default=-1) + 1
-            if mask_bits >> _MASK_BITS:
-                raise ValidationError(_too_wide("element"))
-            by_id[sid] = _mask_of(elems)
+            by_id[sid] = elems
         ids = sorted(by_id)
-        self._store(universe_size, ids, [by_id[sid] for sid in ids])
+        self._store(universe_size, len(ids), ids, (_mask_of(by_id[sid]) for sid in ids))
 
     @classmethod
-    def _from_masks(cls, universe_size: int, ids, masks) -> SetSystem:
-        """Unchecked constructor for builders whose ids ascend and whose masks fit the universe."""
+    def _bounded(cls, universe_size: int, num_sets: int, masks) -> SetSystem:
+        """The set system whose sets 1..num_sets have the masks `masks` yields,
+        each within the universe, refused by the size rule as the constructor is."""
         system = object.__new__(cls)
-        system._store(universe_size, ids, masks)
+        system._store(universe_size, num_sets, range(1, num_sets + 1), masks)
         return system
 
-    def _store(self, universe_size, ids, masks) -> None:
+    def _store(self, universe_size, num_sets, ids, masks) -> None:
+        # Drawn after the counts are checked, so a universe past the cap builds no mask.
+        _check_counts(("universe size", universe_size), ("set count", num_sets))
         object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "ids", tuple(ids))
-        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "masks", tuple(_MaskBits("element").drawn(masks)))
 
     @property
     def sets(self) -> tuple[tuple[int, frozenset[int]], ...]:
@@ -525,11 +541,8 @@ def parse_setsystem(data) -> SetSystem:
     sets: list[tuple[int, list[int]]] = []
     for lineno, line, fields in _records(data):
         if fields[0] == "ss":
-            header = _header(lineno, line, fields, header, None, 2, "counts")
-            if not 0 <= header[0] <= DEFAULT_SIZE_CAP:
-                raise ParseError(
-                    f"line {lineno}: universe size {header[0]} outside 0..{DEFAULT_SIZE_CAP}"
-                )
+            header = _header(lineno, line, fields, header, None, ("universe size", "set count"),
+                             "counts")
         elif fields[0] == "s":
             if header is None:
                 raise ParseError(f"line {lineno}: set line before header")
@@ -546,8 +559,8 @@ def parse_setsystem(data) -> SetSystem:
         raise ParseError("missing 'ss' header")
     if len(sets) != header[1]:
         raise ParseError(f"header declares {header[1]} sets, found {len(sets)}")
-    # The constructor refuses repeated ids and masks past the width bound
-    # before it builds them.
+    # The constructor refuses repeated ids, and masks past the size rule as
+    # it builds them.
     return _checked(SetSystem, header[0], sets)
 
 
@@ -675,18 +688,12 @@ class LabelCover:
         admissible=None,
         left_decoders=None,
     ):
-        if left_size < 0 or right_size < 0:
-            raise ValidationError("vertex counts must be >= 0")
+        # Checked before anything is built per left vertex, right vertex or left label.
+        _check_counts(*zip(_COVER_COUNTS, (left_size, right_size, left_alphabet)))
         if left_alphabet < 1 or right_alphabet < 1:
             raise ValidationError("alphabet sizes must be >= 1")
-        # State is held per left vertex, right vertex and left label, so the
-        # counts are bounded before anything is built, as parse_labelcover
-        # bounds its header's.
-        for name, count in zip(("|U|", "|V|", "|SigmaU|"), (left_size, right_size, left_alphabet)):
-            if count > DEFAULT_SIZE_CAP:
-                raise ValidationError(f"{name} = {count} exceeds {DEFAULT_SIZE_CAP}")
         betas = {}
-        mask_bits = 0
+        widths = _MaskBits("beta")
         for (u, v), pairs in (relations or {}).items():
             u, v = int(u), int(v)
             if not (0 <= u < left_size and 0 <= v < right_size):
@@ -700,9 +707,7 @@ class LabelCover:
                 # A mask is as wide as its highest beta, so count the bits
                 # before it widens.
                 if b >= mask.bit_length():
-                    mask_bits += b + 1 - mask.bit_length()
-                    if mask_bits >> _MASK_BITS:
-                        raise ValidationError(_too_wide("beta"))
+                    widths.add(b + 1 - mask.bit_length())
                 masks[a] = mask | 1 << b
             betas[u, v] = masks
         if admissible is None:
@@ -761,8 +766,12 @@ class LabelCover:
         return self.betas == other.betas
 
     @classmethod
-    def _unchecked(cls, *, betas, **values) -> LabelCover:
-        """Unchecked constructor for transforms whose beta masks are nonzero and in range."""
+    def _bounded(cls, *, betas, **values) -> LabelCover:
+        """A transform's label cover, beta masks nonzero and in range, held to the size rule."""
+        counts = (values["left_size"], values["right_size"], values["left_alphabet"])
+        _check_counts(*zip(_COVER_COUNTS, counts))
+        stored = itertools.chain.from_iterable(map(dict.values, betas.values()))
+        _MaskBits("beta").add(sum(map(int.bit_length, stored)))
         lc = object.__new__(cls)
         lc.__dict__.update(values)
         lc._store(betas)
@@ -820,14 +829,8 @@ def parse_labelcover(data) -> LabelCover:
     relations: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     for lineno, line, fields in _records(data):
         if fields[0] == "lc":
-            header = _header(lineno, line, fields, header, None, 4, "counts")
-            # A label cover holds state per left vertex, right vertex and left
-            # label, so a short header must not ask for more than the cap.
-            for name, count in zip(("|U|", "|V|", "|SigmaU|"), header):
-                if count > DEFAULT_SIZE_CAP:
-                    raise ParseError(
-                        f"line {lineno}: {name} = {count} exceeds {DEFAULT_SIZE_CAP}"
-                    )
+            header = _header(lineno, line, fields, header, None, (*_COVER_COUNTS, None),
+                             "counts")
         elif fields[0] == "a":
             if header is None:
                 raise ParseError(f"line {lineno}: admissible line before header")
@@ -896,16 +899,9 @@ def emit_labelcover(lc: LabelCover) -> str:
 # Seeded generators
 
 
-def _check_cnf_counts(num_vars: int, num_clauses: int) -> None:
-    """Refuse a generator's counts outside 0..DEFAULT_SIZE_CAP, as Graph refuses its vertex count."""
-    for name, count in (("num_vars", num_vars), ("num_clauses", num_clauses)):
-        if not 0 <= count <= DEFAULT_SIZE_CAP:
-            raise ValidationError(f"{name} must lie in 0..{DEFAULT_SIZE_CAP}, got {count}")
-
-
 def random_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     """Uniform random 3-clauses over distinct variables; pure function of the seed."""
-    _check_cnf_counts(num_vars, num_clauses)
+    _check_counts(*zip(_CNF_COUNTS, (num_vars, num_clauses)))
     if num_clauses > 0 and num_vars < 3:
         raise ValidationError("3-literal clauses need at least 3 variables")
     rng = random.Random(seed)
@@ -918,8 +914,9 @@ def random_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
 
 def random_graph(num_vertices: int, edge_prob: float, seed) -> Graph:
     """Erdos-Renyi style graph; pure function of the seed."""
-    if num_vertices < 0 or not 0.0 <= edge_prob <= 1.0:
-        raise ValidationError("need num_vertices >= 0 and edge_prob in [0,1]")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValidationError("need edge_prob in [0,1]")
+    _check_counts(("vertex count", num_vertices))  # it sizes the mask list
     rng = random.Random(seed)
     masks = [0] * num_vertices
     for u in range(num_vertices):
@@ -927,7 +924,7 @@ def random_graph(num_vertices: int, edge_prob: float, seed) -> Graph:
             if rng.random() < edge_prob:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-    return Graph._from_masks(masks)
+    return _bounded(num_vertices, masks)
 
 
 def random_labelcover(

@@ -29,7 +29,10 @@ constraints prune it.
 
 Every transform reads and builds the LabelCover's stored form, one
 {alpha: beta mask} dict per edge (`LabelCover.betas`), and builds no relation
-pair; the compressions' cap on relation pairs sums the masks' popcounts.
+pair; the compressions' cap on relation pairs sums the masks' popcounts. Each
+output is built through `LabelCover._bounded`, so whatever a transform returns
+obeys the instances' size rule and parses back from its file, at any
+`size_cap`.
 
 The join works on packed ints: a kept tuple's right-label masks are one int
 with an (ra+1)-bit lane per touched right vertex, the right alphabet's bits
@@ -53,7 +56,6 @@ from .instances import DEFAULT_SIZE_CAP, CnfFormula, LabelCover, TupleDecoder, d
 from .oracles import SolveBudget
 
 __all__ = [
-    "DEFAULT_SIZE_CAP",
     "cnf_to_labelcover",
     "compress_left",
     "compress_left_with",
@@ -87,7 +89,7 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
         for p, lit in enumerate(clause):
             v = abs(lit) - 1
             betas[i, v] = {alpha: 1 << (alpha >> p & 1) for alpha in satisfying}
-    return LabelCover._unchecked(
+    return LabelCover._bounded(
         left_size=formula.num_clauses,
         right_size=formula.num_vars,
         left_alphabet=8,
@@ -212,7 +214,8 @@ def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: 
 
     Its labels are the tuples `_joint_labels` keeps, and `project(touched,
     packed)` yields its edges, one (right vertex, beta mask per kept tuple) pair
-    each. SizeCapError is raised once the edges' relation pairs pass `size_cap`.
+    each. SizeCapError is raised once the edges' relation pairs pass
+    `size_cap`, or where the size rule refuses the output.
     """
     betas, admissible, decoders = {}, {}, []
     total_pairs, max_labels = 0, 1
@@ -226,7 +229,7 @@ def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: 
             if total_pairs > size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             betas[i, v] = dict(enumerate(masks))
-    return LabelCover._unchecked(
+    return LabelCover._bounded(
         left_size=len(decoders),
         right_size=right_size,
         left_alphabet=max_labels,

@@ -47,9 +47,11 @@ from .graph_reductions import (
     setcov_to_domset,
 )
 from .instances import (
+    _CNF_COUNTS,
+    DEFAULT_SIZE_CAP,
     CnfFormula,
     _as_text,
-    _check_cnf_counts,
+    _check_counts,
     emit_cnf,
     emit_graph,
     emit_labelcover,
@@ -60,7 +62,6 @@ from .instances import (
     parse_setsystem,
 )
 from .lc_transforms import (
-    DEFAULT_SIZE_CAP,
     _block_partition,
     cnf_to_labelcover,
     compress_left,
@@ -101,7 +102,7 @@ _CERTIFIED_SAT_MAX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def gen_planted_cnf(num_vars: int, num_clauses: int, seed) -> CnfFormula:
     """Satisfiable by construction: sample 3-clauses, flipping one literal when
     the planted assignment misses, so every clause is satisfied by it."""
-    _check_cnf_counts(num_vars, num_clauses)
+    _check_counts(*zip(_CNF_COUNTS, (num_vars, num_clauses)))
     if num_vars < 3 and num_clauses > 0:
         raise ValidationError("planting 3-clauses needs at least 3 variables")
     rng = random.Random(seed)
@@ -135,7 +136,7 @@ def gen_gap_cnf(
     from 3-clauses alone always satisfy sat_max >= 7m/8 and can never certify
     eps > 1/8. Short clauses have no such floor.
     """
-    _check_cnf_counts(num_vars, num_clauses)
+    _check_counts(*zip(_CNF_COUNTS, (num_vars, num_clauses)))
     if num_vars < 1 or num_clauses < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need num_vars >= 1, num_clauses >= 1, eps in (0,1)")
     rng = random.Random(seed)

@@ -1,9 +1,34 @@
 """Shared test corpus helpers: small named graphs, isomorphism-free sweeps,
-mixed-width CNF formulas and pair-derived label-cover masks."""
+mixed-width CNF formulas, pair-derived label-cover masks, and a CLI run in a
+child process of bounded memory."""
 
 import itertools
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import gapred
 from gapred import CnfFormula, Graph
+
+
+def run_in_child(argv, memory=2 << 30, timeout=60.0):
+    """Run `python -m gapred *argv` in a child process whose address space is
+    limited to `memory` bytes, and wait at most `timeout` seconds.
+
+    The limit is set in the child alone, between its fork and its exec, so
+    the test process keeps its own. Returns the CompletedProcess, with its
+    stdout and stderr as text.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = str(Path(gapred.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "gapred", *map(str, argv)], capture_output=True,
+                          text=True, timeout=timeout, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def mixed_cnf(rng, n, m):

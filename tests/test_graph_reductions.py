@@ -262,9 +262,9 @@ def test_graph_gadgets_refuse_outputs_past_the_graph_bounds():
             gadget(big)
         assert time.perf_counter() - start < 1
     # q * k * (|V(H)| + 1) = 8,000,000 vertices, refused before any is built.
-    with pytest.raises(SizeCapError, match="8000000 vertices exceed cap 500000"):
+    with pytest.raises(SizeCapError, match="vertex count 8000000 outside 0..500000"):
         clique_to_inducedpath(Graph(1), 2000, 2000)
-    with pytest.raises(SizeCapError, match="500002 vertices exceed cap 500000"):
+    with pytest.raises(SizeCapError, match="vertex count 500002 outside 0..500000"):
         biclique_gadget(Graph(250_001))
 
 

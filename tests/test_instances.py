@@ -138,15 +138,6 @@ def test_graph_invariants():
         Graph(2, {(0, 2)})
 
 
-def test_graph_constructor_refuses_vertex_counts_past_the_cap():
-    # The vertex count sizes the mask list, so it is checked before any
-    # allocation, as the SetSystem and LabelCover constructors check theirs.
-    for count in (-1, instances.DEFAULT_SIZE_CAP + 1, 10**10):
-        with pytest.raises(ValidationError, match="num_vertices"):
-            Graph(count)
-    assert Graph(instances.DEFAULT_SIZE_CAP).num_edges == 0
-
-
 def test_graph_constructor_bounds_the_mask_width():
     # 300 edges to the last of 500,000 vertices would take 150,000,300 mask
     # bits; parse_graph refuses the same graph's file, and the constructor
@@ -268,13 +259,13 @@ def test_setsystem_stores_one_mask_per_set():
 
 
 def test_setsystem_constructor_refuses_wide_masks():
-    # Reading .masks of this system once raised a bare MemoryError.
-    with pytest.raises(ValidationError, match=r"2\^27"):
+    # Reading .masks of this system once raised a bare MemoryError; its
+    # universe is now refused before any mask is built.
+    with pytest.raises(SizeCapError, match="universe size 10000000000 outside 0..500000"):
         SetSystem(10**10, ((1, frozenset({10**10 - 1})),))
-    # Each mask is under the bound, the two together are over it.
-    top = (1 << 27) - 1
-    with pytest.raises(ValidationError, match=r"element masks pass 2\^27 bits"):
-        SetSystem(1 << 27, ((1, {top}), (2, {top})))
+    # Each mask is under the bound, the 300 together are over it.
+    with pytest.raises(SizeCapError, match=r"element masks pass 2\^27 bits"):
+        SetSystem(500_000, [(sid, {499_999}) for sid in range(1, 301)])
 
 
 @given(st.integers(0, 10**9), st.integers(0, 70), st.integers(0, 6))
@@ -301,22 +292,80 @@ def test_setsystem_text_roundtrip_keeps_every_element(seed, universe, count):
     assert vars(parse_setsystem(header + "".join(rng.sample(lines, len(lines))))) == vars(s)
 
 
-@pytest.mark.parametrize("kind, parse, oversized, wide", [
-    ("graph", parse_graph, "p edge 10000000000 0\n",
-     "p edge 500000 300\n" + "".join(f"e {u} 500000\n" for u in range(1, 301))),
-    ("ss", parse_setsystem, "ss 10000000000 1\ns 1 1 10000000000\n",
-     "ss 500000 300\n" + "".join(f"s {sid} 1 500000\n" for sid in range(1, 301))),
-    ("lc", parse_labelcover, "lc 3000000 1 1 1\n",
-     "lc 1 200 1 10000000\n" + "".join(f"e 1 {v} 1 0 9999999\n" for v in range(1, 201))),
-], ids=["graph", "ss", "lc"])
-def test_parsers_bound_every_mask_format(kind, parse, oversized, wide):
-    # Every format stored as int masks refuses, before allocating, a header
-    # count above the size cap and masks that total more than 2^27 bits,
-    # although each line of `wide` alone stays under the bound.
-    with pytest.raises(ParseError, match="500000"):
-        parse(oversized)
-    with pytest.raises(ParseError, match=r"masks pass 2\^27 bits"):
-        parse(wide)
+# Each bounded count of each kind: its name, the instance with that count c
+# (its other counts small), the header of a file declaring c, and the counts
+# past the cap the constructor is tried on (those it takes as ints go far past).
+_CAP = instances.DEFAULT_SIZE_CAP
+_FAR = (-1, _CAP + 1, 10**10)
+_COUNT_RULE = {
+    "cnf-variables": ("variable count", CnfFormula, "p cnf {} 0", parse_cnf, emit_cnf, _FAR),
+    "cnf-clauses": ("clause count", lambda c: CnfFormula(1, ((1,),) * c), "p cnf 1 {}",
+                    parse_cnf, emit_cnf, (_CAP + 1,)),
+    "graph-vertices": ("vertex count", Graph, "p edge {} 0", parse_graph, emit_graph, _FAR),
+    "ss-universe": ("universe size", SetSystem, "ss {} 0", parse_setsystem, emit_setsystem,
+                    _FAR),
+    "ss-sets": ("set count", lambda c: SetSystem(0, ((sid, ()) for sid in range(1, c + 1))),
+                "ss 0 {}", parse_setsystem, emit_setsystem, (_CAP + 1,)),
+    "lc-U": ("|U|", lambda c: LabelCover(c, 1, 1, 1), "lc {} 1 1 1", parse_labelcover,
+             emit_labelcover, _FAR),
+    "lc-V": ("|V|", lambda c: LabelCover(1, c, 1, 1), "lc 1 {} 1 1", parse_labelcover,
+             emit_labelcover, _FAR),
+    "lc-SigmaU": ("|SigmaU|", lambda c: LabelCover(1, 1, c, 1), "lc 1 1 {} 1", parse_labelcover,
+                  emit_labelcover, _FAR),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNT_RULE))
+def test_every_count_lies_in_0_to_the_size_cap(case):
+    # One rule and one wording for every count: the constructor takes the cap
+    # and refuses past it, the parser refuses the same count at its header, and
+    # what the constructor takes parses back from the file it emits.
+    name, build, header, parse, emit, past = _COUNT_RULE[case]
+    at_cap = build(_CAP)
+    assert parse(emit(at_cap)) == at_cap
+    for count in _FAR:
+        message = re.escape(f"{name} {count} outside 0..{_CAP}")
+        if count in past:
+            with pytest.raises(SizeCapError, match=f"^{message}$"):
+                build(count)
+        with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+            parse(header.format(count) + "\n")
+
+
+# Each kind stored as int masks, with k masks of 500,000 bits: 268 of them
+# hold under 2^27 = 134,217,728 bits in all and 269 pass it. Its builder
+# from k, its file at k (what the emitter writes), and the masks' kind.
+_MASK_RULE = {
+    "graph": (lambda k: Graph(500_000, [(u, 499_999) for u in range(k)]),
+              lambda k: f"p edge 500000 {k}\n" + "".join(f"e {u} 500000\n"
+                                                          for u in range(1, k + 1)),
+              parse_graph, emit_graph, "neighbour"),
+    "ss": (lambda k: SetSystem(500_000, [(sid, [499_999]) for sid in range(1, k + 1)]),
+           lambda k: f"ss 500000 {k}\n" + "".join(f"s {sid} 1 500000\n"
+                                                     for sid in range(1, k + 1)),
+           parse_setsystem, emit_setsystem, "element"),
+    "lc": (lambda k: LabelCover(1, k, 1, 500_000, {(0, v): {(0, 499_999)} for v in range(k)}),
+           lambda k: f"lc 1 {k} 1 500000\n" + "".join(f"e 1 {v} 1 0 499999\n"
+                                                      for v in range(1, k + 1)),
+           parse_labelcover, emit_labelcover, "beta"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MASK_RULE))
+def test_parsers_bound_every_mask_format(kind):
+    # Every format stored as int masks is held to one width bound, counted
+    # over all its masks although each alone stays far under it: the
+    # constructor and the parser take the same masks and refuse the same
+    # masks with the same wording, and what is taken parses back.
+    build, text, parse, emit, masks = _MASK_RULE[kind]
+    at_bound = build(268)
+    assert emit(at_bound) == text(268)
+    assert parse(text(268)) == at_bound
+    message = f"{masks} masks pass 2^27 bits"
+    with pytest.raises(SizeCapError, match=re.escape(message)):
+        build(269)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text(269))
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +415,6 @@ def test_parse_labelcover_errors():
         parse_labelcover("lc 1 1 2\n")
 
 
-@pytest.mark.parametrize("header, name", [("lc 3000000 1 1 1", "|U|"),
-                                          ("lc 1 30000000 1 1", "|V|"),
-                                          ("lc 1 1 200000000 1", "|SigmaU|")])
-def test_parse_labelcover_refuses_oversized_headers(header, name):
-    # Counts are refused at the header, before anything is allocated per
-    # vertex or label: each of these 17-19 byte files once took all memory.
-    with pytest.raises(ParseError, match=re.escape(f"{name} = ") + r"\d+ exceeds 500000"):
-        parse_labelcover(header + "\n")
-
-
 @pytest.mark.parametrize("counts, name", [((10**9, 1, 1, 1), "|U|"), ((1, 10**9, 1, 1), "|V|"),
                                           ((1, 1, 10**9, 1), "|SigmaU|")])
 def test_labelcover_constructor_refuses_counts_past_the_cap(counts, name):
@@ -384,7 +423,7 @@ def test_labelcover_constructor_refuses_counts_past_the_cap(counts, name):
     # MemoryError after 2.9 s and 1.8 s. The right alphabet stays unbounded,
     # as only beta masks grow with it.
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match=re.escape(f"{name} = {10**9} exceeds 500000")):
+    with pytest.raises(SizeCapError, match=re.escape(f"{name} {10**9} outside 0..500000")):
         LabelCover(*counts)
     assert time.perf_counter() - start < 0.1
     assert LabelCover(1, 1, 1, 10**100).right_alphabet == 10**100
@@ -476,14 +515,14 @@ def test_labelcover_equality_compares_each_admissible_set_pair_once():
 
 def test_labelcover_constructor_refuses_wide_beta_masks():
     # This call once raised a bare MemoryError.
-    with pytest.raises(ValidationError, match=r"beta masks pass 2\^27 bits"):
+    with pytest.raises(SizeCapError, match=r"beta masks pass 2\^27 bits"):
         LabelCover(1, 1, 1, 10**100, {(0, 0): {(0, 2**64)}})
 
 
 def test_labelcover_replace_refuses_wide_beta_masks():
     lc = LabelCover(1, 1, 1, 10**100, {(0, 0): {(0, 5)}})
     assert lc.betas == {(0, 0): {0: 1 << 5}}
-    with pytest.raises(ValidationError, match=r"beta masks pass 2\^27 bits"):
+    with pytest.raises(SizeCapError, match=r"beta masks pass 2\^27 bits"):
         dataclasses.replace(lc, relations={(0, 0): {(0, 2**64)}})
 
 
@@ -817,7 +856,7 @@ def ref_parse_cnf(data):
         raise ParseError(f"header declares {num_clauses} clauses, found {len(clauses)}")
     try:
         return CnfFormula(num_vars, tuple(clauses))
-    except ValidationError as exc:
+    except (ValidationError, SizeCapError) as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -840,11 +879,10 @@ def ref_parse_setsystem(data):
                 header = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer counts") from None
-            if not 0 <= header[0] <= instances.DEFAULT_SIZE_CAP:
-                raise ParseError(
-                    f"line {lineno}: universe size {header[0]} outside "
-                    f"0..{instances.DEFAULT_SIZE_CAP}"
-                )
+            for name, count in zip(("universe size", "set count"), header):
+                if not 0 <= count <= instances.DEFAULT_SIZE_CAP:
+                    raise ParseError(f"line {lineno}: {name} {count} outside "
+                                     f"0..{instances.DEFAULT_SIZE_CAP}")
         elif parts[0] == "s":
             if header is None:
                 raise ParseError(f"line {lineno}: set line before header")
@@ -866,7 +904,7 @@ def ref_parse_setsystem(data):
         raise ParseError(f"header declares {header[1]} sets, found {len(sets)}")
     try:
         return SetSystem(header[0], sets)
-    except ValidationError as exc:
+    except (ValidationError, SizeCapError) as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -891,10 +929,9 @@ def ref_parse_labelcover(data):
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer counts") from None
             for name, count in zip(("|U|", "|V|", "|SigmaU|"), header):
-                if count > instances.DEFAULT_SIZE_CAP:
-                    raise ParseError(
-                        f"line {lineno}: {name} = {count} exceeds {instances.DEFAULT_SIZE_CAP}"
-                    )
+                if not 0 <= count <= instances.DEFAULT_SIZE_CAP:
+                    raise ParseError(f"line {lineno}: {name} {count} outside "
+                                     f"0..{instances.DEFAULT_SIZE_CAP}")
         elif parts[0] == "a":
             if header is None:
                 raise ParseError(f"line {lineno}: admissible line before header")
@@ -932,7 +969,7 @@ def ref_parse_labelcover(data):
         admissible.setdefault(u, full)
     try:
         return LabelCover(left, right, la, ra, relations, admissible)
-    except ValidationError as exc:
+    except (ValidationError, SizeCapError) as exc:
         raise ParseError(str(exc)) from None
 
 

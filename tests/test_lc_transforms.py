@@ -29,7 +29,7 @@ from gapred import (
     sat_max,
     verify_disperser,
 )
-from gapred import lc_transforms
+from gapred import instances, lc_transforms
 from gapred.instances import bits_of
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
@@ -280,7 +280,7 @@ def _product_joint_labels(lc, members, size_cap, index):
     return touched, kept, kept_masks
 
 
-def ref_compress_left_with(lc, disperser, size_cap=lc_transforms.DEFAULT_SIZE_CAP):
+def ref_compress_left_with(lc, disperser, size_cap=instances.DEFAULT_SIZE_CAP):
     """Reference for compress_left_with: per-vertex mask dicts from the product join."""
     if disperser.m != lc.left_size:
         raise ValidationError(
@@ -306,7 +306,7 @@ def ref_compress_left_with(lc, disperser, size_cap=lc_transforms.DEFAULT_SIZE_CA
                       admissible, tuple(decoders))
 
 
-def ref_compress_right(lc, q, gamma, epsilon, size_cap=lc_transforms.DEFAULT_SIZE_CAP):
+def ref_compress_right(lc, q, gamma, epsilon, size_cap=instances.DEFAULT_SIZE_CAP):
     """Reference for compress_right: every kept tuple's block product, deduplicated."""
     m, n = lc.left_size, lc.right_size
     if m < 1 or n < 1:
@@ -363,7 +363,7 @@ def _outcomes(pairs):
 
 
 def _assert_compressions_match_referees(lc, disperser, params):
-    cap = params.get("size_cap", lc_transforms.DEFAULT_SIZE_CAP)
+    cap = params.get("size_cap", instances.DEFAULT_SIZE_CAP)
     got = _outcomes([lambda: compress_left_with(lc, disperser, size_cap=cap),
                      lambda: compress_right(lc, **params)])
     want = _outcomes([lambda: ref_compress_left_with(lc, disperser, size_cap=cap),

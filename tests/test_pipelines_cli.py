@@ -45,6 +45,8 @@ from gapred import (
 )
 from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
+
+from corpus import run_in_child
 from gapred.instances import pairs_of
 from gapred.pipelines import (
     PipelineSpec,
@@ -106,7 +108,7 @@ def test_planted_assignment_holds_every_bit():
 ])
 def test_cli_gen_cnf_refuses_counts_outside_the_cap(argv, capsys):
     assert run_command(["gen-cnf", *argv]) == 2
-    assert "must lie in 0..500000" in capsys.readouterr().err
+    assert "outside 0..500000" in capsys.readouterr().err
 
 
 def test_cli_gen_cnf_writes_the_empty_formula(capsys):
@@ -652,7 +654,7 @@ _MASKS_PAST = "neighbour masks pass 2^27 bits"
     ("p edge 200000 0\n", ["g2biclique-gadget"], _MASKS_PAST),
     ("p edge 200000 0\n", ["g2im-gadget"], _MASKS_PAST),
     ("p edge 1 0\n", ["clique2ipath", "--k", "2000", "--q", "2000"],
-     "8000000 vertices exceed cap 500000"),
+     "vertex count 8000000 outside 0..500000"),
 ])
 def test_cli_graph_gadgets_refuse_outputs_past_the_graph_bounds(tmp_path, capsys, text, argv,
                                                                 message):
@@ -676,12 +678,13 @@ _WIDE_PAIRS = " ".join(f"{a} 0" for a in range(20))
     ("wide.lc", lambda: "lc 5000 1 20 1\n" + "".join(
         f"e {u} 1 20 {_WIDE_PAIRS}\n" for u in range(1, 5001)), ["lc2clique"], _MASKS_PAST),
     # A bare header: 25,000 isolated left vertices of 40 labels each.
-    ("labels.lc", lambda: "lc 25000 1 40 1\n", ["lc2clique"], "1000000 vertices exceed cap 500000"),
+    ("labels.lc", lambda: "lc 25000 1 40 1\n", ["lc2clique"],
+     "vertex count 1000000 outside 0..500000"),
     # C(60, 3) * 2^3 = 273,760 partial assignments, each a mask that wide.
     ("p60.cnf", lambda: emit_cnf(gen_planted_cnf(60, 100, 1)), ["sat2dks", "--ell", "3"],
      _MASKS_PAST),
     ("one.ss", lambda: "ss 500000 1\ns 1 500000 " + " ".join(map(str, range(1, 500001))) + "\n",
-     ["setcov2domset"], "500001 vertices exceed cap 500000"),
+     ["setcov2domset"], "vertex count 500001 outside 0..500000"),
     ("huge.cnf", lambda: "p cnf 100000000 2\n1 0\n-1 0\n", ["cnf2lc"],
      "line 1: variable count 100000000 outside 0..500000"),
 ], ids=["lc2clique", "lc2clique-header", "sat2dks", "setcov2domset", "cnf2lc"])
@@ -697,6 +700,40 @@ def test_cli_refuses_graph_reductions_and_cnf_headers_past_the_bounds(tmp_path, 
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+_DIAGONAL_PAIRS = " ".join(f"{a} 0" for a in range(20))
+_MINLAB_SPEC = {"input": {"kind": "gen-planted", "n": 50, "m": 300}, "size_cap": 1_000_000,
+                "stages": [{"op": "cnf2lc"}, {"op": "minlab2setcov"}]}
+
+
+@pytest.mark.parametrize("name, text, argv, memory, message", [
+    # 25,000 left vertices, each with 20 labels on its own right vertex: the
+    # FGLSS state alone would hold about 6 * 10^9 bits. The parent built
+    # 1.7 GB of it before refusing, and died with a MemoryError under 512 MB.
+    ("diagonal.lc", "lc 25000 25000 20 1\n" + "".join(
+        f"e {u} {u} 20 {_DIAGONAL_PAIRS}\n" for u in range(1, 25001)),
+     ["lc2clique"], 512 << 20, "vertex masks pass 2^27 bits"),
+    # 500,000 partial assignments, one mask per variable and bit: the parent
+    # died with a MemoryError.
+    ("wide.cnf", "p cnf 250000 1\n1 0\n", ["sat2dks", "--ell", "1"], 2 << 30,
+     "vertex masks pass 2^27 bits"),
+    # At this size cap the parent wrote an `ss 656100 100` stage that
+    # `solve set-cover` refuses.
+    ("minlab.json", json.dumps(_MINLAB_SPEC), ["pipeline"], 2 << 30,
+     "universe size 656100 outside 0..500000"),
+], ids=["lc2clique", "sat2dks", "minlab2setcov"])
+def test_cli_refuses_within_its_memory_what_the_size_rule_refuses(tmp_path, name, text, argv,
+                                                                  memory, message):
+    # Each run is a child process under an address-space limit, so a
+    # MemoryError shows as exit 1 with a traceback instead of taking the
+    # test process down.
+    source, out = tmp_path / name, tmp_path / "out"
+    source.write_text(text)
+    result = run_in_child([*argv, source, "--out", out], memory=memory)
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {message}") and result.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_compress_left_refuses_k_past_the_size_cap_before_drawing(tmp_path, capsys):
