@@ -98,8 +98,8 @@ def _fglss_masks(lc: LabelCover):
         grown = 0
         for v, _ in edge_masks:
             mask = touch.get(v, 0)
-            touch[v] = mask | own
-            grown += touch[v].bit_length() - mask.bit_length()
+            touch[v] = wider = mask | own
+            grown += wider.bit_length() - mask.bit_length()
         # Each key's labels of u, as bits from u's first vertex, join it in one OR.
         by_key: dict[tuple[int, int], int] = {}
         for bit, proj in enumerate(projs):
@@ -107,8 +107,8 @@ def _fglss_masks(lc: LabelCover):
                 by_key[key] = by_key.get(key, 0) | 1 << bit
         for key, bits in by_key.items():
             mask = agree.get(key, 0)
-            agree[key] = mask | bits << n
-            grown += agree[key].bit_length() - mask.bit_length()
+            agree[key] = wider = mask | bits << n
+            grown += wider.bit_length() - mask.bit_length()
         widths.add(grown)
         lefts.append((n, projs))
         n += len(projs)

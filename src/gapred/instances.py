@@ -45,9 +45,8 @@ def _check_counts(*counts) -> None:
 
 
 class _MaskBits:
-    """One build's running mask width: `add` counts the bits a mask gains
-    before it widens, `drawn` lists a lazy iterable's masks as it counts
-    them, and both raise SizeCapError once the total passes 2^_MASK_BITS."""
+    """One build's running mask width: `add` counts the bits a mask gains before
+    it widens, `drawn` lists a lazy iterable's masks as it counts them."""
 
     _WIDTHS = {"neighbour": "its vertex's highest neighbour index",
                "element": "its set's highest element", "beta": "its highest right label",
@@ -63,10 +62,13 @@ class _MaskBits:
                                f"(each is as wide as {self._WIDTHS[self.kind]})")
 
     def drawn(self, masks) -> list[int]:
-        kept = []
+        kept, bits = [], self.bits
         for mask in masks:
-            self.add(mask.bit_length())
+            bits += mask.bit_length()
+            if bits >> _MASK_BITS:
+                break
             kept.append(mask)
+        self.add(bits - self.bits)
         return kept
 
 
@@ -117,9 +119,8 @@ def _ints(lineno: int, fields, what: str) -> list[int]:
 
 
 def _header(lineno: int, line: str, fields, header, kind, names, what: str):
-    """The integer counts of a header line, one per entry of `names` (each
-    named one held to the size rule), whose second field is `kind` when
-    `kind` is given; `header` is the header already read, if any."""
+    """The counts of a header line, one per `names` entry (a named one held to the size
+    rule); its second field is `kind` if given. `header` is the one already read."""
     if header is not None:
         raise ParseError(f"line {lineno}: duplicate header")
     words = 1 if kind is None else 2
@@ -520,7 +521,7 @@ class SetSystem:
         return system
 
     def _store(self, universe_size, num_sets, ids, masks) -> None:
-        # Drawn after the counts are checked, so a universe past the cap builds no mask.
+        # Checked before the ids are listed or a mask drawn: a count past the cap builds neither.
         _check_counts(("universe size", universe_size), ("set count", num_sets))
         object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "ids", tuple(ids))

@@ -687,12 +687,16 @@ _WIDE_PAIRS = " ".join(f"{a} 0" for a in range(20))
      ["setcov2domset"], "vertex count 500001 outside 0..500000"),
     ("huge.cnf", lambda: "p cnf 100000000 2\n1 0\n-1 0\n", ["cnf2lc"],
      "line 1: variable count 100000000 outside 0..500000"),
-], ids=["lc2clique", "lc2clique-header", "sat2dks", "setcov2domset", "cnf2lc"])
+    # One set per right vertex and right label: 10^100 of them.
+    ("sigma.lc", lambda: f"lc 1 1 1 {10**100}\ne 1 1 1 0 5\n", ["minlab2setcov"],
+     f"set count {10**100} outside 0..500000"),
+], ids=["lc2clique", "lc2clique-header", "sat2dks", "setcov2domset", "cnf2lc", "minlab2setcov"])
 def test_cli_refuses_graph_reductions_and_cnf_headers_past_the_bounds(tmp_path, capsys, name,
                                                                       text, argv, message):
     # The first three once died with a MemoryError after 9 s, 5 s and 30 s,
-    # setcov2domset wrote a graph that parse_graph refuses, and cnf2lc wrote a
-    # label cover that lc-minlab refuses.
+    # setcov2domset wrote a graph that parse_graph refuses, cnf2lc wrote a
+    # label cover that lc-minlab refuses, and minlab2setcov died with an
+    # OverflowError.
     source = tmp_path / name
     source.write_text(text())
     start = time.perf_counter()
