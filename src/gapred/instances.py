@@ -768,11 +768,10 @@ class LabelCover:
 
     @classmethod
     def _bounded(cls, *, betas, **values) -> LabelCover:
-        """A transform's label cover, beta masks nonzero and in range, held to the size rule."""
+        """A transform's label cover, its counts held to the size rule; the transform
+        counts its beta masks, nonzero and in range, as it builds them."""
         counts = (values["left_size"], values["right_size"], values["left_alphabet"])
         _check_counts(*zip(_COVER_COUNTS, counts))
-        stored = itertools.chain.from_iterable(map(dict.values, betas.values()))
-        _MaskBits("beta").add(sum(map(int.bit_length, stored)))
         lc = object.__new__(cls)
         lc.__dict__.update(values)
         lc._store(betas)

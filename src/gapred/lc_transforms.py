@@ -30,9 +30,10 @@ constraints prune it.
 Every transform reads and builds the LabelCover's stored form, one
 {alpha: beta mask} dict per edge (`LabelCover.betas`), and builds no relation
 pair; the compressions' cap on relation pairs sums the masks' popcounts. Each
-output is built through `LabelCover._bounded`, so whatever a transform returns
-obeys the instances' size rule and parses back from its file, at any
-`size_cap`.
+output is built through `LabelCover._bounded`, which checks its counts, and the
+compressions count their beta masks as they build them, so whatever a
+transform returns obeys the instances' size rule and parses back from its
+file, at any `size_cap`.
 
 The join works on packed ints: a kept tuple's right-label masks are one int
 with an (ra+1)-bit lane per touched right vertex, the right alphabet's bits
@@ -52,7 +53,14 @@ import math
 
 from .dispersers import Disperser, deterministic_disperser, random_disperser
 from .errors import SizeCapError, ValidationError
-from .instances import DEFAULT_SIZE_CAP, CnfFormula, LabelCover, TupleDecoder, digit_table
+from .instances import (
+    DEFAULT_SIZE_CAP,
+    CnfFormula,
+    LabelCover,
+    TupleDecoder,
+    _MaskBits,
+    digit_table,
+)
 from .oracles import SolveBudget
 
 __all__ = [
@@ -77,6 +85,9 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
     satisfying partial assignments, which restores the exactly-one-beta
     projection property on every edge.
     """
+    # Each beta mask is 1 << bit and a clause has at most 3 edges of 8 labels,
+    # so the masks hold at most 48 bits a clause: under the size rule's mask
+    # bound at the clause cap, so they are not counted one by one.
     betas = {}
     admissible = {}
     for i, clause in enumerate(formula.clauses):
@@ -215,10 +226,11 @@ def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: 
     Its labels are the tuples `_joint_labels` keeps, and `project(touched,
     packed)` yields its edges, one (right vertex, beta mask per kept tuple) pair
     each. SizeCapError is raised once the edges' relation pairs pass
-    `size_cap`, or where the size rule refuses the output.
+    `size_cap`, or once their beta masks or the output's counts break the size
+    rule.
     """
     betas, admissible, decoders = {}, {}, []
-    total_pairs, max_labels = 0, 1
+    total_pairs, max_labels, widths = 0, 1, _MaskBits("beta")
     for i, members in enumerate(groups):
         touched, kept, packed = _joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
@@ -228,6 +240,7 @@ def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: 
             total_pairs += sum(map(int.bit_count, masks))
             if total_pairs > size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
+            widths.add(sum(map(int.bit_length, masks)))
             betas[i, v] = dict(enumerate(masks))
     return LabelCover._bounded(
         left_size=len(decoders),

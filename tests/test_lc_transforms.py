@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +34,23 @@ from gapred import instances, lc_transforms
 from gapred.instances import bits_of
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
-from corpus import pair_beta_masks
+from corpus import mixed_cnf, pair_beta_masks
 
 
 # ---------------------------------------------------------------------------
 # cnf_to_labelcover
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cnf_to_labelcover_masks_hold_at_most_48_bits_a_clause(seed):
+    # What lets cnf_to_labelcover skip counting its masks: at the clause cap
+    # they hold at most 2.4 * 10^7 bits, under the size rule's 2^27.
+    lc = cnf_to_labelcover(mixed_cnf(random.Random(seed), 5, 40))
+    for u in range(lc.left_size):
+        bits = sum(mask.bit_length() for v in lc.left_neighbors[u]
+                   for mask in lc.betas[u, v].values())
+        assert bits <= 48
+    assert 48 * instances.DEFAULT_SIZE_CAP < 1 << instances._MASK_BITS
 
 
 def test_cnf_to_labelcover_single_clause():

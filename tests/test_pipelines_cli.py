@@ -726,7 +726,12 @@ _MINLAB_SPEC = {"input": {"kind": "gen-planted", "n": 50, "m": 300}, "size_cap":
     # `solve set-cover` refuses.
     ("minlab.json", json.dumps(_MINLAB_SPEC), ["pipeline"], 2 << 30,
      "universe size 656100 outside 0..500000"),
-], ids=["lc2clique", "sat2dks", "minlab2setcov"])
+    # One beta mask just under 2^27 bits, copied into each of 40 super-vertices:
+    # the parent built 871 MB of them, and wrote a file lc-minlab refuses.
+    ("wide.lc", "lc 1 1 1 134217000\ne 1 1 1 0 134216999\n",
+     ["lc-compress-left", "--k", "40", "--r", "2", "--epsilon", "0.5"], 512 << 20,
+     "beta masks pass 2^27 bits"),
+], ids=["lc2clique", "sat2dks", "minlab2setcov", "lc-compress-left"])
 def test_cli_refuses_within_its_memory_what_the_size_rule_refuses(tmp_path, name, text, argv,
                                                                   memory, message):
     # Each run is a child process under an address-space limit, so a
