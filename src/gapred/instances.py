@@ -68,7 +68,7 @@ class _MaskBits:
             if bits >> _MASK_BITS:
                 break
             kept.append(mask)
-        self.add(bits - self.bits)
+        self.add(bits - self.bits)  # raises if the loop stopped at the bound
         return kept
 
 
@@ -768,8 +768,8 @@ class LabelCover:
 
     @classmethod
     def _bounded(cls, *, betas, **values) -> LabelCover:
-        """A transform's label cover, its counts held to the size rule; the transform
-        counts its beta masks, nonzero and in range, as it builds them."""
+        """A transform's label cover, its counts held to the size rule. Its beta masks,
+        nonzero and in range, are counted as the transform builds them or bounded by it."""
         counts = (values["left_size"], values["right_size"], values["left_alphabet"])
         _check_counts(*zip(_COVER_COUNTS, counts))
         lc = object.__new__(cls)
