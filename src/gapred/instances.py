@@ -539,7 +539,13 @@ class SetSystem:
 def parse_setsystem(data) -> SetSystem:
     """Parse the set-system format ('ss n k' header, 's id size e1 .. ek' lines)."""
     header = None
-    sets: list[tuple[int, list[int]]] = []
+    # Each set line is read once into its mask. The constructor's refusals, a
+    # repeated id and then masks past the size rule, keep its wording and come
+    # after every line is read, as when the constructor made them; no mask is
+    # built once the masks pass the rule.
+    by_id: dict[int, int] = {}
+    count = bits = 0
+    repeated = None
     for lineno, line, fields in _records(data):
         if fields[0] == "ss":
             header = _header(lineno, line, fields, header, None, ("universe size", "set count"),
@@ -551,18 +557,29 @@ def parse_setsystem(data) -> SetSystem:
             if len(nums) < 2 or len(nums) != 2 + nums[1]:
                 raise ParseError(f"line {lineno}: size field disagrees with element count")
             sid, _, *elems = nums
-            if any(not 1 <= e <= header[0] for e in elems):
+            top = max(elems, default=0)  # the width of the set's mask
+            if top > header[0] or elems and min(elems) < 1:
                 raise ParseError(f"line {lineno}: element out of range")
-            sets.append((sid, [e - 1 for e in elems]))
+            count += 1
+            if sid in by_id:
+                if repeated is None:
+                    repeated = sid
+            else:
+                bits += top
+                by_id[sid] = _mask_of(elems) >> 1 if elems and not bits >> _MASK_BITS else 0
         else:
             raise ParseError(f"line {lineno}: unknown line tag {fields[0]!r}")
     if header is None:
         raise ParseError("missing 'ss' header")
-    if len(sets) != header[1]:
-        raise ParseError(f"header declares {header[1]} sets, found {len(sets)}")
-    # The constructor refuses repeated ids, and masks past the size rule as
-    # it builds them.
-    return _checked(SetSystem, header[0], sets)
+    if count != header[1]:
+        raise ParseError(f"header declares {header[1]} sets, found {count}")
+    if repeated is not None:
+        raise ParseError(f"duplicate set id {repeated}")
+    _checked(_MaskBits("element").add, bits)
+    ids = sorted(by_id)
+    system = object.__new__(SetSystem)
+    system._store(header[0], count, ids, map(by_id.__getitem__, ids))
+    return system
 
 
 def emit_setsystem(system: SetSystem) -> str:
@@ -801,9 +818,6 @@ class LabelCover:
     def admissible_list(self, u: int) -> list[int]:
         return sorted(self.admissible[u])
 
-    def is_full_admissible(self, u: int) -> bool:
-        return len(self.admissible[u]) == self.left_alphabet
-
     def fitting_labels(self, u: int, sigma) -> list[int]:
         """The admissible labels of left vertex `u`, ascending, whose beta mask
         holds `sigma[v]` on every edge (u, v): the labels that cover `u` under
@@ -865,11 +879,19 @@ def parse_labelcover(data) -> LabelCover:
 
 def emit_labelcover(lc: LabelCover) -> str:
     lines = [f"lc {lc.left_size} {lc.right_size} {lc.left_alphabet} {lc.right_alphabet}"]
+    # Vertices with equal admissible sets share their text " count a a ...",
+    # which is built once per distinct set; a full set writes no line ("").
+    texts: dict[frozenset[int], str] = {}
+    admissible = lc.admissible
     for u in range(lc.left_size):
-        if not lc.is_full_admissible(u):
-            labels = lc.admissible_list(u)
-            body = " ".join(str(a) for a in labels)
-            lines.append(f"a {u + 1} {len(labels)}" + (f" {body}" if body else ""))
+        labels = admissible[u]
+        text = texts.get(labels)
+        if text is None:
+            full = len(labels) == lc.left_alphabet
+            text = texts[labels] = "" if full else " ".join(
+                ["", str(len(labels)), *map(str, sorted(labels))])
+        if text:
+            lines.append(f"a {u + 1}{text}")
     betas = lc.betas
     stored = [mask for masks in betas.values() for mask in masks.values()]
     names = _name_table(stored, 0)

@@ -4,7 +4,9 @@ The pipeline's intermediate representation is the LabelCover; this module
 lowers CNF into it and compresses either side:
 
 - cnf_to_labelcover: clauses become left vertices, variables right vertices,
-  relations demand consistency plus clause truth.
+  relations demand consistency plus clause truth. A clause's game is fixed by
+  its literals' signs, so it is built once per sign pattern; clauses with one
+  pattern share its admissible set, and every edge gets its own beta store.
 - compress_left: left vertices become disperser subsets of old left vertices;
   labels become joint partial labelings.
 - compress_right: right vertices are merged into q blocks and the left side
@@ -77,6 +79,17 @@ __all__ = [
 # CNF lowering
 
 
+def _clause_game(signs: tuple[bool, ...]) -> tuple[frozenset[int], tuple[dict[int, int], ...]]:
+    """The game of a clause whose literal at position p is positive iff
+    signs[p]: its satisfying labels, and for each position the
+    {alpha: 1 << bit} store of its edge, the labels ascending."""
+    satisfying = [alpha for alpha in range(8)
+                  if any((alpha >> p & 1) == sign for p, sign in enumerate(signs))]
+    stores = tuple({alpha: 1 << (alpha >> p & 1) for alpha in satisfying}
+                   for p in range(len(signs)))
+    return frozenset(satisfying), stores
+
+
 def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
     """Clause-variable game: MaxCov of the output equals sat_max of the input.
 
@@ -84,22 +97,26 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
     with free bits); the admissible set of a clause holds exactly its
     satisfying partial assignments, which restores the exactly-one-beta
     projection property on every edge.
+
+    A clause's game depends only on the signs of its literals, so it is built
+    once per sign pattern (at most 14 of them): clauses with one pattern share
+    one admissible frozenset, and each edge gets its own copy of its
+    position's beta store.
     """
     # Each beta mask is 1 << bit and a clause has at most 3 edges of 8 labels,
     # so the masks hold at most 48 bits a clause: under the size rule's mask
     # bound at the clause cap, so they are not counted one by one.
     betas = {}
     admissible = {}
+    games = {}
     for i, clause in enumerate(formula.clauses):
-        width = len(clause)
-        satisfying = []
-        for alpha in range(8):
-            if any(((alpha >> p) & 1) == (1 if clause[p] > 0 else 0) for p in range(width)):
-                satisfying.append(alpha)
-        admissible[i] = frozenset(satisfying)
-        for p, lit in enumerate(clause):
-            v = abs(lit) - 1
-            betas[i, v] = {alpha: 1 << (alpha >> p & 1) for alpha in satisfying}
+        signs = tuple([lit > 0 for lit in clause])
+        game = games.get(signs)
+        if game is None:
+            game = games[signs] = _clause_game(signs)
+        admissible[i], stores = game
+        for lit, store in zip(clause, stores):
+            betas[i, abs(lit) - 1] = store.copy()
     return LabelCover._bounded(
         left_size=formula.num_clauses,
         right_size=formula.num_vars,

@@ -237,6 +237,16 @@ def test_parse_setsystem_refuses_duplicate_ids():
     # The header's count matches the lines; the error names the repeated id.
     with pytest.raises(ParseError, match="duplicate set id 1"):
         parse_setsystem("ss 2 2\ns 1 1 1\ns 1 1 2\n")
+    # It comes after every line is read and the set count is checked, and
+    # names the first id repeated; the masks' bound comes after it.
+    for text, message in (("ss 2 3\ns 1 1 1\ns 1 0\ns 2 1 3\n", "line 4: element out of range"),
+                          ("ss 2 2\ns 1 1 1\ns 1 0\ns 2 0\n", "header declares 2 sets, found 3"),
+                          ("ss 2 4\ns 2 0\ns 1 0\ns 1 0\ns 2 0\n", "duplicate set id 1"),
+                          ("ss 500000 270\n" + "s 1 0\n" + "".join(
+                              f"s {sid} 1 500000\n" for sid in range(1, 270)),
+                           "duplicate set id 1")):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_setsystem(text)
 
 
 def test_setsystem_empty_set_roundtrip():
@@ -383,8 +393,7 @@ def test_labelcover_invariants():
 
 def test_labelcover_default_admissible_is_full():
     lc = LabelCover(2, 1, 3, 2, {(0, 0): {(0, 1)}})
-    assert lc.admissible[1] == frozenset({0, 1, 2})
-    assert lc.is_full_admissible(0)
+    assert lc.admissible[0] == lc.admissible[1] == frozenset({0, 1, 2})
 
 
 def test_labelcover_keeps_int_frozensets_and_normalises_the_rest():
@@ -1075,7 +1084,7 @@ def ref_emit_graph(graph):
 def ref_emit_labelcover(lc):
     lines = [f"lc {lc.left_size} {lc.right_size} {lc.left_alphabet} {lc.right_alphabet}"]
     for u in range(lc.left_size):
-        if not lc.is_full_admissible(u):
+        if len(lc.admissible[u]) != lc.left_alphabet:
             labels = lc.admissible_list(u)
             body = " ".join(str(a) for a in labels)
             lines.append(f"a {u + 1} {len(labels)}" + (f" {body}" if body else ""))
@@ -1263,3 +1272,32 @@ def test_emit_labelcover_matches_the_pair_loop():
         text = emit_labelcover(lc)
         assert text == ref_emit_labelcover(lc)
         assert parse_labelcover(text) == lc
+
+
+def test_emit_labelcover_writes_shared_and_separate_admissible_sets_alike():
+    # The admissible text is built once per distinct set: vertices sharing one
+    # frozenset and vertices holding equal separate ones must write the same
+    # lines, a full set none and an empty set "a u 0".
+    given = [{1, 3}, {0, 1, 2, 3}, {1, 3}, set(), {0, 1, 2, 3}, {0}, set(), {0, 2}, {1, 3}]
+    relations = {(u, u % 3): {(a, u % 2) for a in range(4)} for u in range(len(given))}
+    shared = {}
+    covers = {
+        "shared": {u: shared.setdefault(frozenset(s), frozenset(s)) for u, s in enumerate(given)},
+        "separate": {u: frozenset(s) for u, s in enumerate(given)},
+    }
+    texts = {}
+    for name, admissible in covers.items():
+        lc = LabelCover(len(given), 3, 4, 2, relations, admissible)
+        owners = {id(lc.admissible[u]) for u in range(len(given))}
+        assert len(owners) == (5 if name == "shared" else len(given))
+        texts[name] = emit_labelcover(lc)
+        assert texts[name] == ref_emit_labelcover(lc)
+    assert texts["shared"] == texts["separate"]
+    lines = texts["shared"].splitlines()
+    assert [ln for ln in lines if ln.startswith("a ")] == [
+        "a 1 2 1 3", "a 3 2 1 3", "a 4 0", "a 6 1 0", "a 7 0", "a 8 2 0 2", "a 9 2 1 3"]
+    # A compressed cover holds one set per vertex.
+    for seed in range(3):
+        source = cnf_to_labelcover(mixed_cnf(random.Random(seed), 6, 8))
+        lc = compress_left(source, k=3, r=2, epsilon=0.3, seed=seed)[0]
+        assert emit_labelcover(lc) == ref_emit_labelcover(lc)

@@ -85,6 +85,51 @@ def test_cnf_to_labelcover_narrow_clause_padding():
     assert len(lc.admissible[1]) == 6
 
 
+def ref_cnf_to_labelcover(formula):
+    """cnf_to_labelcover's clause loop before it built one game per sign
+    pattern: each clause's game is recomputed from its literals."""
+    betas = {}
+    admissible = {}
+    for i, clause in enumerate(formula.clauses):
+        width = len(clause)
+        satisfying = []
+        for alpha in range(8):
+            if any(((alpha >> p) & 1) == (1 if clause[p] > 0 else 0) for p in range(width)):
+                satisfying.append(alpha)
+        admissible[i] = frozenset(satisfying)
+        for p, lit in enumerate(clause):
+            betas[i, abs(lit) - 1] = {alpha: 1 << (alpha >> p & 1) for alpha in satisfying}
+    return LabelCover._bounded(left_size=formula.num_clauses, right_size=formula.num_vars,
+                               left_alphabet=8, right_alphabet=2, betas=betas,
+                               admissible=admissible, left_decoders=None)
+
+
+def _lowering_formulas():
+    yield CnfFormula(0, ())
+    # Every sign pattern of widths 1, 2 and 3: the 14 games, each once.
+    yield CnfFormula(3, tuple(tuple(v if sign else -v for v, sign in enumerate(signs, 1))
+                              for width in (1, 2, 3)
+                              for signs in itertools.product((False, True), repeat=width)))
+    for seed in range(6):
+        rng = random.Random(seed)
+        yield mixed_cnf(rng, rng.randint(1, 9), rng.randint(0, 60))
+        yield gen_planted_cnf(8, 30, seed=seed)
+    for seed in range(2):
+        yield gen_gap_cnf(6, 5, 0.3, seed=seed)
+
+
+def test_cnf_to_labelcover_matches_the_per_clause_loop():
+    for formula in _lowering_formulas():
+        lc, want = cnf_to_labelcover(formula), ref_cnf_to_labelcover(formula)
+        assert lc == want
+        assert emit_labelcover(lc) == emit_labelcover(want)
+        # The same edges and labels in the same insertion order.
+        assert ([(edge, list(masks.items())) for edge, masks in lc.betas.items()]
+                == [(edge, list(masks.items())) for edge, masks in want.betas.items()])
+        # Clauses share their game's admissible set, but no edge shares its store.
+        assert len({id(masks) for masks in lc.betas.values()}) == len(lc.betas)
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=40, deadline=None)
 def test_clause_variable_game_identity(seed):
