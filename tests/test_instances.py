@@ -242,8 +242,8 @@ def test_parse_setsystem_refuses_duplicate_ids():
     for text, message in (("ss 2 3\ns 1 1 1\ns 1 0\ns 2 1 3\n", "line 4: element out of range"),
                           ("ss 2 2\ns 1 1 1\ns 1 0\ns 2 0\n", "header declares 2 sets, found 3"),
                           ("ss 2 4\ns 2 0\ns 1 0\ns 1 0\ns 2 0\n", "duplicate set id 1"),
-                          ("ss 500000 270\n" + "s 1 0\n" + "".join(
-                              f"s {sid} 1 500000\n" for sid in range(1, 270)),
+                          ("ss 500000 270\n" + "".join(
+                              f"s {sid} 1 500000\n" for sid in range(1, 270)) + "s 1 0\n",
                            "duplicate set id 1")):
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_setsystem(text)
