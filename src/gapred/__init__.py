@@ -35,7 +35,6 @@ from .instances import (
     parse_setsystem,
     random_cnf,
     random_graph,
-    random_labelcover,
 )
 from .oracles import (
     SolveBudget,
@@ -73,16 +72,12 @@ from .lc_transforms import (
     projection_check,
 )
 from .graph_reductions import (
-    HypercubeSystem,
     biclique_gadget,
-    check_cover_iff_column,
     clique_to_inducedpath,
     dks_edge,
-    dks_params,
     dks_vertices,
     fglss,
     hereditary_bridge,
-    hypercube,
     im_gadget,
     is_to_im_gadget,
     minlab_to_setcov,

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
-from .instances import _checked, _ints, _records
+from .errors import BudgetExceededError, GenerationError, ParseError, SizeCapError, ValidationError
+from .instances import _check_counts, _checked, _ints, _records
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -28,6 +28,9 @@ __all__ = [
     "emit_disperser",
     "parse_disperser",
 ]
+
+# The counts held to the size rule of every instance: m and k.
+_COUNTS = ("universe size", "subset count")
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,7 @@ class Disperser:
     def __post_init__(self):
         if min(self.m, self.k, self.ell, self.r) < 1:
             raise ValidationError("m, k, ell, r must all be >= 1")
+        _check_counts(*zip(_COUNTS, (self.m, self.k)))
         if not 0.0 < self.eps < 1.0:
             raise ValidationError("eps must lie in (0,1)")
         subsets = tuple(frozenset(int(x) for x in s) for s in self.subsets)
@@ -56,11 +60,6 @@ class Disperser:
             if any(not 0 <= x < self.m for x in s):
                 raise ValidationError(f"subset {i} has elements outside range({self.m})")
 
-    @property
-    def regime_ok(self) -> bool:
-        """Whether ln(k) <= m/r, the regime where the random construction is guaranteed."""
-        return math.log(self.k) <= self.m / self.r
-
 
 def disperser_subset_size(m: int, r: int, eps: float) -> int:
     """Subset size ceil(3m/(eps*r)), capped at m since subsets live inside [m]."""
@@ -72,6 +71,7 @@ def random_disperser(m: int, k: int, r: int, eps: float, seed) -> Disperser:
     """k independent uniform subsets of the derived size; unverified."""
     if min(m, k, r) < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need m, k, r >= 1 and eps in (0,1)")
+    _check_counts(*zip(_COUNTS, (m, k)))  # before any subset is drawn
     ell = disperser_subset_size(m, r, eps)
     rng = random.Random(seed)
     subsets = tuple(frozenset(rng.sample(range(m), ell)) for _ in range(k))
@@ -127,6 +127,7 @@ def deterministic_disperser(
     """
     if min(m, k, r) < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need m, k, r >= 1 and eps in (0,1)")
+    _check_counts(*zip(_COUNTS, (m, k)))  # before the search and the lift to [m]
     meter = _Meter(budget)
     m_small = min(m, max(1, math.ceil(r * math.log(k))))
     ell_small = disperser_subset_size(m_small, r, eps)
@@ -183,6 +184,10 @@ def parse_disperser(data) -> Disperser:
     if len(fields) != 6:
         raise ParseError(f"line {lineno}: malformed header {line!r}")
     m, k, ell, r = _ints(lineno, fields[1:5], "header field")
+    try:
+        _check_counts(*zip(_COUNTS, (m, k)))
+    except SizeCapError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
     try:
         eps = float(fields[5])
     except ValueError:

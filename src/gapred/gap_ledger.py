@@ -23,7 +23,6 @@ __all__ = [
     "push_stage",
     "report",
     "ledger_to_json",
-    "ledger_from_json",
 ]
 
 _MAP_KINDS = ("identity", "constant", "scale")
@@ -123,7 +122,7 @@ def report(ledger: GapLedger, results: dict[int, tuple[str, str]] | None = None)
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip for manifests
+# JSON for manifests
 
 
 def _map_to_json(m: GapMap) -> dict:
@@ -144,20 +143,3 @@ def ledger_to_json(ledger: GapLedger) -> str:
             item["predicate"] = asdict(entry.predicate)
         stages.append(item)
     return json.dumps({"stages": stages}, indent=2, sort_keys=True)
-
-
-def ledger_from_json(text: str) -> GapLedger:
-    data = json.loads(text)
-    ledger = GapLedger()
-    for item in data["stages"]:
-        predicate = StagePredicate(**item["predicate"]) if "predicate" in item else None
-        entry = StageEntry(
-            name=item["name"],
-            params=tuple(sorted(item["params"].items())),
-            completeness=GapMap(**item["completeness"]),
-            soundness=GapMap(**item["soundness"]),
-            predicate=predicate,
-            notes=tuple(item.get("notes", ())),
-        )
-        ledger = push_stage(ledger, entry)
-    return ledger

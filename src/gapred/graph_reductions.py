@@ -2,11 +2,12 @@
 
 Each construction is paired (in tests) with the exact oracles that certify
 its completeness/soundness identity at desk scale: FGLSS turns MaxCov into
-Clique exactly; the hypercube set system, whose canonical sets are digit
-tables over the vectors' ranks, turns MinLab into SetCov exactly; the doubling
-gadgets sandwich Biclique and InducedMatching between Clique and
-2*Biclique+1; the block-chained clique gadget separates InducedPath at 2qk vs
-4(k-1); and the partial-assignment graph realizes the DkS subsampling route.
+Clique exactly; one hypercube set system per left vertex, whose canonical
+sets are the digit tables of `canonical_masks`, turns MinLab into SetCov
+exactly; the doubling gadgets sandwich Biclique and InducedMatching between
+Clique and 2*Biclique+1; the block-chained clique gadget separates
+InducedPath at 2qk vs 4(k-1); and the partial-assignment graph realizes the
+DkS subsampling route.
 
 Every reduction to a graph yields its masks lazily to `instances._bounded`,
 which refuses what parse_graph would refuse of the output's file, and
@@ -20,8 +21,6 @@ import collections
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ReductionError, SizeCapError, ValidationError
 from .instances import (
@@ -41,16 +40,12 @@ from .oracles import SUPPORTED_PROPERTIES
 
 __all__ = [
     "fglss",
-    "HypercubeSystem",
-    "hypercube",
-    "check_cover_iff_column",
     "minlab_to_setcov",
     "setcov_to_domset",
     "biclique_gadget",
     "im_gadget",
     "is_to_im_gadget",
     "clique_to_inducedpath",
-    "dks_params",
     "dks_vertices",
     "dks_edge",
     "sat_to_dks",
@@ -127,67 +122,17 @@ def _fglss_masks(lc: LabelCover):
 # Hypercube partition system and MinLab -> SetCov
 
 
-@dataclass(frozen=True)
-class HypercubeSystem:
-    """Ground set [z]^k with canonical sets X(i, a) = {x : x_a = i}.
-
-    The full ground set is coverable by canonical sets only by taking a whole
-    column {X(0, a), ..., X(z-1, a)} for some coordinate a.
-    """
-
-    z: int
-    k: int
-    vectors: tuple[tuple[int, ...], ...]
-    sets: Mapping[tuple[int, int], frozenset[int]]
-
-    @property
-    def ground_size(self) -> int:
-        return len(self.vectors)
-
-
 def canonical_masks(z: int, k: int) -> list[list[int]]:
     """X(i, a) of [z]^k, at [i][a], as a mask over the vectors' ranks.
 
     Vectors are ranked in itertools.product order, so coordinate a is the
     base-z digit of place value z^(k-1-a), and X(i, a) is the digit table of
-    that digit's value i. Both `hypercube` and `minlab_to_setcov` read the
-    canonical sets from here.
+    that digit's value i. A subcollection of these sets covers all z^k ranks
+    exactly when it holds a whole column X(0, a), ..., X(z-1, a), which is
+    what lets `minlab_to_setcov`, their one reader, turn MinLab into SetCov.
     """
     width = z**k
     return [[digit_table(1 << i, z, z ** (k - 1 - a), width) for a in range(k)] for i in range(z)]
-
-
-def hypercube(z: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> HypercubeSystem:
-    """The hypercube partition system [z]^k; its sets are the digit tables of `canonical_masks`."""
-    if z < 1 or k < 1:
-        raise ValidationError("need z >= 1 and k >= 1")
-    if z**k > size_cap:
-        raise SizeCapError(f"{z}^{k} ground elements exceed cap {size_cap}")
-    vectors = tuple(itertools.product(range(z), repeat=k))
-    sets = {
-        (i, a): bit_set(mask)
-        for i, row in enumerate(canonical_masks(z, k))
-        for a, mask in enumerate(row)
-    }
-    return HypercubeSystem(z, k, vectors, sets)
-
-
-def check_cover_iff_column(hs: HypercubeSystem, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Exhaustively confirm: a subcollection covers the ground iff it holds a full column."""
-    keys = sorted(hs.sets.keys())
-    if 1 << len(keys) > size_cap:
-        raise SizeCapError(f"2^{len(keys)} subcollections exceed cap {size_cap}")
-    ground = frozenset(range(hs.ground_size))
-    for selector in range(1 << len(keys)):
-        chosen = [keys[t] for t in bits_of(selector)]
-        union = frozenset().union(*(hs.sets[key] for key in chosen)) if chosen else frozenset()
-        covers = union == ground
-        has_column = any(
-            all((i, a) in chosen for i in range(hs.z)) for a in range(hs.k)
-        )
-        if covers != has_column:
-            return False
-    return True
 
 
 def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSystem:
@@ -349,19 +294,6 @@ def clique_to_inducedpath(h: Graph, k: int, q: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Densest k-subgraph: partial-assignment graph with subsampling
-
-
-def dks_params(num_vars: int, r: int, lam: float = 0.1) -> tuple[int, float]:
-    """The construction's own (ell, p): ell = 4n/sqrt(lam*r), p = 2^(lam*ell^2/2n)/C(n,ell).
-
-    lam is the soundness constant of the occurrence bound; it only steers this
-    choice and is never asserted at desk scale.
-    """
-    if num_vars < 1 or r < 1 or lam <= 0:
-        raise ValidationError("need num_vars >= 1, r >= 1, lam > 0")
-    ell = max(1, min(num_vars, math.ceil(4 * num_vars / math.sqrt(lam * r))))
-    p = min(1.0, 2 ** (lam * ell * ell / (2 * num_vars)) / math.comb(num_vars, ell))
-    return ell, p
 
 
 def dks_vertices(num_vars: int, ell: int) -> list[tuple[tuple[int, ...], int]]:

@@ -88,7 +88,6 @@ __all__ = [
     "emit_labelcover",
     "random_cnf",
     "random_graph",
-    "random_labelcover",
 ]
 
 
@@ -947,69 +946,3 @@ def random_graph(num_vertices: int, edge_prob: float, seed) -> Graph:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
     return _bounded(num_vertices, masks)
-
-
-def random_labelcover(
-    left_size: int,
-    right_size: int,
-    left_alphabet: int,
-    right_alphabet: int,
-    density: float = 1.0,
-    seed=None,
-    *,
-    pair_density: float = 0.5,
-    projection: bool = False,
-    admissible_density: float | None = None,
-    left_degrees: tuple[int, int] | None = None,
-) -> LabelCover:
-    """Random label cover: edges with probability `density`, uniform random relations.
-
-    With `projection=True` each (edge, admissible alpha) gets exactly one beta,
-    so the output always passes the projection check. `left_degrees=(lo, hi)`
-    overrides `density` and gives each left vertex a uniform degree in that
-    range. `admissible_density` draws random nonempty admissible sets.
-    """
-    if min(left_size, right_size) < 0 or min(left_alphabet, right_alphabet) < 1:
-        raise ValidationError("all bounds must be >= 1 (sizes >= 0)")
-    if not 0.0 <= density <= 1.0 or not 0.0 <= pair_density <= 1.0:
-        raise ValidationError("densities must lie in [0,1]")
-    rng = random.Random(seed)
-
-    admissible = {}
-    for u in range(left_size):
-        if admissible_density is None:
-            admissible[u] = frozenset(range(left_alphabet))
-        else:
-            chosen = [a for a in range(left_alphabet) if rng.random() < admissible_density]
-            if not chosen:
-                chosen = [rng.randrange(left_alphabet)]
-            admissible[u] = frozenset(chosen)
-
-    edge_list: list[tuple[int, int]] = []
-    if left_degrees is not None:
-        lo, hi = left_degrees
-        hi = min(hi, right_size)
-        lo = max(0, min(lo, hi))
-        for u in range(left_size):
-            deg = rng.randint(lo, hi)
-            for v in sorted(rng.sample(range(right_size), deg)):
-                edge_list.append((u, v))
-    else:
-        for u in range(left_size):
-            for v in range(right_size):
-                if rng.random() < density:
-                    edge_list.append((u, v))
-
-    relations = {}
-    for u, v in edge_list:
-        if projection:
-            pairs = frozenset((a, rng.randrange(right_alphabet)) for a in sorted(admissible[u]))
-        else:
-            pairs = frozenset(
-                (a, b)
-                for a in range(left_alphabet)
-                for b in range(right_alphabet)
-                if rng.random() < pair_density
-            )
-        relations[(u, v)] = pairs
-    return LabelCover(left_size, right_size, left_alphabet, right_alphabet, relations, admissible)

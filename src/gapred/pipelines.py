@@ -347,8 +347,10 @@ def _build_compress_left(lc, p, budget=None):
 
 # ---------------------------------------------------------------------------
 # Witness lifts: the completeness direction of each stage, applied to the
-# planted assignment. Each reads only its source and parameters; the oracle
-# that receives the result checks it against the output.
+# planted assignment. Each reads only its source and parameters, and gets the
+# planted assignment or the previous stage's lift: one label per variable or
+# right vertex of its source. The oracle that receives the result checks it
+# against the output.
 
 
 def _same_labeling(source, p, sigma):
@@ -358,8 +360,6 @@ def _same_labeling(source, p, sigma):
 
 def _lift_compress_right(lc, p, sigma):
     """Each block's label: sigma on the block in base ra, first vertex most significant."""
-    if len(sigma) != lc.right_size:
-        return None
     labels = []
     for block in _block_partition(lc.right_size, p["q"]):
         label = 0
@@ -372,8 +372,6 @@ def _lift_compress_right(lc, p, sigma):
 def _lift_fglss(lc, p, sigma):
     """Per left vertex, the FGLSS vertex of its first admissible label that holds
     sigma on every edge; a left vertex with no such label is left out."""
-    if len(sigma) != lc.right_size:
-        return None
     clique, offset = [], 0
     for u in range(lc.left_size):
         labels, fits = lc.admissible_list(u), lc.fitting_labels(u, sigma)

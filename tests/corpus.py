@@ -1,16 +1,17 @@
 """Shared test corpus helpers: small named graphs, isomorphism-free sweeps,
-mixed-width CNF formulas, pair-derived label-cover masks, and a CLI run in a
-child process of bounded memory."""
+mixed-width CNF formulas, seeded random label covers, pair-derived label-cover
+masks, and a CLI run in a child process of bounded memory."""
 
 import itertools
 import os
+import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import gapred
-from gapred import CnfFormula, Graph
+from gapred import CnfFormula, Graph, LabelCover, ValidationError
 
 
 def run_in_child(argv, memory=2 << 30, timeout=60.0):
@@ -38,6 +39,72 @@ def mixed_cnf(rng, n, m):
         width = rng.randint(1, min(3, n))
         clauses.append(tuple(v * rng.choice((-1, 1)) for v in rng.sample(range(1, n + 1), width)))
     return CnfFormula(n, tuple(clauses))
+
+
+def random_labelcover(
+    left_size: int,
+    right_size: int,
+    left_alphabet: int,
+    right_alphabet: int,
+    density: float = 1.0,
+    seed=None,
+    *,
+    pair_density: float = 0.5,
+    projection: bool = False,
+    admissible_density: float | None = None,
+    left_degrees: tuple[int, int] | None = None,
+) -> LabelCover:
+    """Random label cover: edges with probability `density`, uniform random relations.
+
+    With `projection=True` each (edge, admissible alpha) gets exactly one beta,
+    so the output always passes the projection check. `left_degrees=(lo, hi)`
+    overrides `density` and gives each left vertex a uniform degree in that
+    range. `admissible_density` draws random nonempty admissible sets.
+    """
+    if min(left_size, right_size) < 0 or min(left_alphabet, right_alphabet) < 1:
+        raise ValidationError("all bounds must be >= 1 (sizes >= 0)")
+    if not 0.0 <= density <= 1.0 or not 0.0 <= pair_density <= 1.0:
+        raise ValidationError("densities must lie in [0,1]")
+    rng = random.Random(seed)
+
+    admissible = {}
+    for u in range(left_size):
+        if admissible_density is None:
+            admissible[u] = frozenset(range(left_alphabet))
+        else:
+            chosen = [a for a in range(left_alphabet) if rng.random() < admissible_density]
+            if not chosen:
+                chosen = [rng.randrange(left_alphabet)]
+            admissible[u] = frozenset(chosen)
+
+    edge_list: list[tuple[int, int]] = []
+    if left_degrees is not None:
+        lo, hi = left_degrees
+        hi = min(hi, right_size)
+        lo = max(0, min(lo, hi))
+        for u in range(left_size):
+            deg = rng.randint(lo, hi)
+            for v in sorted(rng.sample(range(right_size), deg)):
+                edge_list.append((u, v))
+    else:
+        for u in range(left_size):
+            for v in range(right_size):
+                if rng.random() < density:
+                    edge_list.append((u, v))
+
+    relations = {}
+    for u, v in edge_list:
+        if projection:
+            pairs = frozenset((a, rng.randrange(right_alphabet)) for a in sorted(admissible[u]))
+        else:
+            pairs = frozenset(
+                (a, b)
+                for a in range(left_alphabet)
+                for b in range(right_alphabet)
+                if rng.random() < pair_density
+            )
+        relations[(u, v)] = pairs
+    return LabelCover(left_size, right_size, left_alphabet, right_alphabet, relations, admissible)
 
 
 def pair_beta_masks(lc, u, v):

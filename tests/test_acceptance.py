@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 
 import gapred as g
+from gapred.graph_reductions import canonical_masks
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
-from corpus import all_labeled_graphs, nonisomorphic_graphs_up_to
+from corpus import all_labeled_graphs, nonisomorphic_graphs_up_to, random_labelcover
 
 
 class _Timer:
@@ -46,7 +47,7 @@ def test_criterion_01_fglss_equality():
     with _Timer("criterion 1: FGLSS equality on 200 projection instances", 60):
         for seed in range(200):
             rng = random.Random(f"c1-{seed}")
-            lc = g.random_labelcover(
+            lc = random_labelcover(
                 rng.randint(1, 4),
                 rng.randint(1, 4),
                 rng.randint(1, 3),
@@ -63,7 +64,7 @@ def test_criterion_02_minlab_setcov_equality():
     with _Timer("criterion 2: MinLab = SetCov on 100 instances", 120):
         for seed in range(100):
             rng = random.Random(f"c2-{seed}")
-            lc = g.random_labelcover(
+            lc = random_labelcover(
                 rng.randint(1, 3),
                 rng.randint(1, 3),
                 rng.randint(1, 2),
@@ -80,7 +81,19 @@ def test_criterion_03_hypercube_equivalence():
     with _Timer("criterion 3: hypercube cover-iff-column for (z,k) in {1,2,3}^2", 10):
         for z in (1, 2, 3):
             for k in (1, 2, 3):
-                assert g.check_cover_iff_column(g.hypercube(z, k))
+                # Every subcollection of the z*k canonical sets X(i, a), at bit
+                # i * k + a of the selector, covers all z^k ranks exactly when
+                # it holds a whole column X(0, a), ..., X(z-1, a).
+                masks = [mask for row in canonical_masks(z, k) for mask in row]
+                columns = [sum(1 << i * k + a for i in range(z)) for a in range(k)]
+                ground = (1 << z**k) - 1
+                for selector in range(1 << z * k):
+                    union = 0
+                    for t in range(z * k):
+                        if selector >> t & 1:
+                            union |= masks[t]
+                    has_column = any(selector & col == col for col in columns)
+                    assert (union == ground) == has_column, (z, k, selector)
 
 
 def test_criterion_04_dispersers():
@@ -89,13 +102,13 @@ def test_criterion_04_dispersers():
         # subset is the full universe and verification passes with certainty.
         for seed in range(1000):
             d = g.random_disperser(20, 8, 4, 0.5, seed=seed)
-            assert d.ell == 20 and d.regime_ok
+            assert d.ell == 20 and math.log(d.k) <= d.m / d.r
             assert g.verify_disperser(d) is None
         # Augmented non-degenerate regime (ln 8 <= 20/6, ell = 12 < m).
         failures = 0
         for seed in range(1000):
             d = g.random_disperser(20, 8, 6, 0.9, seed=seed)
-            assert d.ell == 12 and d.regime_ok
+            assert d.ell == 12 and math.log(d.k) <= d.m / d.r
             if g.verify_disperser(d) is not None:
                 failures += 1
         assert failures <= 1  # observed rate <= 1/N; Claim-4.1 scale e^-20
@@ -300,11 +313,11 @@ def test_criterion_12_roundtrip_and_determinism(tmp_path):
             assert g.parse_cnf(g.emit_cnf(f)) == f
             graph = g.random_graph(7, 0.5, seed)
             assert g.parse_graph(g.emit_graph(graph)) == graph
-            lc = g.random_labelcover(3, 3, 2, 2, density=0.7, seed=seed,
-                                     admissible_density=0.6)
+            lc = random_labelcover(3, 3, 2, 2, density=0.7, seed=seed,
+                                   admissible_density=0.6)
             assert g.parse_labelcover(g.emit_labelcover(lc)) == lc
             system = g.minlab_to_setcov(
-                g.random_labelcover(2, 2, 2, 2, seed=seed, left_degrees=(1, 2))
+                random_labelcover(2, 2, 2, 2, seed=seed, left_degrees=(1, 2))
             )
             assert g.parse_setsystem(g.emit_setsystem(system)) == system
             d = g.random_disperser(10, 4, 2, 0.5, seed=seed)

@@ -20,6 +20,7 @@ from gapred import (
     emit_disperser,
     lift_disperser,
     parse_disperser,
+    SizeCapError,
     SolveBudget,
     random_disperser,
     verify_disperser,
@@ -47,8 +48,23 @@ def test_random_disperser_deterministic():
 
 
 def test_regime_flag():
-    assert random_disperser(20, 8, 4, 0.5, seed=0).regime_ok  # ln 8 <= 5
-    assert not random_disperser(4, 100, 4, 0.5, seed=0).regime_ok
+    # ln(k) <= m/r is the regime where the random construction is guaranteed.
+    d = random_disperser(20, 8, 4, 0.5, seed=0)
+    assert math.log(d.k) <= d.m / d.r  # ln 8 <= 5
+    d = random_disperser(4, 100, 4, 0.5, seed=0)
+    assert not math.log(d.k) <= d.m / d.r
+
+
+def test_dispersers_hold_m_and_k_to_the_size_rule():
+    # A count at the cap is accepted; one past it is refused before any
+    # subset is drawn, searched or lifted.
+    assert Disperser(500000, 1, 1, 1, 0.5, (frozenset({0}),)).m == 500000
+    with pytest.raises(SizeCapError, match="^universe size 500001 outside 0..500000$"):
+        Disperser(500001, 1, 1, 1, 0.5, (frozenset({0}),))
+    with pytest.raises(SizeCapError, match="^subset count 500001 outside 0..500000$"):
+        random_disperser(10, 500001, 1, 0.5, seed=0)
+    with pytest.raises(SizeCapError, match="^universe size 500001 outside 0..500000$"):
+        deterministic_disperser(500001, 2, 1, 0.5)
 
 
 def test_verify_pass_and_fail():
@@ -198,6 +214,7 @@ def test_parse_disperser_errors():
         ("disp 4 2 2 2 y\n", "line 1: non-numeric header field"),
         ("disp 4 2 2 2 0.5\n1 2\n\n1 x\n", "line 4: non-integer element"),
         ("disp 4 2 2 2 0.5\n1 2\n", "header declares 2 subsets, found 1"),
+        ("disp 4 500001 2 2 0.5\n1 2\n", "line 1: subset count 500001 outside 0..500000"),
     ]:
         with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
             parse_disperser(text)

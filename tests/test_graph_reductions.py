@@ -20,18 +20,15 @@ from gapred import (
     ValidationError,
     biclique,
     biclique_gadget,
-    check_cover_iff_column,
     clique,
     clique_to_inducedpath,
     cnf_to_labelcover,
     dks_edge,
-    dks_params,
     dks_vertices,
     dom_set,
     emit_graph,
     fglss,
     hereditary_bridge,
-    hypercube,
     im_gadget,
     independent_set,
     induced_matching,
@@ -45,7 +42,6 @@ from gapred import (
     parse_graph,
     ramsey_binomial_bound,
     random_graph,
-    random_labelcover,
     sat_to_dks,
     set_cover,
     setcov_to_domset,
@@ -53,7 +49,7 @@ from gapred import (
 from gapred import graph_reductions, instances, oracles
 from gapred.pipelines import gen_planted_cnf
 
-from corpus import complete_graph, empty_graph, path_graph
+from corpus import complete_graph, empty_graph, path_graph, random_labelcover
 
 
 # ---------------------------------------------------------------------------
@@ -96,39 +92,17 @@ def test_fglss_equality_random_projection(seed):
 # Hypercube
 
 
-def test_hypercube_basic():
-    hs = hypercube(2, 2)
-    assert hs.ground_size == 4
-    assert len(hs.sets) == 4
-    full_column = hs.sets[(0, 0)] | hs.sets[(1, 0)]
-    assert full_column == frozenset(range(4))
-    partial = hs.sets[(0, 0)] | hs.sets[(0, 1)]
-    assert len(partial) == 3  # the vector (1,1) is missed
-
-
-def test_hypercube_cover_iff_column_exhaustive():
-    for z in (1, 2, 3):
-        for k in (1, 2, 3):
-            assert check_cover_iff_column(hypercube(z, k))
-
-
 def test_hypercube_sets_match_a_vector_scan():
     # The referee: X(i, a) as the ranks of the product-order vectors whose
     # coordinate a is i.
     for z in range(1, 5):
         for k in range(1, 5):
-            hs = hypercube(z, k)
             vectors = list(itertools.product(range(z), repeat=k))
-            assert hs.vectors == tuple(vectors)
-            assert hs.sets == {
-                (i, a): frozenset(rank for rank, vec in enumerate(vectors) if vec[a] == i)
-                for i in range(z) for a in range(k)
-            }
-
-
-def test_hypercube_size_cap():
-    with pytest.raises(SizeCapError):
-        hypercube(10, 10, size_cap=100)
+            assert graph_reductions.canonical_masks(z, k) == [
+                [sum(1 << rank for rank, vec in enumerate(vectors) if vec[a] == i)
+                 for a in range(k)]
+                for i in range(z)
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +134,11 @@ def test_minlab_to_setcov_emits_the_hypercube_sets():
             diagonal = frozenset((a, a) for a in range(c))
             lc = LabelCover(1, d, c, c, {(0, v): diagonal for v in range(d)})
             sets = dict(minlab_to_setcov(lc).sets)
-            hs = hypercube(d, c)
-            assert len(sets) == len(hs.sets) == d * c
+            canonical = graph_reductions.canonical_masks(d, c)
+            assert len(sets) == d * c
             for v in range(d):
                 for b in range(c):
-                    assert sets[v * c + b + 1] == hs.sets[(v, b)]
+                    assert sets[v * c + b + 1] == instances.bit_set(canonical[v][b])
 
 
 def test_minlab_to_setcov_rejects_isolated_left():
@@ -450,14 +424,6 @@ def test_dks_subsamples_a_wide_formula_within_its_kept_vertices():
         assert g.has_edge(i, j) == dks_edge(f, *kept[i], *kept[j])
 
 
-def test_dks_params_helper():
-    ell, p = dks_params(6, r=4, lam=0.1)
-    assert 1 <= ell <= 6
-    assert 0 < p <= 1
-    with pytest.raises(ValidationError):
-        dks_params(0, r=4)
-
-
 def test_dks_vertices_order_matches_graph():
     f = CnfFormula(3, ((1, 2, 3),))
     vertices = dks_vertices(3, 2)
@@ -552,11 +518,3 @@ def test_property_registries_agree():
         # and K_{s-1}, the largest proper induced subgraph of K_s, has it.
         assert max_induced_with_property(complete_graph(s), prop) == s - 1
 
-
-def test_hypercube_system_type():
-    from gapred import HypercubeSystem
-
-    hs = hypercube(3, 2)
-    assert isinstance(hs, HypercubeSystem)
-    assert hs.ground_size == 9
-    assert all(len(hs.sets[(i, a)]) == 3 for i in range(3) for a in range(2))

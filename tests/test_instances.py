@@ -38,7 +38,6 @@ from gapred import (
     random_cnf,
     random_disperser,
     random_graph,
-    random_labelcover,
 )
 from gapred import instances
 from gapred.instances import pairs_of
@@ -51,6 +50,7 @@ from corpus import (
     pair_cover_fields,
     path_graph,
     petersen_graph,
+    random_labelcover,
 )
 
 

@@ -26,7 +26,6 @@ from gapred import (
     projection_check,
     random_cnf,
     random_disperser,
-    random_labelcover,
     sat_max,
     verify_disperser,
 )
@@ -34,7 +33,7 @@ from gapred import instances, lc_transforms
 from gapred.instances import bits_of
 from gapred.pipelines import gen_gap_cnf, gen_planted_cnf
 
-from corpus import mixed_cnf, pair_beta_masks
+from corpus import mixed_cnf, pair_beta_masks, random_labelcover
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from gapred import (
     parse_graph,
     parse_labelcover,
     random_graph,
-    random_labelcover,
     sat_max,
     sat_to_dks,
     set_cover,
@@ -61,6 +60,7 @@ from corpus import (
     pair_beta_masks,
     pair_cover_fields,
     path_graph,
+    random_labelcover,
 )
 
 

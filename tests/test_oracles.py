@@ -30,7 +30,6 @@ from gapred import (
     max_induced_with_property,
     min_lab,
     random_graph,
-    random_labelcover,
     sat_max,
     set_cover,
 )
@@ -46,6 +45,7 @@ from corpus import (
     pair_beta_masks,
     path_graph,
     petersen_graph,
+    random_labelcover,
 )
 
 
