@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, GenerationError, ParseError, SizeCapError, ValidationError
-from .instances import _check_counts, _checked, _ints, _records
+from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
+from .instances import _check_counts, _check_header_counts, _checked, _ints, _records
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -184,10 +184,7 @@ def parse_disperser(data) -> Disperser:
     if len(fields) != 6:
         raise ParseError(f"line {lineno}: malformed header {line!r}")
     m, k, ell, r = _ints(lineno, fields[1:5], "header field")
-    try:
-        _check_counts(*zip(_COUNTS, (m, k)))
-    except SizeCapError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+    _check_header_counts(lineno, *zip(_COUNTS, (m, k)))
     try:
         eps = float(fields[5])
     except ValueError:

@@ -126,11 +126,16 @@ def _header(lineno: int, line: str, fields, header, kind, names, what: str):
     if len(fields) != words + len(names) or (kind is not None and fields[1] != kind):
         raise ParseError(f"line {lineno}: malformed header {line!r}")
     counts = tuple(_ints(lineno, fields[words:], what))
+    _check_header_counts(lineno, *((name, count) for name, count in zip(names, counts) if name))
+    return counts
+
+
+def _check_header_counts(lineno: int, *counts) -> None:
+    """_check_counts on a header's counts, a refusal raised as a ParseError naming its line."""
     try:
-        _check_counts(*((name, count) for name, count in zip(names, counts) if name))
+        _check_counts(*counts)
     except SizeCapError as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
-    return counts
 
 
 def _checked(build, *args):
