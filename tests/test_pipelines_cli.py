@@ -731,8 +731,8 @@ _MINLAB_SPEC = {"input": {"kind": "gen-planted", "n": 50, "m": 300}, "size_cap":
     ("wide.lc", "lc 1 1 1 134217000\ne 1 1 1 0 134216999\n",
      ["lc-compress-left", "--k", "40", "--r", "2", "--epsilon", "0.5"], 512 << 20,
      "beta masks pass 2^27 bits"),
-    # A one-element subset of a 10^12-element universe: the parent died with a
-    # MemoryError building its mask.
+    # A one-element subset of a 10^12-element universe: its check once died
+    # with a MemoryError building the subset's mask.
     ("big.disp", "disp 1000000000000 1 1 1 0.5\n1000000000000\n", ["disperser", "check"],
      2 << 30, "line 1: universe size 1000000000000 outside 0..500000"),
 ], ids=["lc2clique", "sat2dks", "minlab2setcov", "lc-compress-left", "disperser-check"])
@@ -750,7 +750,7 @@ def test_cli_refuses_within_its_memory_what_the_size_rule_refuses(tmp_path, name
 
 
 @pytest.mark.parametrize("argv, message", [
-    # The parent died with a MemoryError after 0.2 s, 25 s and 4.3 s.
+    # These once died with a MemoryError after 0.2 s, 25 s and 4.3 s.
     (["gen", "--m", 10**12, "--k", 1], "universe size 1000000000000 outside 0..500000"),
     (["gen", "--m", 10, "--k", 10**9], "subset count 1000000000 outside 0..500000"),
     (["det", "--m", 10**12, "--k", 2], "universe size 1000000000000 outside 0..500000"),
