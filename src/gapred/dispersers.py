@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
-from .instances import _check_counts, _check_header_counts, _checked, _ints, _records
+from .instances import (_check_counts, _check_header_counts, _checked, _ints, _mask_of,
+                        _MaskBits, _records)
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -73,6 +74,7 @@ def random_disperser(m: int, k: int, r: int, eps: float, seed) -> Disperser:
         raise ValidationError("need m, k, r >= 1 and eps in (0,1)")
     _check_counts(*zip(_COUNTS, (m, k)))  # before any subset is drawn
     ell = disperser_subset_size(m, r, eps)
+    _MaskBits("element").add(k * ell)  # the subsets' masks hold at least k * ell bits
     rng = random.Random(seed)
     subsets = tuple(frozenset(rng.sample(range(m), ell)) for _ in range(k))
     return Disperser(m, k, ell, r, eps, subsets)
@@ -86,7 +88,7 @@ def verify_disperser(d: Disperser, budget: SolveBudget | None = None):
 def _verify_disperser(d: Disperser, meter: _Meter):
     # An integer union size is below (1 - eps) * m iff it is below its ceiling.
     need = math.ceil((1 - Fraction(d.eps)) * d.m)
-    masks = [sum(1 << x for x in s) for s in d.subsets]
+    masks = _MaskBits("element").drawn(map(_mask_of, d.subsets))
     for indices in itertools.combinations(range(d.k), d.r):
         meter.tick()
         union = 0
@@ -131,6 +133,8 @@ def deterministic_disperser(
     meter = _Meter(budget)
     m_small = min(m, max(1, math.ceil(r * math.log(k))))
     ell_small = disperser_subset_size(m_small, r, eps)
+    blocks = -(-m // m_small)
+    _MaskBits("element").add(k * min(m, blocks * ell_small))  # the output's k * ell
     if math.comb(m_small, ell_small) > meter.max_nodes:
         raise BudgetExceededError(
             f"C({m_small},{ell_small}) candidate subsets exceed the search budget"
@@ -145,7 +149,7 @@ def deterministic_disperser(
         raise GenerationError(
             f"exhausted all collections of {k} subsets of [{m_small}] without finding a disperser"
         )
-    lifted = lift_disperser(found, -(-m // m_small))
+    lifted = lift_disperser(found, blocks)
     if lifted.m == m:
         return lifted
     trimmed = [frozenset(x for x in s if x < m) for s in lifted.subsets]

@@ -9,9 +9,9 @@ Clique and 2*Biclique+1; the block-chained clique gadget separates
 InducedPath at 2qk vs 4(k-1); and the partial-assignment graph realizes the
 DkS subsampling route.
 
-Every reduction to a graph yields its masks lazily to `instances._bounded`,
-which refuses what parse_graph would refuse of the output's file, and
-minlab_to_setcov builds through `SetSystem._bounded` alike. fglss and
+Every reduction to a graph yields its masks lazily to `Graph._bounded`, the
+one graph builder, which refuses what parse_graph would refuse of the output's
+file, and minlab_to_setcov builds through `SetSystem._bounded` alike. fglss and
 sat_to_dks also count the vertex masks they build first.
 """
 
@@ -29,7 +29,6 @@ from .instances import (
     Graph,
     LabelCover,
     SetSystem,
-    _bounded,
     _MaskBits,
     bit_set,
     bits_of,
@@ -69,12 +68,13 @@ def fglss(lc: LabelCover) -> Graph:
     violation = projection_check(lc)
     if violation is not None:
         raise ReductionError(f"input lacks the projection property: violation {violation}")
-    return _bounded(sum(len(lc.admissible[u]) for u in range(lc.left_size)), _fglss_masks(lc))
+    num_vertices = sum(len(lc.admissible[u]) for u in range(lc.left_size))
+    return Graph._bounded(num_vertices, _fglss_masks(lc))
 
 
 def _fglss_masks(lc: LabelCover):
     """fglss's neighbour masks in vertex order. The state is built on the first
-    draw, so _bounded refuses too many vertices before any of it is built, and
+    draw, so Graph._bounded refuses too many vertices before any of it is built, and
     its masks are counted left vertex by left vertex as they widen."""
     # Each left vertex keeps its first vertex and its labels' projections, as
     # (v, beta) keys. touch[v] holds the vertices whose left vertex sees v, and
@@ -156,10 +156,11 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
         if total > size_cap:
             raise SizeCapError(f"universe of {total}+ elements exceeds cap {size_cap}")
     ra = lc.right_alphabet
+    num_sets = lc.right_size * ra
 
     def sets():
         # Drawn once SetSystem._bounded has checked the counts, which size this list.
-        masks = [0] * (lc.right_size * ra)
+        masks = [0] * num_sets
         cubes: dict[tuple[int, int], list[list[int]]] = {}
         for u in range(lc.left_size):
             nbrs = lc.left_neighbors[u]
@@ -185,7 +186,7 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
                     masks[v * ra + b] |= mask << offsets[u]
         yield from masks
 
-    return SetSystem._bounded(total, lc.right_size * ra, sets())
+    return SetSystem._bounded(total, num_sets, range(1, num_sets + 1), sets())
 
 
 def setcov_to_domset(system: SetSystem) -> Graph:
@@ -211,7 +212,7 @@ def setcov_to_domset(system: SetSystem) -> Graph:
         for e in bit_set(mask):
             elements[e] |= bit
     rows = ((sets ^ 1 << i) | mask << k for i, mask in enumerate(system.masks))
-    return _bounded(k + system.universe_size, itertools.chain(rows, elements))
+    return Graph._bounded(k + system.universe_size, itertools.chain(rows, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,9 @@ def _doubling(n: int, row) -> Graph:
     """Bipartite double on 2n vertices: (u, 1) ~ (v, 2) iff bit v of row(u) is set.
 
     The rows must be symmetric, so right vertex n + v sees the left vertices
-    in row(v). Each side builds its own rows, so `_bounded` counts them lazily."""
+    in row(v). Each side builds its own rows, so `Graph._bounded` counts them lazily."""
     left = (row(u) << n for u in range(n))
-    return _bounded(2 * n, itertools.chain(left, map(row, range(n))))
+    return Graph._bounded(2 * n, itertools.chain(left, map(row, range(n))))
 
 
 def biclique_gadget(graph: Graph) -> Graph:
@@ -249,7 +250,7 @@ def is_to_im_gadget(graph: Graph) -> Graph:
     """Pendant construction: a leaf per vertex, so IM(output) >= MIS(input)."""
     n = graph.num_vertices
     stems = (mask | 1 << n + v for v, mask in enumerate(graph.adjacency))
-    return _bounded(2 * n, itertools.chain(stems, (1 << v for v in range(n))))
+    return Graph._bounded(2 * n, itertools.chain(stems, (1 << v for v in range(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def clique_to_inducedpath(h: Graph, k: int, q: int) -> Graph:
             # A dummy sees its own column and the previous one.
             yield column | column >> stride
 
-    return _bounded(columns * stride, masks())
+    return Graph._bounded(columns * stride, masks())
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +420,7 @@ def sat_to_dks(
                     non |= outside
             yield everyone & ~non
 
-    return _bounded(len(vertices), masks())
+    return Graph._bounded(len(vertices), masks())
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Conventions: vertices and universe elements are 0-indexed in memory and
 1-indexed in files; labels are opaque dense integers 0..|alphabet|-1 in both.
-All types are immutable. Generators are pure functions of their seed. Every
-build, parse and generator holds its instance to one size rule (`_check_counts`,
-`_MaskBits`), so parse(emit(x)) == x for every instance a constructor accepts.
+All types are immutable. Generators are pure functions of their seed. Each mask-stored kind
+is made only by its `_bounded`, which holds it to one size rule (`_check_counts`, `_MaskBits`),
+so derived graphs obey it too and parse(emit(x)) == x for every instance built.
 """
 
 from __future__ import annotations
@@ -312,18 +312,18 @@ class Graph:
                 raise ValidationError(f"edge ({u},{v}) out of range")
             neighbours[u].append(v)
             neighbours[v].append(u)
-        self._store(_bounded(num_vertices, map(_mask_of, neighbours)).adjacency)
+        self.__dict__.update(vars(Graph._bounded(num_vertices, map(_mask_of, neighbours))))
 
     @classmethod
-    def _from_masks(cls, adjacency) -> Graph:
-        """Unchecked constructor for builders whose masks are symmetric and loop-free."""
+    def _bounded(cls, num_vertices: int, masks) -> Graph:
+        """The only graph builder: the graph of the `num_vertices` symmetric, loop-free
+        masks `masks` yields, drawn after the vertex count is checked and refused by
+        the size rule where parse_graph would refuse its file."""
+        _check_counts(("vertex count", num_vertices))
+        adjacency = tuple(_MaskBits("neighbour").drawn(masks))
         graph = object.__new__(cls)
-        graph._store(adjacency)
+        graph.__dict__.update(num_vertices=len(adjacency), adjacency=adjacency)
         return graph
-
-    def _store(self, adjacency) -> None:
-        object.__setattr__(self, "num_vertices", len(adjacency))
-        object.__setattr__(self, "adjacency", tuple(adjacency))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -339,7 +339,8 @@ class Graph:
 
     def complement(self) -> Graph:
         full = (1 << self.num_vertices) - 1
-        return Graph._from_masks([full & ~(m | 1 << v) for v, m in enumerate(self.adjacency)])
+        return Graph._bounded(self.num_vertices,
+                              (full & ~(m | 1 << v) for v, m in enumerate(self.adjacency)))
 
     def induced(self, vertices) -> Graph:
         """The subgraph induced on the distinct `vertices`, vertex j being vertices[j].
@@ -349,24 +350,16 @@ class Graph:
         """
         vertices = list(vertices)
         if not vertices:
-            return Graph._from_masks([])
+            return Graph._bounded(0, ())
         # String position n - 1 - v holds bit v; the new bits are listed
         # from the highest down.
         n = self.num_vertices
         gather = operator.itemgetter(*(n - 1 - v for v in reversed(vertices)))
         width = f"0{n}b"
         adjacency = self.adjacency
-        return Graph._from_masks(
-            [int("".join(gather(format(adjacency[v], width))), 2) for v in vertices]
+        return Graph._bounded(
+            len(vertices), (int("".join(gather(format(adjacency[v], width))), 2) for v in vertices)
         )
-
-
-def _bounded(num_vertices: int, masks) -> Graph:
-    """The graph of the `num_vertices` masks `masks` yields, refused by the
-    size rule where parse_graph would refuse its file. The masks are drawn
-    after the vertex count is checked."""
-    _check_counts(("vertex count", num_vertices))
-    return Graph._from_masks(_MaskBits("neighbour").drawn(masks))
 
 
 # A file that is one bare header line and bare edge lines only, each ended by
@@ -390,7 +383,7 @@ def _parse_edge_lines(text: str) -> Graph | None:
     n, m = int(header[1]), int(header[2])
     # The name table below grows with n (59 MB for 500,000 names), so a short
     # file declaring many vertices goes to the line loop. Below this bound, n
-    # masks of n bits cannot break the size rule either, so none is counted.
+    # masks of n bits cannot break the size rule either, so Graph._bounded keeps them.
     if n * n > 1 << _MASK_BITS:
         return None
     # Only canonical names are keys, so "03", "+3" and ids past n miss.
@@ -416,7 +409,7 @@ def _parse_edge_lines(text: str) -> Graph | None:
     # fall short of twice the edges read.
     if seen != m or sum(map(int.bit_count, masks)) != 2 * m:
         return None
-    return Graph._from_masks(masks)
+    return Graph._bounded(n, masks)
 
 
 def parse_graph(data) -> Graph:
@@ -456,7 +449,7 @@ def parse_graph(data) -> Graph:
             raise ParseError(f"line {lineno}: unknown line tag {fields[0]!r}")
     if header is None:
         raise ParseError("missing 'p edge' header")
-    graph = Graph._from_masks(masks)
+    graph = Graph._bounded(header[0], masks)
     if graph.num_edges != header[1]:
         raise ParseError(f"header declares {header[1]} edges, found {graph.num_edges}")
     return graph
@@ -514,22 +507,19 @@ class SetSystem:
                     raise ValidationError(f"element {e} of set {sid} out of range")
             by_id[sid] = elems
         ids = sorted(by_id)
-        self._store(universe_size, len(ids), ids, (_mask_of(by_id[sid]) for sid in ids))
+        self.__dict__.update(vars(SetSystem._bounded(
+            universe_size, len(ids), ids, (_mask_of(by_id[sid]) for sid in ids))))
 
     @classmethod
-    def _bounded(cls, universe_size: int, num_sets: int, masks) -> SetSystem:
-        """The set system whose sets 1..num_sets have the masks `masks` yields,
-        each within the universe, refused by the size rule as the constructor is."""
-        system = object.__new__(cls)
-        system._store(universe_size, num_sets, range(1, num_sets + 1), masks)
-        return system
-
-    def _store(self, universe_size, num_sets, ids, masks) -> None:
-        # Checked before the ids are listed or a mask drawn: a count past the cap builds neither.
+    def _bounded(cls, universe_size: int, num_sets: int, ids, masks) -> SetSystem:
+        """The only set-system builder: the sets with the ascending `ids` and the masks
+        `masks` yields, within the universe and held to the size rule. A count past the
+        cap is refused before the ids are listed or a mask drawn."""
         _check_counts(("universe size", universe_size), ("set count", num_sets))
-        object.__setattr__(self, "universe_size", universe_size)
-        object.__setattr__(self, "ids", tuple(ids))
-        object.__setattr__(self, "masks", tuple(_MaskBits("element").drawn(masks)))
+        system = object.__new__(cls)
+        system.__dict__.update(universe_size=universe_size, ids=tuple(ids),
+                               masks=tuple(_MaskBits("element").drawn(masks)))
+        return system
 
     @property
     def sets(self) -> tuple[tuple[int, frozenset[int]], ...]:
@@ -581,9 +571,7 @@ def parse_setsystem(data) -> SetSystem:
         raise ParseError(f"duplicate set id {repeated}")
     _checked(_MaskBits("element").add, bits)
     ids = sorted(by_id)
-    system = object.__new__(SetSystem)
-    system._store(header[0], count, ids, map(by_id.__getitem__, ids))
-    return system
+    return SetSystem._bounded(header[0], count, ids, map(by_id.__getitem__, ids))
 
 
 def emit_setsystem(system: SetSystem) -> str:
@@ -755,15 +743,15 @@ class LabelCover:
                 adm[u] = labels
             if len(admissible) != left_size:
                 raise ValidationError("admissible map has spurious keys")
-        self.__dict__.update(
+        self.__dict__.update(vars(LabelCover._bounded(
             left_size=left_size,
             right_size=right_size,
             left_alphabet=left_alphabet,
             right_alphabet=right_alphabet,
             admissible=adm,
             left_decoders=left_decoders,
-        )
-        self._store(betas)
+            betas=betas,
+        )))
 
     def __eq__(self, other):
         """Field-wise equality, as the dataclass defines it, except that each
@@ -776,9 +764,8 @@ class LabelCover:
         if sizes != (other.left_size, other.right_size, other.left_alphabet,
                      other.right_alphabet):
             return False
-        if self.admissible.keys() != other.admissible.keys():
-            return False
-        # Both dicts hold every set compared, so their ids stay unique here.
+        # Every admissible map's keys are range(left_size), so only the sets are
+        # compared. Both dicts hold every set compared, so their ids stay unique here.
         ours = list(self.admissible.values())
         theirs = list(map(other.admissible.__getitem__, self.admissible))
         by_id = dict(zip(map(id, ours), ours)) | dict(zip(map(id, theirs), theirs))
@@ -789,17 +776,14 @@ class LabelCover:
 
     @classmethod
     def _bounded(cls, *, betas, **values) -> LabelCover:
-        """A transform's label cover, its counts held to the size rule. Its beta masks,
-        nonzero and in range, are counted as the transform builds them or bounded by it."""
+        """The only label-cover builder, its counts held to the size rule. Its beta masks,
+        nonzero and in range, are counted as they are built, or bounded by their builder,
+        and its admissible map's keys are range(left_size)."""
         counts = (values["left_size"], values["right_size"], values["left_alphabet"])
         _check_counts(*zip(_COVER_COUNTS, counts))
         lc = object.__new__(cls)
-        lc.__dict__.update(values)
-        lc._store(betas)
+        lc.__dict__.update(values, betas=betas, relations=_Relations(betas))
         return lc
-
-    def _store(self, betas) -> None:
-        self.__dict__.update(betas=betas, relations=_Relations(betas))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -950,4 +934,4 @@ def random_graph(num_vertices: int, edge_prob: float, seed) -> Graph:
             if rng.random() < edge_prob:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-    return _bounded(num_vertices, masks)
+    return Graph._bounded(num_vertices, masks)

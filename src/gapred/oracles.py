@@ -517,7 +517,7 @@ def independent_set(graph: Graph, budget: SolveBudget | None = None) -> int:
     """
     adj = graph.adjacency
     order = sorted(range(graph.num_vertices), key=lambda v: adj[v].bit_count())
-    complement = graph.induced(order).complement()
+    complement = graph.complement().induced(order)
     return _clique_number(complement.adjacency, complement.num_vertices, _Meter(budget))
 
 

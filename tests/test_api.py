@@ -1,5 +1,8 @@
-"""The public API, pinned so that any change to it shows as a reviewed diff."""
+"""The public API, pinned so that any change to it shows as a reviewed diff, and
+the package's private names, each of which the package itself must use."""
 
+import ast
+import collections
 import importlib
 import pkgutil
 import types
@@ -27,3 +30,38 @@ def test_public_api_is_pinned():
     # tests/pinned_api.txt.
     expected = (Path(__file__).parent / "pinned_api.txt").read_text()
     assert _api_listing() == expected
+
+
+def _referenced(tree) -> collections.Counter:
+    """How often each name is read in `tree`: as a name, an attribute or an import."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # A module-level private name that nothing in src/ reads outside its own
+    # definition is code the package does not run; tests and bench/ do not count.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(gapred.__file__).parent.glob("*.py")}
+    used = sum(map(_referenced, trees.values()), collections.Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = _referenced(node)
+            unused += [f"{module}:{name}" for name in names if name.startswith("_")
+                       and not name.startswith("__") and used[name] == inside[name]]
+    assert unused == []

@@ -173,6 +173,30 @@ def test_graph_complement():
     assert g.complement().edges == frozenset({(0, 2), (1, 2)})
 
 
+def test_derived_graphs_keep_to_the_size_rule():
+    # complement and induced build through Graph._bounded, as every graph does.
+    # The 12,000-vertex star relabelled in reverse puts its centre last, so
+    # each leaf's mask is 12,000 bits wide; it was once built, and emit_graph
+    # wrote a file that parse_graph refuses.
+    star = Graph(12_000, [(0, v) for v in range(1, 12_000)])
+    with pytest.raises(SizeCapError, match="neighbour masks"):
+        star.induced(range(11_999, -1, -1))
+    with pytest.raises(SizeCapError, match="neighbour masks"):
+        parse_graph("p edge 12000 0\n").complement()
+    # On both sides of the bound: either derived graph of n vertices holds
+    # n^2 - 1 mask bits, which stays below 2^20 at n = 1,024 and not at 1,025.
+    with mock.patch.object(instances, "_MASK_BITS", 20):
+        for n, fits in ((1_024, True), (1_025, False)):
+            star = Graph(n, [(0, v) for v in range(1, n)])
+            for derive in (lambda: star.induced(range(n - 1, -1, -1)),
+                           lambda: Graph(n).complement()):
+                if fits:
+                    assert derive().num_vertices == n
+                else:
+                    with pytest.raises(SizeCapError, match="neighbour masks"):
+                        derive()
+
+
 @given(st.integers(0, 10**9), st.integers(0, 30), st.integers(0, 30))
 @settings(max_examples=40, deadline=None)
 def test_graph_induced_relabels_kept_vertices(seed, n, size):
@@ -208,6 +232,19 @@ def test_parse_graph_errors():
     # Below the bound the same shape parses.
     small = parse_graph("p edge 10000 50\n" + "".join(f"e {u} 10000\n" for u in range(1, 51)))
     assert small.num_edges == 50
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_cnf, "c no header\n", "missing 'p cnf' header"),
+    (parse_graph, "", "missing 'p edge' header"),
+    (parse_setsystem, "c no header\n", "missing 'ss' header"),
+    (parse_labelcover, "", "missing 'lc' header"),
+    (parse_cnf, "p cnf 2 2\n1 0\n0\n", "empty clause (bare 0)"),
+], ids=["cnf-header", "graph-header", "ss-header", "lc-header", "bare-0"])
+def test_parsers_refuse_files_with_no_header_or_a_bare_0(parse, text, message):
+    with pytest.raises(ParseError) as refused:
+        parse(text)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +843,7 @@ def ref_parse_graph(text):
             raise ParseError(f"line {lineno}: unknown line tag {parts[0]!r}")
     if header is None:
         raise ParseError("missing 'p edge' header")
-    graph = Graph._from_masks(masks)
+    graph = Graph._bounded(header[0], masks)
     if graph.num_edges != header[1]:
         raise ParseError(f"header declares {header[1]} edges, found {graph.num_edges}")
     return graph

@@ -735,7 +735,18 @@ _MINLAB_SPEC = {"input": {"kind": "gen-planted", "n": 50, "m": 300}, "size_cap":
     # with a MemoryError building the subset's mask.
     ("big.disp", "disp 1000000000000 1 1 1 0.5\n1000000000000\n", ["disperser", "check"],
      2 << 30, "line 1: universe size 1000000000000 outside 0..500000"),
-], ids=["lc2clique", "sat2dks", "minlab2setcov", "lc-compress-left", "disperser-check"])
+    # 500,000 one-element subsets at the universe's top: their masks would
+    # hold 2.5 * 10^11 bits. This once died with a MemoryError after 4 s.
+    ("wide.disp", "disp 500000 500000 1 1 0.5\n" + "500000\n" * 500_000, ["disperser", "check"],
+     2 << 30, "element masks pass 2^27 bits"),
+    # The complement of 200,000 isolated vertices: both runs once passed a
+    # 40 s timeout relabelling it, one 200,000-character string per vertex.
+    ("empty.graph", "p edge 200000 0\n", ["solve", "independent-set"], 2 << 30,
+     "neighbour masks pass 2^27 bits"),
+    ("empty.graph", "p edge 200000 0\n", ["solve", "max-induced", "--property", "edgeless"],
+     2 << 30, "neighbour masks pass 2^27 bits"),
+], ids=["lc2clique", "sat2dks", "minlab2setcov", "lc-compress-left", "disperser-check",
+        "disperser-check-wide", "independent-set", "max-induced-edgeless"])
 def test_cli_refuses_within_its_memory_what_the_size_rule_refuses(tmp_path, name, text, argv,
                                                                   memory, message):
     # Each run is a child process under an address-space limit, so a
@@ -751,15 +762,19 @@ def test_cli_refuses_within_its_memory_what_the_size_rule_refuses(tmp_path, name
 
 @pytest.mark.parametrize("argv, message", [
     # These once died with a MemoryError after 0.2 s, 25 s and 4.3 s.
-    (["gen", "--m", 10**12, "--k", 1], "universe size 1000000000000 outside 0..500000"),
-    (["gen", "--m", 10, "--k", 10**9], "subset count 1000000000 outside 0..500000"),
-    (["det", "--m", 10**12, "--k", 2], "universe size 1000000000000 outside 0..500000"),
-], ids=["gen-m", "gen-k", "det-m"])
+    (["gen", "--m", 10**12, "--k", 1, "--r", 1], "universe size 1000000000000 outside 0..500000"),
+    (["gen", "--m", 10, "--k", 10**9, "--r", 1], "subset count 1000000000 outside 0..500000"),
+    (["det", "--m", 10**12, "--k", 2, "--r", 1], "universe size 1000000000000 outside 0..500000"),
+    # Both counts within the rule, but k subsets of l = m elements each: these
+    # once died with a MemoryError after 21 s and 7.5 s.
+    (["gen", "--m", 500_000, "--k", 500_000, "--r", 2], "element masks pass 2^27 bits"),
+    (["det", "--m", 500_000, "--k", 500_000, "--r", 2], "element masks pass 2^27 bits"),
+], ids=["gen-m", "gen-k", "det-m", "gen-k-ell", "det-k-ell"])
 def test_cli_refuses_within_its_memory_the_disperser_counts_past_the_size_rule(tmp_path, argv,
                                                                                 message):
     # The sibling of the test above for the runs that read no file.
     out = tmp_path / "out"
-    result = run_in_child(["disperser", *argv, "--r", 1, "--epsilon", 0.5, "--out", out])
+    result = run_in_child(["disperser", *argv, "--epsilon", 0.5, "--out", out])
     assert result.returncode == 2 and "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: {message}") and result.stderr.count("\n") == 1
     assert not out.exists()
