@@ -193,13 +193,31 @@ def bit_set(mask: int) -> frozenset[int]:
     return frozenset(itertools.compress(itertools.count(), _flags(mask)))
 
 
-def _mask_of(elements: list[int]) -> int:
+# An element list with at least one element per _DENSE positions of its mask's
+# width is built as a binary numeral. The two ways cost the same at about one
+# element per 32 to 48 positions, so 16 keeps the numeral on the faster side.
+_DENSE = 16
+
+
+def _mask_of(elements) -> int:
     """The mask with bit e set for each of the nonnegative ints `elements`.
 
-    The bits are set in a little-endian byte string read as one number, so
-    the mask is built once, not widened once per element.
+    This is the one element-list-to-mask builder. Its width is the top
+    element + 1. A dense list, one element or more per _DENSE positions of
+    the width, writes an ASCII 1 per element into a string of 0s, one per
+    position, and reads it reversed as one binary numeral: its transient
+    bytes are at most _DENSE * len(elements). A sparser list sets its bits
+    in a little-endian byte string of width / 8 bytes read as one number.
+    Either way the mask is built once, not widened once per element.
     """
-    packed = bytearray((max(elements, default=-1) >> 3) + 1)
+    width = max(elements, default=-1) + 1
+    if 0 < width <= _DENSE * len(elements):
+        digits = bytearray(b"0") * width
+        for e in elements:
+            digits[e] = 49  # ord("1")
+        digits.reverse()
+        return int(digits, 2)
+    packed = bytearray((width + 7) >> 3)
     for e in elements:
         packed[e >> 3] |= 1 << (e & 7)
     return int.from_bytes(packed, "little")

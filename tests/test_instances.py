@@ -1196,24 +1196,48 @@ def test_parse_graph_keeps_the_line_loops_result(monkeypatch, chunk, name):
     assert_parses_as_the_line_loop(text)
 
 
-def _edge_files(seed):
-    """A random graph's file, its edge lines shuffled, and its endpoints swapped."""
-    rng = random.Random(seed)
-    g = random_graph(rng.randint(0, 30), rng.random(), seed)
+def _edge_files(g, rng):
+    """The graph's file, its edge lines shuffled, and its endpoints swapped."""
     header, *lines = emit_graph(g).splitlines(keepends=True)
     shuffled = rng.sample(lines, len(lines))
     swapped = [f"e {line.split()[2]} {line.split()[1]}\n" for line in shuffled]
-    return g, [header + "".join(lines), header + "".join(shuffled), header + "".join(swapped)]
+    return [header + "".join(lines), header + "".join(shuffled), header + "".join(swapped)]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 15])
 @pytest.mark.parametrize("seed", range(8))
 def test_bulk_graph_parse_reads_edge_files_in_any_order(monkeypatch, chunk, seed):
     monkeypatch.setattr(instances, "_PARSE_CHUNK", chunk)
-    g, files = _edge_files(seed)
-    for text in files:
+    rng = random.Random(seed)
+    g = random_graph(rng.randint(0, 30), rng.random(), seed)
+    for text in _edge_files(g, rng):
         # These files are the bulk read's own shape, so it must not decline them.
         assert assert_parses_as_the_line_loop(text) == g
+
+
+def _straddling_graph(rng):
+    """A 1,000-vertex graph whose rows 0..39 hold, in turn, the fewest
+    neighbours a dense row holds and one fewer."""
+    edges = []
+    for u in range(40):
+        top = 500 + 12 * u
+        count = -(-(top + 1) // instances._DENSE) - u % 2
+        edges += [(u, v) for v in [top, *rng.sample(range(40, top), count - 1)]]
+    return Graph(1_000, edges)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 1 << 15])
+def test_bulk_graph_parse_reads_dense_edge_files(monkeypatch, chunk):
+    # The compile workload's 400-vertex G(n, 1/2) files, whose rows are dense,
+    # and a graph whose rows fall just on each side of the density rule.
+    monkeypatch.setattr(instances, "_PARSE_CHUNK", chunk)
+    rng = random.Random(chunk)
+    straddling = _straddling_graph(rng)
+    rows = straddling.adjacency[:40]
+    assert {m.bit_length() <= instances._DENSE * m.bit_count() for m in rows} == {True, False}
+    for g in (random_graph(400, 0.5, chunk), straddling):
+        for text in _edge_files(g, rng):
+            assert assert_parses_as_the_line_loop(text) == g
 
 
 @given(seed=st.integers(0, 10**6), counts=_HEADER_COUNTS,
@@ -1338,3 +1362,62 @@ def test_emit_labelcover_writes_shared_and_separate_admissible_sets_alike():
         source = cnf_to_labelcover(mixed_cnf(random.Random(seed), 6, 8))
         lc = compress_left(source, k=3, r=2, epsilon=0.3, seed=seed)[0]
         assert emit_labelcover(lc) == ref_emit_labelcover(lc)
+
+
+# ---------------------------------------------------------------------------
+# Element lists to masks: the numeral path for dense lists, packed bytes for sparse ones
+
+
+def _referee_mask(elements):
+    return sum(1 << e for e in set(elements))
+
+
+def _element_lists(width, rng):
+    """Lists of width `width` (top element width - 1): one element, every
+    element, half of them, and one element fewer than, exactly as many as and
+    one more than the fewest a dense list holds."""
+    fewest = -(-width // instances._DENSE)
+    for count in sorted({1, fewest - 1, fewest, fewest + 1, width // 2, width}):
+        if 1 <= count <= width:
+            others = rng.sample(range(width - 1), count - 1)
+            yield [width - 1, *others]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 400, 1000,
+                                   4097, 12_000])
+def test_mask_of_matches_the_shift_sum(width):
+    rng = random.Random(width)
+    for xs in _element_lists(width, rng):
+        dense = width <= instances._DENSE * len(xs)
+        want = _referee_mask(xs)
+        assert want.bit_length() == width
+        shuffled = rng.sample(xs, len(xs))
+        repeated = xs + rng.choices(xs, k=len(xs) // 2 + 1)
+        for given in (xs, sorted(xs), shuffled, tuple(shuffled), frozenset(xs), repeated):
+            assert instances._mask_of(given) == want, (width, len(xs), dense, type(given))
+
+
+def test_mask_of_edge_lists():
+    assert instances._mask_of([]) == 0
+    assert instances._mask_of(()) == 0
+    assert instances._mask_of(frozenset()) == 0
+    assert instances._mask_of([0]) == 1
+    assert instances._mask_of([0, 0, 0]) == 1
+    assert instances._mask_of([5, 1, 5, 3, 1]) == 0b101010
+    assert instances._mask_of((9, 0)) == 0b1000000001
+
+
+@pytest.mark.parametrize("elements", [[11_584], [0, 25_000, 99_999, 50_000, 75_000]],
+                         ids=["one-far-element", "five-spread-elements"])
+def test_mask_of_packs_sparse_lists(elements):
+    # A sparse list takes the packed path, whose buffers are width / 8 bytes
+    # each; a digit string would take a byte per position.
+    width = max(elements) + 1
+    tracemalloc.start()
+    try:
+        mask = instances._mask_of(elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask == _referee_mask(elements)
+    assert peak < width // 2
