@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -98,6 +99,9 @@ def _add_param(parser, param):
                             default=None if param.required else param.default)
 
 
+# Built on the first call and shared by every later one: its defaults are
+# immutable, and each handler is bound here.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gapred", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,6 +119,13 @@ class _Meter:
             self.next_check = self.nodes + 4096
             if time.monotonic() > self.deadline:
                 raise BudgetExceededError("time budget exceeded")
+
+
+def _too_deep(search: str) -> BudgetExceededError:
+    """What a recursive search raises in place of a RecursionError: running
+    out of depth is running out of budget, not a failed verification."""
+    return BudgetExceededError(
+        f"{search} went deeper than the recursion limit ({sys.getrecursionlimit()})")
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +415,19 @@ def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:
     t_max = sum(caps)
     if t_min == 0:
         return 0
-    for total in range(t_min, t_max + 1):
-        for sizes in size_vectors(total, 0):
-            pools = [
-                itertools.combinations(usable[v], size) for v, size in zip(live, sizes)
-            ]
-            for picks in itertools.product(*pools):
-                meter.tick()
-                masks = (sum(1 << b for b in labels) for labels in picks)
-                if feasible(dict(zip(live, masks))):
-                    return total
+    try:
+        for total in range(t_min, t_max + 1):
+            for sizes in size_vectors(total, 0):
+                pools = [
+                    itertools.combinations(usable[v], size) for v, size in zip(live, sizes)
+                ]
+                for picks in itertools.product(*pools):
+                    meter.tick()
+                    masks = (sum(1 << b for b in labels) for labels in picks)
+                    if feasible(dict(zip(live, masks))):
+                        return total
+    except RecursionError:
+        raise _too_deep("min_lab's size search") from None
     raise AssertionError("full label sets were feasible but enumeration missed them")
 
 
@@ -476,7 +487,10 @@ def _clique_number(adj, n: int, meter: _Meter, best: int = 0) -> int:
             expand(rest & adj[v], size + 1)
             rest &= ~(1 << v)
 
-    expand((1 << n) - 1, 0)
+    try:
+        expand((1 << n) - 1, 0)
+    except RecursionError:
+        raise _too_deep("the clique search") from None
     return best
 
 
@@ -556,7 +570,10 @@ def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
             best = max(best, min(size + 1, free))
             grow(j + 1, s, size + 1, c)
 
-    grow(0, 0, 0, -1)
+    try:
+        grow(0, 0, 0, -1)
+    except RecursionError:
+        raise _too_deep("the biclique search") from None
     return best
 
 
@@ -658,7 +675,10 @@ def _min_cover(masks, n: int, meter: _Meter) -> int | None:
         for m in sorted(covers_elem[elem], key=lambda m: -(m & uncov).bit_count()):
             search(uncov & ~m, used + 1)
 
-    search(full, 0)
+    try:
+        search(full, 0)
+    except RecursionError:
+        raise _too_deep("the cover search") from None
     return best
 
 
@@ -773,9 +793,12 @@ def _longest_induced_path(graph: Graph, meter: _Meter, stop_at: int | None) -> i
                 return True
         return False
 
-    for start in range(n):
-        if grow(start, 1 << start, 0, 1):
-            break
+    try:
+        for start in range(n):
+            if grow(start, 1 << start, 0, 1):
+                break
+    except RecursionError:
+        raise _too_deep("the induced-path search") from None
     return best
 
 

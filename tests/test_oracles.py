@@ -429,6 +429,31 @@ def test_budget_exceeded_is_reported():
         clique(petersen_graph(), tiny)
 
 
+_DEEP = 1100  # past the default recursion limit of 1000
+
+
+# The clique and induced-path searches have their own repros in
+# tests/test_pipelines_cli.py.
+@pytest.mark.parametrize("search, want", [
+    (lambda: biclique(complete_bipartite(_DEEP, _DEEP)), _DEEP),
+    # The pair {0, 1} makes greedy's cover 1099 sets long and no root bound
+    # settles it, so the search adds one singleton per level.
+    (lambda: set_cover(SetSystem(_DEEP, [(0, (0, 1)), *((e + 1, (e,)) for e in range(_DEEP))])),
+     _DEEP - 1),
+    # One left vertex on every right vertex: one size per right vertex.
+    (lambda: min_lab(LabelCover(1, _DEEP, 1, 1, {(0, v): {(0, 0)} for v in range(_DEEP)})),
+     _DEEP),
+], ids=["biclique", "set_cover", "min_lab"])
+def test_a_search_past_the_recursion_limit_runs_out_of_budget(search, want):
+    # Each recursive search once let a RecursionError escape, which the CLI
+    # reported as a failed verification. A search that does not recurse once
+    # per level may answer instead.
+    try:
+        assert search() == want
+    except BudgetExceededError as exc:
+        assert "went deeper than the recursion limit" in str(exc)
+
+
 def test_sat_max_charges_whole_chunks():
     # The all-false assignment satisfies both clauses, yet every one of the
     # 2^6 assignments is charged before any is scored.

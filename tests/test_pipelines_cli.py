@@ -7,7 +7,10 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -43,10 +46,11 @@ from gapred import (
     sat_max,
     sat_to_dks,
 )
+import gapred
 from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
 
-from corpus import run_in_child
+from corpus import complete_graph, path_graph, run_in_child
 from gapred.instances import pairs_of
 from gapred.pipelines import (
     PipelineSpec,
@@ -780,6 +784,37 @@ def test_cli_refuses_within_its_memory_the_disperser_counts_past_the_size_rule(t
     assert not out.exists()
 
 
+
+_DEEP_CHAINS = {
+    "is2im.json": {"seed": 4, "input": {"kind": "gen-gap", "n": 6, "m": 7, "epsilon": 0.2},
+                   "stages": [{"op": "cnf2lc"}, {"op": "minlab2setcov"},
+                              {"op": "setcov2domset"}, {"op": "is2im"}]},
+    "dks.json": {"seed": 1, "input": {"kind": "gen-planted", "n": 7, "m": 6},
+                 "stages": [{"op": "sat2dks", "ell": 5}, {"op": "biclique-gadget"},
+                            {"op": "is2im"}, {"op": "is2im"}]},
+}
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("empty.graph", lambda: "p edge 1500 0\n", ["solve", "independent-set"]),
+    ("k1200.graph", lambda: emit_graph(complete_graph(1200)), ["solve", "clique"]),
+    ("path.graph", lambda: emit_graph(path_graph(1500)), ["solve", "induced-path"]),
+    # The last is2im stage searches the 2,331-vertex DomSet graph's complement.
+    ("is2im.json", lambda: json.dumps(_DEEP_CHAINS["is2im.json"]), ["verify"]),
+    # The node budget cuts the biclique stage short; the last is2im stage
+    # still goes deep at once.
+    ("dks.json", lambda: json.dumps(_DEEP_CHAINS["dks.json"]),
+     ["verify", "--budget-nodes", "200000"]),
+], ids=["independent-set", "clique", "induced-path", "verify-is2im", "verify-dks"])
+def test_cli_deep_searches_exit_without_a_traceback(tmp_path, name, text, argv):
+    # Each search recursed past the recursion limit and exited 1, the code of
+    # a failed verification, with a RecursionError traceback. A search that
+    # does not recurse once per level may answer instead.
+    source = tmp_path / name
+    source.write_text(text())
+    result = run_in_child([*argv, source])
+    assert result.returncode in (0, 3) and "Traceback" not in result.stderr
+
 def test_cli_compress_left_refuses_k_past_the_size_cap_before_drawing(tmp_path, capsys):
     # Drawing 10^8 subsets once ran for minutes before any cap was checked.
     cnf, lc = tmp_path / "f.cnf", tmp_path / "f.lc"
@@ -930,6 +965,68 @@ def test_cli_help_text_is_pinned(monkeypatch):
     expected = (Path(__file__).parent / "pinned_help.txt").read_text()
     assert _help_pages() == expected
 
+
+
+def _exit_code(argv) -> int:
+    """run_command's exit code, also where argparse exits."""
+    try:
+        return run_command(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_calls_in_one_process_leave_no_state_behind(tmp_path, capsys):
+    # One parser serves every run_command call of a process: nothing one call
+    # parses reaches the next.
+    spec_path = tmp_path / "pipe.json"
+    spec_path.write_text(json.dumps({"seed": 3, "input": {"kind": "gen-planted", "n": 6, "m": 5},
+                                     "stages": [{"op": "cnf2lc"}]}))
+    assert run_command(["verify", str(spec_path), "--seed", "7", "--out", str(tmp_path / "a")]) == 0
+    assert run_command(["verify", str(spec_path), "--out", str(tmp_path / "b")]) == 0
+    assert [json.loads((tmp_path / side / "manifest.json").read_text())["seed"]
+            for side in "ab"] == [7, 3]
+    graph = tmp_path / "g.graph"
+    graph.write_text(emit_graph(random_graph(12, 0.5, 0)))
+    assert run_command(["solve", "clique", str(graph), "--budget-nodes", "1"]) == 3
+    assert run_command(["solve", "clique", str(graph)]) == 0
+    assert _exit_code(["solve", "clique", str(graph), "--budget-nodes"]) == 2
+    assert run_command(["solve", "clique", str(graph)]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert _exit_code(["--version"]) == 0
+        assert capsys.readouterr().out == f"{gapred.__version__}\n"
+
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A process that imports gapred.cli and parses nothing, as a library user
+    # or the benchmark's set-up does, pays nothing for the parser.
+    probe = ("import argparse\n"
+             "made = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = lambda *a, **k: made.append(a) or init(*a, **k)\n"
+             "import gapred.cli\n"
+             "assert not made\n"
+             "gapred.cli.build_parser()\n"
+             "print(bool(made))\n")
+    src = str(Path(gapred.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+def test_cli_help_wraps_at_the_width_it_prints_at(monkeypatch, capsys, argv):
+    # The shared parser prints each page as a fresh parser does at that width.
+    pages = {}
+    for columns in ("100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _exit_code(argv) == 0
+        shared = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert shared == capsys.readouterr().out
+        pages[columns] = shared
+    assert pages["100"] != pages["60"]
 
 # The transform each stage with parameters builds with.
 _TRANSFORMS = {
