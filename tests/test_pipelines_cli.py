@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapred
 from gapred import (
     GapredError,
     GenerationError,
@@ -46,7 +47,6 @@ from gapred import (
     sat_max,
     sat_to_dks,
 )
-import gapred
 from gapred import cli, oracles, pipelines
 from gapred.cli import run_command
 
@@ -784,7 +784,6 @@ def test_cli_refuses_within_its_memory_the_disperser_counts_past_the_size_rule(t
     assert not out.exists()
 
 
-
 _DEEP_CHAINS = {
     "is2im.json": {"seed": 4, "input": {"kind": "gen-gap", "n": 6, "m": 7, "epsilon": 0.2},
                    "stages": [{"op": "cnf2lc"}, {"op": "minlab2setcov"},
@@ -814,6 +813,7 @@ def test_cli_deep_searches_exit_without_a_traceback(tmp_path, name, text, argv):
     source.write_text(text())
     result = run_in_child([*argv, source])
     assert result.returncode in (0, 3) and "Traceback" not in result.stderr
+
 
 def test_cli_compress_left_refuses_k_past_the_size_cap_before_drawing(tmp_path, capsys):
     # Drawing 10^8 subsets once ran for minutes before any cap was checked.
@@ -966,7 +966,6 @@ def test_cli_help_text_is_pinned(monkeypatch):
     assert _help_pages() == expected
 
 
-
 def _exit_code(argv) -> int:
     """run_command's exit code, also where argparse exits."""
     try:
@@ -997,7 +996,6 @@ def test_cli_calls_in_one_process_leave_no_state_behind(tmp_path, capsys):
         assert capsys.readouterr().out == f"{gapred.__version__}\n"
 
 
-
 def test_importing_the_cli_builds_no_parser():
     # A process that imports gapred.cli and parses nothing, as a library user
     # or the benchmark's set-up does, pays nothing for the parser.
@@ -1014,6 +1012,7 @@ def test_importing_the_cli_builds_no_parser():
                             env={**os.environ, "PYTHONPATH": src})
     assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
 
+
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
 def test_cli_help_wraps_at_the_width_it_prints_at(monkeypatch, capsys, argv):
     # The shared parser prints each page as a fresh parser does at that width.
@@ -1027,6 +1026,7 @@ def test_cli_help_wraps_at_the_width_it_prints_at(monkeypatch, capsys, argv):
         assert shared == capsys.readouterr().out
         pages[columns] = shared
     assert pages["100"] != pages["60"]
+
 
 # The transform each stage with parameters builds with.
 _TRANSFORMS = {
@@ -1070,11 +1070,7 @@ def test_every_declared_parameter_is_a_keyword_of_its_transform(monkeypatch):
     (["sat2dks", "f.cnf", "--ell", "2", "--lambda", "5"], "unrecognized arguments"),
 ], ids=[f"argv{i}" for i in range(8)])
 def test_cli_refuses_a_flag_its_subcommand_does_not_read(argv, message, capsys):
-    try:
-        code = run_command(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
+    assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
 
 
