@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
 from .instances import (_check_counts, _check_header_counts, _checked, _ints, _mask_of,
-                        _MaskBits, _records)
+                        _MaskBits, _records, bit_set)
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -86,10 +86,19 @@ def verify_disperser(d: Disperser, budget: SolveBudget | None = None):
 
 
 def _verify_disperser(d: Disperser, meter: _Meter):
-    # An integer union size is below (1 - eps) * m iff it is below its ceiling.
-    need = math.ceil((1 - Fraction(d.eps)) * d.m)
     masks = _MaskBits("element").drawn(map(_mask_of, d.subsets))
-    for indices in itertools.combinations(range(d.k), d.r):
+    return _violation(masks, d.r, _union_floor(d.m, d.eps), meter)
+
+
+def _union_floor(m: int, eps: float) -> int:
+    # An integer union size is below (1 - eps) * m iff it is below its ceiling.
+    return math.ceil((1 - Fraction(eps)) * m)
+
+
+def _violation(masks: list[int], r: int, need: int, meter: _Meter):
+    """The first r-tuple of indices, in combinations order, whose masks' union
+    holds fewer than `need` elements, or None; one meter tick per tuple."""
+    for indices in itertools.combinations(range(len(masks)), r):
         meter.tick()
         union = 0
         for i in indices:
@@ -135,20 +144,28 @@ def deterministic_disperser(
     ell_small = disperser_subset_size(m_small, r, eps)
     blocks = -(-m // m_small)
     _MaskBits("element").add(k * min(m, blocks * ell_small))  # the output's k * ell
-    if math.comb(m_small, ell_small) > meter.max_nodes:
+    size = math.comb(m_small, ell_small)
+    if size > meter.max_nodes:
         raise BudgetExceededError(
             f"C({m_small},{ell_small}) candidate subsets exceed the search budget"
         )
-    pool = list(itertools.combinations(range(m_small), ell_small))
-    for collection in itertools.product(pool, repeat=k):
+    # Candidates read the pool's masks, each drawn once, in combinations order,
+    # when the product first reaches it: pool index i first comes up last.
+    subsets = map(_mask_of, itertools.combinations(range(m_small), ell_small))
+    pool, widths = [], _MaskBits("element")
+    need = _union_floor(m_small, eps)
+    for collection in itertools.product(range(size), repeat=k):
         meter.tick()
-        found = Disperser(m_small, k, ell_small, r, eps, tuple(map(frozenset, collection)))
-        if _verify_disperser(found, meter) is None:
+        if collection[-1] == len(pool):
+            pool.append(next(subsets))
+            widths.add(pool[-1].bit_length())
+        if _violation([pool[i] for i in collection], r, need, meter) is None:
             break
     else:
         raise GenerationError(
             f"exhausted all collections of {k} subsets of [{m_small}] without finding a disperser"
         )
+    found = Disperser(m_small, k, ell_small, r, eps, tuple(bit_set(pool[i]) for i in collection))
     lifted = lift_disperser(found, blocks)
     if lifted.m == m:
         return lifted

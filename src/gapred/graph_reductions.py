@@ -13,6 +13,11 @@ Every reduction to a graph yields its masks lazily to `Graph._bounded`, the
 one graph builder, which refuses what parse_graph would refuse of the output's
 file, and minlab_to_setcov builds through `SetSystem._bounded` alike. fglss and
 sat_to_dks also count the vertex masks they build first.
+
+Two steps are bit-matrix transposes, made by `instances._columns`: the element
+rows of setcov_to_domset, which checks its vertex count first, and the set
+masks minlab_to_setcov gets from cubes with one neighbour or one coordinate,
+whose unions are single elements and are collected per element first.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from .instances import (
     Graph,
     LabelCover,
     SetSystem,
+    _check_counts,
+    _columns,
     _MaskBits,
-    bit_set,
     bits_of,
     digit_table,
 )
@@ -161,11 +167,26 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
     def sets():
         # Drawn once SetSystem._bounded has checked the counts, which size this list.
         masks = [0] * num_sets
+        # rows[e]: the sets, as bits v * ra + b, that buy element e through a
+        # one-element union; made for the first such union.
+        rows = None
         cubes: dict[tuple[int, int], list[list[int]]] = {}
         for u in range(lc.left_size):
             nbrs = lc.left_neighbors[u]
             coords = lc.admissible_list(u)
             shape = len(nbrs), len(coords)
+            if 1 in shape:
+                # Each X(j, a) is the one element j of the cube, so each edge's
+                # labels buy it through the OR of its coordinates' beta masks.
+                if rows is None:
+                    rows = [0] * total
+                for j, v in enumerate(nbrs):
+                    betas = lc.betas[u, v]
+                    beta = 0
+                    for a in coords:
+                        beta |= betas.get(a, 0)
+                    rows[offsets[u] + j] |= beta << v * ra
+                continue
             if shape not in cubes:
                 cubes[shape] = canonical_masks(*shape)
             for j, v in enumerate(nbrs):
@@ -184,6 +205,9 @@ def minlab_to_setcov(lc: LabelCover, size_cap: int = DEFAULT_SIZE_CAP) -> SetSys
                         bought[b] = bought.get(b, 0) | mask
                 for b, mask in bought.items():
                     masks[v * ra + b] |= mask << offsets[u]
+        if rows is not None:
+            columns, rows = _columns(rows, num_sets), None
+            masks = [mask | column if mask else column for mask, column in zip(masks, columns)]
         yield from masks
 
     return SetSystem._bounded(total, num_sets, range(1, num_sets + 1), sets())
@@ -205,12 +229,9 @@ def setcov_to_domset(system: SetSystem) -> Graph:
     if covered != (1 << system.universe_size) - 1:
         raise ReductionError("an element belongs to no set; transform undefined")
     k = system.num_sets
+    _check_counts(("vertex count", k + system.universe_size))
     sets = (1 << k) - 1
-    elements = [0] * system.universe_size
-    for i, mask in enumerate(system.masks):
-        bit = 1 << i
-        for e in bit_set(mask):
-            elements[e] |= bit
+    elements = _columns(system.masks, system.universe_size)
     rows = ((sets ^ 1 << i) | mask << k for i, mask in enumerate(system.masks))
     return Graph._bounded(k + system.universe_size, itertools.chain(rows, elements))
 

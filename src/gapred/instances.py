@@ -223,6 +223,61 @@ def _mask_of(elements) -> int:
     return int.from_bytes(packed, "little")
 
 
+# _columns writes out the digits of at most _SLAB cells at a time, and walks a
+# row with at most _FEW_BITS set bits with bits_of, whose few steps then cost
+# less than bit_set's pass over the row. It reads the columns as numerals when
+# its cost model says that beats walking the rows. In units of one cell's
+# digit on the numeral path, the numerals cost one per cell and _COLUMN per
+# column of each slab; a bit_set walk costs _WALK_WIDTH per position of the
+# row's width and _WALK_BIT per set bit, and a bits_of walk, per set bit,
+# _WALK_STEP plus one per _STEP_POSITIONS positions of the row's width. The
+# units come from timing the paths on the shapes of the crossover table in
+# CHANGES.md.
+_SLAB = 1 << 22
+_FEW_BITS = 16
+_WALK_WIDTH, _WALK_BIT, _COLUMN = 5, 20, 60
+_WALK_STEP, _STEP_POSITIONS = 90, 45
+
+
+def _walk_cost(row: int) -> int:
+    bits, ones = row.bit_length(), row.bit_count()
+    if ones <= _FEW_BITS:
+        return ones * (_WALK_STEP + bits // _STEP_POSITIONS)
+    return _WALK_WIDTH * bits + _WALK_BIT * ones
+
+
+def _columns(rows, width: int) -> list[int]:
+    """The transpose of a bit matrix: bit i of column j is bit j of rows[i].
+
+    Every row must lie below 2^width. Dense matrices are read as binary
+    numerals: a slab of rows is written as one string of their digits,
+    reversed, so column j is every width-th character of it, read by
+    int(..., 2). A slab holds at most max(_SLAB // width, 1) rows, so each
+    transient string holds at most max(_SLAB, width) digits. Few rows, rows
+    much narrower than `width`, or rows with few set bits cost less to walk
+    bit by bit, with bit_set, or with bits_of for a row of at most _FEW_BITS
+    bits, and are built that way; no row with more bits is walked with bits_of.
+    """
+    if not width:
+        return []
+    n = len(rows)
+    per_slab = max(_SLAB // width, 1)
+    slabs = -(-n // per_slab)
+    columns = [0] * width
+    if n * width + _COLUMN * width * slabs <= sum(map(_walk_cost, rows)):
+        digits_of = f"{{:0{width}b}}".format
+        for lo in range(0, n, per_slab):
+            digits = "".join(map(digits_of, rows[lo:lo + per_slab]))[::-1]
+            columns = [column | int(digits[j::width], 2) << lo
+                       for j, column in enumerate(columns)]
+        return columns
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in bits_of(row) if row.bit_count() <= _FEW_BITS else bit_set(row):
+            columns[j] |= bit
+    return columns
+
+
 def pairs_of(adjacency):
     """Iterate the edges (u, v), u < v, of symmetric neighbour masks, ascending."""
     for u, mask in enumerate(adjacency):

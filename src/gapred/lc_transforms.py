@@ -44,8 +44,8 @@ tests every lane for emptiness at once (a nonempty lane carries into its
 guard bit). The compressions read their beta masks straight from that int:
 left compression's mask on a touched vertex is its lane, and a right
 compression block's touched vertices are contiguous lanes, so each block is
-one bit slice, which `_BlockLabels` maps, memoized per block layout, to the
-block's beta mask.
+one bit slice, which `_BlockLabels` maps to the block's beta mask, memoized
+per block layout; within one call, layouts share the memo of an offset suffix.
 """
 
 from __future__ import annotations
@@ -213,13 +213,31 @@ class _BlockLabels(dict):
     allows; an untouched vertex allows every digit. That mask is the periodic
     digit table of the first lane ANDed with the mask of the other lanes,
     which `rest`, the memo of the layout without the first offset, holds.
+
+    `shared` holds one compress_right call's memos by (size, offsets), so
+    within a call every layout that ends in an offset suffix reads that
+    suffix's memo as its `rest`, and their digit tables by (size, offset).
+    `of` returns a layout's memo, building it after its suffixes' memos.
     """
 
-    def __init__(self, ra: int, size: int, offsets: tuple[int, ...]):
+    def __init__(self, ra: int, size: int, offsets: tuple[int, ...], shared: dict):
         super().__init__()
         self.ra, self.size, self.offsets = ra, size, offsets
-        self.rest = _BlockLabels(ra, size, offsets[1:]) if offsets else None
-        self.tables: dict[int, int] = {}
+        if offsets:
+            self.rest = shared[size, offsets[1:]]
+            self.tables = shared.setdefault((size, offsets[0]), {})
+        else:
+            self.rest = None
+
+    @classmethod
+    def of(cls, ra: int, size: int, offsets: tuple[int, ...], shared: dict) -> _BlockLabels:
+        labels = shared.get((size, offsets))
+        if labels is None:
+            for t in range(len(offsets), -1, -1):
+                if (size, offsets[t:]) not in shared:
+                    shared[size, offsets[t:]] = cls(ra, size, offsets[t:], shared)
+            labels = shared[size, offsets]
+        return labels
 
     def __missing__(self, lanes: int) -> int:
         ra, width = self.ra, self.ra**self.size
@@ -381,7 +399,7 @@ def compress_right(
         raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {size_cap}")
 
     width = ra + 1
-    block_labels: dict[tuple[int, tuple[int, ...]], _BlockLabels] = {}
+    shared: dict = {}
 
     def project(touched, packed):
         hi = 0
@@ -392,9 +410,7 @@ def compress_right(
             while hi < len(touched) and touched[hi] <= block[-1]:
                 hi += 1
             layout = (len(block), tuple(v - block[0] for v in touched[lo:hi]))
-            labels = block_labels.get(layout)
-            if labels is None:
-                labels = block_labels[layout] = _BlockLabels(ra, *layout)
+            labels = _BlockLabels.of(ra, *layout, shared)
             s, mask = lo * width, (1 << (hi - lo) * width) - 1
             yield j, [labels[word >> s & mask] for word in packed]
 

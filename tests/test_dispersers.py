@@ -192,6 +192,36 @@ def test_verify_disperser_matches_set_unions(seed, m, k, r, eps):
     assert verify_disperser(d) == _first_violation_by_set_unions(d)
 
 
+def _ref_search(m, k, r, eps):
+    """The search over [m] itself, m' = m: each candidate collection built as a
+    Disperser and checked by set unions. Its result and the nodes it ticks, one
+    per candidate and one per r-union checked."""
+    ell = disperser_subset_size(m, r, eps)
+    nodes = 0
+    for collection in itertools.product(itertools.combinations(range(m), ell), repeat=k):
+        d = Disperser(m, k, ell, r, eps, tuple(map(frozenset, collection)))
+        violation = _first_violation_by_set_unions(d)
+        unions = list(itertools.combinations(range(k), r))
+        nodes += 1 + (len(unions) if violation is None else unions.index(violation) + 1)
+        if violation is None:
+            return d, nodes
+    return None
+
+
+@pytest.mark.parametrize("m, k, r, eps", [(13, 13, 13, 0.5), (13, 14, 13, 0.5),
+                                           (20, 15, 15, 0.4)])
+def test_deterministic_disperser_search_matches_candidate_by_candidate(m, k, r, eps):
+    # r ln k >= m, so m' = m and the search's pick is returned. Its first
+    # candidate, one subset k times, falls short; the pick is the 2nd, 1,718th
+    # and 22nd collection, its pool masks drawn as the product reaches them.
+    want, nodes = _ref_search(m, k, r, eps)
+    assert deterministic_disperser(m, k, r, eps) == want
+    if nodes >= math.comb(m, want.ell):  # a smaller budget refuses the pool first
+        assert deterministic_disperser(m, k, r, eps, SolveBudget(max_nodes=nodes)) == want
+        with pytest.raises(BudgetExceededError):
+            deterministic_disperser(m, k, r, eps, SolveBudget(max_nodes=nodes - 1))
+
+
 def test_deterministic_disperser_reproducible():
     assert deterministic_disperser(8, 3, 2, 0.5) == deterministic_disperser(8, 3, 2, 0.5)
 

@@ -16,6 +16,7 @@ import pytest
 from gapred import (
     CnfFormula,
     Graph,
+    LabelCover,
     ReductionError,
     SetSystem,
     SizeCapError,
@@ -250,6 +251,18 @@ def test_setcov_to_domset_matches_on_minlab_output():
     assert_same_graph(setcov_to_domset(system), ref_setcov_to_domset(system))
 
 
+def _stacked(*parts):
+    """The label covers side by side on the left, over one right side."""
+    relations, admissible, base = {}, {}, 0
+    for lc in parts:
+        relations.update(((base + u, v), pairs) for (u, v), pairs in lc.relations.items())
+        admissible.update((base + u, lc.admissible[u]) for u in range(lc.left_size))
+        base += lc.left_size
+    first = parts[0]
+    return LabelCover(base, first.right_size, max(lc.left_alphabet for lc in parts),
+                      first.right_alphabet, relations, admissible)
+
+
 def _setcov_outcome(build, lc, size_cap):
     try:
         system = build(lc, size_cap=size_cap)
@@ -272,9 +285,19 @@ def test_minlab_to_setcov_matches_pair_scanning_builder(seed):
         seed=seed, pair_density=rng.random(), left_degrees=(2, 3),
         admissible_density=rng.choice((None, 0.6)),
     )
+    # One-neighbour vertices (z = 1), whose unions are single elements, among
+    # vertices of degree 2 and 3. With one admissible label (K = 1) the union
+    # X(j, 0) is the single element j, which is not element 0 for j >= 1; with
+    # K = 3 the unions hold z^2 elements.
+    right, ra = rng.randint(3, 4), rng.randint(1, 4)
+    mixed = _stacked(*(
+        random_labelcover(3, right, k, ra, seed=seed + part, pair_density=rng.uniform(0.3, 1.0),
+                          left_degrees=degrees)
+        for part, (k, degrees) in enumerate([(1, (2, 3)), (3, (1, 1)), (3, (2, 3)), (2, (1, 3))])
+    ))
     formula = random_cnf(rng.randint(3, 5), rng.randint(2, 4), seed)
     minlab = minlab_instance(cnf_to_labelcover(formula), 1, 2, 0.5)
-    for source in (lc, wide, minlab):
+    for source in (lc, wide, mixed, minlab):
         for size_cap in (40, 500_000):
             assert (_setcov_outcome(minlab_to_setcov, source, size_cap)
                     == _setcov_outcome(ref_minlab_to_setcov, source, size_cap))

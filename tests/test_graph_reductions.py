@@ -181,6 +181,15 @@ def test_setcov_to_domset_rejects_uncovered():
         setcov_to_domset(SetSystem(0, ((1, frozenset()),)))
 
 
+def test_setcov_to_domset_refuses_its_vertex_count_before_transposing():
+    # One set of 500,000 elements makes 500,001 vertices, so no element row is built.
+    system = SetSystem(500_000, ((1, range(500_000)),))
+    with mock.patch.object(graph_reductions, "_columns") as columns:
+        with pytest.raises(SizeCapError, match="vertex count 500001 outside"):
+            setcov_to_domset(system)
+    assert not columns.called
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=40, deadline=None)
 def test_setcov_domset_equality_random(seed):

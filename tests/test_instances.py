@@ -1421,3 +1421,107 @@ def test_mask_of_packs_sparse_lists(elements):
         tracemalloc.stop()
     assert mask == _referee_mask(elements)
     assert peak < width // 2
+
+
+# ---------------------------------------------------------------------------
+# Bit-matrix transpose
+
+
+def _referee_columns(rows, width):
+    """Column j of the rows, one digit of one row at a time."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        for j, digit in enumerate(reversed(format(row, "b"))):
+            if digit == "1":
+                columns[j] |= 1 << i
+    return columns
+
+
+def _random_rows(rng, count, width, density):
+    if density == 0.5:
+        return [rng.getrandbits(width) for _ in range(count)]
+    return [instances._mask_of([e for e in range(width) if rng.random() < density])
+            for _ in range(count)]
+
+
+def _matrix(shape):
+    rng = random.Random(shape)
+    slab_rows = instances._SLAB // 4096
+    return {
+        "no-rows": lambda: ([], 5),
+        "width-0": lambda: ([0, 0, 0], 0),
+        "zero-rows": lambda: ([0] * 7, 300),
+        "full-row": lambda: ([(1 << 500_000) - 1], 500_000),
+        "halves-5x40000": lambda: (_random_rows(rng, 5, 40_000, 0.5), 40_000),
+        "dense-35x256": lambda: (_random_rows(rng, 35, 256, 0.5), 256),
+        "dense-256x35": lambda: (_random_rows(rng, 256, 35, 0.5), 35),
+        "sparse-2000x300": lambda: (_random_rows(rng, 2000, 300, 0.01), 300),
+        "diagonal-1000": lambda: ([1 << i for i in range(1000)], 1000),
+        # One row past a slab, so the last slab holds a single row.
+        "two-slabs": lambda: (_random_rows(rng, slab_rows + 1, 4096, 0.5), 4096),
+    }[shape]()
+
+
+@pytest.mark.parametrize("shape", ["no-rows", "width-0", "zero-rows", "full-row",
+                                   "halves-5x40000", "dense-35x256", "dense-256x35",
+                                   "sparse-2000x300", "diagonal-1000", "two-slabs"])
+def test_columns_match_the_per_bit_referee(shape):
+    rows, width = _matrix(shape)
+    want = _referee_columns(rows, width)
+    assert instances._columns(rows, width) == want
+    # Each path alone: a column cost far below zero always reads numerals, and
+    # one far above always walks.
+    for cost in (-1 << 80, 1 << 80):
+        with mock.patch.object(instances, "_COLUMN", cost):
+            assert instances._columns(rows, width) == want
+
+
+@pytest.mark.parametrize("slab", [1, 7, 64, 1000])
+def test_columns_read_numerals_slab_by_slab(slab):
+    # Slabs narrower than a row, a few rows wide, and wider than the matrix.
+    rng = random.Random(slab)
+    with mock.patch.multiple(instances, _SLAB=slab, _COLUMN=-1 << 80):
+        for count, width in [(13, 5), (9, 100), (40, 30), (3, 1), (1, 70)]:
+            rows = _random_rows(rng, count, width, 0.5)
+            assert instances._columns(rows, width) == _referee_columns(rows, width)
+
+
+def test_columns_walk_few_narrow_or_sparse_rows_and_read_dense_ones_as_numerals():
+    rng = random.Random(3)
+    # 2,000 rows over 1,000 columns, each row within its first 40 positions.
+    narrow = [rng.getrandbits(40) for _ in range(1999)] + [1 << 999]
+    diagonal = [1 << i for i in range(3000)]
+    cases = [([(1 << 500_000) - 1], 500_000, True), (narrow, 1000, True), (diagonal, 3000, True),
+             (_random_rows(rng, 35, 256, 0.5), 256, False),
+             (_random_rows(rng, 256, 35, 0.5), 35, False)]
+    bits_of = instances.bits_of
+    for rows, width, walks in cases:
+        stepped = []
+
+        def steps(row):
+            stepped.append(row.bit_count())
+            return bits_of(row)
+
+        with mock.patch.object(instances, "bit_set", wraps=instances.bit_set) as read, \
+                mock.patch.object(instances, "bits_of", side_effect=steps):
+            assert instances._columns(rows, width) == _referee_columns(rows, width)
+        assert read.call_count + len(stepped) == (len(rows) if walks else 0)
+        # bits_of walks only rows of few bits, whose steps cost a few widths in all.
+        assert all(ones <= instances._FEW_BITS for ones in stepped)
+        assert len(stepped) == sum(row.bit_count() <= instances._FEW_BITS for row in rows) * walks
+
+
+def test_columns_hold_one_slab_of_digits_at_a_time():
+    # 1,024 x 4,096 cells read as numerals in slabs of 2^18 digits. Read in one
+    # slab, the whole matrix's digits would take 4 MiB, twice over while reversed.
+    rng = random.Random(4)
+    rows = _random_rows(rng, 1024, 4096, 0.5)
+    with mock.patch.multiple(instances, _SLAB=1 << 18, _COLUMN=-1 << 80):
+        tracemalloc.start()
+        try:
+            columns = instances._columns(rows, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert columns == _referee_columns(rows, 4096)
+    assert peak < 1 << 21

@@ -467,6 +467,18 @@ def test_packed_emission_matches_referees_on_edge_layouts(q):
     assert [len(out.relations[(1, j)]) for j in range(q)] == [2 * 5 ** len(b) for b in blocks]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_compress_right_matches_referee_on_unequal_blocks(seed):
+    # Blocks of 3 and 2 right vertices (n = 5, q = 2) and of 3, 2 and 2 (n = 7,
+    # q = 3): in one call, layouts with one offset suffix meet in blocks of
+    # different sizes, whose block labels and digit tables differ.
+    for n, q in [(5, 2), (7, 3)]:
+        lc = cnf_to_labelcover(gen_planted_cnf(n, 5, seed=seed))
+        params = {"q": q, "gamma": 0.5, "epsilon": 0.3}
+        assert (_outcomes([lambda: compress_right(lc, **params)])
+                == _outcomes([lambda: ref_compress_right(lc, **params)]))
+
+
 def test_compress_left_joins_long_member_lists():
     # One super-vertex over 3,000 single-label members (product size 1): the
     # join must not recurse once per member.
