@@ -1506,7 +1506,7 @@ def test_columns_walk_few_narrow_or_sparse_rows_and_read_dense_ones_as_numerals(
                 mock.patch.object(instances, "bits_of", side_effect=steps):
             assert instances._columns(rows, width) == _referee_columns(rows, width)
         assert read.call_count + len(stepped) == (len(rows) if walks else 0)
-        # bits_of walks only rows of few bits, whose steps cost a few widths in all.
+        # bits_of walks only the rows of at most _FEW_BITS bits, and walks all of them.
         assert all(ones <= instances._FEW_BITS for ones in stepped)
         assert len(stepped) == sum(row.bit_count() <= instances._FEW_BITS for row in rows) * walks
 
