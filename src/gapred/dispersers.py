@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, GenerationError, ParseError, ValidationError
 from .instances import (_check_counts, _check_header_counts, _checked, _ints, _mask_of,
-                        _MaskBits, _records, bit_set)
+                        _MaskBits, _records, bits_of)
 from .oracles import SolveBudget, _Meter
 
 __all__ = [
@@ -165,7 +165,8 @@ def deterministic_disperser(
         raise GenerationError(
             f"exhausted all collections of {k} subsets of [{m_small}] without finding a disperser"
         )
-    found = Disperser(m_small, k, ell_small, r, eps, tuple(bit_set(pool[i]) for i in collection))
+    chosen = tuple(frozenset(bits_of(pool[i])) for i in collection)
+    found = Disperser(m_small, k, ell_small, r, eps, chosen)
     lifted = lift_disperser(found, blocks)
     if lifted.m == m:
         return lifted

@@ -146,12 +146,29 @@ def _checked(build, *args):
         raise ParseError(str(exc)) from None
 
 
-def bits_of(mask: int):
-    """Iterate the set bit indices of a nonnegative int, ascending."""
+# bits_of steps through a mask of at most _FEW_BITS set bits lowest bit first.
+# Each step costs a pass over the rest of the mask, so with more bits one pass
+# over its digits costs less.
+_FEW_BITS = 16
+
+
+def _lowest_first(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bits_of(mask: int):
+    """Iterate the set bit indices of a nonnegative int, ascending.
+
+    A mask of at most _FEW_BITS set bits is stepped lowest bit first, and any
+    other is read in one pass over its digits, so the cost follows the mask's
+    width, not its width times its bits.
+    """
+    if mask.bit_count() <= _FEW_BITS:
+        return _lowest_first(mask)
+    return itertools.compress(itertools.count(), _flags(mask))
 
 
 def digit_table(window: int, count: int, stride: int, width: int) -> int:
@@ -188,11 +205,6 @@ def _name_table(masks, first: int) -> list[str]:
     return [str(first + i) for i in range(width)]
 
 
-def bit_set(mask: int) -> frozenset[int]:
-    """The set bit indices of a nonnegative int, read in one pass over its digits."""
-    return frozenset(itertools.compress(itertools.count(), _flags(mask)))
-
-
 # An element list with at least one element per _DENSE positions of its mask's
 # width is built as a binary numeral. The two ways cost the same at about one
 # element per 32 to 48 positions, so 16 keeps the numeral on the faster side.
@@ -223,18 +235,16 @@ def _mask_of(elements) -> int:
     return int.from_bytes(packed, "little")
 
 
-# _columns writes out the digits of at most _SLAB cells at a time, and walks a
-# row with at most _FEW_BITS set bits with bits_of, whose few steps then cost
-# less than bit_set's pass over the row. It reads the columns as numerals when
-# its cost model says that beats walking the rows. In units of one cell's
-# digit on the numeral path, the numerals cost one per cell and _COLUMN per
-# column of each slab; a bit_set walk costs _WALK_WIDTH per position of the
-# row's width and _WALK_BIT per set bit, and a bits_of walk, per set bit,
-# _WALK_STEP plus one per _STEP_POSITIONS positions of the row's width. The
-# units come from timing the paths on the shapes of the crossover table in
-# CHANGES.md.
+# _columns writes out the digits of at most _SLAB cells at a time, and walks
+# rows with bits_of. It reads the columns as numerals when its cost model says
+# that beats walking the rows. In units of one cell's digit on the numeral
+# path, the numerals cost one per cell and _COLUMN per column of each slab; a
+# walk of a row with more than _FEW_BITS set bits costs _WALK_WIDTH per
+# position of the row's width and _WALK_BIT per set bit, and a walk of a row
+# with fewer, per set bit, _WALK_STEP plus one per _STEP_POSITIONS positions
+# of the row's width. The units come from timing the paths on the shapes of
+# the crossover table in CHANGES.md.
 _SLAB = 1 << 22
-_FEW_BITS = 16
 _WALK_WIDTH, _WALK_BIT, _COLUMN = 5, 20, 60
 _WALK_STEP, _STEP_POSITIONS = 90, 45
 
@@ -255,8 +265,7 @@ def _columns(rows, width: int) -> list[int]:
     int(..., 2). A slab holds at most max(_SLAB // width, 1) rows, so each
     transient string holds at most max(_SLAB, width) digits. Few rows, rows
     much narrower than `width`, or rows with few set bits cost less to walk
-    bit by bit, with bit_set, or with bits_of for a row of at most _FEW_BITS
-    bits, and are built that way; no row with more bits is walked with bits_of.
+    with bits_of, and are built that way.
     """
     if not width:
         return []
@@ -273,7 +282,7 @@ def _columns(rows, width: int) -> list[int]:
         return columns
     for i, row in enumerate(rows):
         bit = 1 << i
-        for j in bits_of(row) if row.bit_count() <= _FEW_BITS else bit_set(row):
+        for j in bits_of(row):
             columns[j] |= bit
     return columns
 
@@ -596,7 +605,7 @@ class SetSystem:
 
     @property
     def sets(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        return tuple((sid, bit_set(mask)) for sid, mask in zip(self.ids, self.masks))
+        return tuple((sid, frozenset(bits_of(mask))) for sid, mask in zip(self.ids, self.masks))
 
     @property
     def num_sets(self) -> int:

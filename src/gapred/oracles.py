@@ -7,7 +7,9 @@ bitmasks with bounds that only cut branches that cannot beat the best value
 found. Each solver accepts a SolveBudget and raises BudgetExceededError rather
 than returning a truncated answer. A budget node is one labeling (sat_max and
 max_cov charge a whole chunk of labelings before scoring it) or one search
-node. Minimization problems return None when infeasible.
+node. Minimization problems return None when infeasible. The searches are
+loops over explicit stacks, not recursive calls, so however deep a search
+goes, only its node and time budget can end it before it answers.
 
 sat_max, max_cov and clique also take an optional witness: an assignment, a
 right labeling or a vertex list. They check it themselves (sat_max and max_cov
@@ -27,14 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, ValidationError
-from .instances import CnfFormula, Graph, LabelCover, SetSystem, bits_of, digit_table, pairs_of
+from .instances import (CnfFormula, Graph, LabelCover, SetSystem, _columns, bits_of, digit_table,
+                        pairs_of)
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,6 @@ class _Meter:
             self.next_check = self.nodes + 4096
             if time.monotonic() > self.deadline:
                 raise BudgetExceededError("time budget exceeded")
-
-
-def _too_deep(search: str) -> BudgetExceededError:
-    """What a recursive search raises in place of a RecursionError: running
-    out of depth is running out of budget, not a failed verification."""
-    return BudgetExceededError(
-        f"{search} went deeper than the recursion limit ({sys.getrecursionlimit()})")
 
 
 # ---------------------------------------------------------------------------
@@ -397,37 +392,34 @@ def min_lab(lc: LabelCover, budget: SolveBudget | None = None) -> int | None:
         )
 
     caps = [len(usable[v]) for v in live]
+    # tail_max[i]: the most labels live[i:] can take.
+    tail_max = list(itertools.accumulate(reversed(caps), initial=0))[::-1]
 
-    def size_vectors(total, idx):
-        if idx == len(live):
-            if total == 0:
-                yield ()
-            return
-        remaining_min = len(live) - idx - 1
-        remaining_max = sum(caps[idx + 1 :])
-        for size in range(1, caps[idx] + 1):
-            rest = total - size
-            if remaining_min <= rest <= remaining_max:
-                for tail in size_vectors(rest, idx + 1):
-                    yield (size,) + tail
+    def size_vectors(total):
+        """The label counts (one per live vertex, each at least 1) summing to
+        `total`, in lexicographic order."""
+        stack = [((), total)]
+        while stack:
+            sizes, rest = stack.pop()
+            idx = len(sizes)
+            if idx == len(live):
+                yield sizes
+                continue
+            # After this vertex, each of the others takes 1 to its cap.
+            low, high = len(live) - idx - 1, tail_max[idx + 1]
+            stack.extend((sizes + (size,), rest - size) for size in range(caps[idx], 0, -1)
+                         if low <= rest - size <= high)
 
-    t_min = len(live)
-    t_max = sum(caps)
-    if t_min == 0:
+    if not live:
         return 0
-    try:
-        for total in range(t_min, t_max + 1):
-            for sizes in size_vectors(total, 0):
-                pools = [
-                    itertools.combinations(usable[v], size) for v, size in zip(live, sizes)
-                ]
-                for picks in itertools.product(*pools):
-                    meter.tick()
-                    masks = (sum(1 << b for b in labels) for labels in picks)
-                    if feasible(dict(zip(live, masks))):
-                        return total
-    except RecursionError:
-        raise _too_deep("min_lab's size search") from None
+    for total in range(len(live), tail_max[0] + 1):
+        for sizes in size_vectors(total):
+            pools = [itertools.combinations(usable[v], size) for v, size in zip(live, sizes)]
+            for picks in itertools.product(*pools):
+                meter.tick()
+                masks = (sum(1 << b for b in labels) for labels in picks)
+                if feasible(dict(zip(live, masks))):
+                    return total
     raise AssertionError("full label sets were feasible but enumeration missed them")
 
 
@@ -446,52 +438,59 @@ def _clique_number(adj, n: int, meter: _Meter, best: int = 0) -> int:
     `best` is the size of a clique the caller already holds: the search looks
     only for larger ones, so a maximum one closes it at the root whenever the
     root coloring uses no more colors.
+
+    Each open node is a frame [order, bounds, i, rest, size] on an explicit
+    stack: its branch vertices with their color bounds, the next branch
+    index (branches run from the last one down), the candidates not yet
+    branched on, and the clique size there. Its next branch is bounded
+    against the best clique its earlier branches left.
     """
     if n == 0:
         return 0
     # Masks are loop-free, so clearing a class member's non-neighbours keeps
     # the member itself, which `^ low` then drops.
     non_adj = [~mask for mask in adj]
-
-    def expand(candidates: int, size: int):
-        nonlocal best
+    stack = []
+    candidates, size = (1 << n) - 1, 0
+    while True:
         meter.tick()
         if candidates == 0:
             if size > best:
                 best = size
-            return
-        # Greedy coloring: color classes bound the clique extension size. The
-        # first best - size classes cannot lead past `best`, so their vertices
-        # are colored but not recorded.
-        order: list[int] = []
-        bounds: list[int] = []
-        floor = best - size
-        uncolored = candidates
-        color = 0
-        while uncolored:
-            color += 1
-            cls = uncolored
-            while cls:
-                low = cls & -cls
-                v = low.bit_length() - 1
-                uncolored ^= low
-                cls = cls & non_adj[v] ^ low
-                if color > floor:
-                    order.append(v)
-                    bounds.append(color)
-        rest = candidates
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = order[i]
-            expand(rest & adj[v], size + 1)
-            rest &= ~(1 << v)
-
-    try:
-        expand((1 << n) - 1, 0)
-    except RecursionError:
-        raise _too_deep("the clique search") from None
-    return best
+        else:
+            # Greedy coloring: color classes bound the clique extension size.
+            # The first best - size classes cannot lead past `best`, so their
+            # vertices are colored but not recorded.
+            order: list[int] = []
+            bounds: list[int] = []
+            floor = best - size
+            uncolored = candidates
+            color = 0
+            while uncolored:
+                color += 1
+                cls = uncolored
+                while cls:
+                    low = cls & -cls
+                    v = low.bit_length() - 1
+                    uncolored ^= low
+                    cls = cls & non_adj[v] ^ low
+                    if color > floor:
+                        order.append(v)
+                        bounds.append(color)
+            stack.append([order, bounds, len(order), candidates, size])
+        # Descend into the next branch of the deepest frame that has one.
+        while stack:
+            frame = stack[-1]
+            order, bounds, i, rest, size = frame
+            i -= 1
+            if i >= 0 and size + bounds[i] > best:
+                v = order[i]
+                frame[2], frame[3] = i, rest & ~(1 << v)
+                candidates, size = rest & adj[v], size + 1
+                break
+            stack.pop()
+        else:
+            return best
 
 
 def _clique_size(adj, vertices) -> int:
@@ -554,26 +553,24 @@ def biclique(graph: Graph, budget: SolveBudget | None = None) -> int:
     side = _two_coloring_side(adj)
     pool = list(range(graph.num_vertices) if side is None else bits_of(side))
     best = 0
-
-    def grow(start: int, chosen: int, size: int, common: int):
-        nonlocal best
-        for j in range(start, len(pool)):
-            if size + len(pool) - j <= best:
-                return
-            v = pool[j]
-            meter.tick()
-            s = chosen | 1 << v
-            c = common & adj[v]
-            free = (c & ~s).bit_count()
-            if free <= best:
-                continue
+    # Each open node of the search is a frame [j, S, |S|, common neighbours
+    # of S]; it tries adding pool[j], pool[j + 1], ... in turn.
+    stack = [[0, 0, 0, -1]]
+    while stack:
+        frame = stack[-1]
+        j, chosen, size, common = frame
+        if j == len(pool) or size + len(pool) - j <= best:
+            stack.pop()
+            continue
+        frame[0] = j + 1
+        v = pool[j]
+        meter.tick()
+        s = chosen | 1 << v
+        c = common & adj[v]
+        free = (c & ~s).bit_count()
+        if free > best:
             best = max(best, min(size + 1, free))
-            grow(j + 1, s, size + 1, c)
-
-    try:
-        grow(0, 0, 0, -1)
-    except RecursionError:
-        raise _too_deep("the biclique search") from None
+            stack.append([j + 1, s, size + 1, c])
     return best
 
 
@@ -659,26 +656,26 @@ def _min_cover(masks, n: int, meter: _Meter) -> int | None:
         meter.tick()  # the root, settled by its bound
         return greedy
     best = greedy
-    covers_elem = [[m for m in masks if m >> e & 1] for e in range(n)]
-
-    def search(uncov: int, used: int):
-        nonlocal best
+    # covers_elem[e]: the sets holding element e, in the order given; the
+    # transpose reads them without shifting every set once per element.
+    covers_elem = [[masks[i] for i in bits_of(column)] for column in _columns(masks, n)]
+    # Depth first over (uncovered elements, sets used); children are pushed
+    # last first, so they are popped, and bounded, in branching order.
+    stack = [(full, 0)]
+    while stack:
+        uncov, used = stack.pop()
         meter.tick()
         if not uncov:
             if used < best:
                 best = used
-            return
+            continue
         if used + -(-uncov.bit_count() // max_size) >= best:
-            return
-        # Branch on the uncovered element with the fewest candidate sets.
+            continue
+        # Branch on the uncovered element with the fewest candidate sets,
+        # the sets covering most of the rest first.
         elem = min(bits_of(uncov), key=lambda e: len(covers_elem[e]))
-        for m in sorted(covers_elem[elem], key=lambda m: -(m & uncov).bit_count()):
-            search(uncov & ~m, used + 1)
-
-    try:
-        search(full, 0)
-    except RecursionError:
-        raise _too_deep("the cover search") from None
+        branches = sorted(covers_elem[elem], key=lambda m: -(m & uncov).bit_count())
+        stack.extend((uncov & ~m, used + 1) for m in reversed(branches))
     return best
 
 
@@ -769,36 +766,30 @@ def _longest_induced_path(graph: Graph, meter: _Meter, stop_at: int | None) -> i
     adj = graph.adjacency
     full = (1 << n) - 1
     best = 1
-
-    def grow(last: int, path: int, blocked: int, length: int) -> bool:
-        nonlocal best
-        meter.tick()
-        if length > best:
-            best = length
-        if stop_at is not None and best >= stop_at:
-            return True
-        new_blocked = blocked | adj[last]
-        # The next vertex is a neighbour of `last`; every later one avoids the
-        # path and every neighbour of the path so far. A branch that cannot
-        # beat `best` (or reach `stop_at`) is cut.
-        reach = length + 1 + (full & ~path & ~new_blocked).bit_count()
-        if reach <= (best if stop_at is None else stop_at - 1):
-            return False
-        cands = adj[last] & ~path & ~blocked
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            v = low.bit_length() - 1
-            if grow(v, path | low, new_blocked, length + 1):
-                return True
-        return False
-
-    try:
-        for start in range(n):
-            if grow(start, 1 << start, 0, 1):
-                break
-    except RecursionError:
-        raise _too_deep("the induced-path search") from None
+    # Depth first from each start vertex over (last vertex, path, vertices
+    # blocked before `last`, length); the next vertices are pushed highest
+    # first, so they are popped lowest first.
+    for start in range(n):
+        stack = [(start, 1 << start, 0, 1)]
+        while stack:
+            last, path, blocked, length = stack.pop()
+            meter.tick()
+            if length > best:
+                best = length
+            if stop_at is not None and best >= stop_at:
+                return best
+            new_blocked = blocked | adj[last]
+            # The next vertex is a neighbour of `last`; every later one avoids
+            # the path and every neighbour of the path so far. A branch that
+            # cannot beat `best` (or reach `stop_at`) is cut.
+            reach = length + 1 + (full & ~path & ~new_blocked).bit_count()
+            if reach <= (best if stop_at is None else stop_at - 1):
+                continue
+            cands = adj[last] & ~path & ~blocked
+            while cands:
+                v = cands.bit_length() - 1
+                cands ^= 1 << v
+                stack.append((v, path | 1 << v, new_blocked, length + 1))
     return best
 
 

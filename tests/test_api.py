@@ -65,3 +65,19 @@ def test_every_private_module_name_is_used_in_the_package():
             unused += [f"{module}:{name}" for name in names if name.startswith("_")
                        and not name.startswith("__") and used[name] == inside[name]]
     assert unused == []
+
+
+def test_no_function_in_the_package_calls_itself():
+    # A search that calls itself once per level fails past Python's recursion
+    # limit, however much budget it has left, so the searches are loops over
+    # explicit stacks. A call of a function's own bare name inside its body,
+    # nested functions included, is recursion; a method or attribute call such
+    # as super().__init__() is not.
+    recursive = []
+    for path in sorted(Path(gapred.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                recursive += [f"{path.name}:{node.lineno} {node.name}" for call in ast.walk(node)
+                              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                              and call.func.id == node.name]
+    assert recursive == []

@@ -138,7 +138,9 @@ def test_minlab_to_setcov_emits_the_hypercube_sets():
             assert len(sets) == d * c
             for v in range(d):
                 for b in range(c):
-                    assert sets[v * c + b + 1] == instances.bit_set(canonical[v][b])
+                    mask = canonical[v][b]
+                    assert sets[v * c + b + 1] == {e for e in range(mask.bit_length())
+                                                   if mask >> e & 1}
 
 
 def test_minlab_to_setcov_rejects_isolated_left():

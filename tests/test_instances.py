@@ -1494,21 +1494,44 @@ def test_columns_walk_few_narrow_or_sparse_rows_and_read_dense_ones_as_numerals(
     cases = [([(1 << 500_000) - 1], 500_000, True), (narrow, 1000, True), (diagonal, 3000, True),
              (_random_rows(rng, 35, 256, 0.5), 256, False),
              (_random_rows(rng, 256, 35, 0.5), 35, False)]
-    bits_of = instances.bits_of
+    lowest_first, flags = instances._lowest_first, instances._flags
     for rows, width, walks in cases:
-        stepped = []
+        want = _referee_columns(rows, width)
+        stepped, read = [], []
 
         def steps(row):
             stepped.append(row.bit_count())
-            return bits_of(row)
+            return lowest_first(row)
 
-        with mock.patch.object(instances, "bit_set", wraps=instances.bit_set) as read, \
-                mock.patch.object(instances, "bits_of", side_effect=steps):
-            assert instances._columns(rows, width) == _referee_columns(rows, width)
-        assert read.call_count + len(stepped) == (len(rows) if walks else 0)
-        # bits_of walks only the rows of at most _FEW_BITS bits, and walks all of them.
+        def digits(row):
+            read.append(row)
+            return flags(row)
+
+        with mock.patch.object(instances, "_lowest_first", side_effect=steps), \
+                mock.patch.object(instances, "_flags", side_effect=digits):
+            assert instances._columns(rows, width) == want
+        assert len(read) + len(stepped) == (len(rows) if walks else 0)
+        # Only the rows of at most _FEW_BITS bits are stepped, and all of them are.
         assert all(ones <= instances._FEW_BITS for ones in stepped)
         assert len(stepped) == sum(row.bit_count() <= instances._FEW_BITS for row in rows) * walks
+
+
+@pytest.mark.parametrize("ones", [0, 1, instances._FEW_BITS, instances._FEW_BITS + 1, 300])
+def test_bits_of_steps_only_few_bits_and_reads_the_rest_in_one_pass(ones):
+    rng = random.Random(ones)
+    for width in (ones, 2 * ones + 1, 50_000):
+        elements = sorted(rng.sample(range(width), ones))
+        mask = instances._mask_of(elements)
+        with mock.patch.object(instances, "_lowest_first", wraps=instances._lowest_first) as step:
+            assert list(instances.bits_of(mask)) == elements
+        assert step.call_count == (ones <= instances._FEW_BITS)
+
+
+def test_bits_of_reads_a_full_row_in_linear_time():
+    # Stepped lowest bit first, one full 500,000-bit row took 17 s.
+    start = time.perf_counter()
+    assert sum(1 for _ in instances.bits_of((1 << 500_000) - 1)) == 500_000
+    assert time.perf_counter() - start < 2
 
 
 def test_columns_hold_one_slab_of_digits_at_a_time():

@@ -11,6 +11,7 @@ of labeling spaces take effect.
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from gapred import (
     biclique,
     biclique_gadget,
     clique,
+    cnf_to_labelcover,
     count_ktt,
     densest_k,
     dom_set,
@@ -39,6 +41,7 @@ from gapred import (
     max_cov,
     max_induced_with_property,
     min_lab,
+    minlab_to_setcov,
     parse_graph,
     parse_labelcover,
     random_graph,
@@ -1000,3 +1003,15 @@ def test_cover_settled_at_root_charges_one_node():
     with pytest.raises(BudgetExceededError):
         set_cover(branching, one)
     assert set_cover(branching) == 2
+
+
+def test_dom_set_lists_the_candidate_sets_of_a_large_graph_by_transpose():
+    # The setcov2domset graph of gen-planted (3, 5, seed 0) -> cnf2lc ->
+    # minlab2setcov has 10,941 vertices. Listing the sets holding each element
+    # by shifting every closed neighbourhood once per element took 16.5 s
+    # before the first search node, past any node budget; a random verify
+    # chain found it. The transpose lists them in a fraction of a second.
+    g = setcov_to_domset(minlab_to_setcov(cnf_to_labelcover(gen_planted_cnf(3, 5, 0))))
+    start = time.perf_counter()
+    assert dom_set(g, oracles.SolveBudget(max_nodes=20_000)) == 3
+    assert time.perf_counter() - start < 5

@@ -432,9 +432,16 @@ def test_budget_exceeded_is_reported():
 _DEEP = 1100  # past the default recursion limit of 1000
 
 
-# The clique and induced-path searches have their own repros in
-# tests/test_pipelines_cli.py.
+def _perfect_matching(pairs):
+    return Graph(2 * pairs, frozenset((2 * i, 2 * i + 1) for i in range(pairs)))
+
+
+# tests/test_pipelines_cli.py runs deeper repros through the CLI.
 @pytest.mark.parametrize("search, want", [
+    (lambda: clique(complete_graph(_DEEP)), _DEEP),
+    (lambda: independent_set(empty_graph(_DEEP)), _DEEP),
+    (lambda: induced_path(path_graph(_DEEP)), _DEEP),
+    (lambda: induced_matching(_perfect_matching(_DEEP)), _DEEP),
     (lambda: biclique(complete_bipartite(_DEEP, _DEEP)), _DEEP),
     # The pair {0, 1} makes greedy's cover 1099 sets long and no root bound
     # settles it, so the search adds one singleton per level.
@@ -443,15 +450,13 @@ _DEEP = 1100  # past the default recursion limit of 1000
     # One left vertex on every right vertex: one size per right vertex.
     (lambda: min_lab(LabelCover(1, _DEEP, 1, 1, {(0, v): {(0, 0)} for v in range(_DEEP)})),
      _DEEP),
-], ids=["biclique", "set_cover", "min_lab"])
-def test_a_search_past_the_recursion_limit_runs_out_of_budget(search, want):
-    # Each recursive search once let a RecursionError escape, which the CLI
-    # reported as a failed verification. A search that does not recurse once
-    # per level may answer instead.
-    try:
-        assert search() == want
-    except BudgetExceededError as exc:
-        assert "went deeper than the recursion limit" in str(exc)
+], ids=["clique", "independent_set", "induced_path", "induced_matching", "biclique", "set_cover",
+        "min_lab"])
+def test_a_search_past_the_recursion_limit_answers(search, want):
+    # Each search once recursed once per level: it let a RecursionError
+    # escape, which the CLI reported as a failed verification, and then
+    # raised BudgetExceededError in its place. As a loop it answers.
+    assert search() == want
 
 
 def test_sat_max_charges_whole_chunks():

@@ -794,25 +794,34 @@ _DEEP_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("name, text, argv", [
-    ("empty.graph", lambda: "p edge 1500 0\n", ["solve", "independent-set"]),
-    ("k1200.graph", lambda: emit_graph(complete_graph(1200)), ["solve", "clique"]),
-    ("path.graph", lambda: emit_graph(path_graph(1500)), ["solve", "induced-path"]),
+@pytest.mark.parametrize("name, text, argv, code, lines", [
+    ("empty.graph", lambda: "p edge 1500 0\n", ["solve", "independent-set"], 0, ["1500"]),
+    ("k1200.graph", lambda: emit_graph(complete_graph(1200)), ["solve", "clique"], 0, ["1200"]),
+    ("path.graph", lambda: emit_graph(path_graph(1500)), ["solve", "induced-path"], 0, ["1500"]),
     # The last is2im stage searches the 2,331-vertex DomSet graph's complement.
-    ("is2im.json", lambda: json.dumps(_DEEP_CHAINS["is2im.json"]), ["verify"]),
+    ("is2im.json", lambda: json.dumps(_DEEP_CHAINS["is2im.json"]), ["verify"], 0,
+     ["  status:       PASS (IM=2320 >= MIS=2320)", "end-to-end: all PASS"]),
     # The node budget cuts the biclique stage short; the last is2im stage
-    # still goes deep at once.
+    # still goes deep at once, and answers.
     ("dks.json", lambda: json.dumps(_DEEP_CHAINS["dks.json"]),
-     ["verify", "--budget-nodes", "200000"]),
+     ["verify", "--budget-nodes", "200000"], 3,
+     ["  status:       INCONCLUSIVE (budget exceeded: node budget exceeded (200000))",
+      "  status:       PASS (IM=1344 >= MIS=1344)",
+      "end-to-end: PASS; INCONCLUSIVE; PASS; PASS"]),
 ], ids=["independent-set", "clique", "induced-path", "verify-is2im", "verify-dks"])
-def test_cli_deep_searches_exit_without_a_traceback(tmp_path, name, text, argv):
-    # Each search recursed past the recursion limit and exited 1, the code of
-    # a failed verification, with a RecursionError traceback. A search that
-    # does not recurse once per level may answer instead.
+def test_cli_deep_searches_exit_without_a_traceback(tmp_path, name, text, argv, code, lines):
+    # Each search once recursed past the recursion limit and exited 1 with a
+    # RecursionError traceback, and then exited 3 as if out of budget. The
+    # searches are loops now, so depth is no limit: only the node budget
+    # leaves the dks chain's biclique stage INCONCLUSIVE.
     source = tmp_path / name
     source.write_text(text())
     result = run_in_child([*argv, source])
-    assert result.returncode in (0, 3) and "Traceback" not in result.stderr
+    assert result.returncode == code and result.stderr == ""
+    out = result.stdout.splitlines()
+    assert all(line in out for line in lines)
+    if code == 3:
+        assert sum("INCONCLUSIVE (" in line for line in out) == 1
 
 
 def test_cli_compress_left_refuses_k_past_the_size_cap_before_drawing(tmp_path, capsys):
