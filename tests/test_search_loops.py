@@ -18,22 +18,12 @@ import pytest
 
 from gapred import (
     Graph,
-    LabelCover,
-    biclique,
     biclique_gadget,
-    clique,
     cnf_to_labelcover,
-    dom_set,
     fglss,
     gen_planted_cnf,
-    independent_set,
-    induced_matching,
-    induced_path,
-    induced_path_at_least,
-    min_lab,
     minlab_instance,
     random_graph,
-    set_cover,
 )
 from gapred import oracles
 from gapred.instances import SetSystem, bits_of
@@ -388,21 +378,16 @@ def test_a_stop_at_exit_matches_at_the_first_long_enough_path():
 
 
 def test_a_witness_seeds_the_clique_search_as_before():
-    g = random_graph(50, 0.5, 7)
+    # A clique on vertices 0..11 planted in G(50, 0.3), whose own cliques are
+    # about half as large.
+    edges = set(random_graph(50, 0.3, 7).edges) | set(itertools.combinations(range(12), 2))
+    g = Graph(50, frozenset(edges))
     plain = loop_and_referee("clique", g)
-    seeded = loop_and_referee("clique", g, witness=[0])
-    assert plain[0] == plain[1] and seeded[0] == seeded[1]
-    best = plain[0][0]
-    witness = next(c for c in _cliques(g, best))
-    settled = loop_and_referee("clique", g, witness=witness)
-    assert settled[0] == settled[1] and settled[0][1] <= plain[0][1]
-
-
-def _cliques(g, size):
-    """The cliques of `size` vertices of g, as lists."""
-    for combo in itertools.combinations(range(g.num_vertices), size):
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
-            yield list(combo)
+    assert plain[0] == plain[1] and plain[0][0] == 12
+    for witness in ([0], list(range(6)), list(range(12))):
+        seeded = loop_and_referee("clique", g, witness=witness)
+        assert seeded[0] == seeded[1] and seeded[0][0] == 12
+    assert seeded[0][1] < plain[0][1]
 
 
 def test_biclique_matches_on_a_complete_bipartite_graph():
