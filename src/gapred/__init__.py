@@ -13,7 +13,6 @@ from .errors import (
     BudgetExceededError,
     GapredError,
     GenerationError,
-    LedgerError,
     ParseError,
     ReductionError,
     SizeCapError,
@@ -85,14 +84,7 @@ from .graph_reductions import (
     sat_to_dks,
     setcov_to_domset,
 )
-from .gap_ledger import (
-    GapLedger,
-    GapMap,
-    StageEntry,
-    StagePredicate,
-    push_stage,
-    report,
-)
+from .gap_ledger import report
 from .pipelines import (
     PipelineSpec,
     gen_cnf_gap,

@@ -27,7 +27,3 @@ class ReductionError(GapredError):
 
 class GenerationError(GapredError):
     """Rejection sampling or exhaustive search could not produce an instance."""
-
-
-class LedgerError(GapredError):
-    """A ledger entry or gap map is malformed."""

@@ -238,14 +238,15 @@ def _mask_of(elements) -> int:
 # _columns writes out the digits of at most _SLAB cells at a time, and walks
 # rows with bits_of. It reads the columns as numerals when its cost model says
 # that beats walking the rows. In units of one cell's digit on the numeral
-# path, the numerals cost one per cell and _COLUMN per column of each slab; a
-# walk of a row with more than _FEW_BITS set bits costs _WALK_WIDTH per
-# position of the row's width and _WALK_BIT per set bit, and a walk of a row
-# with fewer, per set bit, _WALK_STEP plus one per _STEP_POSITIONS positions
-# of the row's width. The units come from timing the paths on the shapes of
-# the crossover table in CHANGES.md.
+# path, the numerals cost one per cell and _COLUMN per column of each slab. A
+# walk of a row with more than _FEW_BITS set bits reads it in bits_of's one
+# pass over its digits, which costs _WALK_WIDTH per position of the row's
+# width, and sets _WALK_BIT per set bit; a walk of a row with fewer steps it,
+# and costs, per set bit, _WALK_STEP plus one per _STEP_POSITIONS positions of
+# the row's width. The units come from timing the paths on the shapes of the
+# crossover tables in CHANGES.md.
 _SLAB = 1 << 22
-_WALK_WIDTH, _WALK_BIT, _COLUMN = 5, 20, 60
+_WALK_WIDTH, _WALK_BIT, _COLUMN = 5, 8, 60
 _WALK_STEP, _STEP_POSITIONS = 90, 45
 
 

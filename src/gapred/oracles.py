@@ -101,26 +101,40 @@ def call(name: str, instance, *args, budget: SolveBudget | None = None, witness=
     return globals()[name](instance, *args, budget, **hint)
 
 
-class _Meter:
-    """Node counter with periodic wall-clock checks."""
+# _Meter reads the clock after `interval` nodes: 1 at first, doubled up to
+# _MAX_INTERVAL while reads come under _QUICK_READ seconds apart, and halved
+# when they do not, so costly nodes are timed one by one and cheap ones in bulk.
+_MAX_INTERVAL = 4096
+_QUICK_READ = 0.001
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "next_check")
+
+class _Meter:
+    """Node counter with wall-clock checks spaced by how fast nodes go."""
+
+    __slots__ = ("nodes", "max_nodes", "deadline", "next_check", "interval", "last_read")
 
     def __init__(self, budget: SolveBudget | None):
         budget = budget or DEFAULT_BUDGET
         self.nodes = 0
         self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_millis / 1000.0
-        self.next_check = 4096
+        self.last_read = time.monotonic()
+        self.deadline = self.last_read + budget.max_millis / 1000.0
+        self.interval = self.next_check = 1
 
     def tick(self, n: int = 1):
         self.nodes += n
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(f"node budget exceeded ({self.max_nodes})")
         if self.nodes >= self.next_check:
-            self.next_check = self.nodes + 4096
-            if time.monotonic() > self.deadline:
+            now = time.monotonic()
+            if now > self.deadline:
                 raise BudgetExceededError("time budget exceeded")
+            if now - self.last_read < _QUICK_READ:
+                self.interval = min(2 * self.interval, _MAX_INTERVAL)
+            else:
+                self.interval = max(self.interval // 2, 1)
+            self.last_read = now
+            self.next_check = self.nodes + self.interval
 
 
 # ---------------------------------------------------------------------------

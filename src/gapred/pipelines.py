@@ -159,14 +159,12 @@ def gen_gap_cnf(
 
 
 def gen_cnf_gap(
-    num_vars: int, eps: float, seed, num_clauses: int | None = None,
-    budget: SolveBudget | None = None,
+    num_vars: int, eps: float, seed, num_clauses: int, budget: SolveBudget | None = None,
 ) -> tuple[CnfFormula, CnfFormula]:
     """One planted satisfiable formula and one oracle-certified gap formula."""
-    m = num_clauses if num_clauses is not None else 2 * num_vars
     rng = random.Random(seed)
-    planted = gen_planted_cnf(num_vars, m, rng.randrange(2**63))
-    gap = gen_gap_cnf(num_vars, m, eps, rng.randrange(2**63), budget=budget)
+    planted = gen_planted_cnf(num_vars, num_clauses, rng.randrange(2**63))
+    gap = gen_gap_cnf(num_vars, num_clauses, eps, rng.randrange(2**63), budget=budget)
     return planted, gap
 
 
@@ -291,10 +289,11 @@ class Stage:
     `build(instance, params, budget=None)` returns (output, extras), where
     `params` maps each declared name to its resolved value and `budget`, a
     pipeline's, bounds compress-left's disperser search. run_pipeline derives
-    the stage's ledger entry from the row: `predicate` is its (oracle,
-    comparison, target), `maps(source, params, output)`, when given, returns
-    its (completeness, soundness) maps (else both are the identity), and
-    `notes` are documentation. `verify(view)` grades the stage from a
+    the stage's ledger entry, a dict shaped like a `ledger.json` stage, from
+    the row: `predicate` is its (oracle, comparison, target),
+    `maps(source, params, output)`, when given, returns its (completeness,
+    soundness) map dicts (else both are the identity), and `notes` are
+    documentation. `verify(view)` grades the stage from a
     `_StageView` and returns (status, detail, values). `lift(instance, params,
     witness)`, when given, maps a witness of the source (an assignment, a right
     labeling) to one of the output that the build keeps optimal, or to None.
@@ -317,7 +316,7 @@ class Stage:
 # Stage builds (output instance, extras) and ledger maps
 
 
-_IDENTITY = gl.GapMap(kind="identity")
+_IDENTITY = {"kind": "identity"}
 
 
 def _calls(transform: str):
@@ -331,8 +330,8 @@ def _calls(transform: str):
     return build
 
 
-def _constant(value, requires) -> gl.GapMap:
-    return gl.GapMap(kind="constant", value=value, requires=float(requires))
+def _constant(value, requires) -> dict:
+    return {"kind": "constant", "value": value, "requires": float(requires)}
 
 
 def _gap_size(lc, p) -> Fraction:
@@ -463,7 +462,7 @@ def _equal(source_oracle: str, output_oracle: str) -> dict:
     return {"verify": rule, "predicate": (output_oracle, "==", f"{source_oracle}(source)")}
 
 
-_HALF = gl.GapMap(kind="scale", value=0.5)
+_HALF = {"kind": "scale", "value": 0.5}
 
 
 def _sandwich(output_oracle: str, label: str, key: str) -> dict:
@@ -794,7 +793,7 @@ class PipelineRun:
 
     kinds: list[str]
     instances: list
-    ledger: gl.GapLedger
+    ledger: tuple[dict, ...]
     extras: list[dict]
     params: list[dict]
 
@@ -802,7 +801,7 @@ class PipelineRun:
 def run_pipeline(spec: PipelineSpec) -> PipelineRun:
     """Build each stage of `spec` in turn: the one place a stage is built."""
     instance = _load_input(spec)
-    run = PipelineRun([_INPUTS[spec.input["kind"]][0]], [instance], gl.GapLedger(), [], [])
+    run = PipelineRun([_INPUTS[spec.input["kind"]][0]], [instance], (), [], [])
     for idx, stage in enumerate(spec.stages):
         op = stage["op"]
         definition, params, source = STAGES[op], spec.stage_params(idx), run.instances[-1]
@@ -811,15 +810,15 @@ def run_pipeline(spec: PipelineSpec) -> PipelineRun:
             source, params, out)
         # The ledger entry is named after the op, and lists the resolved
         # values of its non-string parameters other than the seed and size cap.
-        run.ledger = gl.push_stage(run.ledger, gl.StageEntry(
-            name=op,
-            params=tuple((p.name, params[p.name]) for p in definition.params
-                         if p.type is not str and p not in (_SEED, _SIZE_CAP)),
-            completeness=maps[0],
-            soundness=maps[1],
-            predicate=gl.StagePredicate(*definition.predicate),
-            notes=definition.notes,
-        ))
+        run.ledger += ({
+            "name": op,
+            "params": {p.name: params[p.name] for p in definition.params
+                       if p.type is not str and p not in (_SEED, _SIZE_CAP)},
+            "completeness": maps[0],
+            "soundness": maps[1],
+            "predicate": dict(zip(("oracle", "comparison", "target"), definition.predicate)),
+            "notes": list(definition.notes),
+        },)
         run.instances.append(out)
         run.kinds.append(definition.output_kind)
         run.extras.append(extra)
@@ -843,7 +842,7 @@ class StageVerification:
 @dataclass
 class VerifyReport:
     stages: list[StageVerification]
-    ledger: gl.GapLedger
+    ledger: tuple[dict, ...]
     input_values: dict
 
     @property

@@ -81,3 +81,20 @@ def test_no_function_in_the_package_calls_itself():
                               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                               and call.func.id == node.name]
     assert recursive == []
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # An error class that nothing in src/ raises documents a failure the
+    # package cannot have; catching or exporting it does not count.
+    from gapred import errors
+
+    raised = set()
+    for path in Path(gapred.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    classes = [name for name, value in vars(errors).items() if isinstance(value, type)
+               and issubclass(value, errors.GapredError) and value is not errors.GapredError]
+    assert classes and [name for name in classes if name not in raised] == []

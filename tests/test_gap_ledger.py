@@ -1,82 +1,40 @@
-"""Gap ledger: maps, stage composition, reporting, JSON round trip."""
+"""Gap ledger: map rendering, reports, the JSON round trip and the stage registry."""
 
 import json
 
-import pytest
-
-from gapred import (
-    GapLedger,
-    GapMap,
-    LedgerError,
-    StageEntry,
-    StagePredicate,
-    push_stage,
-    report,
-)
+from gapred import report
 from gapred.gap_ledger import ledger_to_json
 from gapred.oracles import ORACLES
 
 
-def _entry(name, completeness, soundness, predicate=None, params=()):
-    return StageEntry(
-        name=name,
-        params=params,
-        completeness=completeness,
-        soundness=soundness,
-        predicate=predicate,
-    )
-
-
-def _identity_entry(name="fglss", oracle="clique"):
-    return _entry(
-        name,
-        GapMap(kind="identity"),
-        GapMap(kind="identity"),
-        StagePredicate(oracle, "==", "max_cov(source)"),
-    )
+def _entry(name="fglss", completeness=None, soundness=None, oracle="clique", params=None):
+    """A ledger entry as run_pipeline builds one: a ledger.json stage."""
+    return {
+        "name": name,
+        "params": params or {},
+        "completeness": completeness or {"kind": "identity"},
+        "soundness": soundness or {"kind": "identity"},
+        "predicate": {"oracle": oracle, "comparison": "==", "target": "max_cov(source)"},
+        "notes": [],
+    }
 
 
 def test_gap_map_kinds():
-    assert GapMap(kind="identity").describe() == "x -> x"
-    assert GapMap(kind="constant", value=4).describe() == "x -> 4"
-    assert GapMap(kind="scale", value=0.5).describe() == "x -> 0.5 * x"
-    with pytest.raises(LedgerError):
-        GapMap(kind="constant")
-    with pytest.raises(LedgerError):
-        GapMap(kind="warp")
-
-
-def test_push_stage_order_and_validation():
-    ledger = GapLedger()
-    ledger = push_stage(ledger, _identity_entry("compress-left"))
-    ledger = push_stage(ledger, _identity_entry("fglss"))
-    assert [e.name for e in ledger.stages] == ["compress-left", "fglss"]
-    # A predicate may name any oracle of the table, induced_path_at_least too.
-    for oracle in ORACLES:
-        assert push_stage(GapLedger(), _identity_entry(oracle=oracle)).stages
-
-    bogus = _entry(
-        "bad",
-        GapMap(kind="identity"),
-        GapMap(kind="identity"),
-        StagePredicate("solve_everything", "==", "x"),
-    )
-    with pytest.raises(LedgerError):
-        push_stage(ledger, bogus)
-
-
-def test_predicate_comparison_validation():
-    with pytest.raises(LedgerError):
-        StagePredicate("clique", "~=", "x")
+    text = report((_entry(completeness={"kind": "constant", "value": 4, "requires": 9.0},
+                          soundness={"kind": "scale", "value": 0.5}),
+                   _entry()))
+    assert "  completeness: x -> 4\n  soundness:    x -> 0.5 * x\n" in text
+    assert "  completeness: x -> x\n  soundness:    x -> x\n" in text
 
 
 def test_report_empty():
-    assert report(GapLedger()) == "no stages\n"
+    assert report(()) == "no stages\n"
 
 
 def test_report_statuses():
-    ledger = push_stage(GapLedger(), _identity_entry())
+    ledger = (_entry(params={"r": 2, "k": 3}),)
     text = report(ledger, {0: ("PASS", "clique=3")})
+    assert "stage 1: fglss [k=3, r=2]" in text
     assert "PASS" in text and "all PASS" in text
     text = report(ledger, {0: ("FAIL", "witness: stage01.lc")})
     assert "FAIL" in text and "witness" in text
@@ -84,34 +42,32 @@ def test_report_statuses():
     assert "UNVERIFIED" in text
 
 
-def ledger_from_json(text: str) -> GapLedger:
-    """The referee of the round trip: the ledger that ledger_to_json wrote, read back."""
-    data = json.loads(text)
-    ledger = GapLedger()
-    for item in data["stages"]:
-        predicate = StagePredicate(**item["predicate"]) if "predicate" in item else None
-        entry = StageEntry(
-            name=item["name"],
-            params=tuple(sorted(item["params"].items())),
-            completeness=GapMap(**item["completeness"]),
-            soundness=GapMap(**item["soundness"]),
-            predicate=predicate,
-            notes=tuple(item.get("notes", ())),
-        )
-        ledger = push_stage(ledger, entry)
-    return ledger
+def _typed(value):
+    """`value` with each leaf paired with its type, so 2 and 2.0, or a list and
+    a tuple, compare unequal."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(item) for item in value]
+    return type(value), value
+
+
+def _round_trips(ledger):
+    """The ledger that ledger_to_json wrote, read back, is the ledger, down to
+    the type of every value."""
+    return _typed(json.loads(ledger_to_json(ledger))["stages"]) == _typed(list(ledger))
 
 
 def test_ledger_json_roundtrip():
     entry = _entry(
         "minlab",
-        GapMap(kind="constant", value=2.0, requires=10.0),
-        GapMap(kind="scale", value=0.25),
-        StagePredicate("min_lab", ">", "r"),
-        params=(("q", 2), ("r", 4)),
+        {"kind": "constant", "value": 2.0, "requires": 10.0},
+        {"kind": "scale", "value": 0.25},
+        "min_lab",
+        params={"q": 2, "r": 4},
     )
-    ledger = push_stage(GapLedger(), entry)
-    assert ledger_from_json(ledger_to_json(ledger)) == ledger
+    assert _round_trips((entry,))
+    assert not _round_trips((dict(entry, notes=("a tuple",)),))
 
 
 def test_pipeline_ledger_json_roundtrip():
@@ -127,7 +83,8 @@ def test_pipeline_ledger_json_roundtrip():
         seed=5,
     )
     ledger = run_pipeline(spec).ledger
-    assert ledger_from_json(ledger_to_json(ledger)) == ledger
+    assert len(ledger) == 3
+    assert _round_trips(ledger)
 
 
 # One spec per chain, together covering all 12 ops: a deterministic
@@ -170,3 +127,29 @@ def test_every_op_emits_its_pinned_ledger_and_report():
     assert ops == set(STAGES)
     expected = (Path(__file__).parent / "pinned_ledgers.txt").read_text()
     assert "".join(parts) == expected
+
+
+def _well_formed(gap_map) -> bool:
+    if gap_map["kind"] == "identity":
+        return set(gap_map) == {"kind"}
+    return (gap_map["kind"] in ("constant", "scale") and "value" in gap_map
+            and set(gap_map) <= {"kind", "value", "requires"})
+
+
+def test_every_stage_names_an_oracle_a_comparison_and_well_formed_maps():
+    # The registry is fixed data, so it is checked here once rather than on
+    # every run: each predicate names an oracle of the table and a comparison,
+    # and each map the pinned specs produce is identity, or constant or scale
+    # with a value.
+    from gapred.pipelines import STAGES, PipelineSpec, run_pipeline
+
+    for op, stage in STAGES.items():
+        oracle, comparison, _target = stage.predicate
+        assert oracle in ORACLES, op
+        assert comparison in ("==", "<", "<=", ">", ">="), op
+    assert not _well_formed({"kind": "constant"})
+    assert not _well_formed({"kind": "warp", "value": 1.0})
+    for source, seed, stages in _PINNED_SPECS:
+        for entry in run_pipeline(PipelineSpec(input=source, stages=stages, seed=seed)).ledger:
+            assert _well_formed(entry["completeness"]), entry
+            assert _well_formed(entry["soundness"]), entry

@@ -412,6 +412,23 @@ def test_pipeline_budget_bounds_the_deterministic_disperser_search(tmp_path, cap
     assert "time budget exceeded" in capsys.readouterr().err
 
 
+def test_verify_time_budget_bounds_a_search_of_few_costly_nodes(tmp_path, capsys):
+    # The independent_set and induced_matching searches on the 2,188-vertex
+    # graphs take under 4,096 nodes each, each node coloring about 2,000
+    # candidates. When the clock was read once per 4,096 nodes this spec ran
+    # for seconds and passed; its 10 ms budget must leave it INCONCLUSIVE.
+    spec = tmp_path / "costly.json"
+    spec.write_text(json.dumps({
+        "seed": 7, "input": {"kind": "gen-planted", "n": 8, "m": 1, "seed": 5},
+        "stages": [{"op": "cnf2lc"}, {"op": "minlab2setcov"}, {"op": "setcov2domset"},
+                   {"op": "is2im"}],
+        "budget": {"max_nodes": 20000, "max_millis": 10},
+    }))
+    assert run_command(["verify", str(spec)]) == 3
+    out = capsys.readouterr().out
+    assert "INCONCLUSIVE (budget exceeded: time budget exceeded)" in out
+
+
 def test_verify_minlab_pipeline():
     spec = PipelineSpec(
         input={"kind": "gen-planted", "n": 6, "m": 5},
