@@ -136,17 +136,35 @@ def _well_formed(gap_map) -> bool:
             and set(gap_map) <= {"kind", "value", "requires"})
 
 
-def test_every_stage_names_an_oracle_a_comparison_and_well_formed_maps():
-    # The registry is fixed data, so it is checked here once rather than on
-    # every run: each predicate names an oracle of the table and a comparison,
-    # and each map the pinned specs produce is identity, or constant or scale
-    # with a value.
+# STAGES is fixed data, so its checks run here once rather than on every
+# run: the three tests below replace the validation that push_stage and the
+# ledger classes did at run time.
+def test_push_stage_order_and_validation():
+    # A run appends one entry per stage, in stage order and named by its op,
+    # and each STAGES predicate names an oracle of the table.
     from gapred.pipelines import STAGES, PipelineSpec, run_pipeline
 
+    for source, seed, stages in _PINNED_SPECS:
+        ledger = run_pipeline(PipelineSpec(input=source, stages=stages, seed=seed)).ledger
+        assert [entry["name"] for entry in ledger] == [stage["op"] for stage in stages]
     for op, stage in STAGES.items():
-        oracle, comparison, _target = stage.predicate
+        oracle, _comparison, _target = stage.predicate
         assert oracle in ORACLES, op
+
+
+def test_predicate_comparison_validation():
+    from gapred.pipelines import STAGES
+
+    for op, stage in STAGES.items():
+        _oracle, comparison, _target = stage.predicate
         assert comparison in ("==", "<", "<=", ">", ">="), op
+
+
+def test_every_stage_emits_well_formed_maps():
+    # Each map the pinned specs produce is identity, or constant or scale
+    # with a value.
+    from gapred.pipelines import PipelineSpec, run_pipeline
+
     assert not _well_formed({"kind": "constant"})
     assert not _well_formed({"kind": "warp", "value": 1.0})
     for source, seed, stages in _PINNED_SPECS:
