@@ -196,13 +196,24 @@ def _flags(mask: int) -> bytes:
     return format(mask, "b").encode()[::-1].translate(_TO_FLAGS)
 
 
-def _name_table(masks, first: int) -> list[str]:
-    """Names str(first + i) of bit positions i, for the emitters: as many as
-    the widest of `masks` needs but no more than their total popcount, so a
-    few far bits cannot make the table larger than the text it names. A mask
-    wider than the table is read with bits_of."""
+def _namer(masks, first: int):
+    """names(mask, offset=0), for the emitters: the names of the set bits of
+    `mask`, ascending, bit i named str(first + offset + i). They are cut from
+    one table as wide as the widest of `masks` needs but no wider than their
+    total popcount, so a few far bits cannot make the table larger than the
+    text it names; a mask reaching past the table is read with bits_of."""
     width = min(max(map(int.bit_length, masks), default=0), sum(map(int.bit_count, masks)))
-    return [str(first + i) for i in range(width)]
+    table = [str(first + i) for i in range(width)]
+
+    def names(mask: int, offset: int = 0):
+        end = offset + mask.bit_length()
+        if end > width:
+            return map(str, map((first + offset).__add__, bits_of(mask)))
+        # Only the names up to the highest bit are sliced, so a sparse mask
+        # costs no slice as wide as the table.
+        return itertools.compress(table[offset:end] if offset else table, _flags(mask))
+
+    return names
 
 
 # An element list with at least one element per _DENSE positions of its mask's
@@ -541,21 +552,12 @@ def parse_graph(data) -> Graph:
 def emit_graph(graph: Graph) -> str:
     lines = [f"p edge {graph.num_vertices} {graph.num_edges}"]
     adjacency = graph.adjacency
-    names = _name_table(adjacency, 1)
-    width = len(names)
+    names = _namer(adjacency, 1)
     for u, mask in enumerate(adjacency):
         higher = mask >> u + 1
-        if not higher:
-            continue
-        # Only the names up to the highest neighbour are sliced, so a sparse
-        # row costs no slice as wide as the table.
-        end = u + 1 + higher.bit_length()
-        if end <= width:
-            row = itertools.compress(names[u + 1 : end], _flags(higher))
-        else:
-            row = (str(u + 2 + j) for j in bits_of(higher))
-        prefix = f"e {u + 1} "
-        lines.append(prefix + ("\n" + prefix).join(row))
+        if higher:
+            prefix = f"e {u + 1} "
+            lines.append(prefix + ("\n" + prefix).join(names(higher, u + 1)))
     return "\n".join(lines) + "\n"
 
 
@@ -660,13 +662,9 @@ def parse_setsystem(data) -> SetSystem:
 def emit_setsystem(system: SetSystem) -> str:
     lines = [f"ss {system.universe_size} {system.num_sets}"]
     masks = system.masks
-    names = _name_table(masks, 1)
-    width = len(names)
+    names = _namer(masks, 1)
     for sid, mask in zip(system.ids, masks):
-        if mask.bit_length() <= width:
-            body = " ".join(itertools.compress(names, _flags(mask)))
-        else:
-            body = " ".join(str(e + 1) for e in bits_of(mask))
+        body = " ".join(names(mask))
         lines.append(f"s {sid} {mask.bit_count()}" + (f" {body}" if body else ""))
     return "\n".join(lines) + "\n"
 
@@ -965,8 +963,7 @@ def emit_labelcover(lc: LabelCover) -> str:
             lines.append(f"a {u + 1}{text}")
     betas = lc.betas
     stored = [mask for masks in betas.values() for mask in masks.values()]
-    names = _name_table(stored, 0)
-    width = len(names)
+    names = _namer(stored, 0)
     # Edges whose stores hold the same (alpha, beta mask) items in the same
     # order share their text " count a b a b ...", which is built once per call.
     pieces: dict[tuple[tuple[int, int], ...], str] = {}
@@ -977,12 +974,8 @@ def emit_labelcover(lc: LabelCover) -> str:
         if piece is None:
             parts = [f" {sum(map(int.bit_count, masks.values()))}"]
             for a, mask in sorted(key):
-                if mask.bit_length() <= width:
-                    labels = itertools.compress(names, _flags(mask))
-                else:
-                    labels = map(str, bits_of(mask))
                 tag = f" {a} "
-                parts.append(tag + tag.join(labels))
+                parts.append(tag + tag.join(names(mask)))
             piece = pieces[key] = "".join(parts)
         lines.append(f"e {u + 1} {v + 1}{piece}")
     return "\n".join(lines) + "\n"

@@ -156,14 +156,14 @@ _TABLE_BITS = 26
 def _chunks(radix: int, digits: int, tables: int, meter: _Meter):
     """Cover the labeling space chunk by chunk, in increasing labeling order.
 
-    Yields (offset, ones, table): the chunk holds labelings offset + i for the
-    set bits i of `ones`, and table(d, values) is the bitset of those whose
-    digit d lies in the bitmask `values`. The low digits take every value in a
-    chunk, the next digit a run of consecutive values and the high digits one
-    value each. A chunk is at most 2^_CHUNK_BITS wide, and narrower when the
-    caller's `tables` distinct tables would pass 2^_TABLE_BITS bits; so memory
-    is bounded and no table is ever built per label. Each chunk ticks the meter
-    by its size first.
+    Yields (ones, table) per chunk. A chunk is a run of consecutive labelings,
+    its i-th standing for bit i of `ones`, and table(d, values) is the bitset
+    of the chunk's labelings whose digit d lies in the bitmask `values`. The
+    low digits take every value in a chunk, the next digit a run of
+    consecutive values and the high digits one value each. A chunk is at most
+    2^_CHUNK_BITS wide, and narrower when the caller's `tables` distinct
+    tables would pass 2^_TABLE_BITS bits; so memory is bounded and no table
+    is ever built per label. Each chunk ticks the meter by its size first.
     """
     cap = max(1, min(1 << _CHUNK_BITS, (1 << _TABLE_BITS) // max(1, tables)))
     low, place = 0, 1
@@ -200,7 +200,7 @@ def _chunks(radix: int, digits: int, tables: int, meter: _Meter):
                     memo[key] = hit
                 return hit
 
-            yield offset, ones, table
+            yield ones, table
 
 
 def _max_count(tables, ones: int) -> int:
@@ -270,7 +270,7 @@ def sat_max(formula: CnfFormula, budget: SolveBudget | None = None, witness=None
             return formula.num_clauses
     best = 0
     literals = {lit for clause in formula.clauses for lit in clause}
-    for _, ones, table in _chunks(2, formula.num_vars, len(literals), meter):
+    for ones, table in _chunks(2, formula.num_vars, len(literals), meter):
         best = max(best, _max_count(_clause_tables(formula, table), ones))
         if best == formula.num_clauses:
             break
@@ -364,7 +364,7 @@ def max_cov(lc: LabelCover, budget: SolveBudget | None = None, witness=None) -> 
     entries = [entry for entry in _label_rows(lc).values() if entry[1]]
     keys = {key for nbrs, rows in entries for row in rows for key in zip(nbrs, row)}
     best = max(0, covered - free)
-    for _, ones, table in _chunks(lc.right_alphabet, lc.right_size, len(keys), meter):
+    for ones, table in _chunks(lc.right_alphabet, lc.right_size, len(keys), meter):
         best = max(best, _max_count(_cover_tables(entries, ones, table), ones))
         if free + best == lc.left_size:
             break
@@ -702,10 +702,7 @@ def dom_set(graph: Graph, budget: SolveBudget | None = None) -> int:
 def _touched(adj, edges) -> list[int]:
     """Per edge (a, b), the bitmask over `edges` of those with an endpoint in
     N[a] | N[b], the edge itself included."""
-    incident = [0] * len(adj)
-    for i, (a, b) in enumerate(edges):
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
+    incident = _columns([1 << a | 1 << b for a, b in edges], len(adj))
     # closed[w]: the edges touching the closed neighbourhood of w.
     closed = []
     for w, mask in enumerate(adj):

@@ -481,59 +481,52 @@ def _sandwich(output_oracle: str, label: str, key: str) -> dict:
     }
 
 
-def _graded(ok: bool, detail: str, values: dict, got):
-    values["value_out"] = got
-    return _status(ok), detail, values
+def _written(value):
+    """A claimed value as the ledger and a detail write it: a Fraction as its float."""
+    return float(value) if isinstance(value, Fraction) else value
 
 
-def _compression(oracle: str, target, sound):
-    """Rule of a label-cover compression, graded by its source's max_cov.
+def _compression(oracle: str, full, gap) -> dict:
+    """Rule, predicate and maps of a label-cover compression, from its one claim.
 
-    A fully coverable source must give oracle(output) == target(view); a
-    source below (1-epsilon)|U| is graded by sound(view, values).
+    `full` is (name, value) and `gap` is (comparison, name, value), each value
+    a function of (source, params, output). A source whose max_cov is |U| must
+    give oracle(output) == full's value, and one below (1-epsilon)|U| must
+    give oracle(output) <comparison> gap's value, once a disperser among the
+    extras verifies; any other source is NOT-APPLICABLE. The maps write the
+    same two values, so the ledger states just the claim the rule grades.
     """
+    (full_name, full_value), (comparison, gap_name, gap_value) = full, gap
 
     def rule(s):
-        m = s.source.left_size
-        mc_in = s.src("max_cov")
+        m, mc_in = s.source.left_size, s.src("max_cov")
         gap_bound = _gap_size(s.source, s.params)
         values = {"max_cov_in": mc_in, "left_size_in": m}
         if mc_in == m:
-            want, got = target(s), s.out(oracle)
-            return _graded(got == want, f"completeness: {oracle}={got}, want {want}", values, got)
-        if Fraction(mc_in) < gap_bound:
-            return sound(s, values)
-        return (
-            "NOT-APPLICABLE",
-            f"source max_cov={mc_in} is neither full ({m}) nor below {float(gap_bound):.3f}",
-            values,
-        )
+            want, got = full_value(s.source, s.params, s.output), s.out(oracle)
+            detail, ok = f"completeness: {oracle}={got}, want {want}", got == want
+        elif mc_in < gap_bound:
+            disperser = s.extra.get("disperser")
+            witness = None if disperser is None else verify_disperser(disperser, s.budget)
+            if witness is not None:
+                detail = f"disperser unverified (witness {witness})"
+                return "INCONCLUSIVE", detail + "; soundness claim not certified", values
+            want, got = gap_value(s.source, s.params, s.output), s.out(oracle)
+            detail = f"soundness: {oracle}={got}, want {comparison} {_written(want)}"
+            # min_lab None (no labeling covers) lies above every bound.
+            ok = (got is None or got > want) if comparison == ">" else got < want
+        else:
+            detail = f"source max_cov={mc_in} is neither full ({m}) nor below {float(gap_bound):.3f}"
+            return "NOT-APPLICABLE", detail, values
+        values["value_out"] = got
+        return _status(ok), detail, values
 
-    return rule
+    def maps(lc, p, out):
+        return (_constant(_written(full_value(lc, p, out)), lc.left_size),
+                _constant(_written(gap_value(lc, p, out)), _gap_size(lc, p)))
 
-
-def _compress_left_sound(s, values):
-    witness = verify_disperser(s.extra["disperser"], s.budget)
-    if witness is not None:
-        return (
-            "INCONCLUSIVE",
-            f"disperser unverified (witness {witness}); soundness claim not certified",
-            values,
-        )
-    got, r = s.out("max_cov"), s.params["r"]
-    return _graded(got < r, f"soundness: max_cov={got}, want < {r}", values, got)
-
-
-def _compress_right_sound(s, values):
-    got = s.out("max_cov")
-    bound = Fraction(s.params["gamma"]) * s.output.left_size
-    detail = f"soundness: max_cov={got}, want < gamma*|U'|={float(bound):.3f}"
-    return _graded(Fraction(got) < bound, detail, values, got)
-
-
-def _minlab_sound(s, values):
-    got, r = s.out("min_lab"), s.params["r"]
-    return _graded(got is None or got > r, f"soundness: min_lab={got}, want > {r}", values, got)
+    target = f"{full_name} (full source) / {comparison} {gap_name} (gap source)"
+    return {"verify": rule, "predicate": (oracle, "==", target), "maps": maps}
 
 
 def _verify_is2im(s):
@@ -621,10 +614,8 @@ STAGES: dict[str, Stage] = {
          Param("disperser", str, "random", choices=("random", "deterministic")),
          _SEED, _SIZE_CAP),
         _build_compress_left,
-        _compression("max_cov", lambda s: s.params["k"], _compress_left_sound),
-        ("max_cov", "==", "k (full source) / < r (gap source)"),
-        maps=lambda lc, p, out: (_constant(p["k"], lc.left_size),
-                                 _constant(p["r"], _gap_size(lc, p))),
+        **_compression("max_cov", ("k", lambda lc, p, out: p["k"]),
+                       ("<", "r", lambda lc, p, out: p["r"])),
         notes=("running-time constants of the underlying hardness statement are out of scope",),
         lift=_same_labeling,
     ),
@@ -632,20 +623,17 @@ STAGES: dict[str, Stage] = {
         "lc-compress-right", "block-merge right compression", "lc", "lc",
         (Param("q"), Param("gamma", float), Param("epsilon", float), _SIZE_CAP),
         _calls("compress_right"),
-        _compression("max_cov", lambda s: s.output.left_size, _compress_right_sound),
-        ("max_cov", "==", "|U'| (full) / < gamma*|U'| (gap)"),
-        maps=lambda lc, p, out: (_constant(float(out.left_size), lc.left_size),
-                                 _constant(p["gamma"] * out.left_size, _gap_size(lc, p))),
+        **_compression("max_cov", ("|U'|", lambda lc, p, out: out.left_size),
+                       ("<", "gamma*|U'|",
+                        lambda lc, p, out: Fraction(p["gamma"]) * out.left_size)),
         lift=_lift_compress_right,
     ),
     "minlab": Stage(
         "lc-minlab", "right compression at gamma = (r/q)^-q", "lc", "lc",
         (Param("q"), Param("r"), Param("epsilon", float), _SIZE_CAP),
         _calls("minlab_instance"),
-        _compression("min_lab", lambda s: s.params["q"], _minlab_sound),
-        ("min_lab", "==", "q (full) / > r (gap)"),
-        maps=lambda lc, p, out: (_constant(float(p["q"]), lc.left_size),
-                                 _constant(float(p["r"]), _gap_size(lc, p))),
+        **_compression("min_lab", ("q", lambda lc, p, out: p["q"]),
+                       (">", "r", lambda lc, p, out: p["r"])),
         notes=("gamma follows the power form (r/q)^-q",),
     ),
     "fglss": Stage(

@@ -1,6 +1,9 @@
 """Gap ledger: map rendering, reports, the JSON round trip and the stage registry."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from gapred import report
 from gapred.gap_ledger import ledger_to_json
@@ -110,12 +113,14 @@ _PINNED_SPECS = (
 )
 
 
-def test_every_op_emits_its_pinned_ledger_and_report():
-    # The expected bytes are literal: a ledger entry's params, map values
-    # (ints for compress-left's k and r, floats elsewhere), predicate and
-    # notes, and the verify report that prints them.
-    from pathlib import Path
+def _pinned_ledgers() -> str:
+    """Per pinned spec, the text of its ledger.json, then its verify report.
 
+    The bytes are literal: a ledger entry's params, map values (ints where a
+    compression claims an int, such as k, r, q or |U'|, and floats elsewhere,
+    gamma*|U'| included), predicate and notes, and the report that prints
+    them.
+    """
     from gapred.pipelines import STAGES, PipelineSpec, run_pipeline, verify_pipeline
 
     parts, ops = [], set()
@@ -125,8 +130,16 @@ def test_every_op_emits_its_pinned_ledger_and_report():
         parts += [ledger_to_json(run.ledger) + "\n", verify_pipeline(spec, run).render()]
         ops.update(stage["op"] for stage in stages)
     assert ops == set(STAGES)
+    return "".join(parts)
+
+
+def test_every_op_emits_its_pinned_ledger_and_report():
+    # To regenerate after a deliberate change to a stage's claim or ledger,
+    # write _pinned_ledgers() to tests/pinned_ledgers.txt, and list every
+    # changed line in CHANGES.md: bench/digests.json pins the compile
+    # workload's ledger.json and report.txt bytes too.
     expected = (Path(__file__).parent / "pinned_ledgers.txt").read_text()
-    assert "".join(parts) == expected
+    assert _pinned_ledgers() == expected
 
 
 def _well_formed(gap_map) -> bool:
@@ -171,3 +184,36 @@ def test_every_stage_emits_well_formed_maps():
         for entry in run_pipeline(PipelineSpec(input=source, stages=stages, seed=seed)).ledger:
             assert _well_formed(entry["completeness"]), entry
             assert _well_formed(entry["soundness"]), entry
+
+
+@pytest.mark.parametrize("stage", [
+    {"op": "compress-left", "k": 3, "r": 2, "epsilon": 0.3},
+    {"op": "compress-right", "q": 2, "gamma": 0.5, "epsilon": 0.3},
+    {"op": "minlab", "q": 2, "r": 2, "epsilon": 0.3},
+], ids=lambda stage: stage["op"])
+@pytest.mark.parametrize("source", [
+    {"kind": "gen-planted", "n": 6, "m": 5},
+    {"kind": "gen-gap", "n": 6, "m": 5, "epsilon": 0.3},
+], ids=["full", "gap"])
+def test_compression_maps_state_the_value_verify_grades(stage, source):
+    # A compression's ledger maps are the claim its rule grades: a PASS from
+    # a full source reaches the completeness map's value, and one from a gap
+    # source meets the predicate's gap comparison against the soundness map's.
+    from gapred.pipelines import PipelineSpec, run_pipeline, verify_pipeline
+
+    spec = PipelineSpec(input=source, stages=({"op": "cnf2lc"}, stage), seed=3)
+    run = run_pipeline(spec)
+    result = verify_pipeline(spec, run).stages[1]
+    entry = run.ledger[1]
+    assert result.status == "PASS", result.detail
+    got = result.values["value_out"]
+    if source["kind"] == "gen-planted":
+        assert result.detail.startswith("completeness: ")
+        assert got == entry["completeness"]["value"]
+        return
+    assert result.detail.startswith("soundness: ")
+    # The gap side of "... (full source) / <comparison> ... (gap source)".
+    comparison = entry["predicate"]["target"].split(" / ")[1].split()[0]
+    bound = entry["soundness"]["value"]
+    # min_lab None: no labeling covers, so it lies above every bound.
+    assert got < bound if comparison == "<" else (got is None or got > bound)

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,42 @@ def test_cli_gen_cnf_writes_the_empty_formula(capsys):
     # Clauses of three distinct variables still need three variables.
     assert run_command(["gen-cnf", "--mode", "random", "--n", "2", "--m", "1"]) == 2
     assert "at least 3 variables" in capsys.readouterr().err
+
+
+def test_cli_gen_cnf_gap_writes_a_certified_formula_and_its_manifest(tmp_path):
+    out = tmp_path / "g.cnf"
+    argv = ["gen-cnf", "--mode", "gap", "--n", "8", "--m", "10", "--epsilon", "0.3",
+            "--seed", "0", "--out", str(out)]
+    assert run_command(argv) == 0
+    manifest = tmp_path / "g.cnf.manifest.json"
+    first = out.read_bytes(), manifest.read_bytes()
+    # The bound is exact in epsilon's float value, as gen_gap_cnf takes it.
+    assert sat_max(parse_cnf(first[0])) < (1 - Fraction(0.3)) * 10
+    data = json.loads(first[1])
+    assert (data["command"], data["mode"], data["seed"]) == ("gen-cnf", "gap", 0)
+    assert data["params"] == {"n": 8, "m": 10, "epsilon": 0.3}
+    assert run_command(argv) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == first
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    (None, None, ["disperser", "check"], "disperser check needs an input file"),
+    (None, None, ["disperser", "gen", "--m", "5"], "disperser gen/det needs --m --k --r --epsilon"),
+    ("u.cnf", lambda: "p cnf 3 1\n1 2 3\n", ["cnf2lc"], "unterminated final clause (missing 0)"),
+    ("f4.lc", lambda: emit_labelcover(cnf_to_labelcover(parse_cnf(
+        "p cnf 4 2\n1 2 3 0\n-2 3 4 0\n"))),
+     ["lc-compress-right", "--q", "9", "--gamma", "0.5", "--epsilon", "0.3"],
+     "q=9 exceeds right size 4"),
+    ("e.ss", lambda: "ss 2 0\n", ["setcov2domset"], "no sets to dominate with"),
+], ids=["disperser-check", "disperser-gen", "cnf2lc", "compress-right", "setcov2domset"])
+def test_cli_refuses_an_input_its_command_cannot_take(tmp_path, capsys, name, text, argv,
+                                                      message):
+    if name is not None:
+        source = tmp_path / name
+        source.write_text(text())
+        argv = [*argv, str(source)]
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
