@@ -23,7 +23,6 @@ from .instances import (
     Graph,
     LabelCover,
     SetSystem,
-    TupleDecoder,
     emit_cnf,
     emit_graph,
     emit_labelcover,

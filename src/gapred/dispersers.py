@@ -90,9 +90,14 @@ def _verify_disperser(d: Disperser, meter: _Meter):
     return _violation(masks, d.r, _union_floor(d.m, d.eps), meter)
 
 
+def _gap_bound(m: int, eps: float) -> Fraction:
+    """(1 - eps) * m, exactly: a value out of m below it is a gap value."""
+    return (1 - Fraction(eps)) * m
+
+
 def _union_floor(m: int, eps: float) -> int:
     # An integer union size is below (1 - eps) * m iff it is below its ceiling.
-    return math.ceil((1 - Fraction(eps)) * m)
+    return math.ceil(_gap_bound(m, eps))
 
 
 def _violation(masks: list[int], r: int, need: int, meter: _Meter):

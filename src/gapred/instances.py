@@ -77,7 +77,6 @@ __all__ = [
     "Graph",
     "SetSystem",
     "LabelCover",
-    "TupleDecoder",
     "parse_cnf",
     "emit_cnf",
     "parse_graph",
@@ -673,17 +672,6 @@ def emit_setsystem(system: SetSystem) -> str:
 # Label cover
 
 
-@dataclass(frozen=True)
-class TupleDecoder:
-    """The member tuples behind a compressed super-vertex's labels.
-
-    `labels[packed]` is the tuple of sub-labels assigned to `members`, in order.
-    """
-
-    members: tuple[int, ...]
-    labels: tuple[tuple[int, ...], ...]
-
-
 class _Pairs(Set):
     """The (alpha, beta) pairs of one edge, read from its {alpha: beta mask} store.
 
@@ -752,10 +740,6 @@ class LabelCover:
     gets the full left alphabet. An empty admissible set marks a left vertex
     that no labeling can cover (compression produces these for
     unsatisfiable-style sources).
-
-    Left decoders, set by the compressions, map each left vertex's labels
-    back to its members' labels; they are metadata and do not participate in
-    equality or serialization.
     """
 
     left_size: int
@@ -766,8 +750,9 @@ class LabelCover:
         compare=False, repr=False
     )
     admissible: Mapping[int, frozenset[int]] | None
-    left_decoders: tuple | None = field(compare=False, repr=False)
     betas: Mapping[tuple[int, int], Mapping[int, int]] = field(init=False)
+    # Always None; read only by bench/tracing.py _decoder_ratio, and goes with ROADMAP item 18.
+    left_decoders: None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -777,7 +762,6 @@ class LabelCover:
         right_alphabet: int,
         relations=None,
         admissible=None,
-        left_decoders=None,
     ):
         # Checked before anything is built per left vertex, right vertex or left label.
         _check_counts(*zip(_COVER_COUNTS, (left_size, right_size, left_alphabet)))
@@ -830,7 +814,6 @@ class LabelCover:
             left_alphabet=left_alphabet,
             right_alphabet=right_alphabet,
             admissible=adm,
-            left_decoders=left_decoders,
             betas=betas,
         )))
 

@@ -22,12 +22,12 @@ admissible set (they can never be covered), which is how unsatisfiable
 sources surface after compression.
 
 Both compressions run one loop (`_compress`), which builds a super-vertex's
-labels with one join (`_joint_labels`) that keeps the tuples in
-itertools.product order; each compression supplies only how the kept tuples
-project onto its right vertices. Their size cap bounds the live prefixes: the
-join refuses a super-vertex once more than size_cap partial tuples survive
-some member, so a product far above the cap is joined when the members'
-constraints prune it.
+labels with one join (`_joint_labels`) that keeps one packed int per kept
+tuple, in the tuples' itertools.product order, and no tuple itself; each
+compression supplies only how the kept packed ints project onto its right
+vertices. Their size cap bounds the live prefixes: the join refuses a
+super-vertex once more than size_cap partial tuples survive some member, so a
+product far above the cap is joined when the members' constraints prune it.
 
 Every transform reads and builds the LabelCover's stored form, one
 {alpha: beta mask} dict per edge (`LabelCover.betas`), and builds no relation
@@ -37,8 +37,8 @@ compressions count their beta masks as they build them, so whatever a
 transform returns obeys the instances' size rule and parses back from its
 file, at any `size_cap`.
 
-The join works on packed ints: a kept tuple's right-label masks are one int
-with an (ra+1)-bit lane per touched right vertex, the right alphabet's bits
+The join works on packed ints only: a kept tuple's right-label masks are one
+int with an (ra+1)-bit lane per touched right vertex, the right alphabet's bits
 under a zero guard bit. Extending a tuple is one AND, and one add-and-mask
 tests every lane for emptiness at once (a nonempty lane carries into its
 guard bit). The compressions read their beta masks straight from that int:
@@ -59,7 +59,6 @@ from .instances import (
     DEFAULT_SIZE_CAP,
     CnfFormula,
     LabelCover,
-    TupleDecoder,
     _MaskBits,
     digit_table,
 )
@@ -124,7 +123,6 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
         right_alphabet=2,
         betas=betas,
         admissible=admissible,
-        left_decoders=None,
     )
 
 
@@ -134,16 +132,17 @@ def cnf_to_labelcover(formula: CnfFormula) -> LabelCover:
 
 def _joint_labels(
     lc: LabelCover, members, size_cap: int, index: int
-) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+) -> tuple[list[int], list[int]]:
     """The labels of super-vertex `index`: joint labelings of its `members`.
 
-    Returns the right vertices the members touch (ascending), the kept tuples
-    of admissible member labels in itertools.product order, and for each kept
-    tuple one packed int of right-label masks. With ra the right alphabet, the
-    int holds one lane of ra + 1 bits per touched vertex, in touched order:
-    lane p is bits p*(ra+1) .. p*(ra+1) + ra - 1, the AND of the members'
-    right-label masks on that vertex, and a zero guard bit above them. A tuple
-    is kept when every lane is nonempty.
+    Returns the right vertices the members touch (ascending), and one packed
+    int of right-label masks per kept joint labeling (a tuple of admissible
+    member labels), in the itertools.product order of those tuples. With ra
+    the right alphabet, the int holds one lane of ra + 1 bits per touched
+    vertex, in touched order: lane p is bits p*(ra+1) .. p*(ra+1) + ra - 1,
+    the AND of the members' right-label masks on that vertex, and a zero guard
+    bit above them. A joint labeling is kept when every lane is nonempty. The
+    labelings themselves are never built: a prefix is its packed int.
 
     The members are joined one at a time: each surviving prefix is extended by
     the next member's admissible labels in ascending order and dropped as soon
@@ -167,7 +166,6 @@ def _joint_labels(
     shift = {v: p * (ra + 1) for p, v in enumerate(touched)}
     ones = sum(1 << s for s in shift.values())
     full, guard = lane * ones, (lane + 1) * ones
-    tuples: list[tuple[int, ...]] = [()]
     packed = [full]
     for t, (u, choices) in enumerate(zip(members, choice_lists), 1):
         edges = [(shift[v], lc.betas[u, v]) for v in lc.left_neighbors[u]]
@@ -179,28 +177,25 @@ def _joint_labels(
             mask = others
             for s, masks in edges:
                 mask |= masks.get(alpha, 0) << s
-            extensions.append(((alpha,), mask))
+            extensions.append(mask)
         # The labels that fit a prefix, per its lanes on the member's edges.
-        fits: dict[int, list[tuple[tuple[int], int]]] = {}
-        next_tuples, next_packed = [], []
-        for tup, word in zip(tuples, packed):
+        fits: dict[int, list[int]] = {}
+        next_packed = []
+        for word in packed:
             key = word & ~others
             fit = fits.get(key)
             if fit is None:
-                fit = fits[key] = [
-                    (suffix, mask) for suffix, mask in extensions
-                    if (((key | others) & mask) + full) & guard == guard
-                ]
-            for suffix, mask in fit:
-                next_tuples.append(tup + suffix)
+                fit = fits[key] = [mask for mask in extensions
+                                   if (((key | others) & mask) + full) & guard == guard]
+            for mask in fit:
                 next_packed.append(word & mask)
             if len(next_packed) > size_cap:
                 raise SizeCapError(
                     f"super-vertex {index} keeps over {size_cap} partial labelings "
                     f"after {t} of {len(members)} members"
                 )
-        tuples, packed = next_tuples, next_packed
-    return touched, tuples, packed
+        packed = next_packed
+    return touched, packed
 
 
 class _BlockLabels(dict):
@@ -258,19 +253,18 @@ def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: 
               size_cap: int) -> LabelCover:
     """The compression whose left vertex i joins the i-th member tuple of `groups`.
 
-    Its labels are the tuples `_joint_labels` keeps, and `project(touched,
-    packed)` yields its edges, one (right vertex, beta mask per kept tuple) pair
-    each. SizeCapError is raised once the edges' relation pairs pass
-    `size_cap`, or once their beta masks or the output's counts break the size
-    rule.
+    Its labels are the joint labelings `_joint_labels` keeps, and
+    `project(touched, packed)` yields its edges, one (right vertex, beta mask
+    per kept labeling) pair each. SizeCapError is raised once the edges'
+    relation pairs pass `size_cap`, or once their beta masks or the output's
+    counts break the size rule.
     """
-    betas, admissible, decoders = {}, {}, []
+    betas, admissible = {}, {}
     total_pairs, max_labels, widths = 0, 1, _MaskBits("beta")
     for i, members in enumerate(groups):
-        touched, kept, packed = _joint_labels(lc, members, size_cap, i)
-        admissible[i] = frozenset(range(len(kept)))
-        max_labels = max(max_labels, len(kept))
-        decoders.append(TupleDecoder(members, tuple(kept)))
+        touched, packed = _joint_labels(lc, members, size_cap, i)
+        admissible[i] = frozenset(range(len(packed)))
+        max_labels = max(max_labels, len(packed))
         for v, masks in project(touched, packed):
             total_pairs += sum(map(int.bit_count, masks))
             if total_pairs > size_cap:
@@ -278,13 +272,12 @@ def _compress(lc: LabelCover, groups, project, right_size: int, right_alphabet: 
             widths.add(sum(map(int.bit_length, masks)))
             betas[i, v] = dict(enumerate(masks))
     return LabelCover._bounded(
-        left_size=len(decoders),
+        left_size=len(admissible),
         right_size=right_size,
         left_alphabet=max_labels,
         right_alphabet=right_alphabet,
         betas=betas,
         admissible=admissible,
-        left_decoders=tuple(decoders),
     )
 
 
@@ -342,7 +335,7 @@ def compress_left_with(
     width, lane = lc.right_alphabet + 1, (1 << lc.right_alphabet) - 1
 
     def project(touched, packed):
-        # Every kept tuple's lanes are nonempty, so each mask is too.
+        # Every kept labeling's lanes are nonempty, so each mask is too.
         for p, v in enumerate(touched):
             s = p * width
             yield v, [word >> s & lane for word in packed]

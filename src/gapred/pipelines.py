@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from . import gap_ledger as gl
 from . import oracles
-from .dispersers import Disperser, emit_disperser, verify_disperser
+from .dispersers import Disperser, _gap_bound, emit_disperser, verify_disperser
 from .errors import (
     BudgetExceededError,
     GenerationError,
@@ -140,7 +140,7 @@ def gen_gap_cnf(
     if num_vars < 1 or num_clauses < 1 or not 0.0 < eps < 1.0:
         raise ValidationError("need num_vars >= 1, num_clauses >= 1, eps in (0,1)")
     rng = random.Random(seed)
-    threshold = (1 - Fraction(eps)) * num_clauses
+    threshold = _gap_bound(num_clauses, eps)
     for _ in range(max_attempts):
         clauses = []
         for _ in range(num_clauses):
@@ -334,11 +334,6 @@ def _constant(value, requires) -> dict:
     return {"kind": "constant", "value": value, "requires": float(requires)}
 
 
-def _gap_size(lc, p) -> Fraction:
-    """(1 - epsilon)|U|: a label-cover source covering less is a gap source."""
-    return (1 - Fraction(p["epsilon"])) * lc.left_size
-
-
 def _build_compress_left(lc, p, budget=None):
     out, disperser = compress_left(lc, **p, budget=budget)
     return out, {"disperser": disperser}
@@ -500,7 +495,7 @@ def _compression(oracle: str, full, gap) -> dict:
 
     def rule(s):
         m, mc_in = s.source.left_size, s.src("max_cov")
-        gap_bound = _gap_size(s.source, s.params)
+        gap_bound = _gap_bound(m, s.params["epsilon"])
         values = {"max_cov_in": mc_in, "left_size_in": m}
         if mc_in == m:
             want, got = full_value(s.source, s.params, s.output), s.out(oracle)
@@ -522,8 +517,9 @@ def _compression(oracle: str, full, gap) -> dict:
         return _status(ok), detail, values
 
     def maps(lc, p, out):
+        gap_bound = _gap_bound(lc.left_size, p["epsilon"])
         return (_constant(_written(full_value(lc, p, out)), lc.left_size),
-                _constant(_written(gap_value(lc, p, out)), _gap_size(lc, p)))
+                _constant(_written(gap_value(lc, p, out)), gap_bound))
 
     target = f"{full_name} (full source) / {comparison} {gap_name} (gap source)"
     return {"verify": rule, "predicate": (oracle, "==", target), "maps": maps}
@@ -594,6 +590,16 @@ def _verify_sat2dks(s):
         "and clauses have at most 2*ell literals",
         values,
     )
+
+
+def _sat2dks_maps(formula, p, out):
+    """At p = 1 the claim verify grades: clique(output) == C(n, ell) from a
+    satisfiable source, and < C(n, ell) from an unsatisfiable one. A subsample's
+    rule replays the draw and grades no gap, so its maps stay the identity."""
+    if p["p"] < 1.0:
+        return _IDENTITY, _IDENTITY
+    windows = math.comb(formula.num_vars, p["ell"])
+    return (_constant(windows, formula.num_clauses),) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +685,7 @@ STAGES: dict[str, Stage] = {
         ("clique", "==",
          "C(n,ell) iff sat_max(source) == m when ell < n and clause width <= 2*ell; "
          "otherwise C(n,ell) if sat_max(source) == m"),
+        maps=_sat2dks_maps,
         notes=(
             "occurrence bound 2^(4n) * (2^(-lam*ell^2/n) * C(n,ell))^(2t) is documentation only",
         ),

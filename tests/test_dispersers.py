@@ -103,6 +103,8 @@ def test_lift_preserves_union_fractions_exactly():
             big_union = len(lifted.subsets[i] | lifted.subsets[j])
             assert big_union == 2 * small_union
     assert verify_disperser(lifted) is None
+    with pytest.raises(ValidationError, match="blocks must be >= 1"):
+        lift_disperser(small, 0)
 
 
 @given(st.integers(0, 10**9), st.integers(2, 4))

@@ -1,6 +1,7 @@
 """Gap ledger: map rendering, reports, the JSON round trip and the stage registry."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -217,3 +218,27 @@ def test_compression_maps_state_the_value_verify_grades(stage, source):
     bound = entry["soundness"]["value"]
     # min_lab None: no labeling covers, so it lies above every bound.
     assert got < bound if comparison == "<" else (got is None or got > bound)
+
+
+@pytest.mark.parametrize("source", [
+    {"kind": "gen-planted", "n": 6, "m": 5},
+    {"kind": "gen-gap", "n": 6, "m": 5, "epsilon": 0.3},
+], ids=["full", "gap"])
+def test_sat2dks_maps_state_the_value_verify_grades(source):
+    # At p = 1 sat2dks's maps are the C(n, ell) its rule grades clique against:
+    # reached from a satisfiable source, missed from an unsatisfiable one.
+    from gapred.pipelines import PipelineSpec, run_pipeline, verify_pipeline
+
+    spec = PipelineSpec(input=source, stages=({"op": "sat2dks", "ell": 2},), seed=3)
+    run = run_pipeline(spec)
+    result = verify_pipeline(spec, run).stages[0]
+    entry = run.ledger[0]
+    assert result.status == "PASS", result.detail
+    assert entry["completeness"] == entry["soundness"] == {
+        "kind": "constant", "value": math.comb(6, 2), "requires": 5.0}
+    if source["kind"] == "gen-planted":
+        assert result.detail.startswith("completeness: ")
+        assert result.values["clique"] == entry["completeness"]["value"]
+    else:
+        assert result.detail.startswith("soundness: ")
+        assert result.values["clique"] < entry["soundness"]["value"]

@@ -471,6 +471,8 @@ def test_ramsey_binomial_examples():
     for s in range(1, 6):
         for t in range(1, 6):
             assert ramsey_binomial_bound(s, t) == math.comb(s + t - 2, s - 1)
+    with pytest.raises(ValidationError, match="need s >= 1 and t >= 1"):
+        ramsey_binomial_bound(0, 2)
 
 
 def test_hereditary_bridge_examples():
@@ -481,6 +483,8 @@ def test_hereditary_bridge_examples():
     assert hereditary_bridge(g, "forest", 0) == 0
     with pytest.raises(ValidationError):
         hereditary_bridge(g, "planar", 3)
+    with pytest.raises(ValidationError, match="r must be >= 0"):
+        hereditary_bridge(g, "forest", -1)
 
 
 def test_hereditary_bridge_is_sound_exhaustively():

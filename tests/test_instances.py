@@ -426,6 +426,10 @@ def test_labelcover_invariants():
         LabelCover(1, 1, 2, 2, {(0, 1): set()})  # edge out of range
     with pytest.raises(ValidationError):
         LabelCover(1, 1, 2, 2, {}, admissible={0: {3}})
+    with pytest.raises(ValidationError, match="admissible set missing for left vertex 1"):
+        LabelCover(2, 1, 2, 2, {}, admissible={0: {0}})
+    with pytest.raises(ValidationError, match="admissible map has spurious keys"):
+        LabelCover(1, 1, 2, 2, {}, admissible={0: {0}, 5: {1}})
 
 
 def test_labelcover_default_admissible_is_full():
@@ -675,6 +679,11 @@ def test_random_labelcover_left_degrees():
 
 def test_random_graph_deterministic():
     assert random_graph(8, 0.5, seed=4) == random_graph(8, 0.5, seed=4)
+
+
+def test_random_graph_refuses_a_probability_outside_0_1():
+    with pytest.raises(ValidationError, match=r"need edge_prob in \[0,1\]"):
+        random_graph(3, 1.5, 0)
 
 
 def test_empty_formula_roundtrip():

@@ -13,7 +13,6 @@ from gapred import (
     Disperser,
     LabelCover,
     SizeCapError,
-    TupleDecoder,
     ValidationError,
     cnf_to_labelcover,
     compress_left,
@@ -100,7 +99,7 @@ def ref_cnf_to_labelcover(formula):
             betas[i, abs(lit) - 1] = {alpha: 1 << (alpha >> p & 1) for alpha in satisfying}
     return LabelCover._bounded(left_size=formula.num_clauses, right_size=formula.num_vars,
                                left_alphabet=8, right_alphabet=2, betas=betas,
-                               admissible=admissible, left_decoders=None)
+                               admissible=admissible)
 
 
 def _lowering_formulas():
@@ -162,6 +161,10 @@ def test_compress_left_params_validation():
         compress_left(lc, k=2, r=1, epsilon=1.5)
     with pytest.raises(ValidationError, match="unknown disperser mode 'magic'"):
         compress_left(lc, k=2, r=1, epsilon=0.5, disperser="magic")
+    with pytest.raises(ValidationError, match="cannot left-compress an empty left side"):
+        compress_left(LabelCover(0, 2, 1, 1), k=1, r=1, epsilon=0.5)
+    with pytest.raises(ValidationError, match="disperser universe 5 disagrees with left size 3"):
+        compress_left_with(lc, random_disperser(5, 1, 1, 0.5, seed=0))
 
 
 def test_compress_left_single_supervertex_is_and_of_clauses():
@@ -194,14 +197,18 @@ def test_compress_left_soundness_on_certified_gap():
 
 
 def test_compress_left_keeps_consistent_tuples_only():
-    # Two clauses sharing x1 with opposite polarity: joint tuples must agree on x1.
+    # Two clauses sharing x1 with opposite polarity: joint tuples must agree on
+    # every shared variable, so each label allows one value of each.
     f = CnfFormula(3, ((1, 2, 3), (-1, 2, 3)))
     lc = cnf_to_labelcover(f)
     out, _ = compress_left(lc, k=1, r=1, epsilon=0.5, seed=0)
-    decoder = out.left_decoders[0]
-    for label in sorted(out.admissible[0]):
-        a0, a1 = decoder.labels[label]
-        assert (a0 & 1) == (a1 & 1)  # both assign the same value to x1
+    for v in range(3):
+        for label in out.admissible[0]:
+            assert out.betas[0, v][label].bit_count() == 1
+    # One label per assignment satisfying both clauses.
+    both = [x for x in itertools.product((False, True), repeat=3)
+            if all(any(x[abs(lit) - 1] == (lit > 0) for lit in c) for c in f.clauses)]
+    assert len(out.admissible[0]) == len(both) == 6
 
 
 def test_compress_left_size_cap():
@@ -273,6 +280,8 @@ def test_compress_right_params_validation():
         compress_right(lc, q=1, gamma=0.0, epsilon=0.2)
     with pytest.raises(ValidationError, match=r"eps must lie in \(0,1\)"):
         compress_right(lc, q=1, gamma=0.5, epsilon=0.0)
+    with pytest.raises(ValidationError, match="right compression needs nonempty sides"):
+        compress_right(LabelCover(2, 0, 1, 1), q=1, gamma=0.5, epsilon=0.3)
 
 
 def test_compress_right_sizes():
@@ -343,14 +352,13 @@ def ref_compress_left_with(lc, disperser, size_cap=instances.DEFAULT_SIZE_CAP):
         raise ValidationError(
             f"disperser universe {disperser.m} disagrees with left size {lc.left_size}"
         )
-    relations, admissible, decoders = {}, {}, []
+    relations, admissible = {}, {}
     total_pairs, max_labels = 0, 1
     for i, subset in enumerate(disperser.subsets):
         members = sorted(subset)
         touched, kept, kept_masks = _product_joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
-        decoders.append(TupleDecoder(tuple(members), tuple(kept)))
         for v in touched:
             pairs = frozenset(
                 (ai, b) for ai, vm in enumerate(kept_masks) for b in bits_of(vm[v])
@@ -360,7 +368,7 @@ def ref_compress_left_with(lc, disperser, size_cap=instances.DEFAULT_SIZE_CAP):
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             relations[(i, v)] = pairs
     return LabelCover(disperser.k, lc.right_size, max_labels, lc.right_alphabet, relations,
-                      admissible, tuple(decoders))
+                      admissible)
 
 
 def ref_compress_right(lc, q, gamma, epsilon, size_cap=instances.DEFAULT_SIZE_CAP):
@@ -382,13 +390,12 @@ def ref_compress_right(lc, q, gamma, epsilon, size_cap=instances.DEFAULT_SIZE_CA
     if ra**max_block > size_cap:
         raise SizeCapError(f"right alphabet {ra}^{max_block} exceeds cap {size_cap}")
     full_mask = (1 << ra) - 1
-    relations, admissible, left_decoders = {}, {}, []
+    relations, admissible = {}, {}
     total_pairs, max_labels = 0, 1
     for i, members in enumerate(itertools.combinations(range(m), ell)):
         _, kept, kept_masks = _product_joint_labels(lc, members, size_cap, i)
         admissible[i] = frozenset(range(len(kept)))
         max_labels = max(max_labels, len(kept))
-        left_decoders.append(TupleDecoder(tuple(members), tuple(kept)))
         for j, block in enumerate(blocks):
             pairs = set()
             for ai, vmask in enumerate(kept_masks):
@@ -402,12 +409,11 @@ def ref_compress_right(lc, q, gamma, epsilon, size_cap=instances.DEFAULT_SIZE_CA
             if total_pairs > size_cap:
                 raise SizeCapError(f"relation pairs exceed cap {size_cap}")
             relations[(i, j)] = frozenset(pairs)
-    return LabelCover(num_left, q, max_labels, ra**max_block, relations, admissible,
-                      tuple(left_decoders))
+    return LabelCover(num_left, q, max_labels, ra**max_block, relations, admissible)
 
 
 def _outcomes(pairs):
-    """Each compression's emitted text plus left decoders, or the error it raised."""
+    """Each compression's emitted text, or the error it raised."""
     outputs = []
     for compress in pairs:
         try:
@@ -415,7 +421,7 @@ def _outcomes(pairs):
         except (SizeCapError, ValidationError) as exc:
             outputs.append((type(exc), str(exc)))
         else:
-            outputs.append((emit_labelcover(out), out.left_decoders))
+            outputs.append(emit_labelcover(out))
     return outputs
 
 
@@ -486,7 +492,7 @@ def test_compress_left_joins_long_member_lists():
     lc = LabelCover(n, n, 1, 1, {(u, u): {(0, 0)} for u in range(n)})
     out, disperser = compress_left(lc, k=1, r=1, epsilon=0.5, seed=0)
     assert disperser.ell == n
-    assert out.left_decoders[0].labels == ((0,) * n,)
+    assert out.admissible[0] == {0}
     assert max_cov(out) == 1
 
 
@@ -524,7 +530,7 @@ def test_minlab_soundness():
 def _rebuilt(lc):
     """The same fields passed through the public, validating constructor."""
     return LabelCover(lc.left_size, lc.right_size, lc.left_alphabet, lc.right_alphabet,
-                      lc.relations, lc.admissible, lc.left_decoders)
+                      lc.relations, lc.admissible)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -538,6 +544,7 @@ def test_unchecked_outputs_pass_the_public_checks(seed):
     for out in outputs:
         checked = _rebuilt(out)
         assert checked == out
+        assert out.left_decoders is None is checked.left_decoders
         assert emit_labelcover(checked) == emit_labelcover(out)
         # The store holds one nonzero int mask per label with pairs.
         assert all(

@@ -143,6 +143,7 @@ def test_cli_gen_cnf_gap_writes_a_certified_formula_and_its_manifest(tmp_path):
 
 @pytest.mark.parametrize("name, text, argv, message", [
     (None, None, ["disperser", "check"], "disperser check needs an input file"),
+    ("empty.disp", lambda: "", ["disperser", "check"], "missing 'disp' header"),
     (None, None, ["disperser", "gen", "--m", "5"], "disperser gen/det needs --m --k --r --epsilon"),
     ("u.cnf", lambda: "p cnf 3 1\n1 2 3\n", ["cnf2lc"], "unterminated final clause (missing 0)"),
     ("f4.lc", lambda: emit_labelcover(cnf_to_labelcover(parse_cnf(
@@ -150,7 +151,8 @@ def test_cli_gen_cnf_gap_writes_a_certified_formula_and_its_manifest(tmp_path):
      ["lc-compress-right", "--q", "9", "--gamma", "0.5", "--epsilon", "0.3"],
      "q=9 exceeds right size 4"),
     ("e.ss", lambda: "ss 2 0\n", ["setcov2domset"], "no sets to dominate with"),
-], ids=["disperser-check", "disperser-gen", "cnf2lc", "compress-right", "setcov2domset"])
+], ids=["disperser-check", "disperser-check-empty", "disperser-gen", "cnf2lc", "compress-right",
+        "setcov2domset"])
 def test_cli_refuses_an_input_its_command_cannot_take(tmp_path, capsys, name, text, argv,
                                                       message):
     if name is not None:
@@ -917,10 +919,16 @@ def test_cli_projection_violation_exit_code(tmp_path):
     assert run_command(["lc2clique", str(lc)]) == 2
 
 
-def test_cli_budget_exit_code(tmp_path):
+def test_cli_budget_exit_code(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 6 4\n1 0\n-1 0\n2 0\n-2 0\n")
     assert run_command(["solve", "sat-max", str(cnf), "--budget-nodes", "3"]) == 3
+    # The disperser search counts its candidate subsets against the node budget.
+    argv = ["disperser", "det", "--m", "40", "--k", "8", "--r", "6", "--epsilon", "0.9",
+            "--budget-nodes", "1"]
+    capsys.readouterr()
+    assert run_command(argv) == 3
+    assert "C(13,8) candidate subsets exceed the search budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-millis"])

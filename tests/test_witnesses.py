@@ -123,7 +123,9 @@ def _corrupted(kind, instance, witness):
                 list(witness)[::-1], tuple(map(bool, witness))]
     adj = instance.adjacency
     n = instance.num_vertices
-    out = [witness[1:], witness + witness[:1], witness + (n,), tuple(range(n)), (-1,)]
+    # A repeated vertex, in a tuple or a list, and a witness that is no sequence.
+    out = [witness[1:], witness + witness[:1], [witness[0]] * 2, set(witness), witness + (n,),
+           tuple(range(n)), (-1,)]
     for v in range(n):
         if v not in witness and not adj[v] >> witness[0] & 1:
             out.append((v,) + witness[1:])  # the first vertex swapped for a non-neighbour
